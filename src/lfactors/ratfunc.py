@@ -3,32 +3,58 @@
 Nonarchimedean local factors are rational in q^{-s}; the coefficients the
 formulas generate live in the biquadratic field Q(i, sqrt p) (half-integer
 argument shifts contribute sqrt q, Gauss sums contribute i and sqrt p).
+A coefficient (QiSqrt) is four integers over one positive denominator, in
+lowest terms, so equal values have equal fields and equal hashes.
+
+A RatFunc keeps the numerator and denominator it was built from: products,
+powers and inverses only multiply or swap polynomials, and
+`as_rational_in_X` expands the whole product before anything is reduced.
+The canonical form is computed once, on first access to `num`, `den` or
+`str`: numerator and denominator are coprime (one Euclidean gcd over
+Q(i, sqrt p), Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*,
+1992, ch. 7), the lower of their two lowest exponents is 0, and the
+denominator's trailing coefficient is 1; zero is 0/1. Equality never runs a
+gcd: `f == g` cross-multiplies the unreduced polynomials, and `is_one`
+compares the unreduced numerator with the unreduced denominator.
+
 Inexact inputs (irrational twists) degrade the whole function to complex
-coefficients; equality then falls back to numeric sampling.
+coefficients. Such a function is never reduced (its canonical form is the
+product as built), and equality compares coefficients to a relative 1e-9.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .exactconst import ExactConst, factor_int
 
 
-@dataclass(frozen=True)
 class QiSqrt:
-    """a + b sqrt(p) + (c + d sqrt(p)) i over Q, p an odd prime."""
+    """(a + b sqrt(p) + (c + d sqrt(p)) i) / n, p an odd prime.
 
-    p: int
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
-    c: Fraction = Fraction(0)
-    d: Fraction = Fraction(0)
+    a, b, c, d and n > 0 are ints with gcd(a, b, c, d, n) = 1."""
 
-    def __post_init__(self):
-        for name in "abcd":
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    __slots__ = ("p", "a", "b", "c", "d", "n")
+
+    def __init__(self, p: int, a=0, b=0, c=0, d=0):
+        parts = [Fraction(x) for x in (a, b, c, d)]
+        n = lcm(*(x.denominator for x in parts))
+        self._set(p, *(x.numerator * (n // x.denominator) for x in parts), n)
+
+    def _set(self, p, a, b, c, d, n):
+        g = gcd(a, b, c, d, n)
+        if g != 1:
+            a, b, c, d, n = a // g, b // g, c // g, d // g, n // g
+        self.p, self.a, self.b, self.c, self.d, self.n = p, a, b, c, d, n
+
+    @classmethod
+    def _of_ints(cls, p: int, a: int, b: int, c: int, d: int, n: int) -> "QiSqrt":
+        """From integer parts over n > 0, not necessarily in lowest terms."""
+        out = object.__new__(cls)
+        out._set(p, a, b, c, d, n)
+        return out
 
     @staticmethod
     def of(p: int, v) -> "QiSqrt":
@@ -38,80 +64,83 @@ class QiSqrt:
             return v
         if isinstance(v, ExactConst):
             return _exact_to_qisqrt(p, v)
-        return QiSqrt(p, Fraction(v))
+        return QiSqrt(p, v)
 
-    @property
-    def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
+    def __bool__(self) -> bool:
+        return bool(self.a or self.b or self.c or self.d)
+
+    def _key(self):
+        return (self.p, self.a, self.b, self.c, self.d, self.n)
+
+    def __eq__(self, o):
+        if not isinstance(o, QiSqrt):
+            return NotImplemented
+        return self._key() == o._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"QiSqrt({self.p}, {self})"
 
     def __add__(self, o: "QiSqrt") -> "QiSqrt":
-        return QiSqrt(self.p, self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        n, m = self.n, o.n
+        if n == m:
+            return QiSqrt._of_ints(self.p, self.a + o.a, self.b + o.b, self.c + o.c,
+                                   self.d + o.d, n)
+        return QiSqrt._of_ints(self.p, self.a * m + o.a * n, self.b * m + o.b * n,
+                               self.c * m + o.c * n, self.d * m + o.d * n, n * m)
 
     def __neg__(self) -> "QiSqrt":
-        return QiSqrt(self.p, -self.a, -self.b, -self.c, -self.d)
+        return QiSqrt._of_ints(self.p, -self.a, -self.b, -self.c, -self.d, self.n)
 
     def __sub__(self, o: "QiSqrt") -> "QiSqrt":
         return self + (-o)
 
     def __mul__(self, o: "QiSqrt") -> "QiSqrt":
-        p = self.p
-        # real/imag parts in Q(sqrt p): (a, b) + i (c, d)
-        def rmul(x1, y1, x2, y2):  # (x1 + y1 sqrt p)(x2 + y2 sqrt p)
-            return (x1 * x2 + p * y1 * y2, x1 * y2 + y1 * x2)
-        ra, rb = rmul(self.a, self.b, o.a, o.b)
-        ia, ib = rmul(self.c, self.d, o.c, o.d)
-        ra, rb = ra - ia, rb - ib  # subtract i^2 part
-        # cross terms give the imaginary component
-        ca, cb = rmul(self.a, self.b, o.c, o.d)
-        da, db = rmul(self.c, self.d, o.a, o.b)
-        return QiSqrt(p, ra, rb, ca + da, cb + db)
-
-    def conj_i(self) -> "QiSqrt":
-        return QiSqrt(self.p, self.a, self.b, -self.c, -self.d)
-
-    def conj_sqrt(self) -> "QiSqrt":
-        return QiSqrt(self.p, self.a, -self.b, self.c, -self.d)
+        # (x + y i)(x' + y' i) with x = a + b sqrt p, y = c + d sqrt p
+        p, a, b, c, d = self.p, self.a, self.b, self.c, self.d
+        e, f, g, h = o.a, o.b, o.c, o.d
+        return QiSqrt._of_ints(p, a * e + p * b * f - c * g - p * d * h,
+                               a * f + b * e - c * h - d * g,
+                               a * g + p * b * h + c * e + p * d * f,
+                               a * h + b * g + c * f + d * e, self.n * o.n)
 
     def inverse(self) -> "QiSqrt":
-        if self.is_zero:
+        if not self:
             raise ZeroDivisionError
-        # norm down to Q through the two conjugations
-        z1 = self.conj_i()
-        w = self * z1  # in Q(sqrt p), imaginary parts cancel
-        w2 = w.conj_sqrt()
-        n = w * w2  # rational
-        assert n.b == 0 and n.c == 0 and n.d == 0
-        scale = 1 / n.a
-        out = z1 * w2
-        return QiSqrt(self.p, out.a * scale, out.b * scale, out.c * scale, out.d * scale)
+        # n / (x + y i) = n (x - y i) / (u + v sqrt p) with u + v sqrt p = x^2 + y^2,
+        # and 1 / (u + v sqrt p) = (u - v sqrt p) / (u^2 - p v^2), a nonzero integer
+        p, a, b, c, d, n = self.p, self.a, self.b, self.c, self.d, self.n
+        u = a * a + p * b * b + c * c + p * d * d
+        v = 2 * (a * b + c * d)
+        m = u * u - p * v * v
+        if m < 0:
+            n, m = -n, -m
+        return QiSqrt._of_ints(p, n * (a * u - p * b * v), n * (b * u - a * v),
+                               n * (p * d * v - c * u), n * (c * v - d * u), m)
 
     def to_complex(self) -> complex:
-        r = float(self.a) + float(self.b) * self.p ** 0.5
-        im = float(self.c) + float(self.d) * self.p ** 0.5
-        return complex(r, im)
+        n, r = self.n, self.p ** 0.5
+        return complex(self.a / n + self.b / n * r, self.c / n + self.d / n * r)
 
     def __str__(self):
-        if self.is_zero:
+        if not self:
             return "0"
         terms = []
         for coef, tag in ((self.a, ""), (self.b, f"*sqrt({self.p})"),
                           (self.c, "*i"), (self.d, f"*i*sqrt({self.p})")):
             if coef:
-                terms.append(f"{coef}{tag}")
+                terms.append(f"{Fraction(coef, self.n)}{tag}")
         return " + ".join(terms).replace("+ -", "- ")
 
 
 def _exact_to_qisqrt(p: int, v: ExactConst) -> QiSqrt:
     if any(r != p for r in v.roots):
         raise ValueError(f"constant {v} does not lie in Q(i, sqrt {p})")
-    has_root = p in v.roots
-    re_pair = [Fraction(0), Fraction(0)]
-    re_pair[1 if has_root else 0] = v.rat
-    out = QiSqrt(p, *re_pair, Fraction(0), Fraction(0))
-    i = QiSqrt(p, 0, 0, 1, 0)
-    for _ in range(v.ipow):
-        out = out * i
-    return out
+    parts = [0, 0, 0, 0]  # ExactConst keeps ipow in {0, 1}
+    parts[2 * v.ipow + (p in v.roots)] = v.rat.numerator
+    return QiSqrt._of_ints(p, *parts, v.rat.denominator)
 
 
 class Poly:
@@ -122,43 +151,16 @@ class Poly:
     def __init__(self, p: int, coeffs: dict[int, object], exact: bool = True):
         self.p = p
         self.exact = exact
-        clean = {}
-        for k, v in coeffs.items():
-            v = self._norm(v)
-            if not self._is_zero(v):
-                clean[k] = v
-        self.coeffs = clean
-
-    def _norm(self, v):
-        if self.exact:
-            return QiSqrt.of(self.p, v) if not isinstance(v, QiSqrt) else v
-        if isinstance(v, QiSqrt):
-            return v.to_complex()
-        if isinstance(v, ExactConst):
-            return v.to_complex()
-        return complex(v)
-
-    @staticmethod
-    def _is_zero(v) -> bool:
-        if isinstance(v, QiSqrt):
-            return v.is_zero
-        return abs(v) == 0
+        coeff = (lambda v: QiSqrt.of(p, v)) if exact else _to_cx
+        self.coeffs = {k: c for k, v in coeffs.items() if (c := coeff(v))}
 
     @staticmethod
     def const(p: int, v, exact: bool = True) -> "Poly":
         return Poly(p, {0: v}, exact)
 
-    @staticmethod
-    def monomial(p: int, k: int, v=1, exact: bool = True) -> "Poly":
-        return Poly(p, {k: v}, exact)
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def degree_range(self) -> tuple[int, int]:
-        ks = self.coeffs.keys()
-        return (min(ks), max(ks)) if ks else (0, 0)
 
     def align(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if self.exact == other.exact:
@@ -169,19 +171,6 @@ class Poly:
         if not self.exact:
             return self
         return Poly(self.p, {k: v.to_complex() for k, v in self.coeffs.items()}, False)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.align(other)
-        out = dict(a.coeffs)
-        for k, v in b.coeffs.items():
-            out[k] = out[k] + v if k in out else v
-        return Poly(a.p, out, a.exact)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.p, {k: -v for k, v in self.coeffs.items()}, self.exact)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         a, b = self.align(other)
@@ -202,8 +191,7 @@ class Poly:
     def eval(self, x: complex) -> complex:
         total = 0j
         for k, v in self.coeffs.items():
-            val = v.to_complex() if isinstance(v, QiSqrt) else complex(v)
-            total += val * x ** k
+            total += _to_cx(v) * x ** k
         return total
 
     def __eq__(self, other):
@@ -215,9 +203,6 @@ class Poly:
         keys = set(a.coeffs) | set(b.coeffs)
         scale = max((abs(v) for v in list(a.coeffs.values()) + list(b.coeffs.values())), default=1.0)
         return all(abs(a.coeffs.get(k, 0) - b.coeffs.get(k, 0)) <= 1e-9 * scale for k in keys)
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items())) if self.exact else id(self)
 
     def __str__(self):
         if self.is_zero:
@@ -254,12 +239,11 @@ def _poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         quo[da - db] = factor
         for k, v in b.coeffs.items():
             kk = k + da - db
-            cur = rem.get(kk, QiSqrt(p))
-            new = cur - factor * v
-            if new.is_zero:
-                rem.pop(kk, None)
-            else:
+            new = rem[kk] - factor * v if kk in rem else -(factor * v)
+            if new:
                 rem[kk] = new
+            else:
+                del rem[kk]
     return Poly(p, quo), Poly(p, rem)
 
 
@@ -274,18 +258,29 @@ def _poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 class RatFunc:
-    """num/den of Laurent polynomials, reduced when exact."""
+    """num/den of Laurent polynomials; see the module docstring for when the
+    canonical form is computed."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_num", "_den", "_canon")
 
     def __init__(self, num: Poly, den: Poly):
         num, den = num.align(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if num.exact and not num.is_zero:
-            num, den = _reduce(num, den)
-        self.num = num
-        self.den = den
+        self._num, self._den, self._canon = num, den, None
+
+    def _canonical(self) -> tuple[Poly, Poly]:
+        if self._canon is None:
+            self._canon = _reduce(self._num, self._den) if self._num.exact else (self._num, self._den)
+        return self._canon
+
+    @property
+    def num(self) -> Poly:
+        return self._canonical()[0]
+
+    @property
+    def den(self) -> Poly:
+        return self._canonical()[1]
 
     @staticmethod
     def const(p: int, v, exact: bool = True) -> "RatFunc":
@@ -296,17 +291,17 @@ class RatFunc:
         return RatFunc.const(p, 1)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return RatFunc(self._num * other._num, self._den * other._den)
 
     def inv(self) -> "RatFunc":
-        if self.num.is_zero:
+        if self._num.is_zero:
             raise ZeroDivisionError
-        return RatFunc(self.den, self.num)
+        return RatFunc(self._den, self._num)
 
     def __pow__(self, k: int) -> "RatFunc":
         if k < 0:
             return self.inv() ** (-k)
-        out = RatFunc.one(self.num.p)
+        out = RatFunc.one(self._num.p)
         for _ in range(k):
             out = out * self
         return out
@@ -316,16 +311,16 @@ class RatFunc:
 
     @property
     def is_exact(self) -> bool:
-        return self.num.exact
+        return self._num.exact
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return (self.num * other.den) == (other.num * self.den)
+        return (self._num * other._den) == (other._num * self._den)
 
     @property
     def is_one(self) -> bool:
-        return self.num == self.den
+        return self._num == self._den
 
     def __str__(self):
         ns, ds = str(self.num), str(self.den)
@@ -335,19 +330,17 @@ class RatFunc:
 
 
 def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Cancel common factors; normalize so the lowest exponent is 0 and the
-    denominator's trailing coefficient is 1."""
-    p = num.p
-    kn = min(num.coeffs) if num.coeffs else 0
-    kd = min(den.coeffs)
-    shift = min(kn, kd)
+    """Canonical form of num/den (exact): coprime, lowest exponent 0 and the
+    denominator's trailing coefficient 1."""
+    if num.is_zero:
+        return num, Poly.const(num.p, 1)
+    shift = min(min(num.coeffs), min(den.coeffs))
     num, den = num.shift(-shift), den.shift(-shift)
     g = _poly_gcd(num, den)
-    if list(g.coeffs.keys()) != [0]:  # nontrivial common factor
+    if max(g.coeffs):  # nontrivial common factor
         num, _ = _poly_divmod(num, g)
         den, _ = _poly_divmod(den, g)
-    low = den.coeffs.get(min(den.coeffs))
-    inv = low.inverse()
+    inv = den.coeffs[min(den.coeffs)].inverse()
     return num.scale(inv), den.scale(inv)
 
 

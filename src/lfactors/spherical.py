@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .fields import LocalField, SquareClass
 from .mero import LinForm, MeroExpr, mero_mul
-from .ratfunc import RatFunc, as_rational_in_X
+from .ratfunc import as_rational_in_X
 
 
 @dataclass(frozen=True)
@@ -211,11 +211,6 @@ def spherical_zeta(data: SphericalData, vol_symbol: str = "Vol(C_1)",
     return SphericalZeta(vol_symbol, lprod, dv, m_res)
 
 
-def d_v_rational(data: SphericalData, m: int | None = None) -> RatFunc:
-    """1/D: d^V(s) as an exact rational function in X = q^{-s}."""
-    return as_rational_in_X(spherical_zeta(data, m=m).d_v, data.q)
-
-
 def xi_symmetry_holds(data: SphericalData, m: int | None = None) -> bool:
     """Xi(X) D(1/X) = Xi(1/X) D(X) with Xi = Vol * D, checked exactly with the
     volume treated as an opaque positive constant (it cancels)."""
@@ -224,4 +219,4 @@ def xi_symmetry_holds(data: SphericalData, m: int | None = None) -> bool:
     D_inv_var = as_rational_in_X(dv.inv().subst(-1, 0), data.q)  # D(q^{s}) = D at s -> -s
     lhs = D * D_inv_var
     rhs = D_inv_var * D
-    return (lhs.num * rhs.den) == (rhs.num * lhs.den)
+    return lhs == rhs

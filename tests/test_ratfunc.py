@@ -1,0 +1,208 @@
+"""Exact rational functions in X: the canonical form against a sympy oracle,
+equality and is_one against the canonical form, and QiSqrt arithmetic."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lfactors.exactconst import ExactConst
+from lfactors.mero import LinForm, MeroExpr, mero_mul
+from lfactors.ratfunc import QiSqrt, as_rational_in_X
+
+P_OF_Q = {3: 3, 5: 5, 9: 3}
+
+
+# -- random products and quotients of L- and Exp-atoms ----------------------
+# An atom spec is ("L", z, alpha, beta, k): (1 - z q^{-beta} X^alpha)^{-k},
+# or ("E", r, alpha, beta, k): (q^r)^{(alpha s + beta) k}.
+
+def _random_specs(rng: random.Random, q: int) -> list[tuple]:
+    specs = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.75:
+            z = Fraction(rng.choice([1, -1, 2, -3]), rng.choice([1, 1, 2, 3]))
+            specs.append(("L", z, rng.choice([1, 1, 2, 3, -1]),
+                          Fraction(rng.randint(-2, 2), 2), rng.choice([-2, -1, 1, 2])))
+        else:
+            specs.append(("E", rng.choice([1, -1, 2]), rng.choice([1, -1, 2]),
+                          Fraction(rng.randint(-2, 2), 2), rng.choice([-1, 1])))
+    if rng.random() < 0.5:
+        # a common factor the atoms do not show: (1 - c^2 X^2a) / ((1 - c X^a)(1 + c X^a))
+        z = Fraction(rng.choice([1, 2, -1]), rng.choice([1, 3]))
+        alpha, beta, k = rng.choice([1, 2]), Fraction(rng.randint(-1, 1), 2), rng.choice([-1, 1])
+        specs += [("L", z * z, 2 * alpha, 2 * beta, -k), ("L", z, alpha, beta, k),
+                  ("L", -z, alpha, beta, k)]
+    return specs
+
+
+def _random_prefactor(rng: random.Random, p: int) -> ExactConst:
+    roots = frozenset([p]) if rng.random() < 0.5 else frozenset()
+    return ExactConst(Fraction(rng.choice([1, -2, 3, 5]), rng.choice([1, 2, 7])),
+                      rng.randint(0, 1), roots)
+
+
+def _mero(q: int, pref: ExactConst, specs) -> MeroExpr:
+    out = MeroExpr.const(pref)
+    for kind, x, alpha, beta, k in specs:
+        if kind == "L":
+            atom = MeroExpr.l_atom(q, x, LinForm.of(alpha, beta))
+        else:
+            atom = MeroExpr.exp(Fraction(q) ** x, LinForm.of(alpha, beta))
+        out = mero_mul(out, atom ** k)
+    return out
+
+
+def test_sympy_oracle_canonical_form():
+    sympy = pytest.importorskip("sympy")
+    I, sqrt, Rational = sympy.I, sympy.sqrt, sympy.Rational
+    X = sympy.Symbol("X")
+    rng = random.Random(20240917)
+
+    def qisqrt_sym(v: QiSqrt):
+        s = sqrt(v.p)
+        return (v.a + v.b * s + (v.c + v.d * s) * I) / v.n
+
+    def poly_sym(poly):
+        return sum((qisqrt_sym(c) * X ** k for k, c in poly.coeffs.items()), sympy.Integer(0))
+
+    nontrivial = 0
+    for trial in range(12):
+        q = (3, 5, 9)[trial % 3]
+        p = P_OF_Q[q]
+        pref, specs = _random_prefactor(rng, p), _random_specs(rng, q)
+        expr = (Rational(pref.rat.numerator, pref.rat.denominator) * I ** pref.ipow
+                * sqrt(p) ** len(pref.roots))
+        for kind, x, alpha, beta, k in specs:
+            b = Rational(beta.numerator, beta.denominator)
+            if kind == "L":
+                c = Rational(x.numerator, x.denominator) * sympy.Integer(q) ** (-b)
+                expr *= (1 - c * X ** alpha) ** (-k)
+            else:
+                expr *= sympy.Integer(q) ** (x * b * k) * X ** (-x * alpha * k)
+        n, d = sympy.fraction(sympy.cancel(expr, extension=[I, sqrt(p)]))
+        trailing = sympy.Poly(d, X).terms()[-1][1]  # lowest-degree coefficient
+
+        rf = as_rational_in_X(_mero(q, pref, specs), q)
+        assert rf.is_exact
+        assert sympy.expand(poly_sym(rf.num) * trailing - n) == 0, (q, specs, str(rf))
+        assert sympy.expand(poly_sym(rf.den) * trailing - d) == 0, (q, specs, str(rf))
+        assert rf.den.coeffs[min(rf.den.coeffs)] == QiSqrt(p, 1)
+        assert min(min(rf.num.coeffs), min(rf.den.coeffs)) == 0
+        nontrivial += max(rf.den.coeffs) > 0
+    assert nontrivial >= 4
+
+
+def test_equality_and_is_one_agree_with_canonical_form():
+    rng = random.Random(7)
+    for trial in range(60):
+        q = (3, 5, 9)[trial % 3]
+        p = P_OF_Q[q]
+        pref, specs = _random_prefactor(rng, p), _random_specs(rng, q)
+        f = as_rational_in_X(_mero(q, pref, specs), q)
+        # the same function with a hidden common factor multiplied in and out
+        z = Fraction(rng.choice([1, -1, 2]), rng.choice([1, 5]))
+        hidden = specs + [("L", z * z, 2, 0, 1), ("L", z, 1, 0, -1), ("L", -z, 1, 0, -1)]
+        g = as_rational_in_X(_mero(q, pref, hidden), q)
+        assert f == g and g == f
+        assert (f.num, f.den) == (g.num, g.den) and str(f) == str(g)
+        assert as_rational_in_X(mero_mul(_mero(q, pref, specs), _mero(q, pref, hidden).inv()),
+                                q).is_one
+        other_specs = _random_specs(rng, q)
+        h = as_rational_in_X(_mero(q, pref, other_specs), q)
+        same = (f.num, f.den) == (h.num, h.den)
+        assert (f == h) == same
+        ratio = as_rational_in_X(mero_mul(_mero(q, pref, specs),
+                                          _mero(q, pref, other_specs).inv()), q)
+        assert ratio.is_one == same == (str(ratio) == "1")
+        assert f.is_one == (str(f) == "1")
+
+
+def test_common_factor_cancels():
+    # (1 - X^2) / (1 - X) = 1 + X, and dividing by 1 + X leaves 1
+    e = mero_mul(MeroExpr.l_atom(5, 1, LinForm.of(2)).inv(), MeroExpr.l_atom(5, 1, LinForm.of(1)))
+    rf = as_rational_in_X(e, 5)
+    assert str(rf) == "1 + X"
+    assert not rf.is_one
+    assert as_rational_in_X(mero_mul(e, MeroExpr.l_atom(5, -1, LinForm.of(1))), 5).is_one
+
+
+# -- QiSqrt -----------------------------------------------------------------
+
+primes = st.sampled_from([3, 5, 7, 11])
+rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+parts = st.tuples(rationals, rationals, rationals, rationals)
+
+
+class _FractionQiSqrt:
+    """QiSqrt's product, str and to_complex on four Fractions: the reference
+    the integer representation must reproduce."""
+
+    def __init__(self, p, a, b, c, d):
+        self.p, self.a, self.b, self.c, self.d = p, a, b, c, d
+
+    def __mul__(self, o):
+        def rmul(x1, y1, x2, y2):  # (x1 + y1 sqrt p)(x2 + y2 sqrt p)
+            return (x1 * x2 + self.p * y1 * y2, x1 * y2 + y1 * x2)
+        ra, rb = rmul(self.a, self.b, o.a, o.b)
+        ia, ib = rmul(self.c, self.d, o.c, o.d)
+        ca, cb = rmul(self.a, self.b, o.c, o.d)
+        da, db = rmul(self.c, self.d, o.a, o.b)
+        return _FractionQiSqrt(self.p, ra - ia, rb - ib, ca + da, cb + db)
+
+    def to_complex(self) -> complex:
+        r = float(self.a) + float(self.b) * self.p ** 0.5
+        im = float(self.c) + float(self.d) * self.p ** 0.5
+        return complex(r, im)
+
+    def __str__(self):
+        if not (self.a or self.b or self.c or self.d):
+            return "0"
+        terms = []
+        for coef, tag in ((self.a, ""), (self.b, f"*sqrt({self.p})"),
+                          (self.c, "*i"), (self.d, f"*i*sqrt({self.p})")):
+            if coef:
+                terms.append(f"{coef}{tag}")
+        return " + ".join(terms).replace("+ -", "- ")
+
+
+@given(primes, parts, parts, parts)
+@settings(max_examples=60, deadline=None)
+def test_qisqrt_ring_axioms(p, u, v, w):
+    x, y, z = QiSqrt(p, *u), QiSqrt(p, *v), QiSqrt(p, *w)
+    zero, one = QiSqrt(p), QiSqrt(p, 1)
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + zero == x and x * one == x and x - x == zero
+    assert (x * zero) == zero and not (x * zero)
+    if x:
+        assert x * x.inverse() == one
+        assert (x * y) * x.inverse() == y
+        assert x.inverse().inverse() == x
+
+
+@given(primes, parts, parts)
+@settings(max_examples=60, deadline=None)
+def test_qisqrt_equal_values_hash_equal(p, u, v):
+    x, y = QiSqrt(p, *u), QiSqrt(p, *v)
+    others = [(x + y) - y, QiSqrt(p, *(6 * t for t in u)) * QiSqrt(p, Fraction(1, 6)),
+              (x * QiSqrt(p, 3)) * QiSqrt(p, Fraction(1, 3))]
+    if y:
+        others.append((x * y) * y.inverse())
+    for other in others:
+        assert other == x and hash(other) == hash(x)
+        assert (other.a, other.b, other.c, other.d, other.n) == (x.a, x.b, x.c, x.d, x.n)
+    assert x.n > 0
+
+
+@given(primes, parts, parts)
+@settings(max_examples=60, deadline=None)
+def test_qisqrt_str_and_complex_match_fraction_spelling(p, u, v):
+    x, ref_x = QiSqrt(p, *u), _FractionQiSqrt(p, *u)
+    for value, ref in ((x, ref_x), (x * QiSqrt(p, *v), ref_x * _FractionQiSqrt(p, *v))):
+        assert str(value) == str(ref)
+        assert value.to_complex() == ref.to_complex()
