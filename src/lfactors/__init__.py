@@ -2,9 +2,8 @@
 symbolic gamma-, L- and epsilon-factors, root numbers, and spherical zeta
 denominators over R and p-adic fields of odd residue characteristic."""
 
-from .characters import (AddCharacter, MultCharacter, char_algebra, char_eval,
-                         char_inverse, char_mul, quadratic_character,
-                         unramified_twist)
+from .characters import (AddCharacter, MultCharacter, char_eval, char_inverse,
+                         char_mul, quadratic_character, unramified_twist)
 from .doubling import (GLChar, Induced, RegularNilpotentData, SkewHermCharR,
                        SpHighestWeight, TrivialRep, UnsupportedPairError,
                        central_sign, correction_R, dual_rep, epsilon_factor,
@@ -22,7 +21,7 @@ from .mero import (LinForm, MeroExpr, PoleProximityError,
                    from_json, mero_inv, mero_mul, mero_pow, parse_expr, subst,
                    to_json)
 from .quaternion import (QuatMatrix, Quaternion, QuaternionAlgebra,
-                         matrix_reduced_norm, quat_arith, split_embedding)
+                         matrix_reduced_norm, split_embedding)
 from .ratfunc import RatFunc, as_rational_in_X
 from .spherical import (SphericalData, SphericalZeta, gamma_spherical,
                         resolve_hermitian_m, spherical_zeta)

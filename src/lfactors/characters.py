@@ -146,20 +146,6 @@ def unramified_twist(chi: MultCharacter, s0: ComplexLike) -> MultCharacter:
     return MultCharacter(chi.field, chi.quad, chi.z, t)
 
 
-def char_algebra(chi: MultCharacter, other: MultCharacter | None = None, *,
-                 mode: str = "mul", s0: ComplexLike = 0) -> MultCharacter:
-    """Dispatcher matching the module contract: mul / inverse / unramified_twist."""
-    if mode == "mul":
-        if other is None:
-            raise ValueError("mul needs a second character")
-        return char_mul(chi, other)
-    if mode == "inverse":
-        return char_inverse(chi)
-    if mode == "unramified_twist":
-        return unramified_twist(chi, s0)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 @dataclass(frozen=True)
 class AddCharacter:
     """psi_a for the fixed base character of the field."""
@@ -181,7 +167,3 @@ class AddCharacter:
     def inverse(self) -> "AddCharacter":
         """psi^{-1} = psi_{-1}-rescaled."""
         return AddCharacter(self.field, -self.a)
-
-    @property
-    def is_standard(self) -> bool:
-        return self.a == 1

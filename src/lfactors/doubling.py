@@ -191,11 +191,6 @@ def central_sign(rep: RepDatum) -> int:
 # ---------------------------------------------------------------------------
 # Supported-omega normalization
 
-def _omega_twist_parts(omega: MultCharacter):
-    """(quadratic-free?, z, t) for twisting: omega must be chi-part-trivial."""
-    return omega.z, omega.t
-
-
 def _require_unramified(omega: MultCharacter, what: str):
     if omega.field.is_real:
         if omega.delta != 0:
@@ -438,10 +433,6 @@ def _scale(beta, k: int):
     if isinstance(beta, Fraction):
         return beta * k
     return complex(beta) * k
-
-
-def kottwitz_of(space: HermitianSpace) -> int:
-    return kottwitz_sign(space)
 
 
 def normalization_c(space: HermitianSpace, omega: MultCharacter, A: RegularNilpotentData,

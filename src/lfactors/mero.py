@@ -8,25 +8,29 @@ A MeroExpr is an exact constant prefactor times a signed multiset of atoms:
     Lnf(q; z; a s + c)   (1 - z q^{-(a s + c)})^{-1}
 
 Negative multiplicities are denominator atoms.  Expressions multiply,
-invert, substitute s -> a's + b', evaluate numerically (complex log-Gamma
-via scipy) and compare by seeded sampling away from the pole lattice.
-Canonical text and JSON forms round-trip exactly.
+invert, substitute s -> a's + b', evaluate numerically through one
+vectorised kernel (eval_log_batch: numpy over an atoms x points grid, one
+scipy loggamma call for all Gamma atoms), which also serves the seeded
+sampling comparisons, and round-trip exactly through text and JSON.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
+import numpy as np
 from scipy.special import loggamma
 
 from .exactconst import ExactConst
 
-_LN_PI = cmath.log(cmath.pi)
-_LN_2PI = cmath.log(2 * cmath.pi)
+_LN_2 = math.log(2)
+_LN_PI = math.log(math.pi)
+_LN_2PI = math.log(2 * math.pi)
 _POLE_TOL = 1e-8
 
 
@@ -90,9 +94,6 @@ class LinForm:
     @staticmethod
     def of(alpha, beta=0) -> "LinForm":
         return LinForm(Fraction(alpha), beta)
-
-    def __call__(self, s: complex) -> complex:
-        return complex(self.alpha) * s + complex(self.beta)
 
     def compose(self, a: Fraction, b: BetaLike) -> "LinForm":
         """This form evaluated at a*s + b."""
@@ -257,18 +258,25 @@ class MeroExpr:
         return self.prefactor
 
     # -- numerics ------------------------------------------------------
+    def eval_log_many(self, points) -> np.ndarray:
+        """log of the value at each point; see eval_log_batch."""
+        return eval_log_batch([self], points)[0]
+
+    def eval_many(self, points) -> np.ndarray:
+        """Values at each point; see eval_batch."""
+        return eval_batch([self], points)[0]
+
     def eval_log(self, s: complex) -> complex:
-        """log of the value (any branch); raises near atom poles/zeros."""
-        pref = self.prefactor.to_complex() if self.is_exact else self.prefactor
-        if pref == 0:
-            raise ZeroDivisionError("zero prefactor")
-        total = cmath.log(pref)
-        for atom, k in self.atoms:
-            total += k * _atom_log(atom, s)
-        return total
+        """log of the value (any branch) at one point; raises near atom poles/zeros."""
+        out = complex(self.eval_log_many([s])[0])
+        if cmath.isnan(out):
+            if self.prefactor == 0:
+                raise ZeroDivisionError("zero prefactor")
+            raise PoleProximityError(f"{s} is at a pole or zero of an atom")
+        return out
 
     def eval(self, s: complex) -> complex:
-        return cmath.exp(self.eval_log(complex(s)))
+        return cmath.exp(self.eval_log(s))
 
     # -- presentation ---------------------------------------------------
     def __str__(self):
@@ -354,30 +362,6 @@ def _atom_subst(atom: Atom, a: Fraction, b) -> Atom:
     return LAtom(atom.q, atom.z, atom.form.compose(a, b))
 
 
-def _near_nonpositive_int(z: complex) -> bool:
-    n = round(z.real)
-    return n <= 0 and abs(z - n) < _POLE_TOL
-
-
-def _atom_log(atom: Atom, s: complex) -> complex:
-    if isinstance(atom, ExpAtom):
-        return atom.form(s) * cmath.log(float(atom.base))
-    if isinstance(atom, GammaRAtom):
-        z = atom.form(s)
-        if _near_nonpositive_int(z / 2):
-            raise PoleProximityError(f"GammaR argument {z} at a pole")
-        return -(z / 2) * _LN_PI + complex(loggamma(z / 2))
-    if isinstance(atom, GammaCAtom):
-        z = atom.form(s)
-        if _near_nonpositive_int(z):
-            raise PoleProximityError(f"GammaC argument {z} at a pole")
-        return cmath.log(2) - z * _LN_2PI + complex(loggamma(z))
-    w = 1 - complex(atom.z) * cmath.exp(-atom.form(s) * cmath.log(atom.q))
-    if abs(w) < _POLE_TOL:
-        raise PoleProximityError(f"L-atom vanishing at {s}")
-    return -cmath.log(w)
-
-
 # -- algebra helpers ----------------------------------------------------
 
 def mero_mul(*xs: MeroExpr) -> MeroExpr:
@@ -461,52 +445,99 @@ def _inv_pow_const(z: BetaLike, e: int):
     return v
 
 
+# -- numeric evaluation ----------------------------------------------------
+
+def eval_log_batch(exprs: Sequence[MeroExpr], points) -> np.ndarray:
+    """log (any branch) of each expression at each of a 1-D sequence of points,
+    shape (len(exprs), len(points)); NaN at a zero prefactor, within _POLE_TOL
+    of a Gamma pole or a zero of 1 - z q^{-(a s + c)}, and where a term
+    overflows.  A fixed number of numpy calls: exponential atoms and the
+    elementary parts of the Gamma atoms fold into one affine c + m s per
+    expression, all Gamma atoms share one loggamma call, all L-atoms one exp
+    and one log."""
+    s = np.asarray(points, dtype=complex)
+    affine = []  # (c, m) per expression
+    gamma = []   # rows (expression, k, a, b): Gamma(a s + b)^k
+    lnf = []     # rows (expression, k, a, b, z): (1 - z exp(a s + b))^-k
+    for i, x in enumerate(exprs):
+        pref = x.prefactor.to_complex() if x.is_exact else x.prefactor
+        c, m = (cmath.log(pref) if pref != 0 else cmath.nan), 0j
+        for atom, k in x.atoms:
+            a, b = _as_number(atom.form.alpha), _as_number(atom.form.beta)
+            if isinstance(atom, ExpAtom):
+                lnb = math.log(atom.base)
+                m, c = m + k * a * lnb, c + k * b * lnb
+            elif isinstance(atom, GammaRAtom):  # pi^{-z/2} Gamma(z/2)
+                m, c = m - k * a / 2 * _LN_PI, c - k * b / 2 * _LN_PI
+                gamma.append((i, k, a / 2, b / 2))
+            elif isinstance(atom, GammaCAtom):  # 2 (2 pi)^{-z} Gamma(z)
+                m, c = m - k * a * _LN_2PI, c + k * (_LN_2 - b * _LN_2PI)
+                gamma.append((i, k, a, b))
+            else:
+                lq = math.log(atom.q)
+                lnf.append((i, k, -a * lq, -b * lq, _as_number(atom.z)))
+        affine.append((c, m))
+    with np.errstate(all="ignore"):
+        cm = np.array(affine, dtype=complex)
+        out = cm[:, :1] + cm[:, 1:] * s
+        if gamma:
+            g = np.array(gamma, dtype=complex)
+            z = g[:, 2:3] * s + g[:, 3:]
+            lg = loggamma(z)
+            lg[np.abs(z - np.rint(np.minimum(z.real, 0))) < _POLE_TOL] = np.nan
+            np.add.at(out, g[:, 0].real.astype(int), g[:, 1:2] * lg)
+        if lnf:
+            f = np.array(lnf, dtype=complex)
+            w = 1 - f[:, 4:] * np.exp(f[:, 2:3] * s + f[:, 3:4])
+            lw = np.log(w)
+            lw[np.abs(w) < _POLE_TOL] = np.nan
+            np.add.at(out, f[:, 0].real.astype(int), -f[:, 1:2] * lw)
+    out[~np.isfinite(out)] = np.nan
+    return out
+
+
+def eval_batch(exprs: Sequence[MeroExpr], points) -> np.ndarray:
+    """Values of each expression at each point; NaN where eval_log_batch is
+    NaN or the value overflows."""
+    with np.errstate(over="ignore"):
+        out = np.exp(eval_log_batch(exprs, points))
+    out[~np.isfinite(out)] = np.nan
+    return out
+
+
+def _as_number(v: BetaLike) -> float | complex:
+    return v if isinstance(v, complex) else v.numerator / v.denominator
+
+
 # -- numeric comparison --------------------------------------------------
 
-def sample_points(n: int, seed: int = 20240801) -> list[complex]:
+def _pole_free_samples(x: MeroExpr, y: MeroExpr, samples: int, seed: int):
+    """The first `samples` seeded candidates s in -3 <= Re s <= 3, 1 <= Im s <= 4
+    at which x and y are both pole-free, and |x/y - 1| there.  Raises
+    ArithmeticError once 100 + samples candidates have not sufficed."""
     rng = random.Random(seed)
-    return [complex(rng.uniform(-3, 3), rng.uniform(1, 4)) for _ in range(n)]
+    pts = logs = np.empty(0, dtype=complex)
+    drawn = 0
+    while len(pts) < samples:
+        n = min(samples - len(pts), 100 + samples - drawn)
+        if n == 0:
+            raise ArithmeticError("could not find pole-free sample points")
+        s = np.array([complex(rng.uniform(-3, 3), rng.uniform(1, 4)) for _ in range(n)])
+        drawn += n
+        d = np.subtract(*eval_log_batch([x, y], s))
+        ok = ~np.isnan(d)
+        pts, logs = np.concatenate((pts, s[ok])), np.concatenate((logs, d[ok]))
+    with np.errstate(over="ignore"):
+        return pts, np.abs(np.exp(logs) - 1)
 
 
 def equals_numeric(x: MeroExpr, y: MeroExpr, samples: int = 24, tol: float = 1e-9,
                    seed: int = 20240801) -> bool:
-    rng = random.Random(seed)
-    done = 0
-    attempts = 0
-    while done < samples:
-        attempts += 1
-        if attempts > 100 + samples:
-            raise ArithmeticError("could not find pole-free sample points")
-        s = complex(rng.uniform(-3, 3), rng.uniform(1, 4))
-        try:
-            lx = x.eval_log(s)
-            ly = y.eval_log(s)
-        except (PoleProximityError, ZeroDivisionError):
-            continue
-        ratio = cmath.exp(lx - ly)
-        if abs(ratio - 1) >= tol:
-            return False
-        done += 1
-    return True
+    return bool(np.all(_pole_free_samples(x, y, samples, seed)[1] < tol))
 
 
 def max_rel_error(x: MeroExpr, y: MeroExpr, samples: int = 24, seed: int = 20240801) -> float:
-    rng = random.Random(seed)
-    done = 0
-    attempts = 0
-    worst = 0.0
-    while done < samples:
-        attempts += 1
-        if attempts > 100 + samples:
-            raise ArithmeticError("could not find pole-free sample points")
-        s = complex(rng.uniform(-3, 3), rng.uniform(1, 4))
-        try:
-            ratio = cmath.exp(x.eval_log(s) - y.eval_log(s))
-        except (PoleProximityError, ZeroDivisionError):
-            continue
-        worst = max(worst, abs(ratio - 1))
-        done += 1
-    return worst
+    return float(np.max(_pole_free_samples(x, y, samples, seed)[1], initial=0.0))
 
 
 # -- canonical text form --------------------------------------------------

@@ -116,23 +116,6 @@ class Quaternion:
         return " + ".join(parts) if parts else "0"
 
 
-def quat_arith(x: Quaternion, y: Quaternion | None = None, *, mode: str):
-    """Dispatcher matching the module contract."""
-    if mode == "add":
-        return x + y
-    if mode == "mul":
-        return x * y
-    if mode == "conj":
-        return x.conj()
-    if mode == "reduced_norm":
-        return x.reduced_norm()
-    if mode == "reduced_trace":
-        return x.reduced_trace()
-    if mode == "inverse":
-        return x.inverse()
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 class SqrtExt:
     """Q(sqrt a) as pairs (u, v) = u + v sqrt(a); collapses to Q when a is
     a rational square.  Division is exact (field in both cases)."""

@@ -12,6 +12,7 @@ Numbers in documents: rationals are strings ("3/4"), complex numbers are
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from .characters import AddCharacter, MultCharacter
 from .doubling import (GLChar, Induced, RegularNilpotentData, SkewHermCharR,
                        SpHighestWeight, TrivialRep, central_sign, correction_R,
                        epsilon_factor, gamma_factor, l_factor, normalization_c,
-                       rep_space, root_number, t_factor)
+                       rep_field, rep_space, root_number, t_factor)
 from .exactconst import ExactConst
 from .fields import LocalField, SquareClass, UnsupportedFieldError
 from .hermitian import HermitianSpace
@@ -197,6 +198,8 @@ class QueryDocument:
         field = parse_field(doc.get("field", {"kind": "real"}))
         alg = parse_algebra(doc.get("algebra", {"a": "-1", "b": "-1"}), field)
         rep = parse_rep(doc["rep"], field, alg) if "rep" in doc else None
+        if rep is not None and rep_field(rep) != field:
+            raise QueryValidationError(f"rep: {doc['rep']['kind']!r} is not defined over {field}")
         omega = parse_character(doc.get("omega", {}), field, "omega")
         psi_scale = _rational(doc.get("psi_scale", "1"), "psi_scale")
         if psi_scale == 0:
@@ -206,22 +209,31 @@ class QueryDocument:
             if o not in KNOWN_OUTPUTS:
                 raise QueryValidationError(
                     f"outputs: unknown {o!r}; known: {', '.join(KNOWN_OUTPUTS)}")
-        pts = tuple(complex(float(p[0]), float(p[1])) for p in doc.get("eval_points", []))
+        try:
+            pts = tuple(complex(float(p[0]), float(p[1])) for p in doc.get("eval_points", []))
+        except (TypeError, ValueError, KeyError, IndexError) as exc:
+            raise QueryValidationError(f"eval_points: expected [re, im] pairs ({exc})") from exc
+        if not all(cmath.isfinite(p) for p in pts):
+            raise QueryValidationError("eval_points: coordinates must be finite")
         sph = parse_spherical(doc["spherical"], field) if "spherical" in doc else None
         needs_rep = {"gamma", "L", "epsilon", "root_number", "R", "c", "T"}
         if rep is None and needs_rep & set(outputs):
             raise QueryValidationError("rep: required for the requested outputs")
         if "spherical" in outputs and sph is None:
             raise QueryValidationError("spherical: data block required")
+        if "root_number" in outputs and not omega.is_quadratic:
+            raise QueryValidationError("omega: root_number requires omega^2 = 1")
+        norm_value = _rational(doc.get("norm_value", "1"), "norm_value")
+        t_scale = _rational(doc.get("t_scale", "2"), "t_scale")
+        if norm_value == 0 or t_scale == 0:
+            raise QueryValidationError("norm_value, t_scale: must be nonzero")
         return QueryDocument(
             field, alg, rep, omega, AddCharacter(field, psi_scale),
-            outputs, pts,
-            _rational(doc.get("norm_value", "1"), "norm_value"),
-            _rational(doc.get("t_scale", "2"), "t_scale"),
-            sph, bool(doc.get("shifted", False)))
+            outputs, pts, norm_value, t_scale, sph, bool(doc.get("shifted", False)))
 
 
-def _expr_payload(expr: MeroExpr, q: QueryDocument) -> dict:
+def _expr_payload(expr: MeroExpr, q: QueryDocument, pending: list) -> dict:
+    """One expression's payload; _fill_values adds its values with the other payloads'."""
     shown = expr.subst(1, Fraction(1, 2)) if q.shifted else expr
     payload = {
         "text": format_expr(shown),
@@ -233,16 +245,14 @@ def _expr_payload(expr: MeroExpr, q: QueryDocument) -> dict:
             payload["rational_in_X"] = str(as_rational_in_X(shown, q.field.q))
         except (UnsupportedExpressionError, ValueError):
             payload["rational_in_X"] = None
-    values = []
-    for pt in q.eval_points:
-        try:
-            v = shown.eval(pt)
-            values.append([v.real, v.imag])
-        except ArithmeticError:
-            values.append(None)
-    if q.eval_points:
-        payload["values"] = values
+    pending.append((payload, shown))
     return payload
+
+
+def _fill_values(pending: list, points) -> None:
+    values = mero.eval_batch([shown for _, shown in pending], points).tolist()
+    for (payload, _), row in zip(pending, values):
+        payload["values"] = [None if cmath.isnan(v) else [v.real, v.imag] for v in row]
 
 
 def _metadata(q: QueryDocument) -> dict:
@@ -266,13 +276,15 @@ def run_query(doc: dict) -> dict:
     q = QueryDocument.from_json(doc)
     out: dict = {"schema": SCHEMA_VERSION, "results": {}, "metadata": _metadata(q)}
     A = RegularNilpotentData(q.norm_value)
+    pending: list = []
     for name in q.outputs:
         if name == "gamma":
-            out["results"]["gamma"] = _expr_payload(gamma_factor(q.rep, q.omega, q.psi), q)
+            out["results"]["gamma"] = _expr_payload(gamma_factor(q.rep, q.omega, q.psi), q, pending)
         elif name == "L":
-            out["results"]["L"] = _expr_payload(l_factor(q.rep, q.omega), q)
+            out["results"]["L"] = _expr_payload(l_factor(q.rep, q.omega), q, pending)
         elif name == "epsilon":
-            out["results"]["epsilon"] = _expr_payload(epsilon_factor(q.rep, q.omega, q.psi), q)
+            out["results"]["epsilon"] = _expr_payload(epsilon_factor(q.rep, q.omega, q.psi), q,
+                                                      pending)
         elif name == "root_number":
             w = root_number(rep_space(q.rep), central_sign(q.rep), q.omega, q.psi)
             if isinstance(w, ExactConst):
@@ -282,22 +294,24 @@ def run_query(doc: dict) -> dict:
                 out["results"]["root_number"] = {"exact": None, "value": [w.real, w.imag]}
         elif name == "R":
             out["results"]["R"] = _expr_payload(
-                correction_R(rep_space(q.rep), q.omega, A, q.psi), q)
+                correction_R(rep_space(q.rep), q.omega, A, q.psi), q, pending)
         elif name == "c":
             out["results"]["c"] = _expr_payload(
-                normalization_c(rep_space(q.rep), q.omega, A, q.psi), q)
+                normalization_c(rep_space(q.rep), q.omega, A, q.psi), q, pending)
         elif name == "T":
             out["results"]["T"] = _expr_payload(
-                t_factor(rep_space(q.rep), q.omega, q.t_scale), q)
+                t_factor(rep_space(q.rep), q.omega, q.t_scale), q, pending)
         elif name == "spherical":
             sz = spherical_zeta(q.spherical)
             out["results"]["spherical"] = {
-                "gamma": _expr_payload(gamma_spherical(q.spherical), q),
-                "l_product": _expr_payload(sz.l_product, q),
-                "d_v": _expr_payload(sz.d_v, q),
+                "gamma": _expr_payload(gamma_spherical(q.spherical), q, pending),
+                "l_product": _expr_payload(sz.l_product, q, pending),
+                "d_v": _expr_payload(sz.d_v, q, pending),
                 "vol_symbol": sz.vol_symbol,
                 "m_assumption": sz.m_assumption,
             }
             if sz.m_assumption is not None:
                 out["metadata"]["hermitian_dv_m"] = sz.m_assumption
+    if q.eval_points and pending:
+        _fill_values(pending, q.eval_points)
     return out

@@ -14,8 +14,7 @@ from fractions import Fraction
 
 from .characters import AddCharacter, MultCharacter, char_inverse
 from .exactconst import ExactConst
-from .fields import (SquareClass, UnsupportedFieldError, hilbert_pair_class,
-                     valuation)
+from .fields import UnsupportedFieldError, hilbert_pair_class, valuation
 from .mero import LinForm, MeroExpr, mero_mul
 
 # idempotent value cache; concurrent double-computation is harmless
@@ -131,10 +130,6 @@ def tate_gamma(chi: MultCharacter, psi: AddCharacter) -> MeroExpr:
 def eps_at_half(chi: MultCharacter, psi: AddCharacter) -> ExactConst | complex:
     """epsilon(1/2, chi, psi), as a constant."""
     return tate_eps(chi, psi).subst(0, Fraction(1, 2)).constant_value()
-
-
-def quadratic_char_of_class(d: SquareClass) -> MultCharacter:
-    return MultCharacter(d.field, d)
 
 
 def _plus(x, y):

@@ -15,7 +15,7 @@ from .characters import AddCharacter, MultCharacter
 from .exactconst import ExactConst
 from .fields import LocalField
 from .mero import LinForm, MeroExpr, mero_mul
-from .tate import tate_eps, tate_gamma, tate_L
+from .tate import tate_gamma, tate_L
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,6 @@ def _discrete_L(l: int, twist) -> MeroExpr:
     return MeroExpr.gamma_c(LinForm(Fraction(1), _shift(Fraction(l, 2), twist)))
 
 
-def _discrete_eps(l: int, twist, psi: AddCharacter) -> MeroExpr:
-    return mero_mul(MeroExpr.const(ExactConst.i() ** (l + 1)),
-                    _discrete_psi_scale(l, twist, psi))
-
-
 def weil_gamma(rep: WeilRep, psi: AddCharacter) -> MeroExpr:
     out = MeroExpr.one()
     for w in rep.summands:
@@ -115,16 +110,6 @@ def weil_L(rep: WeilRep) -> MeroExpr:
             out = out * _discrete_L(w.l, w.twist)
         else:
             out = out * tate_L(_char_of(rep.field, w.kind, w.twist))
-    return out
-
-
-def weil_eps(rep: WeilRep, psi: AddCharacter) -> MeroExpr:
-    out = MeroExpr.one()
-    for w in rep.summands:
-        if w.kind == "discrete":
-            out = out * _discrete_eps(w.l, w.twist, psi)
-        else:
-            out = out * tate_eps(_char_of(rep.field, w.kind, w.twist), psi)
     return out
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfactors.characters import (MultCharacter, char_algebra, char_eval,
+from lfactors.characters import (MultCharacter, char_eval,
                                  char_inverse, char_mul, quadratic_character,
                                  unramified_twist)
 from lfactors.fields import (LocalField, SquareClass, UnsupportedFieldError,
@@ -118,7 +118,6 @@ def test_char_algebra_examples():
     assert char_mul(chi_u, chi_u) == MultCharacter.trivial(Q5)
     tw = unramified_twist(MultCharacter.sign(R), 2)
     assert char_inverse(tw).t == -2 and char_inverse(tw).delta == 1
-    assert char_algebra(MultCharacter.sign(R), mode="unramified_twist", s0=2) == tw
 
 
 @given(padic_fields, rationals, st.sampled_from(["1", "u", "p", "up"]),

@@ -6,10 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+import mpmath
+import numpy as np
+from scipy.special import loggamma
+
 from lfactors.exactconst import ExactConst
-from lfactors.mero import (LinForm, MeroExpr, PoleProximityError,
-                           UnsupportedExpressionError, equals_numeric,
-                           format_expr, from_json, mero_mul, parse_expr,
+from lfactors.mero import (ExpAtom, GammaCAtom, GammaRAtom, LinForm, MeroExpr,
+                           PoleProximityError, UnsupportedExpressionError,
+                           _pole_free_samples, equals_numeric, format_expr,
+                           from_json, max_rel_error, mero_mul, parse_expr,
                            to_json)
 from lfactors.ratfunc import as_rational_in_X
 
@@ -126,7 +131,6 @@ def test_mul_commutative_associative_canonical():
 
 def test_eval_accuracy_on_strip_against_mpmath():
     """>= 1e-12 relative accuracy for |Re s|, |Im s| <= 20."""
-    import mpmath
     mpmath.mp.dps = 40
     pts = [complex(19, 19), complex(-19.5, 3.2), complex(0.25, 17.5),
            complex(-7.3, -11.1), complex(12.8, -19.0)]
@@ -139,3 +143,219 @@ def test_eval_accuracy_on_strip_against_mpmath():
         got_c = GC(1).eval(s)
         want_c = 2 * mpmath.power(2 * mpmath.pi, -ms) * mpmath.gamma(ms)
         assert abs(got_c - complex(want_c)) / abs(complex(want_c)) < 1e-12
+
+
+# -- the vectorised kernel against references ----------------------------------
+
+def _scalar_log(x: MeroExpr, s: complex) -> complex:
+    """Reference: the per-atom scalar rule, raising where the kernel gives NaN."""
+    pref = x.prefactor.to_complex() if x.is_exact else x.prefactor
+    if pref == 0:
+        raise ZeroDivisionError("zero prefactor")
+    total = cmath.log(pref)
+    for atom, k in x.atoms:
+        z = complex(atom.form.alpha) * s + complex(atom.form.beta)
+        if isinstance(atom, ExpAtom):
+            total += k * z * cmath.log(float(atom.base))
+            continue
+        if isinstance(atom, (GammaRAtom, GammaCAtom)):
+            g = z / 2 if isinstance(atom, GammaRAtom) else z
+            n = round(g.real)
+            if n <= 0 and abs(g - n) < 1e-8:
+                raise PoleProximityError(f"Gamma argument {g} at a pole")
+            if isinstance(atom, GammaRAtom):
+                total += k * (-g * cmath.log(cmath.pi) + complex(loggamma(g)))
+            else:
+                total += k * (cmath.log(2) - z * cmath.log(2 * cmath.pi) + complex(loggamma(z)))
+            continue
+        w = 1 - complex(atom.z) * cmath.exp(-z * cmath.log(atom.q))
+        if abs(w) < 1e-8:
+            raise PoleProximityError(f"L-atom vanishing at {s}")
+        total -= k * cmath.log(w)
+    return total
+
+
+def _scalar_raises(x: MeroExpr, s: complex) -> bool:
+    try:
+        _scalar_log(x, s)
+    except (PoleProximityError, ZeroDivisionError):
+        return True
+    return False
+
+
+def _mp(v):
+    if isinstance(v, complex):
+        return mpmath.mpc(v.real, v.imag)
+    v = Fraction(v)
+    return mpmath.mpf(v.numerator) / v.denominator
+
+
+def _mp_value(x: MeroExpr, s: complex):
+    """mpmath value of the expression from its atoms."""
+    out = mpmath.mpc(x.prefactor.to_complex() if x.is_exact else x.prefactor)
+    for atom, k in x.atoms:
+        z = _mp(atom.form.alpha) * mpmath.mpc(s.real, s.imag) + _mp(atom.form.beta)
+        if isinstance(atom, ExpAtom):
+            v = mpmath.power(_mp(atom.base), z)
+        elif isinstance(atom, GammaRAtom):
+            v = mpmath.power(mpmath.pi, -z / 2) * mpmath.gamma(z / 2)
+        elif isinstance(atom, GammaCAtom):
+            v = 2 * mpmath.power(2 * mpmath.pi, -z) * mpmath.gamma(z)
+        else:
+            v = 1 / (1 - _mp(atom.z) * mpmath.power(atom.q, -z))
+        out *= v ** k
+    return complex(out)
+
+
+def _random_kernel_expr(rng: random.Random) -> MeroExpr:
+    """Products of 1-4 random atoms like verify's expression-roundtrip check,
+    half of them with inexact (complex) constants."""
+    inexact = rng.random() < 0.5
+    pref = complex(rng.uniform(0.5, 2), rng.uniform(-1, 1)) if inexact else \
+        ExactConst(Fraction(rng.randint(1, 5), rng.randint(1, 5)), rng.randint(0, 3),
+                   frozenset(rng.sample([2, 3, 5], rng.randint(0, 2))))
+    parts = [MeroExpr.const(pref)]
+    for _ in range(rng.randint(1, 4)):
+        beta = complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) if inexact else \
+            Fraction(rng.randint(-4, 4), 2)
+        form = LinForm(Fraction(rng.choice([-2, -1, 1, 2])), beta)
+        kind = rng.randrange(4)
+        if kind == 0:
+            parts.append(MeroExpr.gamma_r(form))
+        elif kind == 1:
+            parts.append(MeroExpr.gamma_c(form))
+        elif kind == 2:
+            z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) if inexact else rng.choice([1, -1])
+            parts.append(MeroExpr.l_atom(rng.choice([3, 5, 7, 9, 25]), z, form))
+        else:
+            parts.append(MeroExpr.exp(Fraction(rng.randint(2, 5)), form))
+        if rng.random() < 0.4:
+            parts[-1] = parts[-1].inv()
+    return mero_mul(*parts)
+
+
+def test_eval_many_against_mpmath_on_wide_box():
+    """Relative 1e-12 for |Re s|, |Im s| <= 20 on random exact and inexact
+    expressions; NaN only where the scalar rule raises."""
+    mpmath.mp.dps = 30
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(40):
+        x = _random_kernel_expr(rng)
+        pts = [complex(rng.uniform(-20, 20), rng.uniform(-20, 20)) for _ in range(8)]
+        got = x.eval_many(pts)
+        assert got.shape == (8,)
+        for s, v in zip(pts, got):
+            if np.isnan(v):
+                assert _scalar_raises(x, s)
+                continue
+            want = _mp_value(x, s)
+            assert abs(v - want) <= 1e-12 * abs(want), (format_expr(x), s)
+            checked += 1
+    assert checked > 250
+
+
+def _poles_and_zeros(atom) -> list[complex]:
+    """Points exactly on poles of a Gamma atom or zeros of an L-atom."""
+    a, b = float(atom.form.alpha), complex(atom.form.beta)
+    if isinstance(atom, GammaRAtom):
+        return [(-2 * n - b) / a for n in range(3)]
+    if isinstance(atom, GammaCAtom):
+        return [(-n - b) / a for n in range(3)]
+    lq = math.log(atom.q)
+    return [((cmath.log(complex(atom.z)) + 2j * math.pi * n) / lq - b) / a for n in range(-1, 2)]
+
+
+def test_eval_many_nan_exactly_where_scalar_rule_raises():
+    rng = random.Random(11)
+    exprs = [mero_mul(GR(1), GC(-1, Fraction(3, 2)).inv()),
+             mero_mul(MeroExpr.l_atom(5, 1, LinForm(Fraction(1), 0)),
+                      MeroExpr.l_atom(3, -1, LinForm(Fraction(-2), Fraction(1, 2))).inv(), GR(2, 1)),
+             mero_mul(GC(1, complex(0.25, 0.5)), MeroExpr.l_atom(7, complex(0.3, 0.4),
+                                                                  LinForm(Fraction(1), 0)))]
+    exprs += [_random_kernel_expr(rng) for _ in range(20)]
+    seen_nan = 0
+    for x in exprs:
+        pts = []
+        for atom, _ in x.atoms:
+            if not isinstance(atom, ExpAtom):
+                for p in _poles_and_zeros(atom):
+                    pts += [p, p + 1e-9, p + 3e-9j, p + 1e-7, p - 1e-6j]
+        generic = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(5)]
+        got = x.eval_many(pts + generic)
+        want = [_scalar_raises(x, s) for s in pts + generic]
+        assert np.isnan(got).tolist() == want, format_expr(x)
+        seen_nan += sum(want)
+        for s, v in zip(pts + generic, got):
+            if _scalar_raises(x, s):
+                with pytest.raises(PoleProximityError):
+                    x.eval(s)
+            else:
+                assert abs(x.eval(s) - v) <= 1e-14 * abs(v)
+        for s in generic:
+            if not _scalar_raises(x, s):
+                assert abs(cmath.exp(x.eval_log(s) - _scalar_log(x, s)) - 1) < 1e-12
+    assert seen_nan > 50
+
+
+def test_eval_zero_prefactor_and_overflow():
+    zero = MeroExpr.const(0) * GR(1)
+    assert np.isnan(zero.eval_many([1, 2 + 1j])).all()
+    with pytest.raises(ZeroDivisionError):
+        zero.eval(1)
+    big = GC(1)
+    assert np.isnan(big.eval_many([400.0])).all()   # Gamma(400) overflows a double
+    with pytest.raises(OverflowError):
+        big.eval(400.0)
+    assert np.isfinite(big.eval_log_many([400.0])).all()
+    for x, s in ((MeroExpr.l_atom(5, 1, LinForm(Fraction(1), 0)), -1000.0),  # 5^1000
+                 (big, 1e306), (big.inv(), 1e306)):                          # log Gamma
+        assert np.isnan(x.eval_log_many([s])).all() and np.isnan(x.eval_many([s])).all()
+        with pytest.raises(ArithmeticError):
+            x.eval(s)
+
+
+def _old_sampler_points(x, y, samples, seed):
+    """Reference: the point-by-point sampling loop the shared sampler replaced."""
+    rng = random.Random(seed)
+    accepted, attempts = [], 0
+    while len(accepted) < samples:
+        attempts += 1
+        if attempts > 100 + samples:
+            raise ArithmeticError("could not find pole-free sample points")
+        s = complex(rng.uniform(-3, 3), rng.uniform(1, 4))
+        if not (_scalar_raises(x, s) or _scalar_raises(y, s)):
+            accepted.append(s)
+    return accepted
+
+
+def test_sampler_skips_poles_on_the_seeded_path():
+    seed = 20240801
+    rng = random.Random(seed)
+    path = [complex(rng.uniform(-3, 3), rng.uniform(1, 4)) for _ in range(6)]
+    # a GammaC pole on the first candidate, an L-atom zero on the fourth
+    x = mero_mul(GC(1, -path[0]), MeroExpr.l_atom(5, cmath.exp(path[3] * math.log(5)),
+                                                  LinForm(Fraction(1), 0)))
+    y = mero_mul(GC(1, -path[0]), GR(1))
+    assert _scalar_raises(x, path[0]) and _scalar_raises(x, path[3])
+    for samples in (1, 3, 24):
+        want = _old_sampler_points(x, y, samples, seed)
+        got = _pole_free_samples(x, y, samples, seed)[0].tolist()
+        assert got == want
+        assert path[0] not in got and path[3] not in got
+    zero = MeroExpr.const(0)
+    with pytest.raises(ArithmeticError):
+        _old_sampler_points(zero, x, 24, seed)
+    with pytest.raises(ArithmeticError):
+        equals_numeric(zero, x)
+    with pytest.raises(ArithmeticError):
+        max_rel_error(x, zero)
+
+
+def test_sampling_checks_detect_a_small_perturbation():
+    x = mero_mul(GR(1), GR(1, 1))
+    y = mero_mul(GC(1), MeroExpr.const(ExactConst(Fraction(1000001, 1000000))))
+    assert equals_numeric(x, GC(1))
+    assert not equals_numeric(x, y)
+    assert abs(max_rel_error(x, y) - 1e-6) < 1e-9
+    assert max_rel_error(x, GC(1)) < 1e-12

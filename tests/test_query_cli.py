@@ -70,10 +70,12 @@ def test_result_roundtrip():
 
 def test_query_value_evaluation():
     doc = q_pi0()
-    doc["eval_points"] = [[0.5, 1.0]]
+    # i GammaC(-s+1/2) / GammaC(s+1/2): poles at s = 1/2, 5/2, zeros at s = -3/2
+    doc["eval_points"] = [[0.5, 1.0], [0.5, 0.0], [2.5, 0.0], [-1.5, 0.0], [-1.5, 1e-7]]
     out = run_query(doc)
     vals = out["results"]["gamma"]["values"]
-    assert len(vals) == 1 and abs(complex(*vals[0])) > 0
+    assert [v is None for v in vals] == [False, True, True, True, False]
+    assert abs(complex(*vals[0])) > 0
 
 
 def test_metadata_records_conventions():
@@ -114,6 +116,30 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["verify", "--suite", "duplication", "--seed", "7"]) == 0
     assert main(["verify", "--suite", "duplication", "--corrupt"]) == 4
     capsys.readouterr()
+
+
+_P5_HERM = {"field": {"kind": "nonarch", "p": "5"},
+            "rep": {"kind": "trivial", "space": {"type": "hermitian", "diag": ["1"]}}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"field": {"kind": "nonarch", "p": "5"}, "rep": {"kind": "skew_char", "l": 1},
+      "outputs": ["gamma"]}, "rep: 'skew_char' is not defined over Q_5"),
+    (dict(_P5_HERM, omega={"z": "3"}, outputs=["root_number"]),
+     "omega: root_number requires omega^2 = 1"),
+    (dict(_P5_HERM, norm_value="0", outputs=["R"]), "norm_value, t_scale: must be nonzero"),
+    (dict(_P5_HERM, t_scale="0", outputs=["T"]), "norm_value, t_scale: must be nonzero"),
+    (dict(_P5_HERM, eval_points=[[0.5, float("nan")]]), "eval_points: coordinates must be finite"),
+    (dict(_P5_HERM, eval_points=[0.5]), "eval_points: expected [re, im] pairs"),
+], ids=["rep-field", "root-number-omega", "norm-value-zero", "t-scale-zero", "eval-point-nan",
+        "eval-point-shape"])
+def test_cli_rejects_malformed_query(tmp_path, capsys, doc, message):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(doc))
+    assert main(["gamma", "-f", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_cli_print_roundtrip(tmp_path, capsys):
