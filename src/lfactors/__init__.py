@@ -18,8 +18,7 @@ from .hermitian import (BilinearSpace, HermitianSpace, MoritaError,
                         discriminant, kottwitz_sign, morita_natural)
 from .mero import (LinForm, MeroExpr, PoleProximityError,
                    UnsupportedExpressionError, equals_numeric, format_expr,
-                   from_json, mero_inv, mero_mul, mero_pow, parse_expr, subst,
-                   to_json)
+                   from_json, mero_mul, parse_expr, to_json)
 from .quaternion import (QuatMatrix, Quaternion, QuaternionAlgebra,
                          matrix_reduced_norm, split_embedding)
 from .ratfunc import RatFunc, as_rational_in_X

@@ -217,22 +217,14 @@ def _apply_twist(expr: MeroExpr, omega: MultCharacter) -> MeroExpr:
 
 def _trivial_rep_gamma_base(space: HermitianSpace, psi: AddCharacter) -> MeroExpr:
     field = space.field
-    triv = MultCharacter.trivial(field)
     n = space.n
-    if space.form_type == HERMITIAN:
-        shifts = range(-n, n + 1)
-        out = MeroExpr.one()
-        for j in shifts:
-            out = out * tate_gamma(triv, psi).subst(1, j)
-        return out
-    # skew case
-    if n == 0:
+    if space.form_type == SKEW and n == 0:
         return MeroExpr.one()
+    g = tate_gamma(MultCharacter.trivial(field), psi)
+    if space.form_type == HERMITIAN:
+        return mero_mul(*(g.subst(1, j) for j in range(-n, n + 1)))
     chi_disc = MultCharacter(field, discriminant(space))
-    out = tate_gamma(chi_disc, psi)
-    for j in range(-(n - 1), n):
-        out = out * tate_gamma(triv, psi).subst(1, j)
-    return out
+    return mero_mul(tate_gamma(chi_disc, psi), *(g.subst(1, j) for j in range(-(n - 1), n)))
 
 
 def _sp_weil_rep(rep: SpHighestWeight, delta: int) -> WeilRep:
@@ -291,10 +283,8 @@ def gamma_factor(rep: RepDatum, omega: MultCharacter, psi: AddCharacter) -> Mero
         mu2 = char_mul(char_inverse(rep.chi), omega)
         return gj_gamma_norm(rep.m, mu1, psi) * gj_gamma_norm(rep.m, mu2, psi)
 
-    out = gamma_factor(rep.kernel, omega, psi)
-    for b in rep.blocks:
-        out = out * gamma_factor(b, omega, psi)
-    return out
+    return mero_mul(gamma_factor(rep.kernel, omega, psi),
+                    *(gamma_factor(b, omega, psi) for b in rep.blocks))
 
 
 def l_factor(rep: RepDatum, omega: MultCharacter) -> MeroExpr:
@@ -308,15 +298,12 @@ def l_factor(rep: RepDatum, omega: MultCharacter) -> MeroExpr:
         if space.n == 0:
             return tate_L(omega) if space.form_type == HERMITIAN else MeroExpr.one()
         _require_unramified(omega, "the trivial representation")
-        triv = MultCharacter.trivial(field)
+        l_triv = tate_L(MultCharacter.trivial(field))
         if space.form_type == HERMITIAN:
-            base = MeroExpr.one()
-            for j in range(-space.n, space.n + 1):
-                base = base * tate_L(triv).subst(1, j)
+            base = mero_mul(*(l_triv.subst(1, j) for j in range(-space.n, space.n + 1)))
         else:
-            base = tate_L(MultCharacter(field, discriminant(space)))
-            for j in range(-(space.n - 1), space.n):
-                base = base * tate_L(triv).subst(1, j)
+            base = mero_mul(tate_L(MultCharacter(field, discriminant(space))),
+                            *(l_triv.subst(1, j) for j in range(-(space.n - 1), space.n)))
         return _apply_twist(base, omega)
 
     if isinstance(rep, SkewHermCharR):
@@ -330,10 +317,7 @@ def l_factor(rep: RepDatum, omega: MultCharacter) -> MeroExpr:
     if isinstance(rep, GLChar):
         return gj_L(rep.m, char_mul(rep.chi, omega)) * gj_L(rep.m, char_mul(char_inverse(rep.chi), omega))
 
-    out = l_factor(rep.kernel, omega)
-    for b in rep.blocks:
-        out = out * l_factor(b, omega)
-    return out
+    return mero_mul(l_factor(rep.kernel, omega), *(l_factor(b, omega) for b in rep.blocks))
 
 
 def epsilon_factor(rep: RepDatum, omega: MultCharacter, psi: AddCharacter) -> MeroExpr:
@@ -454,22 +438,16 @@ def _normalization_c_base(space: HermitianSpace, omega: MultCharacter,
                           A: RegularNilpotentData, psi: AddCharacter) -> MeroExpr:
     e = kottwitz_sign(space)
     n = space.n
-    omega_sq = char_mul(omega, omega)
+    g = tate_gamma(char_mul(omega, omega), psi)
     w4 = _char_value_exact(omega, Fraction(4))
-    if space.form_type == LINEAR:
-        two_pow = _abs2_power(space.field, LinForm(Fraction(-4 * n), Fraction(0)))
-        const = w4 ** (-2 * n) if not isinstance(w4, complex) else w4 ** (-2 * n)
-        out = mero_mul(MeroExpr.const(ExactConst.of(e)), MeroExpr.const(const), two_pow)
-        for i in range(2 * n):
-            out = out * tate_gamma(omega_sq, psi).subst(2, -i).inv()
-    else:
-        two_pow = _abs2_power(space.field,
-                              LinForm(Fraction(-2 * n), Fraction(n) * (Fraction(n) - Fraction(1, 2))))
-        const = w4 ** (-n) if not isinstance(w4, complex) else w4 ** (-n)
-        out = mero_mul(MeroExpr.const(ExactConst.of(e)), MeroExpr.const(const), two_pow)
-        for i in range(n):
-            out = out * tate_gamma(omega_sq, psi).subst(2, -2 * i).inv()
-    return out * correction_R(space, omega, A, psi).inv()
+    if space.form_type == LINEAR:  # 2n Tate gammas at 2s - i
+        k, step, two_pow = 2 * n, 1, LinForm(Fraction(-4 * n), Fraction(0))
+    else:  # n Tate gammas at 2s - 2i
+        k, step, two_pow = n, 2, LinForm(Fraction(-2 * n), Fraction(n) * (Fraction(n) - Fraction(1, 2)))
+    return mero_mul(MeroExpr.const(ExactConst.of(e)), MeroExpr.const(w4 ** (-k)),
+                    _abs2_power(space.field, two_pow),
+                    *(g.subst(2, -step * i).inv() for i in range(k)),
+                    correction_R(space, omega, A, psi).inv())
 
 
 def _abs2_power(field: LocalField, form: LinForm) -> MeroExpr:
@@ -494,17 +472,14 @@ def zeta_fe_factor(rep: RepDatum, omega: MultCharacter, psi: AddCharacter,
                                    "for the eps-hermitian cases")
     n = space.n
     e = kottwitz_sign(space)
-    omega_sq = char_mul(omega, omega)
+    g = tate_gamma(char_mul(omega, omega), psi)
     w4 = _char_value_exact(omega, Fraction(4))
-    const = w4 ** (-n) if not isinstance(w4, complex) else w4 ** (-n)
-    out = mero_mul(MeroExpr.const(ExactConst.of(e * central_sign(rep))),
-                   MeroExpr.const(const),
-                   gamma_factor(rep, omega, psi).subst(1, Fraction(1, 2)),
-                   _abs2_power(space.field,
-                               LinForm(Fraction(-2 * n), Fraction(n) * (Fraction(n) - Fraction(1, 2)))))
-    for i in range(n):
-        out = out * tate_gamma(omega_sq, psi).subst(2, -2 * i).inv()
-    return out
+    return mero_mul(MeroExpr.const(ExactConst.of(e * central_sign(rep))),
+                    MeroExpr.const(w4 ** (-n)),
+                    gamma_factor(rep, omega, psi).subst(1, Fraction(1, 2)),
+                    _abs2_power(space.field,
+                                LinForm(Fraction(-2 * n), Fraction(n) * (Fraction(n) - Fraction(1, 2)))),
+                    *(g.subst(2, -2 * i).inv() for i in range(n)))
 
 
 def root_number(space: HermitianSpace, c_pi_at_minus1: int, omega: MultCharacter,

@@ -42,24 +42,19 @@ def _shifts(m: int):
     return [Fraction(2 * m - 1, 2) - i for i in range(2 * m)]  # m - 1/2 - i
 
 
+def _shifted(m: int, tate: MeroExpr) -> list[MeroExpr]:
+    return [tate.subst(1, shift) for shift in _shifts(m)]
+
+
 def gj_gamma_norm(m: int, mu: MultCharacter, psi: AddCharacter) -> MeroExpr:
     if m < 1:
         raise ValueError("GL block size must be >= 1")
-    out = _prefactor(m, mu)
-    for shift in _shifts(m):
-        out = out * tate_gamma(mu, psi).subst(1, shift)
-    return out
+    return mero_mul(_prefactor(m, mu), *_shifted(m, tate_gamma(mu, psi)))
 
 
 def gj_L(m: int, mu: MultCharacter) -> MeroExpr:
-    out = MeroExpr.one()
-    for shift in _shifts(m):
-        out = out * tate_L(mu).subst(1, shift)
-    return out
+    return mero_mul(*_shifted(m, tate_L(mu)))
 
 
 def gj_eps(m: int, mu: MultCharacter, psi: AddCharacter) -> MeroExpr:
-    out = _prefactor(m, mu)
-    for shift in _shifts(m):
-        out = out * tate_eps(mu, psi).subst(1, shift)
-    return out
+    return mero_mul(_prefactor(m, mu), *_shifted(m, tate_eps(mu, psi)))

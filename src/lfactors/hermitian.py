@@ -9,6 +9,7 @@ over F (zero / symplectic / symmetric for linear / hermitian / skew).
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +30,9 @@ class HermitianSpace:
     form_type: str  # linear | hermitian | skew
     n: int
     gram: QuatMatrix | None = None
+    # N(gram), computed once by the degeneracy check; None without a gram
+    gram_norm: Fraction | None = dataclasses.field(default=None, init=False, repr=False,
+                                                   compare=False)
 
     def __post_init__(self):
         if self.form_type not in (LINEAR, HERMITIAN, SKEW):
@@ -49,7 +53,8 @@ class HermitianSpace:
         flipped = self.gram.conj_transpose()
         if flipped != (self.gram if eps == 1 else -self.gram):
             raise ValueError("Gram matrix violates ^tR^* = eps R")
-        if matrix_reduced_norm(self.gram) == 0:
+        object.__setattr__(self, "gram_norm", matrix_reduced_norm(self.gram))
+        if self.gram_norm == 0:
             raise ValueError("degenerate Gram matrix")
 
     @property
@@ -82,7 +87,7 @@ def discriminant(space: HermitianSpace) -> SquareClass:
         raise UnsupportedOperationError("discriminant of the linear case")
     if space.n == 0:
         return SquareClass(space.field, "1")
-    val = Fraction(-1) ** space.n * matrix_reduced_norm(space.gram)
+    val = Fraction(-1) ** space.n * space.gram_norm
     return square_class(space.field, val)
 
 

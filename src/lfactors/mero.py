@@ -12,6 +12,9 @@ invert, substitute s -> a's + b', evaluate numerically through one
 vectorised kernel (eval_log_batch: numpy over an atoms x points grid, one
 scipy loggamma call for all Gamma atoms), which also serves the seeded
 sampling comparisons, and round-trip exactly through text and JSON.
+Atoms and linear forms compute their hash and sort key once, at
+construction; a product of any number of expressions (mero_mul) gathers
+all their atoms and canonicalises once.
 """
 
 from __future__ import annotations
@@ -50,7 +53,9 @@ _QUANT = float(2 ** 40)
 
 
 def _beta_norm(b) -> BetaLike:
-    if isinstance(b, (int, Fraction)):
+    if isinstance(b, Fraction):
+        return b
+    if isinstance(b, int):
         return Fraction(b)
     if isinstance(b, float) and float(b).is_integer():
         return Fraction(int(b))
@@ -80,6 +85,22 @@ def _beta_str(b: BetaLike) -> str:
     return f"[{b.real!r}{'+' if b.imag >= 0 else '-'}{abs(b.imag)!r}i]"
 
 
+def _seal(obj, fields: tuple, key: tuple) -> None:
+    """Stores, once, the hash of the field values that the dataclass __eq__
+    compares (so 1/2 and 0.5+0j hash alike, as they compare equal) and the
+    sort key."""
+    object.__setattr__(obj, "_hash", hash(fields))
+    object.__setattr__(obj, "_key", key)
+
+
+def _sealed_hash(self) -> int:
+    return self._hash
+
+
+def _sealed_key(self) -> tuple:
+    return self._key
+
+
 @dataclass(frozen=True)
 class LinForm:
     """alpha * s + beta with rational alpha."""
@@ -88,8 +109,12 @@ class LinForm:
     beta: BetaLike
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", _beta_norm(self.beta))
+        alpha, beta = Fraction(self.alpha), _beta_norm(self.beta)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        _seal(self, (alpha, beta), (alpha.numerator, alpha.denominator, _beta_key(beta)))
+
+    __hash__, key = _sealed_hash, _sealed_key
 
     @staticmethod
     def of(alpha, beta=0) -> "LinForm":
@@ -111,9 +136,6 @@ class LinForm:
     @property
     def is_zero(self) -> bool:
         return self.alpha == 0 and self.beta == 0
-
-    def key(self):
-        return (self.alpha.numerator, self.alpha.denominator, _beta_key(self.beta))
 
     def __str__(self):
         a = self.alpha
@@ -144,24 +166,31 @@ class ExpAtom:
     base: Fraction  # positive
     form: LinForm
 
-    def key(self):
-        return (0, self.base.numerator, self.base.denominator) + self.form.key()
+    def __post_init__(self):
+        _seal(self, (self.base, self.form),
+              (0, self.base.numerator, self.base.denominator) + self.form._key)
+
+    __hash__, key = _sealed_hash, _sealed_key
 
 
 @dataclass(frozen=True)
 class GammaRAtom:
     form: LinForm
 
-    def key(self):
-        return (1,) + self.form.key()
+    def __post_init__(self):
+        _seal(self, (self.form,), (1,) + self.form._key)
+
+    __hash__, key = _sealed_hash, _sealed_key
 
 
 @dataclass(frozen=True)
 class GammaCAtom:
     form: LinForm
 
-    def key(self):
-        return (2,) + self.form.key()
+    def __post_init__(self):
+        _seal(self, (self.form,), (2,) + self.form._key)
+
+    __hash__, key = _sealed_hash, _sealed_key
 
 
 @dataclass(frozen=True)
@@ -170,8 +199,10 @@ class LAtom:
     z: BetaLike  # value at a uniformizer
     form: LinForm
 
-    def key(self):
-        return (3, self.q, _beta_key(self.z)) + self.form.key()
+    def __post_init__(self):
+        _seal(self, (self.q, self.z, self.form), (3, self.q, _beta_key(self.z)) + self.form._key)
+
+    __hash__, key = _sealed_hash, _sealed_key
 
 
 Atom = ExpAtom | GammaRAtom | GammaCAtom | LAtom
@@ -183,12 +214,14 @@ def _atom_sort_key(item):
 
 
 class MeroExpr:
-    """Canonicalized product prefactor * prod atom^power."""
+    """Canonicalized product prefactor * prod atom^power.  Products go through
+    mero_mul, which canonicalises once however many factors there are."""
 
     __slots__ = ("prefactor", "atoms")
 
-    def __init__(self, prefactor=ExactConst.one(), atoms: Iterable[tuple[Atom, int]] = ()):
-        pref, table = _canonicalize(prefactor, atoms)
+    def __init__(self, prefactor=ExactConst.one(), atoms: Iterable[tuple[Atom, int]] = (),
+                 *more_atoms: Iterable[tuple[Atom, int]]):
+        pref, table = _canonicalize(prefactor, (atoms,) + more_atoms)
         object.__setattr__(self, "prefactor", pref)
         object.__setattr__(self, "atoms", table)
 
@@ -222,21 +255,13 @@ class MeroExpr:
 
     # -- algebra -------------------------------------------------------
     def __mul__(self, other: "MeroExpr") -> "MeroExpr":
-        pref = _pref_mul(self.prefactor, other.prefactor)
-        return MeroExpr(pref, list(self.atoms) + list(other.atoms))
+        return mero_mul(self, other)
 
     def inv(self) -> "MeroExpr":
         return MeroExpr(_pref_inv(self.prefactor), [(a, -k) for a, k in self.atoms])
 
     def __pow__(self, k: int) -> "MeroExpr":
-        if k == 0:
-            return MeroExpr.one()
-        if k < 0:
-            return self.inv() ** (-k)
-        out = MeroExpr.one()
-        for _ in range(k):
-            out = out * self
-        return out
+        return mero_mul(*[self if k > 0 else self.inv()] * abs(k))
 
     def subst(self, a, b=0) -> "MeroExpr":
         """s |-> a*s + b in every atom argument."""
@@ -316,21 +341,27 @@ def _pref_eq(x, y) -> bool:
     return abs(xv - yv) <= 1e-12 * max(1.0, abs(xv))
 
 
-def _canonicalize(prefactor, atoms):
+def _canonicalize(prefactor, groups):
+    """Merges the atom groups into one sorted table.  Atoms that cancel are
+    dropped at the end of each group, so equal atoms of different types
+    (1/2 and 0.5+0j) keep the representative a group-by-group product would."""
     pref = prefactor if isinstance(prefactor, (ExactConst, complex)) else ExactConst.of(prefactor)
     exp_forms: dict[Fraction, LinForm] = {}
     table: dict[Atom, int] = {}
-    for atom, k in atoms:
-        if k == 0:
-            continue
-        if isinstance(atom, ExpAtom):
-            if atom.base == 1:
+    for atoms in groups:
+        for atom, k in atoms:
+            if k == 0:
                 continue
-            cur = exp_forms.get(atom.base)
-            add = atom.form.times(k)
-            exp_forms[atom.base] = add if cur is None else cur.plus(add)
-        else:
-            table[atom] = table.get(atom, 0) + k
+            if isinstance(atom, ExpAtom):
+                if atom.base == 1:
+                    continue
+                cur = exp_forms.get(atom.base)
+                add = atom.form.times(k)
+                exp_forms[atom.base] = add if cur is None else cur.plus(add)
+            else:
+                table[atom] = table.get(atom, 0) + k
+        for atom in [a for a, k in table.items() if k == 0]:
+            del table[atom]
     for base, form in exp_forms.items():
         if form.is_zero:
             continue
@@ -341,8 +372,7 @@ def _canonicalize(prefactor, atoms):
             continue
         atom = ExpAtom(base, LinForm(form.alpha, Fraction(0)))
         table[atom] = table.get(atom, 0) + 1
-    items = tuple(sorted(((a, k) for a, k in table.items() if k != 0), key=_atom_sort_key))
-    return pref, items
+    return pref, tuple(sorted(table.items(), key=_atom_sort_key))
 
 
 def _const_power(base: Fraction, beta: BetaLike):
@@ -365,22 +395,13 @@ def _atom_subst(atom: Atom, a: Fraction, b) -> Atom:
 # -- algebra helpers ----------------------------------------------------
 
 def mero_mul(*xs: MeroExpr) -> MeroExpr:
-    out = MeroExpr.one()
-    for x in xs:
-        out = out * x
-    return out
-
-
-def mero_inv(x: MeroExpr) -> MeroExpr:
-    return x.inv()
-
-
-def mero_pow(x: MeroExpr, k: int) -> MeroExpr:
-    return x ** k
-
-
-def subst(x: MeroExpr, a, b=0) -> MeroExpr:
-    return x.subst(a, b)
+    """The product of the factors, canonicalised once over all their atoms.
+    Prefactors multiply left to right, so the result (atoms, text, JSON)
+    is that of the pairwise product (x1 * x2) * x3 ..."""
+    pref = xs[0].prefactor if xs else ExactConst.one()
+    for x in xs[1:]:
+        pref = _pref_mul(pref, x.prefactor)
+    return MeroExpr(pref, *(x.atoms for x in xs))
 
 
 def twist_nonarch(x: MeroExpr, q: int, z, t) -> MeroExpr:

@@ -204,7 +204,10 @@ class QueryDocument:
         psi_scale = _rational(doc.get("psi_scale", "1"), "psi_scale")
         if psi_scale == 0:
             raise QueryValidationError("psi_scale: must be nonzero")
-        outputs = tuple(doc.get("outputs", ["gamma"]))
+        outputs = doc.get("outputs", ["gamma"])
+        if not isinstance(outputs, list):
+            raise QueryValidationError(f"outputs: expected a list of names, got {outputs!r}")
+        outputs = tuple(outputs)
         for o in outputs:
             if o not in KNOWN_OUTPUTS:
                 raise QueryValidationError(
@@ -276,6 +279,7 @@ def run_query(doc: dict) -> dict:
     q = QueryDocument.from_json(doc)
     out: dict = {"schema": SCHEMA_VERSION, "results": {}, "metadata": _metadata(q)}
     A = RegularNilpotentData(q.norm_value)
+    space = rep_space(q.rep) if {"root_number", "R", "c", "T"} & set(q.outputs) else None
     pending: list = []
     for name in q.outputs:
         if name == "gamma":
@@ -286,7 +290,7 @@ def run_query(doc: dict) -> dict:
             out["results"]["epsilon"] = _expr_payload(epsilon_factor(q.rep, q.omega, q.psi), q,
                                                       pending)
         elif name == "root_number":
-            w = root_number(rep_space(q.rep), central_sign(q.rep), q.omega, q.psi)
+            w = root_number(space, central_sign(q.rep), q.omega, q.psi)
             if isinstance(w, ExactConst):
                 out["results"]["root_number"] = {"exact": str(w),
                                                  "value": [w.to_complex().real, w.to_complex().imag]}
@@ -294,13 +298,13 @@ def run_query(doc: dict) -> dict:
                 out["results"]["root_number"] = {"exact": None, "value": [w.real, w.imag]}
         elif name == "R":
             out["results"]["R"] = _expr_payload(
-                correction_R(rep_space(q.rep), q.omega, A, q.psi), q, pending)
+                correction_R(space, q.omega, A, q.psi), q, pending)
         elif name == "c":
             out["results"]["c"] = _expr_payload(
-                normalization_c(rep_space(q.rep), q.omega, A, q.psi), q, pending)
+                normalization_c(space, q.omega, A, q.psi), q, pending)
         elif name == "T":
             out["results"]["T"] = _expr_payload(
-                t_factor(rep_space(q.rep), q.omega, q.t_scale), q, pending)
+                t_factor(space, q.omega, q.t_scale), q, pending)
         elif name == "spherical":
             sz = spherical_zeta(q.spherical)
             out["results"]["spherical"] = {

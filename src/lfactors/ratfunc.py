@@ -375,7 +375,8 @@ def _scalar_to_coeff(p: int, v):
 def as_rational_in_X(expr, q: int) -> RatFunc:
     """Rewrite a purely nonarchimedean expression as a ratio of polynomials
     in X = q^{-s}; exact whenever every constant lies in Q(i, sqrt p)."""
-    from .mero import ExpAtom, GammaCAtom, GammaRAtom, LAtom, UnsupportedExpressionError
+    from .mero import (ExpAtom, GammaCAtom, GammaRAtom, LAtom, UnsupportedExpressionError,
+                       _log_base)
 
     fac = factor_int(q)
     if len(fac) != 1:
@@ -403,7 +404,7 @@ def as_rational_in_X(expr, q: int) -> RatFunc:
             pieces.append(({0: 1, int(alpha): _neg(coeff)}, -k))
         else:
             assert isinstance(atom, ExpAtom)
-            r = _as_q_power(atom.base, q)
+            r = _log_base(atom.base, q)
             e = r * atom.form.alpha
             if e.denominator != 1:
                 raise UnsupportedExpressionError("exponential atom is not integral in X")
@@ -443,13 +444,3 @@ def _times(r: Fraction, beta):
     if isinstance(beta, Fraction):
         return r * beta
     return complex(r) * complex(beta)
-
-
-def _as_q_power(b: Fraction, q: int) -> Fraction:
-    from .mero import UnsupportedExpressionError
-    for r in range(0, 64):
-        if Fraction(q) ** r == b:
-            return Fraction(r)
-        if Fraction(q) ** -r == b:
-            return Fraction(-r)
-    raise UnsupportedExpressionError(f"base {b} is not a power of {q}")

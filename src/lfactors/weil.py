@@ -94,23 +94,15 @@ def _discrete_L(l: int, twist) -> MeroExpr:
 
 
 def weil_gamma(rep: WeilRep, psi: AddCharacter) -> MeroExpr:
-    out = MeroExpr.one()
-    for w in rep.summands:
-        if w.kind == "discrete":
-            out = out * _discrete_gamma(w.l, w.twist, psi)
-        else:
-            out = out * tate_gamma(_char_of(rep.field, w.kind, w.twist), psi)
-    return out
+    return mero_mul(*(_discrete_gamma(w.l, w.twist, psi) if w.kind == "discrete"
+                      else tate_gamma(_char_of(rep.field, w.kind, w.twist), psi)
+                      for w in rep.summands))
 
 
 def weil_L(rep: WeilRep) -> MeroExpr:
-    out = MeroExpr.one()
-    for w in rep.summands:
-        if w.kind == "discrete":
-            out = out * _discrete_L(w.l, w.twist)
-        else:
-            out = out * tate_L(_char_of(rep.field, w.kind, w.twist))
-    return out
+    return mero_mul(*(_discrete_L(w.l, w.twist) if w.kind == "discrete"
+                      else tate_L(_char_of(rep.field, w.kind, w.twist))
+                      for w in rep.summands))
 
 
 def _shift(base: Fraction, twist):

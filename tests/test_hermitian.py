@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lfactors.fields import LocalField, UnsupportedOperationError
+from lfactors.fields import LocalField, UnsupportedOperationError, square_class
 from lfactors.hermitian import (HermitianSpace, MoritaError, discriminant,
                                 kottwitz_sign, morita_natural)
 from lfactors.quaternion import QuatMatrix, QuaternionAlgebra, matrix_reduced_norm
@@ -91,3 +91,30 @@ def test_morita_rejects_nonsplit_and_unrational():
     assert q2_split_over_Q  # (1,1,1,0) works, so this one is fine rationally
     out = morita_natural(HermitianSpace.diagonal(tricky, "skew", [tricky.element(0, 1)]))
     assert out.form_type == "symmetric"
+
+
+def test_stored_reduced_norm():
+    """Each space keeps N(gram) from its degeneracy check, and the
+    discriminant reads it; a degenerate Gram matrix still raises."""
+    rng = random.Random(5)
+    alg = QuaternionAlgebra(Q5, Fraction(2), Fraction(5))
+    norms = set()
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        P = QuatMatrix.from_rows(
+            alg, [[alg.element(*(rng.randint(-2, 2) for _ in range(4))) for _ in range(n)]
+                  for _ in range(n)])
+        if matrix_reduced_norm(P) == 0:
+            continue
+        diag = HermitianSpace.diagonal(alg, "hermitian", [rng.randint(1, 6) for _ in range(n)])
+        V = HermitianSpace(alg, "hermitian", n, P.conj_transpose() * diag.gram * P)
+        assert V.gram_norm == matrix_reduced_norm(V.gram)
+        assert discriminant(V) == square_class(Q5, Fraction(-1) ** n * matrix_reduced_norm(V.gram))
+        norms.add(V.gram_norm)
+    assert len(norms) >= 5
+    assert HermitianSpace.linear(alg, 2).gram_norm is None
+    with pytest.raises(ValueError, match="degenerate"):
+        HermitianSpace.diagonal(alg, "hermitian", [1, 0])
+    one = alg.element(1)
+    with pytest.raises(ValueError, match="degenerate"):
+        HermitianSpace(alg, "hermitian", 2, QuatMatrix.from_rows(alg, [[one, one], [one, one]]))

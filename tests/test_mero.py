@@ -359,3 +359,50 @@ def test_sampling_checks_detect_a_small_perturbation():
     assert not equals_numeric(x, y)
     assert abs(max_rel_error(x, y) - 1e-6) < 1e-9
     assert max_rel_error(x, GC(1)) < 1e-12
+
+
+def _random_factor(rng: random.Random) -> MeroExpr:
+    """A random kernel expression, or an exponential atom moved by subst (its
+    constant part, exact or complex, folds into the prefactor), or a GammaC
+    atom whose half-integer argument is exact or an equal complex number."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return _random_kernel_expr(rng)
+    if kind == 1:
+        shift = complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) if rng.random() < 0.5 else \
+            Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+        return MeroExpr.exp(Fraction(rng.randint(2, 7), rng.randint(1, 3)),
+                            LinForm(Fraction(rng.choice([-2, -1, 1, 2])), 0)).subst(1, shift)
+    beta = Fraction(1, 2) if rng.random() < 0.5 else 0.5 + 0j
+    return GC(1, beta) ** rng.choice([-1, 1])
+
+
+def test_product_equals_left_fold():
+    """mero_mul over many factors equals the pairwise left fold: the same atoms
+    (including which of two equal atoms 1/2 and 0.5+0j is kept) and the same
+    text, and the value is the product of the factors' values."""
+    rng = random.Random(4)
+    inexact = 0
+    for _ in range(60):
+        xs = [_random_factor(rng) for _ in range(rng.randint(2, 7))]
+        fold = MeroExpr.one()
+        for x in xs:
+            fold = fold * x
+        prod = mero_mul(*xs)
+        assert prod.atoms == fold.atoms
+        assert format_expr(prod) == format_expr(fold)
+        assert to_json(prod) == to_json(fold)
+        inexact += not prod.is_exact
+        s = complex(rng.uniform(-0.4, 0.4), rng.uniform(1.2, 1.8))
+        want = math.prod(x.eval(s) for x in xs)
+        assert cmath.isclose(prod.eval(s), want, rel_tol=1e-9)
+    assert inexact >= 20
+
+
+def test_equal_atoms_of_different_types_cancel():
+    exact, inexact = GammaCAtom(LinForm(1, Fraction(1, 2))), GammaCAtom(LinForm(1, 0.5 + 0j))
+    assert isinstance(inexact.form.beta, complex)
+    assert exact == inexact and hash(exact) == hash(inexact)
+    assert hash(exact.form) == hash(inexact.form)
+    assert MeroExpr(ExactConst.one(), [(exact, 1), (inexact, -1)]).atoms == ()
+    assert mero_mul(GC(1, Fraction(1, 2)), GC(1, 0.5 + 0j).inv()) == MeroExpr.one()

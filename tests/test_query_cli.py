@@ -131,8 +131,10 @@ _P5_HERM = {"field": {"kind": "nonarch", "p": "5"},
     (dict(_P5_HERM, t_scale="0", outputs=["T"]), "norm_value, t_scale: must be nonzero"),
     (dict(_P5_HERM, eval_points=[[0.5, float("nan")]]), "eval_points: coordinates must be finite"),
     (dict(_P5_HERM, eval_points=[0.5]), "eval_points: expected [re, im] pairs"),
+    (dict(_P5_HERM, outputs="gamma"), "outputs: expected a list of names, got 'gamma'"),
+    (dict(_P5_HERM, outputs="L"), "outputs: expected a list of names, got 'L'"),
 ], ids=["rep-field", "root-number-omega", "norm-value-zero", "t-scale-zero", "eval-point-nan",
-        "eval-point-shape"])
+        "eval-point-shape", "outputs-string", "outputs-one-letter-string"])
 def test_cli_rejects_malformed_query(tmp_path, capsys, doc, message):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(doc))
