@@ -455,11 +455,11 @@ def _abs2_power(field: LocalField, form: LinForm) -> MeroExpr:
 
 
 def gamma_capital(rep: RepDatum, omega: MultCharacter, A: RegularNilpotentData,
-                  psi: AddCharacter) -> MeroExpr:
+                  psi: AddCharacter, space: HermitianSpace | None = None) -> MeroExpr:
     """Gamma(s, pi, omega, A, psi) = gamma(s + 1/2) c_pi(-1) / R(s, omega, A, psi)."""
     gam = gamma_factor(rep, omega, psi).subst(1, Fraction(1, 2))
     sign = MeroExpr.const(ExactConst.of(central_sign(rep)))
-    space = rep_space(rep)
+    space = space or rep_space(rep)
     return mero_mul(gam, sign, correction_R(space, omega, A, psi).inv())
 
 

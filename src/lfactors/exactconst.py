@@ -34,7 +34,7 @@ class ExactConst:
     roots: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        rat = Fraction(self.rat)
+        rat = self.rat if type(self.rat) is Fraction else Fraction(self.rat)
         ipow = self.ipow % 4
         if ipow >= 2:  # canonical form keeps ipow in {0, 1}
             rat, ipow = -rat, ipow - 2

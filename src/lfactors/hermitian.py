@@ -17,7 +17,7 @@ from fractions import Fraction
 from .fields import (LocalField, SquareClass, UnsupportedOperationError,
                      square_class)
 from .quaternion import (QuatMatrix, Quaternion, QuaternionAlgebra,
-                         _det_rational, matrix_reduced_norm)
+                         matrix_reduced_norm, rational_det)
 
 LINEAR = "linear"
 HERMITIAN = "hermitian"
@@ -115,7 +115,7 @@ class BilinearSpace:
     def discriminant(self) -> SquareClass:
         if self.form_type != "symmetric":
             raise UnsupportedOperationError("discriminant of a non-symmetric transfer")
-        det = _det_rational([list(r) for r in self.gram])
+        det = rational_det(self.gram)
         half = self.dim // 2
         return square_class(self.field, Fraction(-1) ** half * det)
 

@@ -109,7 +109,8 @@ class LinForm:
     beta: BetaLike
 
     def __post_init__(self):
-        alpha, beta = Fraction(self.alpha), _beta_norm(self.beta)
+        alpha = self.alpha if type(self.alpha) is Fraction else Fraction(self.alpha)
+        beta = _beta_norm(self.beta)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         _seal(self, (alpha, beta), (alpha.numerator, alpha.denominator, _beta_key(beta)))

@@ -3,12 +3,18 @@
 A quaternion algebra is presented by (a, b): i^2 = a, j^2 = b, k = ij = -ji,
 with rational structure constants.  Reduced norms of matrices are computed
 through the splitting embedding into 2x2 matrices over Q(sqrt a) (or Q when
-a is a rational square), by exact Gaussian elimination; the sqrt(a)-part of
-the determinant must vanish, which is asserted.
+a is a rational square).  All matrix linear algebra clears denominators
+once and then runs on Python ints: matrix products and the regular
+representation share one integer left-multiplication table, and
+determinants use fraction-free (Bareiss) elimination over Z, or over
+Z[sqrt A] with A = num(a) den(a), where every division is exact.  The
+sqrt-part of the reduced norm must vanish, which is asserted.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -126,7 +132,8 @@ class SqrtExt:
         self.rational_root = root  # None when a is not a rational square
 
     def make(self, u, v=0) -> tuple[Fraction, Fraction]:
-        u, v = Fraction(u), Fraction(v)
+        u = u if type(u) is Fraction else Fraction(u)
+        v = v if type(v) is Fraction else Fraction(v)
         if self.rational_root is not None and v:
             return (u + v * self.rational_root, Fraction(0))
         return (u, v)
@@ -195,6 +202,17 @@ def split_embedding(x: Quaternion, ext: SqrtExt | None = None):
     ]
 
 
+def _int_coords(X: QuatMatrix) -> tuple[int, list[list[tuple[int, int, int, int]]]]:
+    """(d, P) with X = P / d: the coordinates of every entry as ints over
+    one common denominator d."""
+    flat = [c for row in X.entries for x in row for c in (x.x0, x.x1, x.x2, x.x3)]
+    d = math.lcm(*[c.denominator for c in flat])
+    it = iter([c.numerator * (d // c.denominator) for c in flat])
+    quads = list(zip(it, it, it, it))
+    w = X.cols
+    return d, [quads[w * i:w * (i + 1)] for i in range(X.rows)]
+
+
 @dataclass(frozen=True)
 class QuatMatrix:
     alg: QuaternionAlgebra
@@ -228,16 +246,18 @@ class QuatMatrix:
     def __mul__(self, other: "QuatMatrix") -> "QuatMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = self.alg.element(0)
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return QuatMatrix.from_rows(self.alg, out)
+        if self.alg != other.alg:
+            raise ValueError("quaternions from different algebras")
+        # column j of the product is left multiplication by self on column j of other
+        dl, L = _left_mult_rows(self)
+        dq, Q = _int_coords(other)
+        cols = [[c for x in col for c in x] for col in zip(*Q)]
+        den = dl * dq
+        return QuatMatrix(self.alg, tuple(
+            tuple(Quaternion(self.alg, *(Fraction(sum(map(operator.mul, r, col)), den)
+                                         for r in L[4 * i:4 * i + 4]))
+                  for col in cols)
+            for i in range(self.rows)))
 
     def conj_transpose(self) -> "QuatMatrix":
         """^t X^* (transpose with the main involution entrywise)."""
@@ -264,46 +284,92 @@ def matrix_reduced_norm(X: QuatMatrix) -> Fraction:
     entrywise splitting embedding, a 2n x 2n matrix over Q(sqrt a)."""
     if X.rows != X.cols:
         raise ValueError("reduced norm of a nonsquare matrix")
-    alg = X.alg
-    ext = SqrtExt(alg.a)
-    n = X.rows
-    big = [[ext.zero()] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            blk = split_embedding(X.entries[i][j], ext)
-            for di in range(2):
-                for dj in range(2):
-                    big[2 * i + di][2 * j + dj] = blk[di][dj]
-    det = _det_over_ext(big, ext)
-    if det[1] != 0:
+    ext = SqrtExt(X.alg.a)
+    blocks = [[split_embedding(x, ext) for x in row] for row in X.entries]
+    big = [[z for blk in brow for z in blk[r]] for brow in blocks for r in range(2)]
+    if ext.rational_root is not None:  # the embedding is rational
+        return rational_det([[u for u, _ in row] for row in big])
+    # u + v sqrt(a) = u + (v / d) sqrt(A) with d = den(a), A = num(a) d
+    d = ext.a.denominator
+    A = ext.a.numerator * d
+    D = math.lcm(*(den for row in big for u, v in row
+                   for den in (u.denominator, v.denominator * d)))
+    det_u, det_v = _bareiss_det(
+        [[(u.numerator * (D // u.denominator), v.numerator * (D // (v.denominator * d)))
+          for u, v in row] for row in big], A)
+    if det_v != 0:
         raise ArithmeticError(
             "internal inconsistency: reduced norm has a residual sqrt component")
-    return det[0]
+    return Fraction(det_u, D ** len(big))
 
 
-def _det_over_ext(mat, ext: SqrtExt):
-    """Determinant by exact Gaussian elimination over the field Q(sqrt a)."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    det = ext.one()
-    sign = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not ext.is_zero(m[r][col])), None)
+def rational_det(mat) -> Fraction:
+    """Determinant of a square rational matrix: denominators are cleared
+    once and the integer matrix is eliminated fraction-free."""
+    D = math.lcm(*(x.denominator for row in mat for x in row))
+    ints = [[x.numerator * (D // x.denominator) for x in row] for row in mat]
+    return Fraction(_bareiss_det(ints), D ** len(mat))
+
+
+def _bareiss_det(mat, A: int | None = None):
+    """Determinant over Z (A None: int entries), or over Z[sqrt A] for a
+    non-square A (entries and result are pairs (u, v) = u + v sqrt A), by
+    fraction-free Bareiss elimination (Geddes, Czapor and Labahn,
+    Algorithms for Computer Algebra, 1992, ch. 9).  Each updated entry is a
+    minor of the matrix, so every division by the previous pivot is exact;
+    in Z[sqrt A] it multiplies by the pivot's conjugate and divides the
+    integer norm."""
+    if A is None:
+        zero, prev = 0, 1
+
+        def eliminate(row, top, prev):  # row[1:] * p - row[0] * top[1:], over prev
+            p, f = top[0], row[0]
+            return [(x * p - f * y) // prev for x, y in zip(row[1:], top[1:])]
+    else:
+        zero, prev = (0, 0), (1, 0)
+
+        def eliminate(row, top, prev):
+            (pu, pv), (fu, fv), (cu, cv) = top[0], row[0], prev
+            nrm = cu * cu - A * cv * cv
+            out = []
+            for (xu, xv), (yu, yv) in zip(row[1:], top[1:]):
+                tu = xu * pu + A * (xv * pv - fv * yv) - fu * yu
+                tv = xu * pv + xv * pu - fu * yv - fv * yu
+                out.append(((tu * cu - A * tv * cv) // nrm, (tv * cu - tu * cv) // nrm))
+            return out
+    rows, sign = [list(r) for r in mat], 1
+    while rows:  # eliminate the first column of the remaining rows
+        piv = next((i for i, r in enumerate(rows) if r[0] != zero), None)
         if piv is None:
-            return ext.zero()
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
+            return zero
+        if piv:
+            rows[0], rows[piv] = rows[piv], rows[0]
             sign = -sign
-        pivval = m[col][col]
-        det = ext.mul(det, pivval)
-        inv = ext.inv(pivval)
-        for r in range(col + 1, n):
-            if ext.is_zero(m[r][col]):
-                continue
-            factor = ext.mul(m[r][col], inv)
-            for c in range(col, n):
-                m[r][c] = ext.sub(m[r][c], ext.mul(factor, m[col][c]))
-    return det if sign == 1 else ext.neg(det)
+        top = rows.pop(0)
+        rows = [eliminate(r, top, prev) for r in rows]
+        prev = top[0]
+    if sign > 0:
+        return prev
+    return -prev if A is None else (-prev[0], -prev[1])
+
+
+def _left_mult_rows(X: QuatMatrix) -> tuple[int, list[list[int]]]:
+    """(den, M) with M / den the matrix of left multiplication by X on the
+    column module D^n, on the basis (e_k times 1, i, j, k): block (i, k) is
+    the 4 x 4 matrix of y -> X_ik y, in closed form in a and b."""
+    d, P = _int_coords(X)
+    a, b = X.alg.a, X.alg.b
+    # 1, a, b, ab over the common denominator den(a) den(b)
+    c1, ca, cb, cab = (a.denominator * b.denominator, a.numerator * b.denominator,
+                       a.denominator * b.numerator, a.numerator * b.numerator)
+    rows = []
+    for prow in P:
+        blocks = [[[c1 * x0, ca * x1, cb * x2, -cab * x3],
+                   [c1 * x1, c1 * x0, cb * x3, -cb * x2],
+                   [c1 * x2, -ca * x3, c1 * x0, ca * x1],
+                   [c1 * x3, -c1 * x2, c1 * x1, c1 * x0]] for x0, x1, x2, x3 in prow]
+        rows.extend([z for blk in blocks for z in blk[r]] for r in range(4))
+    return d * c1, rows
 
 
 def regular_representation_det(X: QuatMatrix) -> Fraction:
@@ -312,46 +378,5 @@ def regular_representation_det(X: QuatMatrix) -> Fraction:
     an independent oracle."""
     if X.rows != X.cols:
         raise ValueError("square matrices only")
-    n = X.rows
-    alg = X.alg
-    units = [alg.one()] + list(alg.gens())
-    cols = []
-    for j in range(n):
-        for u in range(4):
-            vec = [alg.element(0)] * n
-            vec[j] = units[u]
-            out = []
-            for i in range(n):
-                acc = alg.element(0)
-                for k in range(n):
-                    acc = acc + X.entries[i][k] * vec[k]
-                out.append(acc)
-            col = []
-            for q in out:
-                col.extend(q.coords())
-            cols.append(col)
-    mat = [[cols[j][i] for j in range(4 * n)] for i in range(4 * n)]
-    return _det_rational(mat)
-
-
-def _det_rational(mat) -> Fraction:
-    n = len(mat)
-    m = [row[:] for row in mat]
-    det = Fraction(1)
-    sign = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            factor = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    return det * sign
+    den, rows = _left_mult_rows(X)
+    return Fraction(_bareiss_det(rows), den ** len(rows))

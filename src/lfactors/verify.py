@@ -197,10 +197,11 @@ def check_reduced_norm(seed: int, samples: int = 100) -> CheckResult:
         alg = algebras[k % 2]
         n = rng.randint(1, 3)
         X = _random_quat_matrix(rng, alg, n)
-        if matrix_reduced_norm(X) ** 2 != regular_representation_det(X):
+        nx = matrix_reduced_norm(X)
+        if nx ** 2 != regular_representation_det(X):
             bad += 1
         Y = _random_quat_matrix(rng, alg, n)
-        if matrix_reduced_norm(X * Y) != matrix_reduced_norm(X) * matrix_reduced_norm(Y):
+        if matrix_reduced_norm(X * Y) != nx * matrix_reduced_norm(Y):
             bad += 1
     return CheckResult("reduced-norm-vs-regular-representation", bad == 0, samples, float(bad))
 
@@ -568,7 +569,7 @@ def check_a_independence(seed: int) -> CheckResult:
         exprs = []
         for x in (Fraction(1), Fraction(4), Fraction(9, 4)):
             A = RegularNilpotentData(x)
-            g = gamma_capital(rep, omega, A, psi)
+            g = gamma_capital(rep, omega, A, psi, space)
             sign = MeroExpr.const(ExactConst.of(central_sign(rep)))
             exprs.append(mero_mul(g, sign, correction_R(space, omega, A, psi)))
         total += 1

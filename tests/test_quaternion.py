@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from lfactors.fields import LocalField
-from lfactors.quaternion import (QuatMatrix, QuaternionAlgebra,
-                                 matrix_reduced_norm,
-                                 regular_representation_det, split_embedding,
-                                 SqrtExt)
+from lfactors.quaternion import (QuatMatrix, QuaternionAlgebra, SqrtExt,
+                                 _bareiss_det, matrix_reduced_norm,
+                                 rational_det, regular_representation_det,
+                                 split_embedding)
 
 Q5 = LocalField.padic(5)
 R = LocalField.real()
@@ -85,3 +85,190 @@ def test_splitness_detection():
     assert QuaternionAlgebra(Q5, Fraction(-1), Fraction(-1)).is_split
     assert not D25.is_split
     assert not H.is_split
+
+
+# Reference: the Gaussian eliminations over Q and Q(sqrt a) that the
+# fraction-free integer kernel replaced, and the matrix product and
+# regular representation built from Quaternion products.
+
+def _det_rational(mat) -> Fraction:
+    n = len(mat)
+    m = [row[:] for row in mat]
+    det = Fraction(1)
+    sign = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] == 0:
+                continue
+            factor = m[r][col] * inv
+            for c in range(col, n):
+                m[r][c] -= factor * m[col][c]
+    return det * sign
+
+
+def _det_over_ext(mat, ext: SqrtExt):
+    n = len(mat)
+    m = [row[:] for row in mat]
+    det = ext.one()
+    sign = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if not ext.is_zero(m[r][col])), None)
+        if piv is None:
+            return ext.zero()
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
+        pivval = m[col][col]
+        det = ext.mul(det, pivval)
+        inv = ext.inv(pivval)
+        for r in range(col + 1, n):
+            if ext.is_zero(m[r][col]):
+                continue
+            factor = ext.mul(m[r][col], inv)
+            for c in range(col, n):
+                m[r][c] = ext.sub(m[r][c], ext.mul(factor, m[col][c]))
+    return det if sign == 1 else ext.neg(det)
+
+
+def _ref_reduced_norm(X: QuatMatrix) -> Fraction:
+    ext = SqrtExt(X.alg.a)
+    n = X.rows
+    big = [[ext.zero()] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            blk = split_embedding(X.entries[i][j], ext)
+            for di in range(2):
+                for dj in range(2):
+                    big[2 * i + di][2 * j + dj] = blk[di][dj]
+    det = _det_over_ext(big, ext)
+    assert det[1] == 0
+    return det[0]
+
+
+def _ref_matmul(X: QuatMatrix, Y: QuatMatrix) -> QuatMatrix:
+    rows = [[sum((X[i, k] * Y[k, j] for k in range(X.cols)), X.alg.element(0))
+             for j in range(Y.cols)] for i in range(X.rows)]
+    return QuatMatrix.from_rows(X.alg, rows)
+
+
+def _ref_regular_representation_det(X: QuatMatrix) -> Fraction:
+    n, alg = X.rows, X.alg
+    units = [alg.one()] + list(alg.gens())
+    cols = []
+    for j in range(n):
+        for u in units:
+            vec = [alg.element(0)] * n
+            vec[j] = u
+            image = _ref_matmul(X, QuatMatrix.from_rows(alg, [[v] for v in vec]))
+            cols.append([c for i in range(n) for c in image[i, 0].coords()])
+    return _det_rational([[cols[j][i] for j in range(4 * n)] for i in range(4 * n)])
+
+
+KERNEL_ALGEBRAS = [QuaternionAlgebra(Q5, Fraction(a), Fraction(b)) for a, b in (
+    (Fraction(3, 7), Fraction(-5, 2)),   # fractional a and b
+    (Fraction(-5, 2), Fraction(3, 7)),
+    (1, 3), (4, -1), (Fraction(9, 4), 5),  # a a rational square
+    (2, 5), (-1, -1))]
+
+
+def _random_entry(rng, alg, fractional):
+    if fractional:
+        return alg.element(*(Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(4)))
+    return alg.element(*(rng.randint(-3, 3) for _ in range(4)))
+
+
+def _random_kernel_matrix(rng, alg, n):
+    """A seeded n x n matrix; by turns fractional, singular (a repeated or
+    zero row, or a row that is a left multiple of another) or with a zero
+    (1,1) entry that makes the elimination swap rows."""
+    kind = rng.randrange(5)
+    rows = [[_random_entry(rng, alg, kind == 1) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and kind == 2:
+        c = _random_entry(rng, alg, False)
+        rows[1] = [c * x for x in rows[0]]
+    if n >= 1 and kind == 3:
+        rows[-1] = [alg.element(0)] * n
+    if n >= 2 and kind == 4:
+        rows[0][0] = alg.element(0)
+    return QuatMatrix.from_rows(alg, rows)
+
+
+@pytest.mark.parametrize("alg", KERNEL_ALGEBRAS, ids=str)
+def test_kernel_against_fraction_elimination(alg):
+    rng = random.Random(17)
+    singular = 0
+    for k in range(40):
+        n = k % 4  # n = 0 included
+        X = _random_kernel_matrix(rng, alg, n)
+        Y = _random_kernel_matrix(rng, alg, n)
+        nrd = matrix_reduced_norm(X)
+        assert nrd == _ref_reduced_norm(X)
+        assert regular_representation_det(X) == _ref_regular_representation_det(X)
+        assert X * Y == _ref_matmul(X, Y)
+        singular += nrd == 0
+    assert singular >= 5
+
+
+def test_matrix_product_shapes():
+    X = QuatMatrix.from_rows(D25, [[D25.element(1, 2, 3, 4), D25.element(Fraction(1, 3))]])
+    Y = QuatMatrix.from_rows(D25, [[D25.element(0, Fraction(-1, 2))], [D25.element(5, 0, 1)]])
+    assert X * Y == _ref_matmul(X, Y) and (X * Y).rows == (X * Y).cols == 1
+    assert Y * X == _ref_matmul(Y, X) and (Y * X).rows == 2
+    with pytest.raises(ValueError):
+        X * X
+    with pytest.raises(ValueError):
+        X * QuatMatrix.from_rows(H, [[1], [1]])
+
+
+def test_rational_det_against_fraction_elimination():
+    rng = random.Random(23)
+    assert rational_det([]) == 1
+    for k in range(60):
+        n = k % 6 + 1
+        mat = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+               for _ in range(n)]
+        if k % 3 == 1:
+            mat[0][0] = Fraction(0)
+        if k % 5 == 2 and n >= 2:
+            mat[-1] = [2 * x for x in mat[0]]
+        assert rational_det(mat) == _det_rational(mat)
+
+
+@pytest.mark.parametrize("A", [2, -3, 10, -1])
+def test_bareiss_over_quadratic_ring(A):
+    """Matrices over Z[sqrt A] with determinants that have a nonzero sqrt part."""
+    rng = random.Random(A)
+    ext = SqrtExt(A)
+    assert _bareiss_det([], A) == (1, 0)
+    for k in range(40):
+        n = k % 5 + 1
+        mat = [[(rng.randint(-5, 5), rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        if k % 4 == 1:
+            mat[0][0] = (0, 0)
+        if k % 6 == 3 and n >= 2:
+            mat[1] = mat[0][:]
+        want = _det_over_ext([[ext.make(u, v) for u, v in row] for row in mat], ext)
+        assert _bareiss_det(mat, A) == want
+
+
+def test_residual_sqrt_part_is_an_error(monkeypatch):
+    """An embedding whose determinant keeps a sqrt(a) part must not be
+    reported as a reduced norm."""
+    import lfactors.quaternion as quaternion
+
+    def skewed(x, ext):
+        return [[ext.make(x.x0, x.x1), ext.make(0)], [ext.make(0), ext.make(1)]]
+
+    monkeypatch.setattr(quaternion, "split_embedding", skewed)
+    X = QuatMatrix.from_rows(D25, [[D25.element(1, 1)]])
+    with pytest.raises(ArithmeticError):
+        matrix_reduced_norm(X)
+    assert matrix_reduced_norm(QuatMatrix.from_rows(D25, [[D25.element(3)]])) == 3
