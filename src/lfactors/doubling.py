@@ -350,7 +350,7 @@ def _omega_s_power(omega: MultCharacter, y: Fraction, k: int) -> MeroExpr:
     """omega_s(y)^k = omega(y)^k |y|^{ks} as a MeroExpr (Gamma-side s)."""
     y = as_fraction(y)
     c = _char_value_exact(omega, y)
-    const = MeroExpr.const(c ** k if not isinstance(c, complex) else c ** k)
+    const = MeroExpr.const(c ** k)
     field = omega.field
     if field.is_real:
         absy = abs(y)
@@ -410,13 +410,7 @@ def _abs_power(field: LocalField, a: Fraction, form: LinForm) -> MeroExpr:
     orda = valuation(field, a)
     if orda == 0:
         return MeroExpr.one()
-    return MeroExpr.exp(Fraction(field.q), LinForm(-form.alpha * orda, _scale(form.beta, -orda)))
-
-
-def _scale(beta, k: int):
-    if isinstance(beta, Fraction):
-        return beta * k
-    return complex(beta) * k
+    return MeroExpr.exp(Fraction(field.q), form.times(-orda))
 
 
 def normalization_c(space: HermitianSpace, omega: MultCharacter, A: RegularNilpotentData,
@@ -445,13 +439,9 @@ def _normalization_c_base(space: HermitianSpace, omega: MultCharacter,
     else:  # n Tate gammas at 2s - 2i
         k, step, two_pow = n, 2, LinForm(Fraction(-2 * n), Fraction(n) * (Fraction(n) - Fraction(1, 2)))
     return mero_mul(MeroExpr.const(ExactConst.of(e)), MeroExpr.const(w4 ** (-k)),
-                    _abs2_power(space.field, two_pow),
+                    _abs_power(space.field, Fraction(2), two_pow),
                     *(g.subst(2, -step * i).inv() for i in range(k)),
                     correction_R(space, omega, A, psi).inv())
-
-
-def _abs2_power(field: LocalField, form: LinForm) -> MeroExpr:
-    return _abs_power(field, Fraction(2), form)
 
 
 def gamma_capital(rep: RepDatum, omega: MultCharacter, A: RegularNilpotentData,
@@ -477,8 +467,8 @@ def zeta_fe_factor(rep: RepDatum, omega: MultCharacter, psi: AddCharacter,
     return mero_mul(MeroExpr.const(ExactConst.of(e * central_sign(rep))),
                     MeroExpr.const(w4 ** (-n)),
                     gamma_factor(rep, omega, psi).subst(1, Fraction(1, 2)),
-                    _abs2_power(space.field,
-                                LinForm(Fraction(-2 * n), Fraction(n) * (Fraction(n) - Fraction(1, 2)))),
+                    _abs_power(space.field, Fraction(2),
+                               LinForm(Fraction(-2 * n), Fraction(n) * (Fraction(n) - Fraction(1, 2)))),
                     *(g.subst(2, -2 * i).inv() for i in range(n)))
 
 

@@ -54,9 +54,7 @@ class ExactConst:
 
     @staticmethod
     def of(v) -> "ExactConst":
-        if isinstance(v, ExactConst):
-            return v
-        return ExactConst(Fraction(v))
+        return v if isinstance(v, ExactConst) else ExactConst(Fraction(v))
 
     @staticmethod
     def half_power(base: Fraction, k: int) -> "ExactConst":
@@ -77,7 +75,11 @@ class ExactConst:
         return ExactConst(rat, 0, frozenset(roots))
 
     def __mul__(self, other) -> "ExactConst":
-        o = ExactConst.of(other)
+        o = other if type(other) is ExactConst else ExactConst.of(other)
+        if self.is_one:
+            return o
+        if o.is_one:
+            return self
         rat = self.rat * o.rat
         for p in self.roots & o.roots:  # sqrt(p)^2 = p
             rat *= p
@@ -110,7 +112,7 @@ class ExactConst:
 
     @property
     def is_one(self) -> bool:
-        return self.rat == 1 and self.ipow == 0 and not self.roots
+        return self.ipow == 0 and not self.roots and self.rat == 1
 
     @property
     def is_rational(self) -> bool:
@@ -136,10 +138,8 @@ class ExactConst:
     def __str__(self):
         if self.rat == 0:
             return "0"
-        rat, ipow = self.rat, self.ipow
-        if ipow >= 2:  # i^2 = -1
-            rat, ipow = -rat, ipow - 2
-        parts = (["i"] if ipow == 1 else []) + [f"sqrt({p})" for p in sorted(self.roots)]
+        rat = self.rat
+        parts = (["i"] if self.ipow == 1 else []) + [f"sqrt({p})" for p in sorted(self.roots)]
         if not parts:
             return str(rat)
         body = " * ".join(parts)

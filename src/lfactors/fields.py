@@ -85,7 +85,7 @@ class LocalField:
 
 
 def as_fraction(x: Rational) -> Fraction:
-    v = Fraction(x)
+    v = x if type(x) is Fraction else Fraction(x)
     if v == 0:
         raise ValueError("field elements must be nonzero")
     return v

@@ -12,9 +12,11 @@ invert, substitute s -> a's + b', evaluate numerically through one
 vectorised kernel (eval_log_batch: numpy over an atoms x points grid, one
 scipy loggamma call for all Gamma atoms), which also serves the seeded
 sampling comparisons, and round-trip exactly through text and JSON.
-Atoms and linear forms compute their hash and sort key once, at
-construction; a product of any number of expressions (mero_mul) gathers
-all their atoms and canonicalises once.
+The core is on Python ints: a LinForm holds alpha = an/ad and an exact beta
+= bn/bd in lowest terms (normal forms over Z, Geddes-Czapor-Labahn ch. 2),
+or an inexact beta rounded to a 2^-40 grid, and both as floats for the
+kernel.  Slotted atoms with with_form make subst one affine composition
+per atom; mero_mul canonicalises once, whatever the number of factors.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from math import gcd
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -57,20 +59,12 @@ def _beta_norm(b) -> BetaLike:
         return b
     if isinstance(b, int):
         return Fraction(b)
-    if isinstance(b, float) and float(b).is_integer():
-        return Fraction(int(b))
     b = complex(b)
     if b.imag == 0 and b.real.is_integer():
         return Fraction(int(b.real))
     # quantize inexact parameters so that float-sum associativity cannot
     # split canonically equal atoms (grid ~ 9e-13)
     return complex(round(b.real * _QUANT) / _QUANT, round(b.imag * _QUANT) / _QUANT)
-
-
-def _beta_add(x: BetaLike, y: BetaLike) -> BetaLike:
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x + y
-    return _beta_norm(complex(x) + complex(y))
 
 
 def _beta_key(b: BetaLike):
@@ -85,125 +79,215 @@ def _beta_str(b: BetaLike) -> str:
     return f"[{b.real!r}{'+' if b.imag >= 0 else '-'}{abs(b.imag)!r}i]"
 
 
-def _seal(obj, fields: tuple, key: tuple) -> None:
-    """Stores, once, the hash of the field values that the dataclass __eq__
-    compares (so 1/2 and 0.5+0j hash alike, as they compare equal) and the
-    sort key."""
-    object.__setattr__(obj, "_hash", hash(fields))
-    object.__setattr__(obj, "_key", key)
+def _beta_eq(b: BetaLike) -> tuple:
+    """The sort key of b, except that a complex b with zero imaginary part is
+    keyed as the fraction it equals: 1/2 and 0.5+0j compare equal and hash
+    alike, as Fraction == complex has them."""
+    if type(b) is complex and b.imag == 0:
+        return ("Q",) + b.real.as_integer_ratio()
+    return _beta_key(b)
 
 
-def _sealed_hash(self) -> int:
-    return self._hash
+def _qstr(n: int, d: int) -> str:
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
-def _sealed_key(self) -> tuple:
-    return self._key
+def _reduce(n: int, d: int) -> tuple[int, int]:
+    g = gcd(n, d)
+    return n // g, d // g
 
 
-@dataclass(frozen=True)
 class LinForm:
-    """alpha * s + beta with rational alpha."""
+    """alpha * s + beta on Python ints: alpha = an/ad and beta = bn/bd in lowest
+    terms with positive denominators, or, when bn is None, the complex bf on
+    the _QUANT grid.  af and bf hold alpha and beta as numbers (bf a float when
+    exact) for the numeric kernel.  A value: do not assign to its fields."""
 
-    alpha: Fraction
-    beta: BetaLike
+    __slots__ = ("an", "ad", "bn", "bd", "af", "bf", "key", "_eq", "_hash")
 
-    def __post_init__(self):
-        alpha = self.alpha if type(self.alpha) is Fraction else Fraction(self.alpha)
-        beta = _beta_norm(self.beta)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        _seal(self, (alpha, beta), (alpha.numerator, alpha.denominator, _beta_key(beta)))
+    def __new__(cls, alpha, beta=0):
+        alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
+        return _form(alpha.numerator, alpha.denominator, _beta_norm(beta))
 
-    __hash__, key = _sealed_hash, _sealed_key
-
-    @staticmethod
-    def of(alpha, beta=0) -> "LinForm":
-        return LinForm(Fraction(alpha), beta)
-
-    def compose(self, a: Fraction, b: BetaLike) -> "LinForm":
-        """This form evaluated at a*s + b."""
-        return LinForm(self.alpha * Fraction(a), _beta_add(self.beta, _scale_beta(self.alpha, b)))
-
-    def shift(self, b: BetaLike) -> "LinForm":
-        return LinForm(self.alpha, _beta_add(self.beta, _scale_beta(self.alpha, b)))
-
-    def plus(self, other: "LinForm") -> "LinForm":
-        return LinForm(self.alpha + other.alpha, _beta_add(self.beta, other.beta))
-
-    def times(self, k: int) -> "LinForm":
-        return LinForm(self.alpha * k, _scale_beta(Fraction(k), self.beta))
+    def __reduce__(self):
+        return LinForm, (self.alpha, self.beta)
 
     @property
-    def is_zero(self) -> bool:
-        return self.alpha == 0 and self.beta == 0
+    def alpha(self) -> Fraction:
+        return Fraction(self.an, self.ad)
+
+    @property
+    def beta(self) -> BetaLike:
+        return self.bf if self.bn is None else Fraction(self.bn, self.bd)
+
+    def __eq__(self, other):
+        return type(other) is LinForm and self._eq == other._eq
+
+    def __hash__(self):
+        return self._hash
+
+    def compose(self, a: Fraction | int, b) -> "LinForm":
+        """This form evaluated at a*s + b."""
+        alpha = _reduce(self.an * a.numerator, self.ad * a.denominator)
+        return _form(*alpha, self._plus_beta(self._scaled(b)))
+
+    def shift(self, b) -> "LinForm":
+        return self.compose(1, b)
+
+    def plus(self, other: "LinForm") -> "LinForm":
+        alpha = _reduce(self.an * other.ad + other.an * self.ad, self.ad * other.ad)
+        beta = other.bf if other.bn is None else (other.bn, other.bd)
+        return _form(*alpha, self._plus_beta(beta))
+
+    def times(self, k: int) -> "LinForm":
+        beta = (_reduce(self.bn * k, self.bd) if self.bn is not None
+                else _beta_norm(_beta_norm(complex(k) * self.bf)))
+        return _form(*_reduce(self.an * k, self.ad), beta)
+
+    def _scaled(self, b):
+        """alpha * b, as (n, d) in lowest terms or a complex on the grid.  Only
+        a Fraction b is exact: any other b is scaled in floats and rounded,
+        which for an int b and an integral alpha gives the exact product (as
+        long as it is at most 2^53, so that every factor is a float exactly)."""
+        if type(b) is Fraction:
+            return _reduce(self.an * b.numerator, self.ad * b.denominator)
+        if type(b) is int and self.ad == 1 and abs(p := self.an * b) <= 2 ** 53:
+            return p, 1
+        v = _beta_norm(complex(self.af) * complex(b))
+        return (v.numerator, 1) if type(v) is Fraction else v
+
+    def _plus_beta(self, y):
+        """beta + y for y as _scaled returns it: exact when both are, else the
+        complex sum rounded to the grid (the second of two roundings).  Like
+        every arithmetic result it is then exact if it lies on an integer."""
+        if self.bn is not None and type(y) is tuple:
+            return _reduce(self.bn * y[1] + y[0] * self.bd, self.bd * y[1])
+        y = complex(y[0] / y[1] if type(y) is tuple else y)
+        return _beta_norm(_beta_norm(complex(self.bf) + y))
 
     def __str__(self):
-        a = self.alpha
-        if a == 0:
-            return _beta_str(self.beta)
-        if a == 1:
-            head = "s"
-        elif a == -1:
-            head = "-s"
-        else:
-            head = f"{a}s"
-        if self.beta == 0:
+        beta = _beta_str(self.bf) if self.bn is None else _qstr(self.bn, self.bd)
+        if self.an == 0:
+            return beta
+        a = _qstr(self.an, self.ad)
+        head = "s" if a == "1" else "-s" if a == "-1" else f"{a}s"
+        if self.bn == 0 or self.bn is None and self.bf == 0:
             return head
-        bs = _beta_str(self.beta)
-        if isinstance(self.beta, Fraction) and self.beta < 0:
-            return f"{head}{bs}"
-        return f"{head}+{bs}"
+        return head + beta if beta[0] == "-" else f"{head}+{beta}"
+
+    __repr__ = __str__
 
 
-def _scale_beta(a: Fraction, b: BetaLike) -> BetaLike:
-    if isinstance(b, Fraction):
-        return a * b
-    return _beta_norm(complex(a) * complex(b))
+def _form(an: int, ad: int, beta) -> LinForm:
+    """The form with alpha = an/ad in lowest terms and beta given as (n, d) in
+    lowest terms, a Fraction, or a complex on the grid."""
+    if type(beta) is Fraction:
+        beta = beta.numerator, beta.denominator
+    f = object.__new__(LinForm)
+    f.an, f.ad, f.af = an, ad, an / ad
+    if type(beta) is tuple:
+        bn, bd = f.bn, f.bd = beta
+        f.bf = bn / bd
+        f._eq = f.key = (an, ad, ("Q", bn, bd))
+    else:
+        f.bn = f.bd = None
+        f.bf = beta
+        f.key, f._eq = (an, ad, _beta_key(beta)), (an, ad, _beta_eq(beta))
+    f._hash = hash(f._eq)
+    return f
 
 
-@dataclass(frozen=True)
-class ExpAtom:
-    base: Fraction  # positive
-    form: LinForm
+class _Atom:
+    """An atom of a MeroExpr.  Atoms of one class with equal fields are equal
+    and hash alike, an exact field equal to a complex one included (1/2 and
+    0.5+0j); key orders atoms in the canonical text.  A value: do not assign
+    to its fields."""
 
-    def __post_init__(self):
-        _seal(self, (self.base, self.form),
-              (0, self.base.numerator, self.base.denominator) + self.form._key)
+    __slots__ = ("form", "key", "_eq", "_hash")
 
-    __hash__, key = _sealed_hash, _sealed_key
+    def _set_form(self, head_eq: tuple, head_key: tuple, form: LinForm) -> None:
+        self.form = form
+        self._eq = head_eq + form._eq
+        self._hash = hash(self._eq)
+        self.key = head_key + form.key
 
+    def __eq__(self, other):
+        return type(other) is type(self) and self._eq == other._eq
 
-@dataclass(frozen=True)
-class GammaRAtom:
-    form: LinForm
+    def __hash__(self):
+        return self._hash
 
-    def __post_init__(self):
-        _seal(self, (self.form,), (1,) + self.form._key)
-
-    __hash__, key = _sealed_hash, _sealed_key
-
-
-@dataclass(frozen=True)
-class GammaCAtom:
-    form: LinForm
-
-    def __post_init__(self):
-        _seal(self, (self.form,), (2,) + self.form._key)
-
-    __hash__, key = _sealed_hash, _sealed_key
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
 
 
-@dataclass(frozen=True)
-class LAtom:
-    q: int
-    z: BetaLike  # value at a uniformizer
-    form: LinForm
+class ExpAtom(_Atom):
+    """base^form for a positive rational base."""
 
-    def __post_init__(self):
-        _seal(self, (self.q, self.z, self.form), (3, self.q, _beta_key(self.z)) + self.form._key)
+    __slots__ = ("base",)
 
-    __hash__, key = _sealed_hash, _sealed_key
+    def __init__(self, base: Fraction, form: LinForm):
+        self.base = base
+        head = (0, base.numerator, base.denominator)
+        self._set_form(head, head, form)
+
+    def with_form(self, form: LinForm) -> "ExpAtom":
+        return ExpAtom(self.base, form)
+
+    def __str__(self):
+        return f"{self.base}^({self.form})"
+
+    def to_json(self) -> dict:
+        return {"type": "exp", "base": str(self.base), "arg": _form_json(self.form)}
+
+
+class _GammaAtom(_Atom):
+    """A Gamma factor; subclasses set its sort-key head, name and JSON type."""
+
+    __slots__ = ()
+
+    def __init__(self, form: LinForm):
+        self._set_form(self._head, self._head, form)
+
+    def with_form(self, form: LinForm) -> "_GammaAtom":
+        return type(self)(form)
+
+    def __str__(self):
+        return f"{self._name}({self.form})"
+
+    def to_json(self) -> dict:
+        return {"type": self._json_type, "arg": _form_json(self.form)}
+
+
+class GammaRAtom(_GammaAtom):
+    __slots__ = ()
+    _head, _name, _json_type = (1,), "GammaR", "gammaR"
+
+
+class GammaCAtom(_GammaAtom):
+    __slots__ = ()
+    _head, _name, _json_type = (2,), "GammaC", "gammaC"
+
+
+class LAtom(_Atom):
+    """(1 - z q^{-form})^{-1}; z is the value at a uniformizer, zf the same
+    as a number."""
+
+    __slots__ = ("q", "z", "zf")
+
+    def __init__(self, q: int, z: BetaLike, form: LinForm):
+        self.q, self.z = q, z
+        self.zf = z if type(z) is complex else z.numerator / z.denominator
+        self._set_form((3, q, _beta_eq(z)), (3, q, _beta_key(z)), form)
+
+    def with_form(self, form: LinForm) -> "LAtom":
+        return LAtom(self.q, self.z, form)
+
+    def __str__(self):
+        return f"Lnf({self.q}; {_beta_str(self.z)}; {self.form})"
+
+    def to_json(self) -> dict:
+        return {"type": "lnf", "q": self.q, "z": _beta_json(self.z), "arg": _form_json(self.form)}
 
 
 Atom = ExpAtom | GammaRAtom | GammaCAtom | LAtom
@@ -211,7 +295,7 @@ Atom = ExpAtom | GammaRAtom | GammaCAtom | LAtom
 
 def _atom_sort_key(item):
     atom, power = item
-    return atom.key() + (power,)
+    return atom.key + (power,)
 
 
 class MeroExpr:
@@ -232,7 +316,7 @@ class MeroExpr:
     # -- constructors -------------------------------------------------
     @staticmethod
     def const(c) -> "MeroExpr":
-        return MeroExpr(c if isinstance(c, (ExactConst, complex)) else ExactConst.of(c), ())
+        return MeroExpr(c)
 
     @staticmethod
     def one() -> "MeroExpr":
@@ -267,8 +351,8 @@ class MeroExpr:
     def subst(self, a, b=0) -> "MeroExpr":
         """s |-> a*s + b in every atom argument."""
         a = Fraction(a)
-        return MeroExpr(self.prefactor,
-                        [(_atom_subst(atom, a, b), k) for atom, k in self.atoms])
+        return MeroExpr(self.prefactor, [(atom.with_form(atom.form.compose(a, b)), k)
+                                         for atom, k in self.atoms])
 
     @property
     def is_constant(self) -> bool:
@@ -329,9 +413,7 @@ def _pref_mul(x, y):
 
 
 def _pref_inv(x):
-    if isinstance(x, ExactConst):
-        return x.inverse()
-    return 1 / x
+    return x.inverse() if isinstance(x, ExactConst) else 1 / x
 
 
 def _pref_eq(x, y) -> bool:
@@ -353,7 +435,7 @@ def _canonicalize(prefactor, groups):
         for atom, k in atoms:
             if k == 0:
                 continue
-            if isinstance(atom, ExpAtom):
+            if type(atom) is ExpAtom:
                 if atom.base == 1:
                     continue
                 cur = exp_forms.get(atom.base)
@@ -364,33 +446,19 @@ def _canonicalize(prefactor, groups):
         for atom in [a for a, k in table.items() if k == 0]:
             del table[atom]
     for base, form in exp_forms.items():
-        if form.is_zero:
-            continue
         # canonical form: pure alpha*s exponent, constant part in the prefactor
-        if form.beta != 0:
-            pref = _pref_mul(pref, _const_power(base, form.beta))
-        if form.alpha == 0:
-            continue
-        atom = ExpAtom(base, LinForm(form.alpha, Fraction(0)))
-        table[atom] = table.get(atom, 0) + 1
+        if form.bf != 0:
+            pref = _pref_mul(pref, _const_power(base, form))
+        if form.an != 0:  # the only exponential atom of this base
+            table[ExpAtom(base, _form(form.an, form.ad, (0, 1)))] = 1
     return pref, tuple(sorted(table.items(), key=_atom_sort_key))
 
 
-def _const_power(base: Fraction, beta: BetaLike):
+def _const_power(base: Fraction, form: LinForm):
     """base^beta as a constant, exact when beta is a half-integer."""
-    if isinstance(beta, Fraction) and beta.denominator in (1, 2):
-        return ExactConst.half_power(base, int(beta * 2))
-    return cmath.exp(complex(beta) * cmath.log(float(base)))
-
-
-def _atom_subst(atom: Atom, a: Fraction, b) -> Atom:
-    if isinstance(atom, ExpAtom):
-        return ExpAtom(atom.base, atom.form.compose(a, b))
-    if isinstance(atom, GammaRAtom):
-        return GammaRAtom(atom.form.compose(a, b))
-    if isinstance(atom, GammaCAtom):
-        return GammaCAtom(atom.form.compose(a, b))
-    return LAtom(atom.q, atom.z, atom.form.compose(a, b))
+    if form.bn is not None and form.bd <= 2:
+        return ExactConst.half_power(base, form.bn * 2 // form.bd)
+    return cmath.exp(complex(form.bf) * cmath.log(float(base)))
 
 
 # -- algebra helpers ----------------------------------------------------
@@ -418,21 +486,20 @@ def twist_nonarch(x: MeroExpr, q: int, z, t) -> MeroExpr:
     pref = x.prefactor
     out: list[tuple[Atom, int]] = []
     for atom, k in x.atoms:
-        if isinstance(atom, LAtom):
+        if type(atom) is LAtom:
             if atom.q != q:
                 raise UnsupportedExpressionError("mixed residue fields under twist")
-            alpha = atom.form.alpha
-            if alpha.denominator != 1:
+            if atom.form.ad != 1:
                 raise UnsupportedExpressionError("non-integer s-coefficient under z-twist")
-            znew = _mul_beta(atom.z, _int_pow(z, int(alpha)))
+            znew = _beta_norm(atom.z * z ** atom.form.an)
             out.append((LAtom(atom.q, znew, atom.form.shift(t)), k))
-        elif isinstance(atom, ExpAtom):
-            r = _log_base(atom.base, q)
-            e = r * atom.form.alpha
+        elif type(atom) is ExpAtom:
+            e = _log_base(atom.base, q) * atom.form.alpha
             if e.denominator != 1:
                 raise UnsupportedExpressionError("twist needs integral q-power exponents")
-            pref = _pref_mul(pref, _inv_pow_const(z, int(e) * k))
-            out.append((ExpAtom(atom.base, atom.form.shift(t)), k))
+            v = z ** -(int(e) * k)
+            pref = _pref_mul(pref, ExactConst.of(v) if type(v) is Fraction else v)
+            out.append((atom.with_form(atom.form.shift(t)), k))
         else:
             raise UnsupportedExpressionError("archimedean atom under nonarchimedean twist")
     return MeroExpr(pref, out)
@@ -446,25 +513,6 @@ def _log_base(b: Fraction, q: int) -> Fraction:
         if Fraction(q) ** -r == b:
             return Fraction(-r)
     raise UnsupportedExpressionError(f"base {b} is not an integral power of {q}")
-
-
-def _int_pow(z: BetaLike, k: int):
-    if isinstance(z, Fraction):
-        return z ** k
-    return complex(z) ** k
-
-
-def _mul_beta(x: BetaLike, y) -> BetaLike:
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x * y
-    return _beta_norm(complex(x) * complex(y))
-
-
-def _inv_pow_const(z: BetaLike, e: int):
-    v = _int_pow(z, -e)
-    if isinstance(v, Fraction):
-        return ExactConst.of(v)
-    return v
 
 
 # -- numeric evaluation ----------------------------------------------------
@@ -485,19 +533,19 @@ def eval_log_batch(exprs: Sequence[MeroExpr], points) -> np.ndarray:
         pref = x.prefactor.to_complex() if x.is_exact else x.prefactor
         c, m = (cmath.log(pref) if pref != 0 else cmath.nan), 0j
         for atom, k in x.atoms:
-            a, b = _as_number(atom.form.alpha), _as_number(atom.form.beta)
-            if isinstance(atom, ExpAtom):
+            a, b, kind = atom.form.af, atom.form.bf, type(atom)
+            if kind is ExpAtom:
                 lnb = math.log(atom.base)
                 m, c = m + k * a * lnb, c + k * b * lnb
-            elif isinstance(atom, GammaRAtom):  # pi^{-z/2} Gamma(z/2)
+            elif kind is GammaRAtom:  # pi^{-z/2} Gamma(z/2)
                 m, c = m - k * a / 2 * _LN_PI, c - k * b / 2 * _LN_PI
                 gamma.append((i, k, a / 2, b / 2))
-            elif isinstance(atom, GammaCAtom):  # 2 (2 pi)^{-z} Gamma(z)
+            elif kind is GammaCAtom:  # 2 (2 pi)^{-z} Gamma(z)
                 m, c = m - k * a * _LN_2PI, c + k * (_LN_2 - b * _LN_2PI)
                 gamma.append((i, k, a, b))
             else:
                 lq = math.log(atom.q)
-                lnf.append((i, k, -a * lq, -b * lq, _as_number(atom.z)))
+                lnf.append((i, k, -a * lq, -b * lq, atom.zf))
         affine.append((c, m))
     with np.errstate(all="ignore"):
         cm = np.array(affine, dtype=complex)
@@ -525,10 +573,6 @@ def eval_batch(exprs: Sequence[MeroExpr], points) -> np.ndarray:
         out = np.exp(eval_log_batch(exprs, points))
     out[~np.isfinite(out)] = np.nan
     return out
-
-
-def _as_number(v: BetaLike) -> float | complex:
-    return v if isinstance(v, complex) else v.numerator / v.denominator
 
 
 # -- numeric comparison --------------------------------------------------
@@ -564,32 +608,16 @@ def max_rel_error(x: MeroExpr, y: MeroExpr, samples: int = 24, seed: int = 20240
 
 # -- canonical text form --------------------------------------------------
 
-def _atom_str(atom: Atom) -> str:
-    if isinstance(atom, ExpAtom):
-        return f"{atom.base}^({atom.form})"
-    if isinstance(atom, GammaRAtom):
-        return f"GammaR({atom.form})"
-    if isinstance(atom, GammaCAtom):
-        return f"GammaC({atom.form})"
-    return f"Lnf({atom.q}; {_beta_str(atom.z) if not isinstance(atom.z, Fraction) else atom.z}; {atom.form})"
-
-
 def format_expr(x: MeroExpr) -> str:
     num = [(a, k) for a, k in x.atoms if k > 0]
     den = [(a, -k) for a, k in x.atoms if k < 0]
-    if isinstance(x.prefactor, ExactConst):
-        pref = str(x.prefactor)
-        pref_trivial = x.prefactor.is_one
-    else:
-        pref = _beta_str(x.prefactor)
-        pref_trivial = False
     parts = []
-    if not pref_trivial or not num:
-        parts.append(pref)
-    parts += [_atom_str(a) + (f"^{k}" if k != 1 else "") for a, k in num]
+    if not (x.is_exact and x.prefactor.is_one) or not num:
+        parts.append(str(x.prefactor) if x.is_exact else _beta_str(x.prefactor))
+    parts += [str(a) + (f"^{k}" if k != 1 else "") for a, k in num]
     text = " * ".join(parts) if parts else "1"
     if den:
-        dparts = [_atom_str(a) + (f"^{k}" if k != 1 else "") for a, k in den]
+        dparts = [str(a) + (f"^{k}" if k != 1 else "") for a, k in den]
         dtext = " * ".join(dparts)
         if len(dparts) > 1:
             dtext = f"({dtext})"
@@ -615,21 +643,11 @@ def _beta_from_json(v) -> BetaLike:
 
 
 def _form_json(f: LinForm):
-    return {"alpha": str(f.alpha), "beta": _beta_json(f.beta)}
+    return {"alpha": _qstr(f.an, f.ad), "beta": _beta_json(f.beta)}
 
 
 def _form_from_json(d) -> LinForm:
     return LinForm(Fraction(d["alpha"]), _beta_from_json(d["beta"]))
-
-
-def _atom_json(atom: Atom):
-    if isinstance(atom, ExpAtom):
-        return {"type": "exp", "base": str(atom.base), "arg": _form_json(atom.form)}
-    if isinstance(atom, GammaRAtom):
-        return {"type": "gammaR", "arg": _form_json(atom.form)}
-    if isinstance(atom, GammaCAtom):
-        return {"type": "gammaC", "arg": _form_json(atom.form)}
-    return {"type": "lnf", "q": atom.q, "z": _beta_json(atom.z), "arg": _form_json(atom.form)}
 
 
 def _atom_from_json(d) -> Atom:
@@ -637,10 +655,9 @@ def _atom_from_json(d) -> Atom:
     form = _form_from_json(d["arg"])
     if t == "exp":
         return ExpAtom(Fraction(d["base"]), form)
-    if t == "gammaR":
-        return GammaRAtom(form)
-    if t == "gammaC":
-        return GammaCAtom(form)
+    for cls in (GammaRAtom, GammaCAtom):
+        if t == cls._json_type:
+            return cls(form)
     if t == "lnf":
         return LAtom(int(d["q"]), _beta_from_json(d["z"]), form)
     raise ValueError(f"unknown atom type {t!r}")
@@ -655,8 +672,8 @@ def to_json(x: MeroExpr) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "prefactor": pref,
-        "numerator": [dict(_atom_json(a), power=k) for a, k in x.atoms if k > 0],
-        "denominator": [dict(_atom_json(a), power=-k) for a, k in x.atoms if k < 0],
+        "numerator": [dict(a.to_json(), power=k) for a, k in x.atoms if k > 0],
+        "denominator": [dict(a.to_json(), power=-k) for a, k in x.atoms if k < 0],
     }
 
 
@@ -666,11 +683,8 @@ def from_json(d: dict) -> MeroExpr:
         pref = ExactConst(Fraction(p["rat"]), int(p["ipow"]), frozenset(int(r) for r in p["roots"]))
     else:
         pref = complex(p["re"], p["im"])
-    atoms: list[tuple[Atom, int]] = []
-    for entry in d.get("numerator", []):
-        atoms.append((_atom_from_json(entry), int(entry["power"])))
-    for entry in d.get("denominator", []):
-        atoms.append((_atom_from_json(entry), -int(entry["power"])))
+    atoms = [(_atom_from_json(e), int(e["power"])) for e in d.get("numerator", [])]
+    atoms += [(_atom_from_json(e), -int(e["power"])) for e in d.get("denominator", [])]
     return MeroExpr(pref, atoms)
 
 
@@ -742,12 +756,8 @@ class _Tok:
 def _parse_bracket_complex(tk: _Tok) -> complex:
     tk.expect("[")
     re = tk.float_number()
-    tk.skip_ws()
-    sign = 1.0
-    if tk.try_lit("+"):
-        sign = 1.0
-    elif tk.try_lit("-"):
-        sign = -1.0
+    sign = -1.0 if tk.try_lit("-") else 1.0
+    tk.try_lit("+")
     im = sign * tk.float_number()
     tk.expect("i")
     tk.expect("]")
@@ -787,14 +797,11 @@ def _parse_linform(tk: _Tok) -> LinForm:
 def _parse_atom_or_const(tk: _Tok):
     """Returns ('atom', Atom) or ('const', ExactConst|complex)."""
     tk.skip_ws()
-    if tk.try_lit("GammaR("):
-        form = _parse_linform(tk)
-        tk.expect(")")
-        return "atom", GammaRAtom(form)
-    if tk.try_lit("GammaC("):
-        form = _parse_linform(tk)
-        tk.expect(")")
-        return "atom", GammaCAtom(form)
+    for cls in (GammaRAtom, GammaCAtom):
+        if tk.try_lit(cls._name + "("):
+            form = _parse_linform(tk)
+            tk.expect(")")
+            return "atom", cls(form)
     if tk.try_lit("Lnf("):
         q = int(tk.number())
         tk.expect(";")
@@ -804,14 +811,11 @@ def _parse_atom_or_const(tk: _Tok):
         form = _parse_linform(tk)
         tk.expect(")")
         return "atom", LAtom(q, _beta_norm(z), form)
-    if tk.try_lit("sqrt("):
-        p = int(tk.number())
-        tk.expect(")")
-        return "const", ExactConst(Fraction(1), 0, frozenset([p]))
-    if tk.try_lit("-sqrt("):
-        p = int(tk.number())
-        tk.expect(")")
-        return "const", ExactConst(Fraction(-1), 0, frozenset([p]))
+    for rat, lit in ((1, "sqrt("), (-1, "-sqrt(")):
+        if tk.try_lit(lit):
+            p = int(tk.number())
+            tk.expect(")")
+            return "const", ExactConst(Fraction(rat), 0, frozenset([p]))
     if tk.peek() == "[":
         return "const", _parse_bracket_complex(tk)
     if tk.try_lit("-i"):
@@ -850,11 +854,10 @@ def parse_expr(text: str) -> MeroExpr:
     tk = _Tok(text)
     pref, atoms = _parse_product(tk, +1)
     if tk.try_lit("/"):
-        if tk.try_lit("("):
-            dpref, datoms = _parse_product(tk, -1)
+        paren = tk.try_lit("(")
+        dpref, datoms = _parse_product(tk, -1)
+        if paren:
             tk.expect(")")
-        else:
-            dpref, datoms = _parse_product(tk, -1)
         pref = _pref_mul(pref, _pref_inv(dpref))
         atoms += datoms
     if not tk.done():

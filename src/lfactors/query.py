@@ -91,8 +91,10 @@ def parse_character(doc, field: LocalField, what: str = "character") -> MultChar
 def parse_algebra(doc, field: LocalField) -> QuaternionAlgebra:
     if not isinstance(doc, dict):
         raise QueryValidationError("algebra: expected an object with a, b")
-    return QuaternionAlgebra(field, _rational(doc.get("a", -1), "algebra.a"),
-                             _rational(doc.get("b", -1), "algebra.b"))
+    a, b = _rational(doc.get("a", -1), "algebra.a"), _rational(doc.get("b", -1), "algebra.b")
+    if a == 0 or b == 0:
+        raise QueryValidationError("algebra: structure constants must be nonzero")
+    return QuaternionAlgebra(field, a, b)
 
 
 def _parse_quaternion(alg, v, what):

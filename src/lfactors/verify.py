@@ -500,10 +500,11 @@ def check_twisting(seed: int) -> CheckResult:
     total = 0
     for rep, omega in rep_battery():
         psi = AddCharacter.standard(omega.field)
+        gam = gamma_factor(rep, omega, psi)
         for s0 in (Fraction(2), Fraction(-1, 2)):
             total += 1
             lhs = gamma_factor(rep, unramified_twist(omega, s0), psi)
-            rhs = gamma_factor(rep, omega, psi).subst(1, s0)
+            rhs = gam.subst(1, s0)
             if lhs != rhs:
                 bad += 1
     return CheckResult("unramified-twisting", bad == 0, total, float(bad))
@@ -520,10 +521,11 @@ def check_psi_dependence(seed: int) -> CheckResult:
             continue
         psi = AddCharacter.standard(field)
         space = rep_space(rep)
+        gam = gamma_factor(rep, omega, psi)
         for a in psi_scaling_values(field):
             total += 1
             lhs = gamma_factor(rep, omega, psi.rescale(a))
-            rhs = mero_mul(t_factor(space, omega, a), gamma_factor(rep, omega, psi))
+            rhs = mero_mul(t_factor(space, omega, a), gam)
             if field.is_real:
                 worst = max(worst, max_rel_error(lhs, rhs, seed=seed))
             else:

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -406,3 +407,265 @@ def test_equal_atoms_of_different_types_cancel():
     assert hash(exact.form) == hash(inexact.form)
     assert MeroExpr(ExactConst.one(), [(exact, 1), (inexact, -1)]).atoms == ()
     assert mero_mul(GC(1, Fraction(1, 2)), GC(1, 0.5 + 0j).inv()) == MeroExpr.one()
+
+
+# -- the integer LinForm against the Fraction reference ---------------------------
+
+_QUANT = float(2 ** 40)
+
+
+def _ref_norm(b):
+    if isinstance(b, Fraction):
+        return b
+    if isinstance(b, int):
+        return Fraction(b)
+    if isinstance(b, float) and float(b).is_integer():
+        return Fraction(int(b))
+    b = complex(b)
+    if b.imag == 0 and b.real.is_integer():
+        return Fraction(int(b.real))
+    return complex(round(b.real * _QUANT) / _QUANT, round(b.imag * _QUANT) / _QUANT)
+
+
+def _ref_add(x, y):
+    if isinstance(x, Fraction) and isinstance(y, Fraction):
+        return x + y
+    return _ref_norm(complex(x) + complex(y))
+
+
+def _ref_scale(a, b):
+    if isinstance(b, Fraction):
+        return a * b
+    return _ref_norm(complex(a) * complex(b))
+
+
+def _ref_beta_key(b):
+    if isinstance(b, Fraction):
+        return ("Q", b.numerator, b.denominator)
+    return ("C", b.real, b.imag)
+
+
+def _ref_beta_str(b):
+    if isinstance(b, Fraction):
+        return str(b)
+    return f"[{b.real!r}{'+' if b.imag >= 0 else '-'}{abs(b.imag)!r}i]"
+
+
+class _RefLinForm:
+    """Reference: the Fraction-based form the integer LinForm replaced, with its
+    two-step rounding of complex betas (scale, then add); every result goes
+    through the constructor, which normalises its beta once more."""
+
+    def __init__(self, alpha, beta):
+        self.alpha, self.beta = Fraction(alpha), _ref_norm(beta)
+
+    def __eq__(self, other):
+        return (self.alpha, self.beta) == (other.alpha, other.beta)
+
+    def __hash__(self):
+        return hash((self.alpha, self.beta))
+
+    def key(self):
+        return (self.alpha.numerator, self.alpha.denominator, _ref_beta_key(self.beta))
+
+    def compose(self, a, b):
+        return _RefLinForm(self.alpha * Fraction(a), _ref_add(self.beta, _ref_scale(self.alpha, b)))
+
+    def shift(self, b):
+        return _RefLinForm(self.alpha, _ref_add(self.beta, _ref_scale(self.alpha, b)))
+
+    def plus(self, other):
+        return _RefLinForm(self.alpha + other.alpha, _ref_add(self.beta, other.beta))
+
+    def times(self, k):
+        return _RefLinForm(self.alpha * k, _ref_scale(Fraction(k), self.beta))
+
+    def __str__(self):
+        a = self.alpha
+        if a == 0:
+            return _ref_beta_str(self.beta)
+        head = "s" if a == 1 else "-s" if a == -1 else f"{a}s"
+        if self.beta == 0:
+            return head
+        bs = _ref_beta_str(self.beta)
+        if isinstance(self.beta, Fraction) and self.beta < 0:
+            return f"{head}{bs}"
+        return f"{head}+{bs}"
+
+    def json(self):
+        beta = str(self.beta) if isinstance(self.beta, Fraction) else [self.beta.real, self.beta.imag]
+        return {"alpha": str(self.alpha), "beta": beta}
+
+
+def _random_beta(rng: random.Random):
+    """Exact betas with assorted denominators, the same values as floats and
+    complex numbers (1/2 and 0.5+0j), generic complex numbers, and numbers
+    that the rounding grid moves onto an integer or off one."""
+    kind = rng.randrange(7)
+    exact = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 7, 12]))
+    if kind == 0:
+        return exact
+    if kind == 1:
+        return rng.randint(-5, 5)
+    if kind == 2:
+        return complex(float(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 4, 8]))), 0)
+    if kind == 3:
+        return float(exact)
+    if kind == 4:
+        return complex(rng.uniform(-3, 3), rng.choice([0.0, rng.uniform(-3, 3)]))
+    if kind == 5:
+        return rng.uniform(-1e-12, 1e-12)  # at the scale of the rounding grid
+    return complex(rng.randint(-3, 3) + rng.choice([1e-13, -1e-13, 2e-12]), rng.choice([0.0, 1e-13]))
+
+
+def _random_pair(rng: random.Random):
+    alpha = Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4]))
+    beta = _random_beta(rng)
+    return LinForm(alpha, beta), _RefLinForm(alpha, beta)
+
+
+def _assert_agrees(f: LinForm, ref: _RefLinForm):
+    assert str(f) == str(ref)
+    assert f.key == ref.key()
+    assert f.alpha == ref.alpha and type(f.alpha) is Fraction
+    assert type(f.beta) is type(ref.beta) and f.beta == ref.beta
+    assert to_json(MeroExpr.gamma_r(f))["numerator"][0]["arg"] == ref.json()
+
+
+def test_linform_ops_agree_with_fraction_reference():
+    """compose, shift, plus and times on exact and complex forms give the
+    reference's text, sort key, value types and JSON; equality and the hash
+    agree with the reference's equality."""
+    rng = random.Random(31)
+    pairs = []
+    for _ in range(600):
+        f, ref = _random_pair(rng)
+        _assert_agrees(f, ref)
+        op = rng.randrange(4)
+        if op == 0:
+            a = rng.choice([1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2), 0])
+            b = _random_beta(rng)
+            f, ref = f.compose(a, b), ref.compose(a, b)
+        elif op == 1:
+            b = _random_beta(rng)
+            f, ref = f.shift(b), ref.shift(b)
+        elif op == 2:
+            g, gref = _random_pair(rng)
+            f, ref = f.plus(g), ref.plus(gref)
+        else:
+            k = rng.randint(-4, 4)
+            f, ref = f.times(k), ref.times(k)
+        _assert_agrees(f, ref)
+        pairs.append((f, ref))
+        if ref.beta.imag == 0 and Fraction(ref.beta.real).denominator in (2, 4, 8):
+            # the same value with the other type: 1/2 for 0.5+0j and back
+            twin = complex(ref.beta.real) if type(ref.beta) is Fraction else Fraction(ref.beta.real)
+            pairs.append((LinForm(ref.alpha, twin), _RefLinForm(ref.alpha, twin)))
+    by_ref, by_form = {}, {}
+    for f, ref in pairs:
+        by_ref.setdefault(ref, []).append(f)
+        by_form.setdefault(f, set()).add(ref)
+    assert len(by_form) == len(by_ref)
+    mixed = 0
+    for fs in by_ref.values():
+        assert all(g == fs[0] and hash(g) == hash(fs[0]) for g in fs)
+        mixed += len({type(g.beta) for g in fs}) == 2
+    assert mixed >= 5
+
+
+def test_complex_betas_round_in_two_steps():
+    """alpha*b is rounded to the grid, then beta + alpha*b: an integral
+    alpha*b keeps an exact beta exact, and a term below the grid is dropped
+    before the sum is rounded."""
+    third = LinForm(1, Fraction(1, 3))
+    assert third.shift(2.0).beta == Fraction(7, 3)
+    assert third.compose(1, 2.0).beta == Fraction(7, 3)
+    tiny = third.shift(4e-13)
+    ref = _RefLinForm(1, Fraction(1, 3)).shift(4e-13)
+    assert tiny.key == ref.key() and tiny.beta == ref.beta
+    one_step = _ref_norm(complex(Fraction(1, 3)) + 4e-13)
+    assert tiny.beta != one_step
+    assert LinForm(Fraction(1, 2), Fraction(1, 3)).compose(1, 3).beta == \
+        _RefLinForm(Fraction(1, 2), Fraction(1, 3)).compose(1, 3).beta  # an int b is not exact here
+    # a result that the grid rounds onto an integer is exact, but a given
+    # beta keeps its type: the constructor rounds only once
+    assert LinForm(Fraction(2, 3), Fraction(-5, 3)).compose(Fraction(1, 2), 0.9999999999999).beta == -1
+    assert type(LinForm(Fraction(2, 3), Fraction(-5, 3)).compose(1, 0.9999999999999).beta) is Fraction
+    assert type(LinForm(1, Fraction(1, 2)).shift(0.5 + 1e-13).beta) is Fraction
+    assert type(LinForm(1, 1 + 1e-13j).plus(LinForm(1, -1e-13j)).beta) is Fraction
+    assert type(LinForm(1, 0.9999999999999).beta) is complex
+    rng = random.Random(5)
+    for _ in range(300):
+        f, ref = _random_pair(rng)
+        if f.alpha == 0:
+            continue
+        b = float((rng.randint(-3, 3) - Fraction(ref.beta.real)) / f.alpha) + rng.choice([1e-13, -1e-13])
+        g, gref = f.shift(b), ref.shift(b)
+        assert g.key == gref.key() and str(g) == str(gref)
+
+
+def test_half_and_its_float_are_one_atom():
+    """1/2 and 0.5+0j: equal forms and atoms with one hash, which cancel in
+    mero_mul whichever way round, in a beta and in an L-atom's z."""
+    exact, inexact = LinForm(1, Fraction(1, 2)), LinForm(1, 0.5 + 0j)
+    assert type(inexact.beta) is complex
+    assert exact == inexact and hash(exact) == hash(inexact) and exact.key != inexact.key
+    assert LinForm(1, Fraction(1, 3)) != LinForm(1, complex(float(Fraction(1, 3)), 0))
+    for z, w in ((Fraction(1, 2), 0.5 + 0j), (-1, -1.0 + 0j), (Fraction(3, 4), 0.75)):
+        x = MeroExpr.l_atom(5, z, exact)
+        y = MeroExpr.l_atom(5, w, inexact)
+        assert dict(x.atoms) == dict(y.atoms)
+        assert mero_mul(x, y.inv()) == MeroExpr.one() == mero_mul(y.inv(), x)
+        assert mero_mul(x, y.inv(), x).atoms == x.atoms
+
+
+def _ref_atom_key(atom, power):
+    """The sort key of an atom as the reference forms give it."""
+    ref = _RefLinForm(atom.form.alpha, atom.form.beta)
+    if isinstance(atom, ExpAtom):
+        head = (0, atom.base.numerator, atom.base.denominator)
+    elif isinstance(atom, (GammaRAtom, GammaCAtom)):
+        head = (1 if isinstance(atom, GammaRAtom) else 2,)
+    else:
+        head = (3, atom.q, _ref_beta_key(atom.z))
+    return head + ref.key() + (power,)
+
+
+def test_subst_agrees_with_reference_and_sorts_by_its_keys():
+    """subst composes every argument as the reference does, and the result is
+    ordered by the reference sort keys, also for a negative a, which reverses
+    the order of the s-coefficients."""
+    rng = random.Random(8)
+    reordered = 0
+    for _ in range(120):
+        x = _random_kernel_expr(rng)
+        a = rng.choice([-1, -2, Fraction(-1, 2), 1, 2, Fraction(1, 2)])
+        b = _random_beta(rng)
+        y = x.subst(a, b)
+        keys = [_ref_atom_key(atom, k) for atom, k in y.atoms]
+        assert keys == sorted(keys)
+        want = {}
+        for atom, k in x.atoms:
+            ref = _RefLinForm(atom.form.alpha, atom.form.beta).compose(a, b)
+            if not isinstance(atom, ExpAtom):
+                want[(type(atom), str(atom.with_form(LinForm(ref.alpha, ref.beta))))] = k
+        got = {(type(atom), str(atom)): k for atom, k in y.atoms if not isinstance(atom, ExpAtom)}
+        assert got == want
+        assert cmath.isclose(y.eval(0.3 + 1.7j), x.eval(a * (0.3 + 1.7j) + complex(b)), rel_tol=1e-9)
+        old = [k for atom, k in x.atoms if not isinstance(atom, ExpAtom)]
+        new = [k for atom, k in y.atoms if not isinstance(atom, ExpAtom)]
+        reordered += a < 0 and old != new
+    assert reordered >= 5
+
+
+def test_text_and_json_roundtrip_of_random_expressions():
+    rng = random.Random(12)
+    for _ in range(60):
+        x = _random_kernel_expr(rng).subst(rng.choice([-1, 1, 2]), _random_beta(rng))
+        assert parse_expr(format_expr(x)) == x
+        back = from_json(json.loads(json.dumps(to_json(x))))
+        assert back == x and format_expr(back) == format_expr(x)
+        assert [a.key for a, _ in back.atoms] == [a.key for a, _ in x.atoms]
+        for atom, _ in x.atoms:
+            copied = pickle.loads(pickle.dumps(atom))
+            assert copied == atom and copied.key == atom.key and copied.form == atom.form

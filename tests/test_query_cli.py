@@ -133,8 +133,13 @@ _P5_HERM = {"field": {"kind": "nonarch", "p": "5"},
     (dict(_P5_HERM, eval_points=[0.5]), "eval_points: expected [re, im] pairs"),
     (dict(_P5_HERM, outputs="gamma"), "outputs: expected a list of names, got 'gamma'"),
     (dict(_P5_HERM, outputs="L"), "outputs: expected a list of names, got 'L'"),
+    (dict(_P5_HERM, algebra={"a": "0", "b": "5"}),
+     "algebra: structure constants must be nonzero"),
+    (dict(q_pi0(), algebra={"a": "-1", "b": "0"}),
+     "algebra: structure constants must be nonzero"),
 ], ids=["rep-field", "root-number-omega", "norm-value-zero", "t-scale-zero", "eval-point-nan",
-        "eval-point-shape", "outputs-string", "outputs-one-letter-string"])
+        "eval-point-shape", "outputs-string", "outputs-one-letter-string", "algebra-a-zero-padic",
+        "algebra-b-zero-real"])
 def test_cli_rejects_malformed_query(tmp_path, capsys, doc, message):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(doc))

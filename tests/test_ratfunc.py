@@ -48,9 +48,9 @@ def _mero(q: int, pref: ExactConst, specs) -> MeroExpr:
     out = MeroExpr.const(pref)
     for kind, x, alpha, beta, k in specs:
         if kind == "L":
-            atom = MeroExpr.l_atom(q, x, LinForm.of(alpha, beta))
+            atom = MeroExpr.l_atom(q, x, LinForm(alpha, beta))
         else:
-            atom = MeroExpr.exp(Fraction(q) ** x, LinForm.of(alpha, beta))
+            atom = MeroExpr.exp(Fraction(q) ** x, LinForm(alpha, beta))
         out = mero_mul(out, atom ** k)
     return out
 
@@ -122,11 +122,11 @@ def test_equality_and_is_one_agree_with_canonical_form():
 
 def test_common_factor_cancels():
     # (1 - X^2) / (1 - X) = 1 + X, and dividing by 1 + X leaves 1
-    e = mero_mul(MeroExpr.l_atom(5, 1, LinForm.of(2)).inv(), MeroExpr.l_atom(5, 1, LinForm.of(1)))
+    e = mero_mul(MeroExpr.l_atom(5, 1, LinForm(2)).inv(), MeroExpr.l_atom(5, 1, LinForm(1)))
     rf = as_rational_in_X(e, 5)
     assert str(rf) == "1 + X"
     assert not rf.is_one
-    assert as_rational_in_X(mero_mul(e, MeroExpr.l_atom(5, -1, LinForm.of(1))), 5).is_one
+    assert as_rational_in_X(mero_mul(e, MeroExpr.l_atom(5, -1, LinForm(1))), 5).is_one
 
 
 # -- QiSqrt -----------------------------------------------------------------
