@@ -47,16 +47,38 @@ def _rational(v, what: str) -> Fraction:
 
 
 def _complex(v, what: str):
-    if isinstance(v, str):
-        return _rational(v, what)
-    if isinstance(v, (int, float)):
-        return Fraction(str(v)) if isinstance(v, int) else complex(v)
-    if isinstance(v, list) and len(v) == 2:
-        c = complex(float(v[0]), float(v[1]))
-        if c.imag == 0 and float(c.real).is_integer():
-            return Fraction(int(c.real))
-        return c
-    raise QueryValidationError(f"{what}: expected rational string or [re, im], got {v!r}")
+    if isinstance(v, (str, int)):
+        c = _rational(v, what)
+    else:
+        try:
+            pair = isinstance(v, list) and len(v) == 2
+            c = complex(float(v[0]), float(v[1])) if pair else complex(v)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise QueryValidationError(
+                f"{what}: expected rational string or [re, im], got {v!r}") from exc
+    try:
+        finite = cmath.isfinite(complex(c))
+    except OverflowError:  # a rational beyond the float range
+        finite = False
+    if not finite:
+        raise QueryValidationError(f"{what}: must be finite, got {v!r}")
+    if isinstance(v, list) and c.imag == 0 and c.real.is_integer():
+        return Fraction(int(c.real))
+    return c
+
+
+def _exponent(v, what: str):
+    """An exponent t of |.|^t, bounded: with q^t exact, t = 10^5 takes over 10 s."""
+    t = _complex(v, what)
+    if max(abs(complex(t).real), abs(complex(t).imag)) > 1000:
+        raise QueryValidationError(f"{what}: |Re| and |Im| must be at most 1000, got {v!r}")
+    return t
+
+
+def _list(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise QueryValidationError(f"{what}: expected a list, got {v!r}")
+    return v
 
 
 def parse_field(doc, what: str = "field") -> LocalField:
@@ -81,7 +103,7 @@ def parse_character(doc, field: LocalField, what: str = "character") -> MultChar
     except ValueError as exc:
         raise QueryValidationError(f"{what}: {exc}") from exc
     z = _complex(doc.get("z", "1"), f"{what}.z")
-    t = _complex(doc.get("t", "0"), f"{what}.t")
+    t = _exponent(doc.get("t", "0"), f"{what}.t")
     try:
         return MultCharacter(field, sq, z if not field.is_real else 1, t)
     except ValueError as exc:
@@ -122,11 +144,12 @@ def parse_space(doc, alg: QuaternionAlgebra) -> HermitianSpace:
             return HermitianSpace.linear(alg, int(doc["m"]))
         if ftype in ("hermitian", "skew"):
             if "diag" in doc:
-                ents = [_parse_quaternion(alg, v, "space.diag") for v in doc["diag"]]
+                ents = [_parse_quaternion(alg, v, "space.diag")
+                        for v in _list(doc["diag"], "space.diag")]
                 return HermitianSpace.diagonal(alg, ftype, ents)
             if "gram" in doc:
-                rows = [[_parse_quaternion(alg, v, "space.gram") for v in row]
-                        for row in doc["gram"]]
+                rows = [[_parse_quaternion(alg, v, "space.gram") for v in _list(row, "space.gram")]
+                        for row in _list(doc["gram"], "space.gram")]
                 n = len(rows)
                 return HermitianSpace(alg, ftype, n, QuatMatrix.from_rows(alg, rows))
             if int(doc.get("n", -1)) == 0:
@@ -152,7 +175,7 @@ def parse_rep(doc, field: LocalField, alg: QuaternionAlgebra):
         if kind == "skew_char":
             return SkewHermCharR(int(doc["l"]))
         if kind == "sp_highest_weight":
-            lam = tuple(int(v) for v in doc["lambda"])
+            lam = tuple(int(v) for v in _list(doc["lambda"], "rep.lambda"))
             return SpHighestWeight(int(doc.get("n", len(lam))), lam)
         if kind == "gl_char":
             return GLChar(int(doc["m"]), parse_character(doc["chi"], field, "rep.chi"))
@@ -171,7 +194,8 @@ def parse_spherical(doc, field: LocalField) -> SphericalData:
     try:
         disc0 = SquareClass(field, str(doc["disc0"])) if "disc0" in doc else None
         return SphericalData(field, doc["form_type"], int(doc["r"]), int(doc["n0"]),
-                             tuple(_complex(t, "spherical.exponents") for t in doc.get("exponents", [])),
+                             tuple(_exponent(t, "spherical.exponents")
+                                   for t in _list(doc.get("exponents", []), "spherical.exponents")),
                              disc0)
     except QueryValidationError:
         raise
@@ -248,7 +272,7 @@ def _expr_payload(expr: MeroExpr, q: QueryDocument, pending: list) -> dict:
     if not q.field.is_real:
         try:
             payload["rational_in_X"] = str(as_rational_in_X(shown, q.field.q))
-        except (UnsupportedExpressionError, ValueError):
+        except (UnsupportedExpressionError, ValueError, OverflowError):
             payload["rational_in_X"] = None
     pending.append((payload, shown))
     return payload

@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,8 @@ from lfactors.characters import (MultCharacter, char_eval,
                                  unramified_twist)
 from lfactors.fields import (LocalField, SquareClass, UnsupportedFieldError,
                              UnsupportedOperationError, hilbert_symbol,
-                             nonsquare_unit, square_class, valuation)
+                             nonsquare_unit, square_class, unit_part, valuation)
+from lfactors.verify import conic_solvable_oracle
 
 Q3 = LocalField.padic(3)
 Q5 = LocalField.padic(5)
@@ -84,6 +87,94 @@ def test_hilbert_against_small_brute_force(p):
                 for eb in (1, p):
                     a, b = ua * ea, ub * eb
                     assert (hilbert_symbol(F, a, b) == 1) == brute_conic_mod(p, a, b)
+
+
+def _ref_conic_oracle(p, a, b):
+    """The conic oracle as a grid search over all p^6 pairs (x, y) mod p^3."""
+    def normalize(v):
+        F = LocalField.padic(p)
+        val = valuation(F, v) % 2
+        u = unit_part(F, v)
+        lift = (u.numerator * pow(u.denominator, -1, p ** 3)) % p ** 3
+        return (lift * (p if val else 1)) % p ** 3
+
+    mod = p ** 3
+    an, bn = normalize(a), normalize(b)
+    xs = np.arange(mod, dtype=np.int64)
+    squares = np.zeros(mod, dtype=bool)
+    squares[(xs * xs) % mod] = True
+    ax2 = (an * xs * xs) % mod
+    by2 = (bn * xs * xs) % mod
+    prim_x = (xs % p) != 0
+    for chunk in range(0, mod, 256):
+        ys = xs[chunk:chunk + 256]
+        ok = squares[(ax2[:, None] + by2[ys][None, :]) % mod]
+        mask = prim_x[:, None] | ((ys % p) != 0)[None, :]
+        if np.any(ok & mask):
+            return True
+    return False
+
+
+def _normalised_values(p):
+    """Every value the oracle normalises to: units u and p*u, u a unit mod p^3."""
+    units = [u for u in range(1, p ** 3) if u % p]
+    return units + [p * u for u in units]
+
+
+def _assert_oracles_agree(p, a, b, brute=True):
+    want = conic_solvable_oracle(p, Fraction(a), Fraction(b))
+    assert want == _ref_conic_oracle(p, Fraction(a), Fraction(b)), (p, a, b)
+    if brute:
+        assert want == brute_conic_mod(p, a, b), (p, a, b)
+
+
+def test_conic_oracle_every_normalised_pair_p3():
+    values = _normalised_values(3)
+    assert len(values) ** 2 == 1296
+    for a in values:
+        for b in values:
+            _assert_oracles_agree(3, a, b)
+
+
+@pytest.mark.parametrize("p, samples, brute", [(5, 80, True), (7, 40, True), (11, 30, False)])
+def test_conic_oracle_seeded_normalised_pairs(p, samples, brute):
+    # brute_conic_mod scans p^6 pairs in Python: about 1 s a call at p = 11
+    rng = random.Random(p)
+    values = _normalised_values(p)
+    for _ in range(samples):
+        _assert_oracles_agree(p, rng.choice(values), rng.choice(values), brute)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_conic_oracle_odd_valuations(p):
+    # a = p^k n/d has the square class of p^(k mod 2) n d, which brute_conic_mod reads
+    rng = random.Random(100 + p)
+    F = LocalField.padic(p)
+
+    def draw(odd):
+        n, d = (rng.choice([u for u in range(1, 4 * p) if u % p]) * rng.choice((1, -1))
+                for _ in range(2))
+        k = rng.choice((-3, -1, 1, 3) if odd else (-2, 0, 2))
+        return Fraction(n, d) * Fraction(p) ** k, p ** (k % 2) * n * d
+
+    for odd_a, odd_b in ((True, False), (False, True), (True, True)) * 8:
+        (a, ia), (b, ib) = draw(odd_a), draw(odd_b)
+        want = conic_solvable_oracle(p, a, b)
+        assert want == _ref_conic_oracle(p, a, b) == brute_conic_mod(p, ia, ib), (p, a, b)
+        assert want == (hilbert_symbol(F, a, b) == 1), (p, a, b)
+
+
+def test_hilbert_oracle_check_can_fail(monkeypatch):
+    import lfactors.verify as verify
+
+    def flipped(F, a, b):
+        h = hilbert_symbol(F, a, b)
+        return -h if F.p == 11 else h
+
+    assert verify.check_hilbert_oracle(7).passed
+    monkeypatch.setattr(verify, "hilbert_symbol", flipped)
+    res = verify.check_hilbert_oracle(7)
+    assert not res.passed and res.max_error > 0 and res.samples == 200
 
 
 @given(any_field, rationals, rationals, rationals)

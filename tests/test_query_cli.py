@@ -137,9 +137,40 @@ _P5_HERM = {"field": {"kind": "nonarch", "p": "5"},
      "algebra: structure constants must be nonzero"),
     (dict(q_pi0(), algebra={"a": "-1", "b": "0"}),
      "algebra: structure constants must be nonzero"),
+    (dict(_P5_HERM, omega={"t": ["x", 0]}),
+     "omega.t: expected rational string or [re, im], got ['x', 0]"),
+    (dict(_P5_HERM, omega={"z": [float("inf"), 0]}), "omega.z: must be finite, got [inf, 0]"),
+    (dict(_P5_HERM, omega={"t": [float("nan"), 0]}), "omega.t: must be finite, got [nan, 0]"),
+    (dict(_P5_HERM, omega={"z": "1" + "0" * 400}), "omega.z: must be finite"),
+    (dict(_P5_HERM, omega={"t": "100000"}),
+     "omega.t: |Re| and |Im| must be at most 1000"),
+    (dict(_P5_HERM, omega={"t": [100000, 0]}),
+     "omega.t: |Re| and |Im| must be at most 1000"),
+    (dict(_P5_HERM, omega={"t": "1e30"}), "omega.t: |Re| and |Im| must be at most 1000"),
+    (dict(_P5_HERM, omega={"t": [0.5, -1001]}),
+     "omega.t: |Re| and |Im| must be at most 1000"),
+    ({"field": {"kind": "real"}, "rep": {"kind": "gl_char", "m": 2, "chi": {"t": "-1001"}}},
+     "rep.chi.t: |Re| and |Im| must be at most 1000"),
+    ({"field": {"kind": "nonarch", "p": "3"}, "outputs": ["spherical"],
+      "spherical": {"form_type": "hermitian", "r": 1, "n0": 0, "exponents": ["100000"]}},
+     "spherical.exponents: |Re| and |Im| must be at most 1000"),
+    ({"field": {"kind": "nonarch", "p": "3"}, "outputs": ["spherical"],
+      "spherical": {"form_type": "hermitian", "r": 2, "n0": 0, "exponents": "12"}},
+     "spherical.exponents: expected a list, got '12'"),
+    ({"field": {"kind": "nonarch", "p": "5"},
+      "rep": {"kind": "trivial", "space": {"type": "hermitian", "diag": "11"}}},
+     "space.diag: expected a list, got '11'"),
+    ({"field": {"kind": "nonarch", "p": "5"},
+      "rep": {"kind": "trivial", "space": {"type": "hermitian", "gram": "11"}}},
+     "space.gram: expected a list, got '11'"),
+    ({"field": {"kind": "real"}, "rep": {"kind": "sp_highest_weight", "lambda": "21"}},
+     "rep.lambda: expected a list, got '21'"),
 ], ids=["rep-field", "root-number-omega", "norm-value-zero", "t-scale-zero", "eval-point-nan",
         "eval-point-shape", "outputs-string", "outputs-one-letter-string", "algebra-a-zero-padic",
-        "algebra-b-zero-real"])
+        "algebra-b-zero-real", "t-not-a-number", "z-infinite", "t-nan", "z-beyond-floats",
+        "t-too-large", "t-pair-too-large", "t-huge", "t-imaginary-too-large",
+        "rep-chi-t-too-large", "spherical-exponent-too-large", "spherical-exponents-string",
+        "diag-string", "gram-string", "lambda-string"])
 def test_cli_rejects_malformed_query(tmp_path, capsys, doc, message):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(doc))
@@ -147,6 +178,21 @@ def test_cli_rejects_malformed_query(tmp_path, capsys, doc, message):
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("doc", [
+    dict(_P5_HERM, omega={"t": "1000"}),
+    dict(_P5_HERM, omega={"t": [-0.5, 1000]}),
+    # q^-1000 overflows a float on the spherical path: the rational form is then null
+    {"field": {"kind": "nonarch", "p": "3"}, "outputs": ["spherical"], "eval_points": [[0.3, 0.1]],
+     "spherical": {"form_type": "hermitian", "r": 1, "n0": 0, "exponents": ["1000"]}},
+], ids=["t-at-bound", "t-imaginary-at-bound", "spherical-exponent-at-bound"])
+def test_cli_accepts_exponents_at_the_bound(tmp_path, capsys, doc):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(doc))
+    assert main(["gamma", "-f", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("\n{") + 1:])["results"]
 
 
 def test_cli_print_roundtrip(tmp_path, capsys):
