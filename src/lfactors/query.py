@@ -33,6 +33,7 @@ from .spherical import SphericalData, gamma_spherical, spherical_zeta
 SCHEMA_VERSION = 1
 
 KNOWN_OUTPUTS = ("gamma", "L", "epsilon", "root_number", "R", "c", "T", "spherical")
+_NUMBER = (int, float)  # the types json gives a number; a bool is not one
 
 
 class QueryValidationError(ValueError):
@@ -238,11 +239,18 @@ class QueryDocument:
             if o not in KNOWN_OUTPUTS:
                 raise QueryValidationError(
                     f"outputs: unknown {o!r}; known: {', '.join(KNOWN_OUTPUTS)}")
+        pts = doc.get("eval_points", [])
+        for p in pts if type(pts) is list else [pts]:
+            if type(p) is not list or len(p) != 2 or type(p[0]) not in _NUMBER \
+                    or type(p[1]) not in _NUMBER:
+                raise QueryValidationError(
+                    f"eval_points: expected [re, im] pairs of numbers, got {p!r}")
         try:
-            pts = tuple(complex(float(p[0]), float(p[1])) for p in doc.get("eval_points", []))
-        except (TypeError, ValueError, KeyError, IndexError) as exc:
-            raise QueryValidationError(f"eval_points: expected [re, im] pairs ({exc})") from exc
-        if not all(cmath.isfinite(p) for p in pts):
+            pts = tuple([complex(re, im) for re, im in pts])
+            finite = all(map(cmath.isfinite, pts))
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
             raise QueryValidationError("eval_points: coordinates must be finite")
         sph = parse_spherical(doc["spherical"], field) if "spherical" in doc else None
         needs_rep = {"gamma", "L", "epsilon", "root_number", "R", "c", "T"}

@@ -6,20 +6,24 @@ argument shifts contribute sqrt q, Gauss sums contribute i and sqrt p).
 A coefficient (QiSqrt) is four integers over one positive denominator, in
 lowest terms, so equal values have equal fields and equal hashes.
 
-A RatFunc keeps the numerator and denominator it was built from: products,
-powers and inverses only multiply or swap polynomials, and
-`as_rational_in_X` expands the whole product before anything is reduced.
-The canonical form is computed once, on first access to `num`, `den` or
-`str`: numerator and denominator are coprime (one Euclidean gcd over
-Q(i, sqrt p), Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*,
-1992, ch. 7), the lower of their two lowest exponents is 0, and the
-denominator's trailing coefficient is 1; zero is 0/1. Equality never runs a
-gcd: `f == g` cross-multiplies the unreduced polynomials, and `is_one`
-compares the unreduced numerator with the unreduced denominator.
+An exact RatFunc is kept factored, unit * X^e * prod f^k, over a pairwise
+coprime basis of polynomials f with constant term 1 and nonzero integers k.
+`as_rational_in_X` builds it from the Tate factors (1 - c X^a)^-k: a negative
+slope is turned round, 1 - c X^a = -c X^a (1 - c^-1 X^-a), equal binomials
+are merged, and a pair of factors with a nontrivial gcd is split into the gcd
+and the two quotients (factor refinement: Bach, Driscoll and Shallit, J.
+Algorithms 15, 1993). Distinct binomials of one degree differ by a monomial,
+so they are coprime without a gcd. Products and inverses merge bases and
+negate exponents. The canonical form then needs no gcd: the numerator is
+unit * X^max(e,0) times the factors with k > 0, the denominator X^max(-e,0)
+times those with k < 0; they are coprime, the lower of their two lowest
+exponents is 0 and the denominator's trailing coefficient is 1 (zero is 0/1).
+Both are expanded on first access to `num`, `den` or `str`. `f == g` refines
+f / g, which is 1 exactly when unit 1, e = 0 and an empty basis are left.
 
 Inexact inputs (irrational twists) degrade the whole function to complex
-coefficients. Such a function is never reduced (its canonical form is the
-product as built), and equality compares coefficients to a relative 1e-9.
+coefficients. Such a function keeps the numerator and denominator of the
+product as built, and equality compares coefficients to a relative 1e-9.
 """
 
 from __future__ import annotations
@@ -120,6 +124,12 @@ class QiSqrt:
         return QiSqrt._of_ints(p, n * (a * u - p * b * v), n * (b * u - a * v),
                                n * (p * d * v - c * u), n * (c * v - d * u), m)
 
+    def __pow__(self, k: int) -> "QiSqrt":
+        base, out = self if k >= 0 else self.inverse(), QiSqrt._of_ints(self.p, 1, 0, 0, 0, 1)
+        for _ in range(abs(k)):
+            out = out * base
+        return out
+
     def to_complex(self) -> complex:
         n, r = self.n, self.p ** 0.5
         return complex(self.a / n + self.b / n * r, self.c / n + self.d / n * r)
@@ -182,9 +192,6 @@ class Poly:
                 out[k] = out[k] + prod if k in out else prod
         return Poly(a.p, out, a.exact)
 
-    def shift(self, k: int) -> "Poly":
-        return Poly(self.p, {d + k: v for d, v in self.coeffs.items()}, self.exact)
-
     def scale(self, v) -> "Poly":
         return self * Poly.const(self.p, v, self.exact)
 
@@ -203,6 +210,9 @@ class Poly:
         keys = set(a.coeffs) | set(b.coeffs)
         scale = max((abs(v) for v in list(a.coeffs.values()) + list(b.coeffs.values())), default=1.0)
         return all(abs(a.coeffs.get(k, 0) - b.coeffs.get(k, 0)) <= 1e-9 * scale for k in keys)
+
+    def __hash__(self):  # consistent with == on exact polynomials only
+        return hash(frozenset(self.coeffs.items()))
 
     def __str__(self):
         if self.is_zero:
@@ -248,31 +258,57 @@ def _poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 
 
 def _poly_gcd(a: Poly, b: Poly) -> Poly:
+    """gcd of two polynomials with constant term 1, scaled to constant term 1."""
     while not b.is_zero:
         _, r = _poly_divmod(a, b)
         a, b = b, r
-    if a.is_zero:
-        return a
-    lead = a.coeffs[max(a.coeffs)]
-    return a.scale(lead.inverse())
+    return a.scale(a.coeffs[0].inverse())
+
+
+def _refine(basis: dict[Poly, int], g: Poly, k: int) -> None:
+    """Multiply the pairwise coprime basis {f: k} by g^k in place, g with
+    constant term 1, keeping it pairwise coprime without zero exponents."""
+    if len(g.coeffs) == 1:  # g = 1
+        return
+    if g in basis:
+        if k := k + basis.pop(g):
+            basis[g] = k
+        return
+    for f in basis:
+        if len(f.coeffs) == len(g.coeffs) == 2 and max(f.coeffs) == max(g.coeffs):
+            continue  # distinct binomials of one degree
+        h = _poly_gcd(f, g)
+        if len(h.coeffs) > 1:
+            break
+    else:
+        basis[g] = k
+        return
+    kf = basis.pop(f)
+    for part, m in ((_poly_divmod(f, h)[0], kf), (h, kf), (_poly_divmod(g, h)[0], k), (h, k)):
+        _refine(basis, part, m)
 
 
 class RatFunc:
-    """num/den of Laurent polynomials; see the module docstring for when the
-    canonical form is computed."""
+    """Exact: unit * X^xpow * prod f^k over the coprime basis {f: k}.
+    Inexact (unit None): the pair (num, den) as built. See the module docstring."""
 
-    __slots__ = ("_num", "_den", "_canon")
+    __slots__ = ("p", "unit", "xpow", "basis", "_pair")
 
-    def __init__(self, num: Poly, den: Poly):
-        num, den = num.align(den)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        self._num, self._den, self._canon = num, den, None
+    def __init__(self, p: int, unit: QiSqrt | None, xpow: int = 0,
+                 basis: dict[Poly, int] | None = None, pair: tuple[Poly, Poly] | None = None):
+        if unit is not None and not unit:
+            xpow, basis = 0, None
+        self.p, self.unit, self.xpow, self.basis, self._pair = p, unit, xpow, basis or {}, pair
 
     def _canonical(self) -> tuple[Poly, Poly]:
-        if self._canon is None:
-            self._canon = _reduce(self._num, self._den) if self._num.exact else (self._num, self._den)
-        return self._canon
+        if self._pair is None:
+            e = self.xpow
+            pair = [Poly(self.p, {max(e, 0): self.unit}), Poly(self.p, {max(-e, 0): 1})]
+            for f, k in self.basis.items():
+                for _ in range(abs(k)):
+                    pair[k < 0] = pair[k < 0] * f
+            self._pair = tuple(pair)
+        return self._pair
 
     @property
     def num(self) -> Poly:
@@ -283,27 +319,29 @@ class RatFunc:
         return self._canonical()[1]
 
     @staticmethod
-    def const(p: int, v, exact: bool = True) -> "RatFunc":
-        return RatFunc(Poly.const(p, v, exact), Poly.const(p, 1, exact))
-
-    @staticmethod
     def one(p: int) -> "RatFunc":
-        return RatFunc.const(p, 1)
+        return RatFunc(p, QiSqrt._of_ints(p, 1, 0, 0, 0, 1))
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self._num * other._num, self._den * other._den)
+        if not (self.is_exact and other.is_exact):
+            return RatFunc(self.p, None, pair=(self.num * other.num, self.den * other.den))
+        basis = dict(self.basis)
+        for f, k in other.basis.items():
+            _refine(basis, f, k)
+        return RatFunc(self.p, self.unit * other.unit, self.xpow + other.xpow, basis)
 
     def inv(self) -> "RatFunc":
-        if self._num.is_zero:
+        if self.is_exact:
+            return RatFunc(self.p, self.unit.inverse(), -self.xpow,
+                           {f: -k for f, k in self.basis.items()})
+        if self.num.is_zero:
             raise ZeroDivisionError
-        return RatFunc(self._den, self._num)
+        return RatFunc(self.p, None, pair=(self.den, self.num))
 
     def __pow__(self, k: int) -> "RatFunc":
-        if k < 0:
-            return self.inv() ** (-k)
-        out = RatFunc.one(self._num.p)
-        for _ in range(k):
-            out = out * self
+        base, out = self if k >= 0 else self.inv(), RatFunc.one(self.p)
+        for _ in range(abs(k)):
+            out = out * base
         return out
 
     def eval(self, x: complex) -> complex:
@@ -311,37 +349,28 @@ class RatFunc:
 
     @property
     def is_exact(self) -> bool:
-        return self._num.exact
+        return self.unit is not None
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return (self._num * other._den) == (other._num * self._den)
+        if not (self.is_exact and other.is_exact):
+            return (self.num * other.den) == (other.num * self.den)
+        if not other.unit:
+            return not self.unit
+        return (self * other.inv()).is_one
 
     @property
     def is_one(self) -> bool:
-        return self._num == self._den
+        if not self.is_exact:
+            return self.num == self.den
+        return not self.basis and self.xpow == 0 and self.unit == QiSqrt(self.p, 1)
 
     def __str__(self):
         ns, ds = str(self.num), str(self.den)
         if ds == "1":
             return ns
         return f"({ns}) / ({ds})"
-
-
-def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Canonical form of num/den (exact): coprime, lowest exponent 0 and the
-    denominator's trailing coefficient 1."""
-    if num.is_zero:
-        return num, Poly.const(num.p, 1)
-    shift = min(min(num.coeffs), min(den.coeffs))
-    num, den = num.shift(-shift), den.shift(-shift)
-    g = _poly_gcd(num, den)
-    if max(g.coeffs):  # nontrivial common factor
-        num, _ = _poly_divmod(num, g)
-        den, _ = _poly_divmod(den, g)
-    inv = den.coeffs[min(den.coeffs)].inverse()
-    return num.scale(inv), den.scale(inv)
 
 
 def _q_power_exact(q: int, beta) -> ExactConst | complex:
@@ -360,18 +389,6 @@ def _scalar_mul(a, b):
     return av * bv
 
 
-def _scalar_to_coeff(p: int, v):
-    """ExactConst/Fraction/complex -> QiSqrt or complex coefficient."""
-    if isinstance(v, ExactConst):
-        try:
-            return QiSqrt.of(p, v)
-        except ValueError:
-            return v.to_complex()
-    if isinstance(v, (int, Fraction)):
-        return QiSqrt.of(p, Fraction(v))
-    return complex(v)
-
-
 def as_rational_in_X(expr, q: int) -> RatFunc:
     """Rewrite a purely nonarchimedean expression as a ratio of polynomials
     in X = q^{-s}; exact whenever every constant lies in Q(i, sqrt p)."""
@@ -386,7 +403,7 @@ def as_rational_in_X(expr, q: int) -> RatFunc:
     scalar = ExactConst.one() if not isinstance(expr.prefactor, complex) else complex(expr.prefactor)
     if isinstance(expr.prefactor, ExactConst):
         scalar = expr.prefactor
-    pieces: list[tuple[dict[int, object], int]] = []  # ({exp: coeff}, power)
+    pieces: list[tuple[int, object, int]] = []  # (a, c, k): (1 - c X^a)^k, or X^a when c is None
 
     for atom, k in expr.atoms:
         if isinstance(atom, (GammaRAtom, GammaCAtom)):
@@ -401,7 +418,7 @@ def as_rational_in_X(expr, q: int) -> RatFunc:
             coeff = _scalar_mul(z if isinstance(z, (ExactConst, complex)) else complex(z),
                                 _q_power_exact(q, atom.form.beta))
             # atom = (1 - coeff X^alpha)^{-1}
-            pieces.append(({0: 1, int(alpha): _neg(coeff)}, -k))
+            pieces.append((int(alpha), coeff, -k))
         else:
             assert isinstance(atom, ExpAtom)
             r = _log_base(atom.base, q)
@@ -410,16 +427,30 @@ def as_rational_in_X(expr, q: int) -> RatFunc:
                 raise UnsupportedExpressionError("exponential atom is not integral in X")
             # base^{alpha s + beta} = q^{r beta} X^{-r alpha}
             scalar = _scalar_mul(scalar, _pow_any(_q_power_exact(q, _times(-r, atom.form.beta)), k))
-            pieces.append(({-int(e) * k: 1}, 1))
+            pieces.append((-int(e) * k, None, 1))
 
-    exact = isinstance(scalar, ExactConst) and all(
-        not isinstance(c, complex) for poly, _ in pieces for c in poly.values())
-    num = Poly.const(p, _scalar_to_coeff(p, scalar) if exact else _to_cx(scalar), exact)
-    out = RatFunc(num, Poly.const(p, 1, exact))
-    for coeffs, power in pieces:
-        cc = {kk: (_scalar_to_coeff(p, v) if exact else _to_cx(v)) for kk, v in coeffs.items()}
-        out = out * RatFunc(Poly(p, cc, exact), Poly.const(p, 1, exact)) ** power
-    return out
+    exact = isinstance(scalar, ExactConst) and all(not isinstance(c, complex) for _, c, _ in pieces)
+    if not exact:
+        one = Poly.const(p, 1, False)
+        out = RatFunc(p, None, pair=(Poly.const(p, scalar, False), one))
+        for a, c, k in pieces:
+            poly = Poly(p, {a: 1} if c is None else {0: 1, a: _neg(c)}, False)
+            out = out * RatFunc(p, None, pair=(poly, one)) ** k
+        return out
+    unit, xpow, binomials = QiSqrt.of(p, scalar), 0, {}
+    for a, c, k in pieces:
+        if c is None:
+            xpow += a
+            continue
+        c = QiSqrt.of(p, c)
+        if a < 0 and c:  # 1 - c X^a = -c X^a (1 - c^-1 X^-a)
+            unit, xpow, a, c = unit * (-c) ** k, xpow + a * k, -a, c.inverse()
+        binomials[a, c] = binomials.get((a, c), 0) + k
+    basis: dict[Poly, int] = {}
+    for (a, c), k in binomials.items():
+        if k:
+            _refine(basis, Poly(p, {0: 1, a: -c}), k)
+    return RatFunc(p, unit, xpow, basis)
 
 
 def _neg(v):

@@ -131,6 +131,16 @@ _P5_HERM = {"field": {"kind": "nonarch", "p": "5"},
     (dict(_P5_HERM, t_scale="0", outputs=["T"]), "norm_value, t_scale: must be nonzero"),
     (dict(_P5_HERM, eval_points=[[0.5, float("nan")]]), "eval_points: coordinates must be finite"),
     (dict(_P5_HERM, eval_points=[0.5]), "eval_points: expected [re, im] pairs"),
+    (dict(_P5_HERM, eval_points=["12"]),
+     "eval_points: expected [re, im] pairs of numbers, got '12'"),
+    (dict(_P5_HERM, eval_points=[[0.5, 0, 7]]),
+     "eval_points: expected [re, im] pairs of numbers, got [0.5, 0, 7]"),
+    (dict(_P5_HERM, eval_points=[[0.5, "0"]]),
+     "eval_points: expected [re, im] pairs of numbers, got [0.5, '0']"),
+    (dict(_P5_HERM, eval_points=[[0.5, True]]),
+     "eval_points: expected [re, im] pairs of numbers, got [0.5, True]"),
+    (dict(_P5_HERM, eval_points={"re": 0.5}), "eval_points: expected [re, im] pairs of numbers, got {'re': 0.5}"),
+    (dict(_P5_HERM, eval_points=[[0.5, 10 ** 400]]), "eval_points: coordinates must be finite"),
     (dict(_P5_HERM, outputs="gamma"), "outputs: expected a list of names, got 'gamma'"),
     (dict(_P5_HERM, outputs="L"), "outputs: expected a list of names, got 'L'"),
     (dict(_P5_HERM, algebra={"a": "0", "b": "5"}),
@@ -166,7 +176,9 @@ _P5_HERM = {"field": {"kind": "nonarch", "p": "5"},
     ({"field": {"kind": "real"}, "rep": {"kind": "sp_highest_weight", "lambda": "21"}},
      "rep.lambda: expected a list, got '21'"),
 ], ids=["rep-field", "root-number-omega", "norm-value-zero", "t-scale-zero", "eval-point-nan",
-        "eval-point-shape", "outputs-string", "outputs-one-letter-string", "algebra-a-zero-padic",
+        "eval-point-shape", "eval-point-string", "eval-point-triple", "eval-point-string-coordinate",
+        "eval-point-bool", "eval-points-dict", "eval-point-beyond-floats", "outputs-string",
+        "outputs-one-letter-string", "algebra-a-zero-padic",
         "algebra-b-zero-real", "t-not-a-number", "z-infinite", "t-nan", "z-beyond-floats",
         "t-too-large", "t-pair-too-large", "t-huge", "t-imaginary-too-large",
         "rep-chi-t-too-large", "spherical-exponent-too-large", "spherical-exponents-string",

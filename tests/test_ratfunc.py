@@ -1,5 +1,6 @@
-"""Exact rational functions in X: the canonical form against a sympy oracle,
-equality and is_one against the canonical form, and QiSqrt arithmetic."""
+"""Exact rational functions in X: the canonical form against a sympy oracle
+and against the expand-then-gcd reference, equality and is_one against the
+canonical form, and QiSqrt arithmetic."""
 
 import random
 from fractions import Fraction
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from lfactors.exactconst import ExactConst
 from lfactors.mero import LinForm, MeroExpr, mero_mul
-from lfactors.ratfunc import QiSqrt, as_rational_in_X
+from lfactors.ratfunc import Poly, QiSqrt, RatFunc, _poly_divmod, as_rational_in_X
 
-P_OF_Q = {3: 3, 5: 5, 9: 3}
+P_OF_Q = {3: 3, 5: 5, 7: 7, 9: 3, 25: 5}
 
 
 # -- random products and quotients of L- and Exp-atoms ----------------------
@@ -127,6 +128,151 @@ def test_common_factor_cancels():
     assert str(rf) == "1 + X"
     assert not rf.is_one
     assert as_rational_in_X(mero_mul(e, MeroExpr.l_atom(5, -1, LinForm(1))), 5).is_one
+
+
+# -- the expand-then-gcd canonicaliser, kept as the reference ----------------
+
+def _ref_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by Euclid's algorithm."""
+    while not b.is_zero:
+        _, r = _poly_divmod(a, b)
+        a, b = b, r
+    if a.is_zero:
+        return a
+    return a.scale(a.coeffs[max(a.coeffs)].inverse())
+
+
+def _ref_canonical(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """Canonical form of num/den (exact): coprime, lowest exponent 0 and the
+    denominator's trailing coefficient 1."""
+    if num.is_zero:
+        return num, Poly.const(num.p, 1)
+    shift = min(min(num.coeffs), min(den.coeffs))
+    num, den = (Poly(f.p, {k - shift: v for k, v in f.coeffs.items()}) for f in (num, den))
+    g = _ref_gcd(num, den)
+    if max(g.coeffs):  # nontrivial common factor
+        num, _ = _poly_divmod(num, g)
+        den, _ = _poly_divmod(den, g)
+    inv = den.coeffs[min(den.coeffs)].inverse()
+    return num.scale(inv), den.scale(inv)
+
+
+def _expanded(q: int, pref: ExactConst, specs) -> tuple[Poly, Poly]:
+    """The product of the specs multiplied out, numerator and denominator
+    apart, with nothing cancelled."""
+    p = P_OF_Q[q]
+    num, den = Poly.const(p, pref), Poly.const(p, 1)
+    for kind, x, alpha, beta, k in specs:
+        if kind == "L":  # (1 - x q^-beta X^alpha)^-k
+            c = QiSqrt.of(p, ExactConst.of(x) * ExactConst.half_power(Fraction(q), -int(2 * beta)))
+            factor, k = Poly(p, {0: 1, alpha: -c}), -k
+        else:  # (q^x)^((alpha s + beta) k) = q^(x beta k) X^(-x alpha k)
+            scalar = ExactConst.half_power(Fraction(q), int(2 * x * beta * k))
+            num = num * Poly.const(p, scalar)
+            factor, k = Poly(p, {-x * alpha * k: 1}), 1
+        for _ in range(abs(k)):
+            if k > 0:
+                num = num * factor
+            else:
+                den = den * factor
+    return num, den
+
+
+def _hidden_specs(rng: random.Random, q: int) -> list[tuple]:
+    """_random_specs plus common factors of unequal degree the atoms do not
+    show, negative slopes, and repeated or cancelling atoms."""
+    specs = _random_specs(rng, q)
+    z = Fraction(rng.choice([1, 2, -1, -3]), rng.choice([1, 2, 3]))
+    a, k = rng.choice([1, 2, -1, -2]), rng.choice([-1, 1, 2])
+    if rng.random() < 0.5:  # (1 - z^3 X^3a) against (1 - z X^a)
+        specs += [("L", z ** 3, 3 * a, 0, k), ("L", z, a, 0, -k)]
+    if rng.random() < 0.5:  # (1 - z^2 X^2a) against (1 - z X^a)(1 + z X^a), slope of any sign
+        specs += [("L", z * z, 2 * a, 0, -k), ("L", z, a, 0, k), ("L", -z, a, 0, k)]
+    for _ in range(rng.randint(0, 2)):  # an atom again, or its inverse
+        spec = rng.choice(specs)
+        specs.append(spec[:4] + (rng.choice([-1, 1, 2]) * spec[4],))
+    rng.shuffle(specs)
+    return specs
+
+
+def _assert_factored(rf, p: int):
+    """The factored form's invariants: a pairwise coprime basis of
+    polynomials with constant term 1 and nonzero exponents."""
+    fs = list(rf.basis)
+    for f in fs:
+        assert min(f.coeffs) == 0 and f.coeffs[0] == QiSqrt(p, 1) and max(f.coeffs) > 0
+        assert rf.basis[f] != 0
+    for i, f in enumerate(fs):
+        for g in fs[i + 1:]:
+            assert max(_ref_gcd(f, g).coeffs) == 0, (str(f), str(g))
+
+
+def test_factored_form_matches_reference_canonicaliser():
+    rng = random.Random(20261018)
+    for trial in range(100):
+        q = (3, 5, 7, 9, 25)[trial % 5]
+        p = P_OF_Q[q]
+        pref = _random_prefactor(rng, p) if trial % 25 else ExactConst(Fraction(0))
+        specs = _hidden_specs(rng, q)
+        rf = as_rational_in_X(_mero(q, pref, specs), q)
+        num, den = _expanded(q, pref, specs)
+        want = _ref_canonical(num, den)
+        assert (rf.num, rf.den) == want, (q, specs, str(rf))
+        _assert_factored(rf, p)
+        # the same function through RatFunc products, powers and inverses
+        other = _hidden_specs(rng, q)
+        g = as_rational_in_X(_mero(q, _random_prefactor(rng, p), other), q)
+        k = rng.choice([-2, -1, 2])
+        prod = rf * g ** k * g.inv() ** k
+        assert (prod.num, prod.den) == want and str(prod) == str(rf)
+        _assert_factored(prod, p)
+        if pref.rat:
+            assert (rf.inv().num, rf.inv().den) == _ref_canonical(den, num)
+
+
+def test_hidden_common_factors_of_unequal_degree():
+    q, p, one = 5, 5, ExactConst.one()
+    for z, a in ((Fraction(2), 1), (Fraction(-1, 3), 2), (Fraction(3), -1), (Fraction(1), -2)):
+        # (1 - z^2 X^2a) / (1 - z X^a) = 1 + z X^a, (1 - z^3 X^3a) / (1 - z X^a) has 3 terms
+        quad = [("L", z * z, 2 * a, 0, -1), ("L", z, a, 0, 1)]
+        cube = [("L", z ** 3, 3 * a, 0, -1), ("L", z, a, 0, 1)]
+        for specs, terms in ((quad, 2), (cube, 3)):
+            rf = as_rational_in_X(_mero(q, one, specs), q)
+            assert (rf.num, rf.den) == _ref_canonical(*_expanded(q, one, specs))
+            assert len(rf.num.coeffs) == terms and len(rf.den.coeffs) == 1
+        assert as_rational_in_X(_mero(q, one, quad + [("L", -z, a, 0, 1)]), q).is_one
+    # a zero prefactor is 0/1 whatever the atoms
+    zero = as_rational_in_X(_mero(q, ExactConst(Fraction(0)), [("L", Fraction(2), -1, 0, 2)]), q)
+    assert str(zero) == "0" and not zero.basis and not zero.is_one
+    assert zero == zero * zero and not zero == RatFunc.one(p)
+
+
+def test_exact_equality_on_differently_factored_inputs():
+    rng = random.Random(918)
+    q, p = 7, 7
+    for c, a in ((Fraction(1), 1), (Fraction(-2, 3), 1), (Fraction(5), 2), (Fraction(1, 2), -1)):
+        f = as_rational_in_X(_mero(q, ExactConst.one(), [("L", c * c, 2 * a, 0, -1)]), q)
+        g = as_rational_in_X(_mero(q, ExactConst.one(), [("L", c, a, 0, -1)]), q)
+        h = as_rational_in_X(_mero(q, ExactConst.one(), [("L", -c, a, 0, -1)]), q)
+        assert f == g * h and g * h == f and h * g == f
+        assert (f * (g * h).inv()).is_one and (g.inv() * f * h.inv()).is_one
+        assert not f == g and not (f * g.inv()).is_one
+        cube = as_rational_in_X(_mero(q, ExactConst.one(), [("L", c ** 3, 3 * a, 0, -1)]), q)
+        assert cube == g * (cube * g.inv()) and not cube == g
+    x = as_rational_in_X(MeroExpr.exp(q, LinForm(-1)), q)
+    two = as_rational_in_X(MeroExpr.const(ExactConst(Fraction(2))), q)
+    assert str(x) == "X" and not x.is_one and (x * x.inv()).is_one and not two.is_one
+    for trial in range(80):
+        pref = _random_prefactor(rng, p)
+        f = as_rational_in_X(_mero(q, pref, _hidden_specs(rng, q)), q)
+        g = as_rational_in_X(_mero(q, pref, _hidden_specs(rng, q)), q)
+        if trial % 2:  # g = f, factored otherwise
+            g = f * g * g.inv()
+        cross = f.num * g.den == g.num * f.den
+        assert (f == g) == (g == f) == cross == (f * g.inv()).is_one
+        assert trial % 2 == 0 or cross
+        for other in (f * x, f * two, f * x * two.inv()):  # f up to X^e or a unit
+            assert not f == other and not (f * other.inv()).is_one
 
 
 # -- QiSqrt -----------------------------------------------------------------
