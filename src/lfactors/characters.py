@@ -17,6 +17,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exactconst import ExactConst
 from .fields import (
     LocalField,
     Rational,
@@ -96,7 +97,7 @@ class MultCharacter:
         t0 = self.t == 0
         return bool(z2 and t0) if not self.field.is_real else bool(t0)
 
-    def __call__(self, x: Rational) -> complex | Fraction:
+    def __call__(self, x: Rational) -> ExactConst | complex:
         return char_eval(self, x)
 
 
@@ -105,22 +106,24 @@ def quadratic_character(field: LocalField, d: SquareClass) -> MultCharacter:
     return MultCharacter(field, d)
 
 
-def char_eval(chi: MultCharacter, x: Rational):
-    """chi(x); exact (a Fraction) whenever z and t permit."""
-    xv = as_fraction(x)
+def char_eval(chi: MultCharacter, x: Rational) -> ExactConst | complex:
+    """chi(x) as an exact constant when z and t permit, else complex."""
+    x = as_fraction(x)
     if chi.field.is_real:
-        s = -1 if (xv < 0 and chi.delta) else 1
+        sgn = -1 if (x < 0 and chi.delta) else 1
         if chi.t == 0:
-            return Fraction(s)
-        return s * cmath.exp(complex(chi.t) * cmath.log(float(abs(xv))))
-    ord_x = valuation(chi.field, xv)
-    quad_val = hilbert_pair_class(chi.field, xv, chi.quad)
-    if isinstance(chi.z, Fraction) and isinstance(chi.t, Fraction) and chi.t.denominator == 1:
-        # |x|^t = q^{-t ord}, exact for integer t
-        return quad_val * chi.z ** ord_x * Fraction(chi.field.q) ** int(-chi.t * ord_x)
-    zpow = complex(chi.z) ** ord_x if not isinstance(chi.z, Fraction) else float(chi.z) ** ord_x
-    absx = float(chi.field.q) ** (-ord_x)
-    return quad_val * zpow * cmath.exp(complex(chi.t) * cmath.log(absx))
+            return ExactConst.of(sgn)
+        if isinstance(chi.t, Fraction) and chi.t.denominator in (1, 2):
+            return ExactConst.of(sgn) * ExactConst.half_power(abs(x), int(2 * chi.t))
+        return sgn * cmath.exp(complex(chi.t) * cmath.log(float(abs(x))))
+    ordx = valuation(chi.field, x)
+    base = ExactConst.of(hilbert_pair_class(chi.field, x, chi.quad))
+    q = Fraction(chi.field.q)
+    if isinstance(chi.z, Fraction) and isinstance(chi.t, Fraction) \
+            and (2 * chi.t * ordx).denominator == 1:
+        return base * ExactConst.of(chi.z ** ordx) * ExactConst.half_power(q, int(-2 * chi.t * ordx))
+    return base.to_complex() * complex(chi.z) ** ordx * cmath.exp(
+        -complex(chi.t) * ordx * cmath.log(chi.field.q))
 
 
 def char_mul(a: MultCharacter, b: MultCharacter) -> MultCharacter:

@@ -5,6 +5,10 @@ normalizing constant c(s, omega, A, psi), the psi-change factor
 T_N(s, omega, a), the gamma-, L- and epsilon-factors, root numbers and the
 zeta functional-equation multiplier.
 
+gamma and L derive from one parameter table, `_parameter`: each datum maps
+to pieces (Tate characters at shifts, D_l or a Weil representation over R,
+(m, mu) GL blocks) and the omega that twists their product.
+
 Variable conventions: gamma_factor returns gamma(s, pi x omega, psi) in the
 plain gamma-side variable; R, c, T_N and gamma_capital live on the
 Gamma-side variable (the two differ by the usual half shift, applied via
@@ -15,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple, Sequence
 
-from .characters import AddCharacter, MultCharacter, char_inverse, char_mul
+from .characters import AddCharacter, MultCharacter, char_eval, char_inverse, char_mul
 from .exactconst import ExactConst
 from .fields import (LocalField, Rational, SquareClass, as_fraction,
                      hilbert_pair_class, square_class, valuation)
@@ -25,8 +30,8 @@ from .hermitian import (HERMITIAN, LINEAR, SKEW, HermitianSpace, discriminant,
                         kottwitz_sign)
 from .mero import LinForm, MeroExpr, mero_mul, twist_nonarch
 from .quaternion import QuaternionAlgebra
-from .tate import _char_value_exact, eps_at_half, tate_L, tate_gamma
-from .weil import WeilRep, WeilSummand, weil_L, weil_gamma
+from .tate import eps_at_half, tate_L, tate_gamma
+from .weil import WeilRep, WeilSummand, _discrete_L, _discrete_gamma, weil_L, weil_gamma
 
 
 class UnsupportedPairError(ValueError):
@@ -116,13 +121,11 @@ def sp_space(n: int) -> HermitianSpace:
 
 
 def rep_field(rep: RepDatum) -> LocalField:
+    if isinstance(rep, Induced):
+        rep = rep.kernel
     if isinstance(rep, TrivialRep):
         return rep.space.field
-    if isinstance(rep, (SkewHermCharR, SpHighestWeight)):
-        return _R
-    if isinstance(rep, GLChar):
-        return rep.chi.field
-    return rep_field(rep.kernel)
+    return rep.chi.field if isinstance(rep, GLChar) else _R
 
 
 def rep_space(rep: RepDatum) -> HermitianSpace:
@@ -134,12 +137,8 @@ def rep_space(rep: RepDatum) -> HermitianSpace:
     if isinstance(rep, SpHighestWeight):
         return sp_space(rep.n)
     if isinstance(rep, GLChar):
-        field = rep.chi.field
-        alg = _hamilton() if field.is_real else QuaternionAlgebra(field, Fraction(-1), Fraction(-1))
-        return HermitianSpace.linear(alg, rep.m)
-    kernel_space = rep_space(rep.kernel)
-    extra = 2 * sum(b.m for b in rep.blocks)
-    return _extend_space(kernel_space, extra)
+        return HermitianSpace.linear(QuaternionAlgebra(rep.chi.field, Fraction(-1), Fraction(-1)), rep.m)
+    return _extend_space(rep_space(rep.kernel), 2 * sum(b.m for b in rep.blocks))
 
 
 def _extend_space(kernel: HermitianSpace, extra: int) -> HermitianSpace:
@@ -163,29 +162,22 @@ def _extend_space(kernel: HermitianSpace, extra: int) -> HermitianSpace:
 
 
 def dual_rep(rep: RepDatum) -> RepDatum:
-    if isinstance(rep, TrivialRep):
-        return rep
     if isinstance(rep, SkewHermCharR):
         return SkewHermCharR(-rep.l)
-    if isinstance(rep, SpHighestWeight):
-        return rep
     if isinstance(rep, GLChar):
         return GLChar(rep.m, char_inverse(rep.chi))
-    return Induced(tuple(GLChar(b.m, char_inverse(b.chi)) for b in rep.blocks),
-                   dual_rep(rep.kernel))
+    if isinstance(rep, Induced):
+        return Induced(tuple(dual_rep(b) for b in rep.blocks), dual_rep(rep.kernel))
+    return rep  # trivial representations and highest weights are self-dual
 
 
 def central_sign(rep: RepDatum) -> int:
     """Value of the central character at -1."""
-    if isinstance(rep, TrivialRep):
-        return 1
+    if isinstance(rep, Induced):
+        return central_sign(rep.kernel)
     if isinstance(rep, SkewHermCharR):
         return (-1) ** abs(rep.l)
-    if isinstance(rep, SpHighestWeight):
-        return (-1) ** sum(rep.lam)
-    if isinstance(rep, GLChar):
-        return 1
-    return central_sign(rep.kernel)
+    return (-1) ** sum(rep.lam) if isinstance(rep, SpHighestWeight) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -205,54 +197,71 @@ def _require_unramified(omega: MultCharacter, what: str):
 
 def _apply_twist(expr: MeroExpr, omega: MultCharacter) -> MeroExpr:
     """gamma/L of an unramified twist: substitute the twist into the base."""
-    if omega.field.is_real:
-        return expr if omega.t == 0 else expr.subst(1, omega.t)
-    if omega.z == 1:
+    if omega.z == 1:  # always over R
         return expr if omega.t == 0 else expr.subst(1, omega.t)
     return twist_nonarch(expr, omega.field.q, omega.z, omega.t)
 
 
 # ---------------------------------------------------------------------------
-# gamma factor closed forms (gamma-side variable)
+# Local parameters: gamma and L of every datum from one table
 
-def _trivial_rep_gamma_base(space: HermitianSpace, psi: AddCharacter) -> MeroExpr:
-    field = space.field
-    n = space.n
-    if space.form_type == SKEW and n == 0:
-        return MeroExpr.one()
-    g = tate_gamma(MultCharacter.trivial(field), psi)
-    if space.form_type == HERMITIAN:
-        return mero_mul(*(g.subst(1, j) for j in range(-n, n + 1)))
-    chi_disc = MultCharacter(field, discriminant(space))
-    return mero_mul(tate_gamma(chi_disc, psi), *(g.subst(1, j) for j in range(-(n - 1), n)))
+class _Piece(NamedTuple):
+    """One factor of a local parameter: gamma(*args, psi) and L(*args),
+    each taken at s + j for every shift j."""
+
+    gamma: Callable[..., MeroExpr]
+    L: Callable[..., MeroExpr]
+    args: tuple
+    shifts: Sequence[int] = (0,)
+
+
+def _tate(chi: MultCharacter, shifts: Sequence[int] = (0,)) -> _Piece:
+    return _Piece(tate_gamma, tate_L, (chi,), shifts)
 
 
 def _sp_weil_rep(rep: SpHighestWeight, delta: int) -> WeilRep:
-    summands = []
-    for j, lam in enumerate(rep.lam, start=1):
-        rho = rep.n + 1 - j
-        summands.append(WeilSummand("discrete", 2 * (lam + rho)))
-    parity = (rep.n + delta) % 2
-    summands.append(WeilSummand("sign" if parity else "trivial"))
-    return WeilRep(_R, tuple(summands))
+    """D_{2(lam_j + rho_j)} with rho_j = n + 1 - j, plus sgn^{n + delta}."""
+    discrete = (WeilSummand("discrete", 2 * (lam + rep.n - j)) for j, lam in enumerate(rep.lam))
+    return WeilRep(_R, (*discrete, WeilSummand("sign" if (rep.n + delta) % 2 else "trivial")))
 
 
-def _skew_char_gamma(l: int, psi: AddCharacter) -> MeroExpr:
-    """i (-1)^l GammaC(1 - s + |l|) / GammaC(s + |l|), valid for all l."""
-    l = abs(l)
-    pref = MeroExpr.const(ExactConst.i() ** (2 * l + 1))
-    num = MeroExpr.gamma_c(LinForm(Fraction(-1), Fraction(1 + l)))
-    den = MeroExpr.gamma_c(LinForm(Fraction(1), Fraction(l)))
-    out = mero_mul(pref, num, den.inv())
-    if psi.a == 1:
-        return out
-    # D_{2l}-type scaling: det = sgn^{2l+1} = sgn, dimension 2
-    sign = ExactConst.of(-1 if psi.a < 0 else 1)
-    absa = abs(Fraction(psi.a))
-    out = out * MeroExpr.const(sign)
-    if absa != 1:
-        out = out * MeroExpr.exp(absa, LinForm(Fraction(2), Fraction(-1)))
-    return out
+def _parameter(rep: RepDatum, omega: MultCharacter) -> list[tuple[list[_Piece], MultCharacter | None]]:
+    """The local parameter of rep x omega: for the datum, or for each part of
+    an induced datum, its pieces and the omega that twists their product
+    (None where omega already sits inside the pieces)."""
+    if isinstance(rep, Induced):
+        return [part for r in (rep.kernel, *rep.blocks) for part in _parameter(r, omega)]
+    if isinstance(rep, GLChar):
+        return [([_Piece(gj_gamma_norm, gj_L, (rep.m, char_mul(chi, omega)))
+                  for chi in (rep.chi, char_inverse(rep.chi))], None)]
+    if isinstance(rep, SkewHermCharR):  # D_{2|l|}; independent of the sign part of omega
+        return [([_Piece(_discrete_gamma, _discrete_L, (2 * abs(rep.l), Fraction(0)))], omega)]
+    if isinstance(rep, SpHighestWeight):
+        return [([_Piece(weil_gamma, weil_L, (_sp_weil_rep(rep, omega.delta),))], omega)]
+    space, n = rep.space, rep.space.n
+    if n == 0:  # full omega support at n = 0
+        return [([_tate(omega)] if space.form_type == HERMITIAN else [], None)]
+    _require_unramified(omega, "the trivial representation")
+    triv = MultCharacter.trivial(space.field)
+    if space.form_type == HERMITIAN:
+        return [([_tate(triv, range(-n, n + 1))], omega)]
+    return [([_tate(MultCharacter(space.field, discriminant(space))),
+              _tate(triv, range(1 - n, n))], omega)]
+
+
+def _product(rep: RepDatum, omega: MultCharacter,
+             build: Callable[[_Piece], MeroExpr]) -> MeroExpr:
+    """Multiplies the built pieces of each part, twists each part's product,
+    then multiplies the parts."""
+    parts = []
+    for pieces, twist in _parameter(rep, omega):
+        exprs = []
+        for piece in pieces:
+            f = build(piece)
+            exprs += [f if j == 0 else f.subst(1, j) for j in piece.shifts]
+        expr = mero_mul(*exprs)
+        parts.append(expr if twist is None else _apply_twist(expr, twist))
+    return mero_mul(*parts)
 
 
 def gamma_factor(rep: RepDatum, omega: MultCharacter, psi: AddCharacter) -> MeroExpr:
@@ -260,64 +269,14 @@ def gamma_factor(rep: RepDatum, omega: MultCharacter, psi: AddCharacter) -> Mero
     field = rep_field(rep)
     if omega.field != field or psi.field != field:
         raise ValueError("representation, omega and psi must share a field")
-
-    if isinstance(rep, TrivialRep):
-        if rep.space.n == 0:
-            if rep.space.form_type == HERMITIAN:
-                return tate_gamma(omega, psi)  # full omega support at n = 0
-            return MeroExpr.one()
-        _require_unramified(omega, "the trivial representation")
-        return _apply_twist(_trivial_rep_gamma_base(rep.space, psi), omega)
-
-    if isinstance(rep, SkewHermCharR):
-        # independent of the sign part of omega
-        base = _skew_char_gamma(rep.l, psi)
-        return base if omega.t == 0 else base.subst(1, omega.t)
-
-    if isinstance(rep, SpHighestWeight):
-        return weil_gamma(_sp_weil_rep(rep, omega.delta), psi).subst(1, omega.t) \
-            if omega.t != 0 else weil_gamma(_sp_weil_rep(rep, omega.delta), psi)
-
-    if isinstance(rep, GLChar):
-        mu1 = char_mul(rep.chi, omega)
-        mu2 = char_mul(char_inverse(rep.chi), omega)
-        return gj_gamma_norm(rep.m, mu1, psi) * gj_gamma_norm(rep.m, mu2, psi)
-
-    return mero_mul(gamma_factor(rep.kernel, omega, psi),
-                    *(gamma_factor(b, omega, psi) for b in rep.blocks))
+    return _product(rep, omega, lambda p: p.gamma(*p.args, psi))
 
 
 def l_factor(rep: RepDatum, omega: MultCharacter) -> MeroExpr:
     """Structural L-factor: the denominator normal form of gamma."""
-    field = rep_field(rep)
-    if omega.field != field:
+    if omega.field != rep_field(rep):
         raise ValueError("mismatched fields")
-
-    if isinstance(rep, TrivialRep):
-        space = rep.space
-        if space.n == 0:
-            return tate_L(omega) if space.form_type == HERMITIAN else MeroExpr.one()
-        _require_unramified(omega, "the trivial representation")
-        l_triv = tate_L(MultCharacter.trivial(field))
-        if space.form_type == HERMITIAN:
-            base = mero_mul(*(l_triv.subst(1, j) for j in range(-space.n, space.n + 1)))
-        else:
-            base = mero_mul(tate_L(MultCharacter(field, discriminant(space))),
-                            *(l_triv.subst(1, j) for j in range(-(space.n - 1), space.n)))
-        return _apply_twist(base, omega)
-
-    if isinstance(rep, SkewHermCharR):
-        base = MeroExpr.gamma_c(LinForm(Fraction(1), Fraction(abs(rep.l))))
-        return base if omega.t == 0 else base.subst(1, omega.t)
-
-    if isinstance(rep, SpHighestWeight):
-        base = weil_L(_sp_weil_rep(rep, omega.delta))
-        return base if omega.t == 0 else base.subst(1, omega.t)
-
-    if isinstance(rep, GLChar):
-        return gj_L(rep.m, char_mul(rep.chi, omega)) * gj_L(rep.m, char_mul(char_inverse(rep.chi), omega))
-
-    return mero_mul(l_factor(rep.kernel, omega), *(l_factor(b, omega) for b in rep.blocks))
+    return _product(rep, omega, lambda p: p.L(*p.args))
 
 
 def epsilon_factor(rep: RepDatum, omega: MultCharacter, psi: AddCharacter) -> MeroExpr:
@@ -349,18 +308,9 @@ class RegularNilpotentData:
 def _omega_s_power(omega: MultCharacter, y: Fraction, k: int) -> MeroExpr:
     """omega_s(y)^k = omega(y)^k |y|^{ks} as a MeroExpr (Gamma-side s)."""
     y = as_fraction(y)
-    c = _char_value_exact(omega, y)
-    const = MeroExpr.const(c ** k)
-    field = omega.field
-    if field.is_real:
-        absy = abs(y)
-        if absy == 1:
-            return const
-        return const * MeroExpr.exp(absy, LinForm(Fraction(k), Fraction(0)))
-    ordy = valuation(field, y)
-    if ordy == 0:
-        return const
-    return const * MeroExpr.exp(Fraction(field.q), LinForm(Fraction(-k * ordy), Fraction(0)))
+    const = MeroExpr.const(char_eval(omega, y) ** k)
+    absy = _abs_power(omega.field, y, LinForm(Fraction(k), Fraction(0)))
+    return const if absy.is_constant else const * absy
 
 
 def correction_R(space: HermitianSpace, omega: MultCharacter, A: RegularNilpotentData,
@@ -376,9 +326,8 @@ def correction_R(space: HermitianSpace, omega: MultCharacter, A: RegularNilpoten
     if space.form_type == HERMITIAN:
         chi_d = MultCharacter(space.field, A.disc(space))
         gam = tate_gamma(char_mul(omega, chi_d), psi).subst(1, Fraction(1, 2))
-        eps = eps_at_half(chi_d, psi)
-        eps_inv = eps.inverse() if isinstance(eps, ExactConst) else 1 / eps
-        return mero_mul(_omega_s_power(omega, x, -1), gam, MeroExpr.const(eps_inv))
+        eps = MeroExpr.const(eps_at_half(chi_d, psi))
+        return mero_mul(_omega_s_power(omega, x, -1), gam, eps.inv())
     # skew-hermitian
     chi_v = MultCharacter(space.field, discriminant(space))
     eps = eps_at_half(chi_v, psi)
@@ -389,12 +338,7 @@ def t_factor(space: HermitianSpace, omega: MultCharacter, a: Rational) -> MeroEx
     """T_N(s, omega, a) = omega_{s-1/2}(a)^N (times chi_disc(a) when skew)."""
     a = as_fraction(a)
     n = space.n
-    if space.form_type == LINEAR:
-        N = 4 * n
-    elif space.form_type == HERMITIAN:
-        N = 2 * n + 1
-    else:
-        N = 2 * n
+    N = {LINEAR: 4 * n, HERMITIAN: 2 * n + 1}.get(space.form_type, 2 * n)
     out = _omega_s_power(omega, a, N) * _abs_power(omega.field, a, LinForm(Fraction(0), Fraction(-N, 2)))
     if space.form_type == SKEW:
         sign = hilbert_pair_class(space.field, a, discriminant(space))
@@ -430,18 +374,24 @@ def normalization_c(space: HermitianSpace, omega: MultCharacter, A: RegularNilpo
 
 def _normalization_c_base(space: HermitianSpace, omega: MultCharacter,
                           A: RegularNilpotentData, psi: AddCharacter) -> MeroExpr:
-    e = kottwitz_sign(space)
+    return mero_mul(*_tate_block(space, omega, psi, 1), correction_R(space, omega, A, psi).inv())
+
+
+def _tate_block(space: HermitianSpace, omega: MultCharacter, psi: AddCharacter,
+                sign: int, *inner: MeroExpr) -> list[MeroExpr]:
+    """The factors e(G) sign, omega(4)^{-k}, inner, |2|^{...} and the inverse
+    Tate gammas of omega^2 that c and the zeta functional-equation factor
+    share, in the order their constants multiply."""
     n = space.n
-    g = tate_gamma(char_mul(omega, omega), psi)
-    w4 = _char_value_exact(omega, Fraction(4))
     if space.form_type == LINEAR:  # 2n Tate gammas at 2s - i
         k, step, two_pow = 2 * n, 1, LinForm(Fraction(-4 * n), Fraction(0))
     else:  # n Tate gammas at 2s - 2i
         k, step, two_pow = n, 2, LinForm(Fraction(-2 * n), Fraction(n) * (Fraction(n) - Fraction(1, 2)))
-    return mero_mul(MeroExpr.const(ExactConst.of(e)), MeroExpr.const(w4 ** (-k)),
-                    _abs_power(space.field, Fraction(2), two_pow),
-                    *(g.subst(2, -step * i).inv() for i in range(k)),
-                    correction_R(space, omega, A, psi).inv())
+    g = tate_gamma(char_mul(omega, omega), psi)
+    return [MeroExpr.const(ExactConst.of(kottwitz_sign(space) * sign)),
+            MeroExpr.const(char_eval(omega, Fraction(4)) ** (-k)), *inner,
+            _abs_power(space.field, Fraction(2), two_pow),
+            *(g.subst(2, -step * i).inv() for i in range(k))]
 
 
 def gamma_capital(rep: RepDatum, omega: MultCharacter, A: RegularNilpotentData,
@@ -460,16 +410,8 @@ def zeta_fe_factor(rep: RepDatum, omega: MultCharacter, psi: AddCharacter,
     if space.form_type == LINEAR:
         raise UnsupportedPairError("the zeta functional-equation factor is stated "
                                    "for the eps-hermitian cases")
-    n = space.n
-    e = kottwitz_sign(space)
-    g = tate_gamma(char_mul(omega, omega), psi)
-    w4 = _char_value_exact(omega, Fraction(4))
-    return mero_mul(MeroExpr.const(ExactConst.of(e * central_sign(rep))),
-                    MeroExpr.const(w4 ** (-n)),
-                    gamma_factor(rep, omega, psi).subst(1, Fraction(1, 2)),
-                    _abs_power(space.field, Fraction(2),
-                               LinForm(Fraction(-2 * n), Fraction(n) * (Fraction(n) - Fraction(1, 2)))),
-                    *(g.subst(2, -2 * i).inv() for i in range(n)))
+    return mero_mul(*_tate_block(space, omega, psi, central_sign(rep),
+                                 gamma_factor(rep, omega, psi).subst(1, Fraction(1, 2))))
 
 
 def root_number(space: HermitianSpace, c_pi_at_minus1: int, omega: MultCharacter,
@@ -481,9 +423,7 @@ def root_number(space: HermitianSpace, c_pi_at_minus1: int, omega: MultCharacter
         raise ValueError("the root-number formula requires omega^2 = 1")
     if c_pi_at_minus1 not in (1, -1):
         raise ValueError("central sign must be +-1")
-    w_minus1 = _char_value_exact(omega, Fraction(-1))
-    base = ExactConst.of(c_pi_at_minus1) * (w_minus1 ** space.n
-                                            if isinstance(w_minus1, ExactConst) else w_minus1 ** space.n)
+    base = ExactConst.of(c_pi_at_minus1) * char_eval(omega, Fraction(-1)) ** space.n
     if space.form_type == HERMITIAN:
         eps = eps_at_half(omega, psi)
         return _const_mul(base, eps)
@@ -494,45 +434,29 @@ def root_number(space: HermitianSpace, c_pi_at_minus1: int, omega: MultCharacter
 
 
 def _omega_of_class(omega: MultCharacter, d: SquareClass):
-    """omega(d) for a square class d (well defined since omega^2 = 1)."""
-    field = omega.field
-    if field.is_real:
-        return ExactConst.of(-1 if (d.name == "-1" and omega.delta) else 1)
-    ubit, pbit = d.bits
-    val = ExactConst.one()
-    # quadratic part: (rep, quad)_F with rep = u^ubit p^pbit
-    sign = 1
-    if omega.quad.name == "p":  # ramified quadratic part chi_p-class
-        # (u, p-class) = residue symbol of u = -1; (p, p-class) via tame formula
-        if ubit:
-            sign *= -1
-        if pbit:
-            sign *= hilbert_pair_class(field, Fraction(field.p), omega.quad)
-    if pbit:
-        # z-part at a uniformizer
-        zval = omega.z if isinstance(omega.z, Fraction) else complex(omega.z)
-        val = _const_mul(val, ExactConst.of(zval) if isinstance(zval, Fraction) else zval)
-    return _const_mul(ExactConst.of(sign), val)
+    """omega(d) for a square class d (well defined since omega^2 = 1): the
+    symbol (quad, d)_F, times z when d has odd valuation."""
+    sign = ExactConst.of(hilbert_pair_class(omega.field, omega.quad.representative(), d))
+    if omega.field.is_real or not d.bits[1]:
+        return sign
+    return _const_mul(sign, omega.z)
 
 
 def _const_mul(a, b):
-    if isinstance(a, ExactConst) and isinstance(b, ExactConst):
-        return a * b
-    av = a.to_complex() if isinstance(a, ExactConst) else complex(a)
-    bv = b.to_complex() if isinstance(b, ExactConst) else complex(b)
-    return av * bv
+    """a * b, exact unless either factor is complex."""
+    if isinstance(a, complex) or isinstance(b, complex):
+        return complex(a) * complex(b)
+    return ExactConst.of(a) * ExactConst.of(b)
 
 
 # ---------------------------------------------------------------------------
-# Mechanical re-derivation of the GJ-type factor (used by the test suite)
+# Mechanical re-derivation of the GJ-type factor (a verify check)
 
 def derive_gj_from_normalization(m: int, omega: MultCharacter, psi: AddCharacter,
                                  probe_norm: Fraction = Fraction(1)) -> MeroExpr:
     """Solve the linear-case normalizing-constant identity for the GJ-type
     gamma of omega^2 o N and substitute the block variable u = 2s - m + 1/2."""
-    field = omega.field
-    alg = _hamilton() if field.is_real else QuaternionAlgebra(field, Fraction(-1), Fraction(-1))
-    case = HermitianSpace.linear(alg, m)
+    case = HermitianSpace.linear(QuaternionAlgebra(omega.field, Fraction(-1), Fraction(-1)), m)
     A = RegularNilpotentData(probe_norm)
     c = normalization_c(case, omega, A, psi)
     omega_sq = char_mul(omega, omega)

@@ -125,6 +125,8 @@ class ExactConst:
             v *= p ** 0.5
         return v
 
+    __complex__ = to_complex
+
     def __eq__(self, other):
         if isinstance(other, ExactConst):
             return (self.rat, self.ipow, self.roots) == (other.rat, other.ipow, other.roots)

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .characters import AddCharacter, MultCharacter
+from .characters import AddCharacter, MultCharacter, char_eval
 from .mero import LinForm, MeroExpr, mero_mul
-from .tate import _char_value_exact, tate_L, tate_eps, tate_gamma
+from .tate import tate_L, tate_eps, tate_gamma
 
 
 def _two_power(field, form: LinForm) -> MeroExpr:
@@ -32,9 +32,7 @@ def _two_power(field, form: LinForm) -> MeroExpr:
 
 
 def _prefactor(m: int, mu: MultCharacter) -> MeroExpr:
-    c = _char_value_exact(mu, Fraction(2))
-    const = c ** (4 * m) if not isinstance(c, complex) else c ** (4 * m)
-    return mero_mul(MeroExpr.const(const),
+    return mero_mul(MeroExpr.const(char_eval(mu, Fraction(2)) ** (4 * m)),
                     _two_power(mu.field, LinForm(Fraction(4 * m), Fraction(4 * m * m - 2 * m))))
 
 

@@ -320,7 +320,7 @@ class MeroExpr:
 
     @staticmethod
     def one() -> "MeroExpr":
-        return MeroExpr()
+        return _ONE
 
     @staticmethod
     def exp(base, form: LinForm) -> "MeroExpr":
@@ -407,9 +407,7 @@ class MeroExpr:
 def _pref_mul(x, y):
     if isinstance(x, ExactConst) and isinstance(y, ExactConst):
         return x * y
-    xv = x.to_complex() if isinstance(x, ExactConst) else x
-    yv = y.to_complex() if isinstance(y, ExactConst) else y
-    return xv * yv
+    return complex(x) * complex(y)
 
 
 def _pref_inv(x):
@@ -419,8 +417,7 @@ def _pref_inv(x):
 def _pref_eq(x, y) -> bool:
     if isinstance(x, ExactConst) and isinstance(y, ExactConst):
         return x == y
-    xv = x.to_complex() if isinstance(x, ExactConst) else complex(x)
-    yv = y.to_complex() if isinstance(y, ExactConst) else complex(y)
+    xv, yv = complex(x), complex(y)
     return abs(xv - yv) <= 1e-12 * max(1.0, abs(xv))
 
 
@@ -463,10 +460,15 @@ def _const_power(base: Fraction, form: LinForm):
 
 # -- algebra helpers ----------------------------------------------------
 
+_ONE = MeroExpr()  # immutable, so one instance serves every caller
+
+
 def mero_mul(*xs: MeroExpr) -> MeroExpr:
     """The product of the factors, canonicalised once over all their atoms.
     Prefactors multiply left to right, so the result (atoms, text, JSON)
     is that of the pairwise product (x1 * x2) * x3 ..."""
+    if len(xs) == 1:  # already canonical
+        return xs[0]
     pref = xs[0].prefactor if xs else ExactConst.one()
     for x in xs[1:]:
         pref = _pref_mul(pref, x.prefactor)

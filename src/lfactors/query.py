@@ -264,6 +264,8 @@ class QueryDocument:
         t_scale = _rational(doc.get("t_scale", "2"), "t_scale")
         if norm_value == 0 or t_scale == 0:
             raise QueryValidationError("norm_value, t_scale: must be nonzero")
+        if norm_value != 1 and {"R", "c"} & set(outputs) and rep_space(rep).n == 0:
+            raise QueryValidationError("norm_value: n = 0 forces the norm value 1")
         return QueryDocument(
             field, alg, rep, omega, AddCharacter(field, psi_scale),
             outputs, pts, norm_value, t_scale, sph, bool(doc.get("shifted", False)))

@@ -384,9 +384,7 @@ def _scalar_mul(a, b):
     """Multiply scalars, staying ExactConst while possible."""
     if isinstance(a, ExactConst) and isinstance(b, ExactConst):
         return a * b
-    av = a.to_complex() if isinstance(a, ExactConst) else complex(a)
-    bv = b.to_complex() if isinstance(b, ExactConst) else complex(b)
-    return av * bv
+    return complex(a) * complex(b)
 
 
 def as_rational_in_X(expr, q: int) -> RatFunc:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 
-from .characters import AddCharacter, MultCharacter, char_inverse
+from .characters import AddCharacter, MultCharacter, char_eval, char_inverse
 from .exactconst import ExactConst
-from .fields import UnsupportedFieldError, hilbert_pair_class, valuation
+from .fields import UnsupportedFieldError, valuation
 from .mero import LinForm, MeroExpr, mero_mul
 
 # idempotent value cache; concurrent double-computation is harmless
@@ -45,26 +45,6 @@ def gauss_sum(p: int) -> ExactConst:
     return best
 
 
-def _char_value_exact(chi: MultCharacter, x: Fraction) -> ExactConst | complex:
-    """chi(x) as an exact constant when possible, else complex."""
-    if chi.field.is_real:
-        sgn = -1 if (x < 0 and chi.delta) else 1
-        if chi.t == 0:
-            return ExactConst.of(sgn)
-        if isinstance(chi.t, Fraction) and chi.t.denominator in (1, 2):
-            return ExactConst.of(sgn) * ExactConst.half_power(abs(Fraction(x)), int(2 * chi.t))
-        return sgn * cmath.exp(complex(chi.t) * cmath.log(float(abs(x))))
-    ordx = valuation(chi.field, x)
-    quad = hilbert_pair_class(chi.field, x, chi.quad)
-    base = ExactConst.of(quad)
-    q = Fraction(chi.field.q)
-    if isinstance(chi.z, Fraction) and isinstance(chi.t, Fraction) \
-            and (2 * chi.t * ordx).denominator == 1:
-        return base * ExactConst.of(chi.z ** ordx) * ExactConst.half_power(q, int(-2 * chi.t * ordx))
-    return base.to_complex() * complex(chi.z) ** ordx * cmath.exp(
-        -complex(chi.t) * ordx * cmath.log(chi.field.q))
-
-
 def tate_L(chi: MultCharacter) -> MeroExpr:
     """L(s, chi): GammaR(s + t + delta) over R; (1 - chi(pi) q^{-s})^{-1}
     unramified nonarch; 1 ramified."""
@@ -90,7 +70,7 @@ def tate_eps(chi: MultCharacter, psi: AddCharacter) -> MeroExpr:
                 "ramified epsilon constants need residue degree 1")
         p = chi.field.p
         g = gauss_sum(p)  # = tau(eta, psi(./pi)); |g| = sqrt p
-        chi_pi = _char_value_exact(
+        chi_pi = char_eval(
             MultCharacter(chi.field, chi.quad, chi.z, 0), Fraction(p))
         norm = ExactConst.half_power(Fraction(p), -1)  # 1/sqrt p
         const = g * norm * chi_pi if isinstance(chi_pi, ExactConst) \
@@ -106,7 +86,7 @@ def tate_eps(chi: MultCharacter, psi: AddCharacter) -> MeroExpr:
 
 def _psi_scale(chi: MultCharacter, a: Fraction) -> MeroExpr:
     """chi(a) |a|^{s - 1/2} as a MeroExpr."""
-    ca = _char_value_exact(chi, a)
+    ca = char_eval(chi, a)
     const = MeroExpr.const(ca)
     if chi.field.is_real:
         absa = abs(Fraction(a))

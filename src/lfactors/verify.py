@@ -355,7 +355,7 @@ def check_gauss(seed: int) -> CheckResult:
         for name in ("p", "up"):
             chi = MultCharacter(F, SquareClass(F, name))
             eps = eps_at_half(chi, psi)
-            epsv = eps.to_complex() if isinstance(eps, ExactConst) else complex(eps)
+            epsv = complex(eps)
             total += 1
             if abs(abs(epsv) - 1) > 1e-12:
                 bad += 1
@@ -591,7 +591,7 @@ def check_root_numbers(seed: int) -> CheckResult:
         space = rep_space(rep)
         total += 1
         closed = root_number(space, central_sign(rep), omega, psi)
-        closed_v = closed.to_complex() if isinstance(closed, ExactConst) else complex(closed)
+        closed_v = complex(closed)
         machinery = epsilon_factor(rep, omega, psi).subst(0, Fraction(1, 2)).eval(0)
         err = abs(machinery - closed_v)
         worst = max(worst, err)

@@ -63,8 +63,8 @@ def _discrete_gamma(l: int, twist, psi: AddCharacter) -> MeroExpr:
     """gamma(s, D_l |.|^twist, psi_a)."""
     num = MeroExpr.gamma_c(LinForm(Fraction(-1), _shift(Fraction(l, 2) + 1, twist)))
     den = MeroExpr.gamma_c(LinForm(Fraction(1), _shift(Fraction(l, 2), twist)))
-    out = mero_mul(MeroExpr.const(ExactConst.i() ** (l + 1)), num, den.inv())
-    return mero_mul(out, _discrete_psi_scale(l, twist, psi))
+    return mero_mul(MeroExpr.const(ExactConst.i() ** (l + 1)), num, den.inv(),
+                    _discrete_psi_scale(l, twist, psi))
 
 
 def _discrete_psi_scale(l: int, twist, psi: AddCharacter) -> MeroExpr:

@@ -175,6 +175,12 @@ _P5_HERM = {"field": {"kind": "nonarch", "p": "5"},
      "space.gram: expected a list, got '11'"),
     ({"field": {"kind": "real"}, "rep": {"kind": "sp_highest_weight", "lambda": "21"}},
      "rep.lambda: expected a list, got '21'"),
+    ({"field": {"kind": "nonarch", "p": "5"}, "norm_value": "3", "outputs": ["R"],
+      "rep": {"kind": "trivial", "space": {"type": "hermitian", "n": 0}}},
+     "norm_value: n = 0 forces the norm value 1"),
+    ({"field": {"kind": "nonarch", "p": "5"}, "norm_value": "3", "outputs": ["gamma", "c"],
+      "rep": {"kind": "trivial", "space": {"type": "skew", "n": 0}}},
+     "norm_value: n = 0 forces the norm value 1"),
 ], ids=["rep-field", "root-number-omega", "norm-value-zero", "t-scale-zero", "eval-point-nan",
         "eval-point-shape", "eval-point-string", "eval-point-triple", "eval-point-string-coordinate",
         "eval-point-bool", "eval-points-dict", "eval-point-beyond-floats", "outputs-string",
@@ -182,7 +188,8 @@ _P5_HERM = {"field": {"kind": "nonarch", "p": "5"},
         "algebra-b-zero-real", "t-not-a-number", "z-infinite", "t-nan", "z-beyond-floats",
         "t-too-large", "t-pair-too-large", "t-huge", "t-imaginary-too-large",
         "rep-chi-t-too-large", "spherical-exponent-too-large", "spherical-exponents-string",
-        "diag-string", "gram-string", "lambda-string"])
+        "diag-string", "gram-string", "lambda-string", "n0-hermitian-norm-value",
+        "n0-skew-norm-value"])
 def test_cli_rejects_malformed_query(tmp_path, capsys, doc, message):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(doc))
