@@ -26,6 +26,7 @@ from .fields import (
     hilbert_pair_class,
     valuation,
 )
+from .scalars import add, inv, is_exact, mul, neg, rat_power
 
 ComplexLike = complex | float | int | Fraction
 
@@ -93,7 +94,7 @@ class MultCharacter:
     @property
     def is_quadratic(self) -> bool:
         """Whether chi^2 = 1."""
-        z2 = self.z * self.z == 1 if isinstance(self.z, Fraction) else abs(self.z * self.z - 1) < 1e-12
+        z2 = self.z * self.z == 1 if is_exact(self.z) else abs(self.z * self.z - 1) < 1e-12
         t0 = self.t == 0
         return bool(z2 and t0) if not self.field.is_real else bool(t0)
 
@@ -111,16 +112,11 @@ def char_eval(chi: MultCharacter, x: Rational) -> ExactConst | complex:
     x = as_fraction(x)
     if chi.field.is_real:
         sgn = -1 if (x < 0 and chi.delta) else 1
-        if chi.t == 0:
-            return ExactConst.of(sgn)
-        if isinstance(chi.t, Fraction) and chi.t.denominator in (1, 2):
-            return ExactConst.of(sgn) * ExactConst.half_power(abs(x), int(2 * chi.t))
-        return sgn * cmath.exp(complex(chi.t) * cmath.log(float(abs(x))))
+        return ExactConst.of(sgn) if chi.t == 0 else mul(sgn, rat_power(abs(x), chi.t))
     ordx = valuation(chi.field, x)
     base = ExactConst.of(hilbert_pair_class(chi.field, x, chi.quad))
     q = Fraction(chi.field.q)
-    if isinstance(chi.z, Fraction) and isinstance(chi.t, Fraction) \
-            and (2 * chi.t * ordx).denominator == 1:
+    if is_exact(chi.z) and is_exact(chi.t) and (2 * chi.t * ordx).denominator == 1:
         return base * ExactConst.of(chi.z ** ordx) * ExactConst.half_power(q, int(-2 * chi.t * ordx))
     return base.to_complex() * complex(chi.z) ** ordx * cmath.exp(
         -complex(chi.t) * ordx * cmath.log(chi.field.q))
@@ -130,23 +126,17 @@ def char_mul(a: MultCharacter, b: MultCharacter) -> MultCharacter:
     if a.field != b.field:
         raise ValueError("characters over different fields")
     z = a.z * b.z if not a.field.is_real else 1
-    ta = a.t + b.t if isinstance(a.t, Fraction) and isinstance(b.t, Fraction) \
-        else complex(a.t) + complex(b.t)
-    return MultCharacter(a.field, a.quad * b.quad, z, ta)
+    return MultCharacter(a.field, a.quad * b.quad, z, add(a.t, b.t))
 
 
 def char_inverse(chi: MultCharacter) -> MultCharacter:
-    z = 1 if chi.field.is_real else (1 / chi.z if isinstance(chi.z, Fraction) else 1 / complex(chi.z))
-    t = -chi.t if isinstance(chi.t, Fraction) else -complex(chi.t)
-    return MultCharacter(chi.field, chi.quad, z, t)
+    z = 1 if chi.field.is_real else inv(chi.z)
+    return MultCharacter(chi.field, chi.quad, z, neg(chi.t))
 
 
 def unramified_twist(chi: MultCharacter, s0: ComplexLike) -> MultCharacter:
     """omega |-> omega_{s0} = omega * |.|^{s0}; only t changes."""
-    s0 = _exact_or_complex(s0)
-    t = chi.t + s0 if isinstance(chi.t, Fraction) and isinstance(s0, Fraction) \
-        else complex(chi.t) + complex(s0)
-    return MultCharacter(chi.field, chi.quad, chi.z, t)
+    return MultCharacter(chi.field, chi.quad, chi.z, add(chi.t, _exact_or_complex(s0)))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .hermitian import (HERMITIAN, LINEAR, SKEW, HermitianSpace, discriminant,
                         kottwitz_sign)
 from .mero import LinForm, MeroExpr, mero_mul, twist_nonarch
 from .quaternion import QuaternionAlgebra
+from .scalars import mul
 from .tate import eps_at_half, tate_L, tate_gamma
 from .weil import WeilRep, WeilSummand, _discrete_L, _discrete_gamma, weil_L, weil_gamma
 
@@ -426,11 +427,11 @@ def root_number(space: HermitianSpace, c_pi_at_minus1: int, omega: MultCharacter
     base = ExactConst.of(c_pi_at_minus1) * char_eval(omega, Fraction(-1)) ** space.n
     if space.form_type == HERMITIAN:
         eps = eps_at_half(omega, psi)
-        return _const_mul(base, eps)
+        return mul(base, eps)
     d = discriminant(space)
     w_d = _omega_of_class(omega, d)
     eps = eps_at_half(MultCharacter(space.field, d), psi)
-    return _const_mul(_const_mul(base, w_d), eps)
+    return mul(mul(base, w_d), eps)
 
 
 def _omega_of_class(omega: MultCharacter, d: SquareClass):
@@ -439,14 +440,7 @@ def _omega_of_class(omega: MultCharacter, d: SquareClass):
     sign = ExactConst.of(hilbert_pair_class(omega.field, omega.quad.representative(), d))
     if omega.field.is_real or not d.bits[1]:
         return sign
-    return _const_mul(sign, omega.z)
-
-
-def _const_mul(a, b):
-    """a * b, exact unless either factor is complex."""
-    if isinstance(a, complex) or isinstance(b, complex):
-        return complex(a) * complex(b)
-    return ExactConst.of(a) * ExactConst.of(b)
+    return mul(sign, omega.z)
 
 
 # ---------------------------------------------------------------------------

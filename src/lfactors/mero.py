@@ -32,6 +32,7 @@ import numpy as np
 from scipy.special import loggamma
 
 from .exactconst import ExactConst
+from .scalars import inv, is_exact, mul, power, rat_power
 
 _LN_2 = math.log(2)
 _LN_PI = math.log(math.pi)
@@ -343,7 +344,7 @@ class MeroExpr:
         return mero_mul(self, other)
 
     def inv(self) -> "MeroExpr":
-        return MeroExpr(_pref_inv(self.prefactor), [(a, -k) for a, k in self.atoms])
+        return MeroExpr(inv(self.prefactor), [(a, -k) for a, k in self.atoms])
 
     def __pow__(self, k: int) -> "MeroExpr":
         return mero_mul(*[self if k > 0 else self.inv()] * abs(k))
@@ -360,7 +361,7 @@ class MeroExpr:
 
     @property
     def is_exact(self) -> bool:
-        return isinstance(self.prefactor, ExactConst)
+        return is_exact(self.prefactor)
 
     def constant_value(self):
         if not self.is_constant:
@@ -404,18 +405,8 @@ class MeroExpr:
         return hash((self.atoms, str(self.prefactor)))
 
 
-def _pref_mul(x, y):
-    if isinstance(x, ExactConst) and isinstance(y, ExactConst):
-        return x * y
-    return complex(x) * complex(y)
-
-
-def _pref_inv(x):
-    return x.inverse() if isinstance(x, ExactConst) else 1 / x
-
-
 def _pref_eq(x, y) -> bool:
-    if isinstance(x, ExactConst) and isinstance(y, ExactConst):
+    if is_exact(x) and is_exact(y):
         return x == y
     xv, yv = complex(x), complex(y)
     return abs(xv - yv) <= 1e-12 * max(1.0, abs(xv))
@@ -425,7 +416,8 @@ def _canonicalize(prefactor, groups):
     """Merges the atom groups into one sorted table.  Atoms that cancel are
     dropped at the end of each group, so equal atoms of different types
     (1/2 and 0.5+0j) keep the representative a group-by-group product would."""
-    pref = prefactor if isinstance(prefactor, (ExactConst, complex)) else ExactConst.of(prefactor)
+    # a rational prefactor becomes an ExactConst, a float a complex
+    pref = prefactor if isinstance(prefactor, (ExactConst, complex)) else mul(ExactConst.one(), prefactor)
     exp_forms: dict[Fraction, LinForm] = {}
     table: dict[Atom, int] = {}
     for atoms in groups:
@@ -445,17 +437,10 @@ def _canonicalize(prefactor, groups):
     for base, form in exp_forms.items():
         # canonical form: pure alpha*s exponent, constant part in the prefactor
         if form.bf != 0:
-            pref = _pref_mul(pref, _const_power(base, form))
+            pref = mul(pref, rat_power(base, form.beta))
         if form.an != 0:  # the only exponential atom of this base
             table[ExpAtom(base, _form(form.an, form.ad, (0, 1)))] = 1
     return pref, tuple(sorted(table.items(), key=_atom_sort_key))
-
-
-def _const_power(base: Fraction, form: LinForm):
-    """base^beta as a constant, exact when beta is a half-integer."""
-    if form.bn is not None and form.bd <= 2:
-        return ExactConst.half_power(base, form.bn * 2 // form.bd)
-    return cmath.exp(complex(form.bf) * cmath.log(float(base)))
 
 
 # -- algebra helpers ----------------------------------------------------
@@ -471,7 +456,7 @@ def mero_mul(*xs: MeroExpr) -> MeroExpr:
         return xs[0]
     pref = xs[0].prefactor if xs else ExactConst.one()
     for x in xs[1:]:
-        pref = _pref_mul(pref, x.prefactor)
+        pref = mul(pref, x.prefactor)
     return MeroExpr(pref, *(x.atoms for x in xs))
 
 
@@ -499,8 +484,7 @@ def twist_nonarch(x: MeroExpr, q: int, z, t) -> MeroExpr:
             e = _log_base(atom.base, q) * atom.form.alpha
             if e.denominator != 1:
                 raise UnsupportedExpressionError("twist needs integral q-power exponents")
-            v = z ** -(int(e) * k)
-            pref = _pref_mul(pref, ExactConst.of(v) if type(v) is Fraction else v)
+            pref = mul(pref, power(z, -(int(e) * k)))
             out.append((atom.with_form(atom.form.shift(t)), k))
         else:
             raise UnsupportedExpressionError("archimedean atom under nonarchimedean twist")
@@ -666,7 +650,7 @@ def _atom_from_json(d) -> Atom:
 
 
 def to_json(x: MeroExpr) -> dict:
-    if isinstance(x.prefactor, ExactConst):
+    if is_exact(x.prefactor):
         pref = {"kind": "exact", "rat": str(x.prefactor.rat), "ipow": x.prefactor.ipow,
                 "roots": sorted(x.prefactor.roots)}
     else:
@@ -840,12 +824,10 @@ def _parse_product(tk: _Tok, sign: int):
     while True:
         kind, val = _parse_atom_or_const(tk)
         if kind == "const":
-            pref = _pref_mul(pref, val)
+            pref = mul(pref, val)
         else:
-            power = 1
-            if tk.try_lit("^"):
-                power = int(tk.number())
-            atoms.append((val, sign * power))
+            k = int(tk.number()) if tk.try_lit("^") else 1
+            atoms.append((val, sign * k))
         if not tk.try_lit("*"):
             break
     return pref, atoms
@@ -860,7 +842,7 @@ def parse_expr(text: str) -> MeroExpr:
         dpref, datoms = _parse_product(tk, -1)
         if paren:
             tk.expect(")")
-        pref = _pref_mul(pref, _pref_inv(dpref))
+        pref = mul(pref, inv(dpref))
         atoms += datoms
     if not tk.done():
         raise ValueError(f"trailing input at ...{tk.text[tk.pos:tk.pos+20]!r}")

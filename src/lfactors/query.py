@@ -22,12 +22,12 @@ from .doubling import (GLChar, Induced, RegularNilpotentData, SkewHermCharR,
                        SpHighestWeight, TrivialRep, central_sign, correction_R,
                        epsilon_factor, gamma_factor, l_factor, normalization_c,
                        rep_field, rep_space, root_number, t_factor)
-from .exactconst import ExactConst
 from .fields import LocalField, SquareClass, UnsupportedFieldError
 from .hermitian import HermitianSpace
 from .mero import MeroExpr, UnsupportedExpressionError, format_expr
 from .quaternion import QuatMatrix, QuaternionAlgebra
 from .ratfunc import as_rational_in_X
+from .scalars import is_exact
 from .spherical import SphericalData, gamma_spherical, spherical_zeta
 
 SCHEMA_VERSION = 1
@@ -45,6 +45,19 @@ def _rational(v, what: str) -> Fraction:
         return Fraction(str(v))
     except (ValueError, ZeroDivisionError) as exc:
         raise QueryValidationError(f"{what}: not a rational: {v!r}") from exc
+
+
+def _int(v, what: str) -> int:
+    """An int or an integer string; a float (even a whole or non-finite one)
+    or a bool is refused rather than truncated."""
+    if type(v) is str:
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    elif type(v) is int:
+        return v
+    raise QueryValidationError(f"{what}: expected an integer, got {v!r}")
 
 
 def _complex(v, what: str):
@@ -89,7 +102,10 @@ def parse_field(doc, what: str = "field") -> LocalField:
         if doc["kind"] == "real":
             return LocalField.real()
         if doc["kind"] == "nonarch":
-            return LocalField.padic(int(doc["p"]), int(doc.get("f", 1)))
+            return LocalField.padic(_int(doc["p"], f"{what}.p"),
+                                    _int(doc.get("f", 1), f"{what}.f"))
+    except QueryValidationError:
+        raise
     except (UnsupportedFieldError, KeyError, ValueError) as exc:
         raise QueryValidationError(f"{what}: {exc}") from exc
     raise QueryValidationError(f"{what}: unknown kind {doc['kind']!r}")
@@ -135,14 +151,14 @@ def parse_space(doc, alg: QuaternionAlgebra) -> HermitianSpace:
         ftype = doc["type"]
     elif "eps" in doc:  # alternate descriptor: eps = +1 hermitian, -1 skew
         try:
-            ftype = {1: "hermitian", -1: "skew"}[int(doc["eps"])]
-        except (KeyError, ValueError):
+            ftype = {1: "hermitian", -1: "skew"}[_int(doc["eps"], "space.eps")]
+        except KeyError:
             raise QueryValidationError("space: eps must be +1 or -1")
     else:
         raise QueryValidationError("space: expected 'type' or 'eps'")
     try:
         if ftype == "linear":
-            return HermitianSpace.linear(alg, int(doc["m"]))
+            return HermitianSpace.linear(alg, _int(doc["m"], "space.m"))
         if ftype in ("hermitian", "skew"):
             if "diag" in doc:
                 ents = [_parse_quaternion(alg, v, "space.diag")
@@ -153,7 +169,7 @@ def parse_space(doc, alg: QuaternionAlgebra) -> HermitianSpace:
                         for row in _list(doc["gram"], "space.gram")]
                 n = len(rows)
                 return HermitianSpace(alg, ftype, n, QuatMatrix.from_rows(alg, rows))
-            if int(doc.get("n", -1)) == 0:
+            if _int(doc.get("n", -1), "space.n") == 0:
                 return HermitianSpace(alg, ftype, 0)
             raise QueryValidationError("space: need 'diag', 'gram', or n = 0")
     except QueryValidationError:
@@ -174,14 +190,15 @@ def parse_rep(doc, field: LocalField, alg: QuaternionAlgebra):
                 raise QueryValidationError("rep: the trivial representation needs its space")
             return TrivialRep(space)
         if kind == "skew_char":
-            return SkewHermCharR(int(doc["l"]))
+            return SkewHermCharR(_int(doc["l"], "rep.l"))
         if kind == "sp_highest_weight":
-            lam = tuple(int(v) for v in _list(doc["lambda"], "rep.lambda"))
-            return SpHighestWeight(int(doc.get("n", len(lam))), lam)
+            lam = tuple(_int(v, "rep.lambda") for v in _list(doc["lambda"], "rep.lambda"))
+            return SpHighestWeight(_int(doc.get("n", len(lam)), "rep.n"), lam)
         if kind == "gl_char":
-            return GLChar(int(doc["m"]), parse_character(doc["chi"], field, "rep.chi"))
+            return GLChar(_int(doc["m"], "rep.m"), parse_character(doc["chi"], field, "rep.chi"))
         if kind == "induced":
-            blocks = tuple(GLChar(int(b["m"]), parse_character(b["chi"], field, "rep.blocks.chi"))
+            blocks = tuple(GLChar(_int(b["m"], "rep.blocks.m"),
+                                  parse_character(b["chi"], field, "rep.blocks.chi"))
                            for b in doc["blocks"])
             return Induced(blocks, parse_rep(doc["kernel"], field, alg))
     except QueryValidationError:
@@ -194,7 +211,8 @@ def parse_rep(doc, field: LocalField, alg: QuaternionAlgebra):
 def parse_spherical(doc, field: LocalField) -> SphericalData:
     try:
         disc0 = SquareClass(field, str(doc["disc0"])) if "disc0" in doc else None
-        return SphericalData(field, doc["form_type"], int(doc["r"]), int(doc["n0"]),
+        return SphericalData(field, doc["form_type"], _int(doc["r"], "spherical.r"),
+                             _int(doc["n0"], "spherical.n0"),
                              tuple(_exponent(t, "spherical.exponents")
                                    for t in _list(doc.get("exponents", []), "spherical.exponents")),
                              disc0)
@@ -327,11 +345,9 @@ def run_query(doc: dict) -> dict:
                                                       pending)
         elif name == "root_number":
             w = root_number(space, central_sign(q.rep), q.omega, q.psi)
-            if isinstance(w, ExactConst):
-                out["results"]["root_number"] = {"exact": str(w),
-                                                 "value": [w.to_complex().real, w.to_complex().imag]}
-            else:
-                out["results"]["root_number"] = {"exact": None, "value": [w.real, w.imag]}
+            v = complex(w)
+            out["results"]["root_number"] = {"exact": str(w) if is_exact(w) else None,
+                                             "value": [v.real, v.imag]}
         elif name == "R":
             out["results"]["R"] = _expr_payload(
                 correction_R(space, q.omega, A, q.psi), q, pending)

@@ -28,11 +28,11 @@ product as built, and equality compares coefficients to a relative 1e-9.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from math import gcd, lcm
 
 from .exactconst import ExactConst, factor_int
+from .scalars import is_exact, mul, neg, power, rat_power
 
 
 class QiSqrt:
@@ -134,6 +134,8 @@ class QiSqrt:
         n, r = self.n, self.p ** 0.5
         return complex(self.a / n + self.b / n * r, self.c / n + self.d / n * r)
 
+    __complex__ = to_complex
+
     def __str__(self):
         if not self:
             return "0"
@@ -161,7 +163,7 @@ class Poly:
     def __init__(self, p: int, coeffs: dict[int, object], exact: bool = True):
         self.p = p
         self.exact = exact
-        coeff = (lambda v: QiSqrt.of(p, v)) if exact else _to_cx
+        coeff = (lambda v: QiSqrt.of(p, v)) if exact else complex
         self.coeffs = {k: c for k, v in coeffs.items() if (c := coeff(v))}
 
     @staticmethod
@@ -198,7 +200,7 @@ class Poly:
     def eval(self, x: complex) -> complex:
         total = 0j
         for k, v in self.coeffs.items():
-            total += _to_cx(v) * x ** k
+            total += complex(v) * x ** k
         return total
 
     def __eq__(self, other):
@@ -373,20 +375,6 @@ class RatFunc:
         return f"({ns}) / ({ds})"
 
 
-def _q_power_exact(q: int, beta) -> ExactConst | complex:
-    """q^{-beta}; exact when beta is a half-integer."""
-    if isinstance(beta, Fraction) and beta.denominator in (1, 2):
-        return ExactConst.half_power(Fraction(q), -int(2 * beta))
-    return cmath.exp(-complex(beta) * cmath.log(q))
-
-
-def _scalar_mul(a, b):
-    """Multiply scalars, staying ExactConst while possible."""
-    if isinstance(a, ExactConst) and isinstance(b, ExactConst):
-        return a * b
-    return complex(a) * complex(b)
-
-
 def as_rational_in_X(expr, q: int) -> RatFunc:
     """Rewrite a purely nonarchimedean expression as a ratio of polynomials
     in X = q^{-s}; exact whenever every constant lies in Q(i, sqrt p)."""
@@ -398,9 +386,7 @@ def as_rational_in_X(expr, q: int) -> RatFunc:
         raise ValueError(f"residue cardinality {q} is not a prime power")
     p = next(iter(fac))
 
-    scalar = ExactConst.one() if not isinstance(expr.prefactor, complex) else complex(expr.prefactor)
-    if isinstance(expr.prefactor, ExactConst):
-        scalar = expr.prefactor
+    scalar = expr.prefactor
     pieces: list[tuple[int, object, int]] = []  # (a, c, k): (1 - c X^a)^k, or X^a when c is None
 
     for atom, k in expr.atoms:
@@ -412,9 +398,7 @@ def as_rational_in_X(expr, q: int) -> RatFunc:
             alpha = atom.form.alpha
             if alpha.denominator != 1 or alpha == 0:
                 raise UnsupportedExpressionError("L-atom argument must have integer s-slope")
-            z = atom.z if not isinstance(atom.z, Fraction) else ExactConst.of(atom.z)
-            coeff = _scalar_mul(z if isinstance(z, (ExactConst, complex)) else complex(z),
-                                _q_power_exact(q, atom.form.beta))
+            coeff = mul(atom.z, rat_power(q, neg(atom.form.beta)))
             # atom = (1 - coeff X^alpha)^{-1}
             pieces.append((int(alpha), coeff, -k))
         else:
@@ -424,15 +408,15 @@ def as_rational_in_X(expr, q: int) -> RatFunc:
             if e.denominator != 1:
                 raise UnsupportedExpressionError("exponential atom is not integral in X")
             # base^{alpha s + beta} = q^{r beta} X^{-r alpha}
-            scalar = _scalar_mul(scalar, _pow_any(_q_power_exact(q, _times(-r, atom.form.beta)), k))
+            scalar = mul(scalar, power(rat_power(q, mul(r, atom.form.beta)), k))
             pieces.append((-int(e) * k, None, 1))
 
-    exact = isinstance(scalar, ExactConst) and all(not isinstance(c, complex) for _, c, _ in pieces)
+    exact = is_exact(scalar) and all(c is None or is_exact(c) for _, c, _ in pieces)
     if not exact:
         one = Poly.const(p, 1, False)
         out = RatFunc(p, None, pair=(Poly.const(p, scalar, False), one))
         for a, c, k in pieces:
-            poly = Poly(p, {a: 1} if c is None else {0: 1, a: _neg(c)}, False)
+            poly = Poly(p, {a: 1} if c is None else {0: 1, a: neg(c)}, False)
             out = out * RatFunc(p, None, pair=(poly, one)) ** k
         return out
     unit, xpow, binomials = QiSqrt.of(p, scalar), 0, {}
@@ -449,27 +433,3 @@ def as_rational_in_X(expr, q: int) -> RatFunc:
         if k:
             _refine(basis, Poly(p, {0: 1, a: -c}), k)
     return RatFunc(p, unit, xpow, basis)
-
-
-def _neg(v):
-    return -v if not isinstance(v, ExactConst) else ExactConst(-v.rat, v.ipow, v.roots)
-
-
-def _to_cx(v) -> complex:
-    if isinstance(v, ExactConst):
-        return v.to_complex()
-    if isinstance(v, QiSqrt):
-        return v.to_complex()
-    return complex(v)
-
-
-def _pow_any(v, k: int):
-    if isinstance(v, ExactConst):
-        return v ** k
-    return complex(v) ** k
-
-
-def _times(r: Fraction, beta):
-    if isinstance(beta, Fraction):
-        return r * beta
-    return complex(r) * complex(beta)

@@ -16,6 +16,7 @@ from .characters import AddCharacter, MultCharacter, char_eval, char_inverse
 from .exactconst import ExactConst
 from .fields import UnsupportedFieldError, valuation
 from .mero import LinForm, MeroExpr, mero_mul
+from .scalars import add, is_exact, neg
 
 # idempotent value cache; concurrent double-computation is harmless
 _GAUSS_CACHE: dict[int, ExactConst] = {}
@@ -49,7 +50,7 @@ def tate_L(chi: MultCharacter) -> MeroExpr:
     """L(s, chi): GammaR(s + t + delta) over R; (1 - chi(pi) q^{-s})^{-1}
     unramified nonarch; 1 ramified."""
     if chi.field.is_real:
-        return MeroExpr.gamma_r(LinForm(Fraction(1), _plus(chi.t, chi.delta)))
+        return MeroExpr.gamma_r(LinForm(Fraction(1), add(chi.t, chi.delta)))
     if chi.is_ramified:
         return MeroExpr.one()
     # value at a uniformizer, with |pi|^t folded into the argument shift
@@ -73,12 +74,12 @@ def tate_eps(chi: MultCharacter, psi: AddCharacter) -> MeroExpr:
         chi_pi = char_eval(
             MultCharacter(chi.field, chi.quad, chi.z, 0), Fraction(p))
         norm = ExactConst.half_power(Fraction(p), -1)  # 1/sqrt p
-        const = g * norm * chi_pi if isinstance(chi_pi, ExactConst) \
+        const = g * norm * chi_pi if is_exact(chi_pi) \
             else g.to_complex() * norm.to_complex() * chi_pi
         # q^{(1/2 - s - t)} times the normalized Gauss root number
         base = mero_mul(MeroExpr.const(const),
                         MeroExpr.exp(Fraction(chi.field.q),
-                                     LinForm(Fraction(-1), _plus(_neg(chi.t), Fraction(1, 2)))))
+                                     LinForm(Fraction(-1), add(neg(chi.t), Fraction(1, 2)))))
     if psi.a == 1:
         return base
     return mero_mul(base, _psi_scale(chi, psi.a))
@@ -110,13 +111,3 @@ def tate_gamma(chi: MultCharacter, psi: AddCharacter) -> MeroExpr:
 def eps_at_half(chi: MultCharacter, psi: AddCharacter) -> ExactConst | complex:
     """epsilon(1/2, chi, psi), as a constant."""
     return tate_eps(chi, psi).subst(0, Fraction(1, 2)).constant_value()
-
-
-def _plus(x, y):
-    if isinstance(x, Fraction) and isinstance(y, (int, Fraction)):
-        return x + y
-    return complex(x) + complex(y)
-
-
-def _neg(x):
-    return -x if isinstance(x, Fraction) else -complex(x)

@@ -15,6 +15,7 @@ from .characters import AddCharacter, MultCharacter
 from .exactconst import ExactConst
 from .fields import LocalField
 from .mero import LinForm, MeroExpr, mero_mul
+from .scalars import add, mul, sub
 from .tate import tate_gamma, tate_L
 
 
@@ -61,8 +62,8 @@ def _char_of(field: LocalField, kind: str, twist) -> MultCharacter:
 
 def _discrete_gamma(l: int, twist, psi: AddCharacter) -> MeroExpr:
     """gamma(s, D_l |.|^twist, psi_a)."""
-    num = MeroExpr.gamma_c(LinForm(Fraction(-1), _shift(Fraction(l, 2) + 1, twist)))
-    den = MeroExpr.gamma_c(LinForm(Fraction(1), _shift(Fraction(l, 2), twist)))
+    num = MeroExpr.gamma_c(LinForm(Fraction(-1), add(Fraction(l, 2) + 1, twist)))
+    den = MeroExpr.gamma_c(LinForm(Fraction(1), add(Fraction(l, 2), twist)))
     return mero_mul(MeroExpr.const(ExactConst.i() ** (l + 1)), num, den.inv(),
                     _discrete_psi_scale(l, twist, psi))
 
@@ -79,18 +80,11 @@ def _discrete_psi_scale(l: int, twist, psi: AddCharacter) -> MeroExpr:
     if absa == 1:
         return const
     # |a|^{2(s + twist) - 1}
-    return mero_mul(const, MeroExpr.exp(absa, LinForm(Fraction(2), _twice_shift(twist))))
-
-
-def _twice_shift(twist):
-    # beta part of |a|^{2(s + twist) - 1}
-    if isinstance(twist, Fraction):
-        return 2 * twist - 1
-    return 2 * complex(twist) - 1
+    return mero_mul(const, MeroExpr.exp(absa, LinForm(Fraction(2), sub(mul(2, twist), 1))))
 
 
 def _discrete_L(l: int, twist) -> MeroExpr:
-    return MeroExpr.gamma_c(LinForm(Fraction(1), _shift(Fraction(l, 2), twist)))
+    return MeroExpr.gamma_c(LinForm(Fraction(1), add(Fraction(l, 2), twist)))
 
 
 def weil_gamma(rep: WeilRep, psi: AddCharacter) -> MeroExpr:
@@ -103,9 +97,3 @@ def weil_L(rep: WeilRep) -> MeroExpr:
     return mero_mul(*(_discrete_L(w.l, w.twist) if w.kind == "discrete"
                       else tate_L(_char_of(rep.field, w.kind, w.twist))
                       for w in rep.summands))
-
-
-def _shift(base: Fraction, twist):
-    if isinstance(twist, Fraction):
-        return base + twist
-    return complex(base) + complex(twist)

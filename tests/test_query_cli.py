@@ -118,6 +118,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+_INF = float("inf")
 _P5_HERM = {"field": {"kind": "nonarch", "p": "5"},
             "rep": {"kind": "trivial", "space": {"type": "hermitian", "diag": ["1"]}}}
 
@@ -181,6 +182,38 @@ _P5_HERM = {"field": {"kind": "nonarch", "p": "5"},
     ({"field": {"kind": "nonarch", "p": "5"}, "norm_value": "3", "outputs": ["gamma", "c"],
       "rep": {"kind": "trivial", "space": {"type": "skew", "n": 0}}},
      "norm_value: n = 0 forces the norm value 1"),
+    ({"field": {"kind": "nonarch", "p": _INF}, "rep": {"kind": "skew_char", "l": 1}},
+     "field.p: expected an integer, got inf"),
+    ({"field": {"kind": "nonarch", "p": 5, "f": 1.0}, "rep": {"kind": "gl_char", "m": 1, "chi": {}}},
+     "field.f: expected an integer, got 1.0"),
+    ({"field": {"kind": "real"}, "rep": {"kind": "skew_char", "l": _INF}},
+     "rep.l: expected an integer, got inf"),
+    ({"field": {"kind": "real"}, "rep": {"kind": "sp_highest_weight", "lambda": [_INF]}},
+     "rep.lambda: expected an integer, got inf"),
+    ({"field": {"kind": "real"}, "rep": {"kind": "sp_highest_weight", "lambda": [1], "n": "x"}},
+     "rep.n: expected an integer, got 'x'"),
+    ({"field": {"kind": "nonarch", "p": "3"}, "outputs": ["spherical"],
+      "spherical": {"form_type": "hermitian", "r": _INF, "n0": 0}},
+     "spherical.r: expected an integer, got inf"),
+    ({"field": {"kind": "nonarch", "p": "3"}, "outputs": ["spherical"],
+      "spherical": {"form_type": "hermitian", "r": 0, "n0": float("nan")}},
+     "spherical.n0: expected an integer, got nan"),
+    ({"field": {"kind": "real"}, "rep": {"kind": "gl_char", "m": float("1e400"), "chi": {}}},
+     "rep.m: expected an integer, got inf"),
+    ({"field": {"kind": "real"}, "rep": {"kind": "gl_char", "m": 2.7, "chi": {}}},
+     "rep.m: expected an integer, got 2.7"),
+    ({"field": {"kind": "real"}, "rep": {"kind": "induced", "blocks": [{"m": -_INF, "chi": {}}],
+                                         "kernel": {"kind": "skew_char", "l": 1}}},
+     "rep.blocks.m: expected an integer, got -inf"),
+    ({"field": {"kind": "nonarch", "p": "5"},
+      "rep": {"kind": "trivial", "space": {"type": "linear", "m": _INF}}},
+     "space.m: expected an integer, got inf"),
+    ({"field": {"kind": "nonarch", "p": "5"},
+      "rep": {"kind": "trivial", "space": {"type": "hermitian", "n": 0.0}}},
+     "space.n: expected an integer, got 0.0"),
+    ({"field": {"kind": "nonarch", "p": "5"},
+      "rep": {"kind": "trivial", "space": {"eps": True, "diag": ["1"]}}},
+     "space.eps: expected an integer, got True"),
 ], ids=["rep-field", "root-number-omega", "norm-value-zero", "t-scale-zero", "eval-point-nan",
         "eval-point-shape", "eval-point-string", "eval-point-triple", "eval-point-string-coordinate",
         "eval-point-bool", "eval-points-dict", "eval-point-beyond-floats", "outputs-string",
@@ -189,7 +222,9 @@ _P5_HERM = {"field": {"kind": "nonarch", "p": "5"},
         "t-too-large", "t-pair-too-large", "t-huge", "t-imaginary-too-large",
         "rep-chi-t-too-large", "spherical-exponent-too-large", "spherical-exponents-string",
         "diag-string", "gram-string", "lambda-string", "n0-hermitian-norm-value",
-        "n0-skew-norm-value"])
+        "n0-skew-norm-value", "p-infinite", "f-float", "l-infinite", "lambda-infinite",
+        "rep-n-string", "r-infinite", "n0-nan", "m-beyond-floats", "m-fractional",
+        "block-m-infinite", "linear-m-infinite", "space-n-float", "eps-bool"])
 def test_cli_rejects_malformed_query(tmp_path, capsys, doc, message):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(doc))

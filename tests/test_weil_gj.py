@@ -11,7 +11,7 @@ from lfactors.gj import gj_L, gj_eps, gj_gamma_norm
 from lfactors.mero import LinForm, MeroExpr, equals_numeric, mero_mul
 from lfactors.ratfunc import as_rational_in_X
 from lfactors.tate import tate_gamma
-from lfactors.weil import WeilRep, WeilSummand, weil_gamma
+from lfactors.weil import WeilRep, WeilSummand, _discrete_gamma, weil_gamma
 
 R = LocalField.real()
 psiR = AddCharacter.standard(R)
@@ -28,6 +28,18 @@ def test_discrete_series_formula():
                     MeroExpr.gamma_c(LinForm(Fraction(-1), 2)),
                     MeroExpr.gamma_c(LinForm(Fraction(1), 1)).inv())
     assert g == want
+
+
+def test_int_twist_is_exact_like_fraction():
+    # an int twist is exact: D_3 |.|^0 has the betas of the Fraction(0) twist
+    assert str(_discrete_gamma(3, 0, psiR)) == "GammaC(-s+5/2) / GammaC(s+3/2)"
+    for l in (1, 2, 3, 4):
+        for twist in (0, 1, -2):
+            for a in (1, 2, Fraction(-1, 3)):
+                psi = AddCharacter(R, a)
+                want = _discrete_gamma(l, Fraction(twist), psi)
+                got = _discrete_gamma(l, twist, psi)
+                assert (str(got), repr(got.prefactor)) == (str(want), repr(want.prefactor))
 
 
 def test_d_l_sign_twist_invariance():
