@@ -30,7 +30,7 @@ def _load_doc(path: str) -> dict:
 def _cmd_gamma(args) -> int:
     try:
         doc = _load_doc(args.file)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an int past 4300 digits
         print(f"error: cannot read query: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if args.shifted:
@@ -77,14 +77,15 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    text = sys.stderr if args.json else sys.stdout  # --json keeps stdout pure JSON
     for line in report.lines():
-        print(line)
+        print(line, file=text)
     if args.json:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     if not report.passed:
         print("verification FAILED", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    print("all checks passed")
+    print("all checks passed", file=text)
     return EXIT_OK
 
 
@@ -127,9 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run an identity suite")
     v.add_argument("--suite", default="all", choices=["all"] + sorted(SUITES))
     v.add_argument("--seed", type=int, default=7)
-    v.add_argument("--json", action="store_true", help="also emit the JSON report")
+    v.add_argument("--json", action="store_true",
+                   help="print the JSON report on stdout, the check lines on stderr")
     v.add_argument("--corrupt", action="store_true",
-                   help="test mode: corrupt a constant to confirm detection")
+                   help="perturb the first right-hand side of every check; every check must fail")
     v.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("print", help="re-print an expression (text or JSON tree)")

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .characters import AddCharacter, MultCharacter, char_eval
 from .mero import LinForm, MeroExpr, mero_mul
-from .tate import tate_L, tate_eps, tate_gamma
+from .tate import tate_L, tate_gamma
 
 
 def _two_power(field, form: LinForm) -> MeroExpr:
@@ -52,7 +52,3 @@ def gj_gamma_norm(m: int, mu: MultCharacter, psi: AddCharacter) -> MeroExpr:
 
 def gj_L(m: int, mu: MultCharacter) -> MeroExpr:
     return mero_mul(*_shifted(m, tate_L(mu)))
-
-
-def gj_eps(m: int, mu: MultCharacter, psi: AddCharacter) -> MeroExpr:
-    return mero_mul(_prefactor(m, mu), *_shifted(m, tate_eps(mu, psi)))

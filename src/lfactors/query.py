@@ -34,6 +34,11 @@ SCHEMA_VERSION = 1
 
 KNOWN_OUTPUTS = ("gamma", "L", "epsilon", "root_number", "R", "c", "T", "spherical")
 _NUMBER = (int, float)  # the types json gives a number; a bool is not one
+# Bounds on integer inputs: beyond them a query runs for seconds to minutes or
+# fails deep inside (primality by trial division, q^m past Python's int-to-str limit).
+MAX_P = 10 ** 6 - 1
+MAX_Q = 10 ** 1000  # q = p^f must be below this
+MAX_BLOCK = 32  # the GL block size m of a gl_char or of an induced block
 
 
 class QueryValidationError(ValueError):
@@ -47,17 +52,18 @@ def _rational(v, what: str) -> Fraction:
         raise QueryValidationError(f"{what}: not a rational: {v!r}") from exc
 
 
-def _int(v, what: str) -> int:
-    """An int or an integer string; a float (even a whole or non-finite one)
-    or a bool is refused rather than truncated."""
-    if type(v) is str:
-        try:
-            return int(v)
-        except ValueError:
-            pass
-    elif type(v) is int:
-        return v
-    raise QueryValidationError(f"{what}: expected an integer, got {v!r}")
+def _int(v, what: str, most: int | None = None) -> int:
+    """An int or an integer string, at most `most` when that is given; a float
+    (even a whole or non-finite one) or a bool is refused rather than truncated."""
+    try:
+        n = int(v) if type(v) in (str, int) else None
+    except ValueError:
+        n = None
+    if n is None:
+        raise QueryValidationError(f"{what}: expected an integer, got {v!r}")
+    if most is not None and n > most:
+        raise QueryValidationError(f"{what}: must be at most {most}, got {n}")
+    return n
 
 
 def _complex(v, what: str):
@@ -102,8 +108,13 @@ def parse_field(doc, what: str = "field") -> LocalField:
         if doc["kind"] == "real":
             return LocalField.real()
         if doc["kind"] == "nonarch":
-            return LocalField.padic(_int(doc["p"], f"{what}.p"),
-                                    _int(doc.get("f", 1), f"{what}.f"))
+            p = _int(doc["p"], f"{what}.p", most=MAX_P)
+            f = _int(doc.get("f", 1), f"{what}.f")
+            LocalField.padic(p)  # refuses a p that is not an odd prime before p^f is formed
+            if f > 2100 or p ** f >= MAX_Q:  # f > 2100 alone makes q > 3^2100 > MAX_Q
+                raise QueryValidationError(f"{what}.f: q = p^f must be below 10^1000, "
+                                           f"got {p}^{f}")
+            return LocalField.padic(p, f)
     except QueryValidationError:
         raise
     except (UnsupportedFieldError, KeyError, ValueError) as exc:
@@ -195,9 +206,10 @@ def parse_rep(doc, field: LocalField, alg: QuaternionAlgebra):
             lam = tuple(_int(v, "rep.lambda") for v in _list(doc["lambda"], "rep.lambda"))
             return SpHighestWeight(_int(doc.get("n", len(lam)), "rep.n"), lam)
         if kind == "gl_char":
-            return GLChar(_int(doc["m"], "rep.m"), parse_character(doc["chi"], field, "rep.chi"))
+            return GLChar(_int(doc["m"], "rep.m", most=MAX_BLOCK),
+                          parse_character(doc["chi"], field, "rep.chi"))
         if kind == "induced":
-            blocks = tuple(GLChar(_int(b["m"], "rep.blocks.m"),
+            blocks = tuple(GLChar(_int(b["m"], "rep.blocks.m", most=MAX_BLOCK),
                                   parse_character(b["chi"], field, "rep.blocks.chi"))
                            for b in doc["blocks"])
             return Induced(blocks, parse_rep(doc["kernel"], field, alg))

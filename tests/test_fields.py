@@ -171,10 +171,11 @@ def test_hilbert_oracle_check_can_fail(monkeypatch):
         h = hilbert_symbol(F, a, b)
         return -h if F.p == 11 else h
 
-    assert verify.check_hilbert_oracle(7).passed
+    oracle, = (c for c in verify.SUITES["hilbert"] if c.name == "hilbert-symbol-vs-conic-oracle")
+    assert oracle(7).passed
     monkeypatch.setattr(verify, "hilbert_symbol", flipped)
-    res = verify.check_hilbert_oracle(7)
-    assert not res.passed and res.max_error > 0 and res.samples == 200
+    res = oracle(7)
+    assert not res.passed and res.mismatches == 50 and res.samples == 200
 
 
 @given(any_field, rationals, rationals, rationals)

@@ -214,6 +214,22 @@ _P5_HERM = {"field": {"kind": "nonarch", "p": "5"},
     ({"field": {"kind": "nonarch", "p": "5"},
       "rep": {"kind": "trivial", "space": {"eps": True, "diag": ["1"]}}},
      "space.eps: expected an integer, got True"),
+    ({"field": {"kind": "nonarch", "p": 10 ** 30 + 57}, "rep": {"kind": "gl_char", "m": 1, "chi": {}}},
+     "field.p: must be at most 999999, got 1000000000000000000000000000057"),
+    ({"field": {"kind": "nonarch", "p": "1000003"}, "rep": {"kind": "gl_char", "m": 1, "chi": {}}},
+     "field.p: must be at most 999999, got 1000003"),
+    ({"field": {"kind": "nonarch", "p": 5, "f": 100000},
+      "rep": {"kind": "gl_char", "m": 1, "chi": {}}},
+     "field.f: q = p^f must be below 10^1000, got 5^100000"),
+    ({"field": {"kind": "nonarch", "p": 5, "f": 1431}, "rep": {"kind": "gl_char", "m": 1, "chi": {}}},
+     "field.f: q = p^f must be below 10^1000, got 5^1431"),
+    ({"field": {"kind": "real"}, "rep": {"kind": "gl_char", "m": 45, "chi": {}}},
+     "rep.m: must be at most 32, got 45"),
+    ({"field": {"kind": "nonarch", "p": "5"}, "rep": {"kind": "gl_char", "m": "33", "chi": {}}},
+     "rep.m: must be at most 32, got 33"),
+    ({"field": {"kind": "real"}, "rep": {"kind": "induced", "blocks": [{"m": 33, "chi": {}}],
+                                         "kernel": {"kind": "skew_char", "l": 1}}},
+     "rep.blocks.m: must be at most 32, got 33"),
 ], ids=["rep-field", "root-number-omega", "norm-value-zero", "t-scale-zero", "eval-point-nan",
         "eval-point-shape", "eval-point-string", "eval-point-triple", "eval-point-string-coordinate",
         "eval-point-bool", "eval-points-dict", "eval-point-beyond-floats", "outputs-string",
@@ -224,7 +240,9 @@ _P5_HERM = {"field": {"kind": "nonarch", "p": "5"},
         "diag-string", "gram-string", "lambda-string", "n0-hermitian-norm-value",
         "n0-skew-norm-value", "p-infinite", "f-float", "l-infinite", "lambda-infinite",
         "rep-n-string", "r-infinite", "n0-nan", "m-beyond-floats", "m-fractional",
-        "block-m-infinite", "linear-m-infinite", "space-n-float", "eps-bool"])
+        "block-m-infinite", "linear-m-infinite", "space-n-float", "eps-bool", "p-31-digits",
+        "p-above-bound", "f-huge", "q-above-bound", "m-above-bound-real", "m-above-bound-padic",
+        "block-m-above-bound"])
 def test_cli_rejects_malformed_query(tmp_path, capsys, doc, message):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(doc))
@@ -242,6 +260,34 @@ def test_cli_rejects_malformed_query(tmp_path, capsys, doc, message):
      "spherical": {"form_type": "hermitian", "r": 1, "n0": 0, "exponents": ["1000"]}},
 ], ids=["t-at-bound", "t-imaginary-at-bound", "spherical-exponent-at-bound"])
 def test_cli_accepts_exponents_at_the_bound(tmp_path, capsys, doc):
+    _accepted(tmp_path, capsys, doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"field": {"kind": "nonarch", "p": 999983}, "rep": {"kind": "gl_char", "m": 1, "chi": {}}},
+    # 5^1430 < 10^1000 <= 5^1431
+    {"field": {"kind": "nonarch", "p": 5, "f": 1430}, "rep": {"kind": "gl_char", "m": 1, "chi": {}}},
+    {"field": {"kind": "real"}, "rep": {"kind": "gl_char", "m": 32, "chi": {}},
+     "outputs": ["gamma", "L", "epsilon"]},
+    {"field": {"kind": "nonarch", "p": 5}, "rep": {"kind": "gl_char", "m": 32, "chi": {}},
+     "outputs": ["gamma", "L", "epsilon"]},
+    {"field": {"kind": "real"}, "rep": {"kind": "induced", "blocks": [{"m": 32, "chi": {}}],
+                                        "kernel": {"kind": "skew_char", "l": 1}}},
+], ids=["p-at-bound", "q-at-bound", "m-at-bound-real", "m-at-bound-padic", "block-m-at-bound"])
+def test_cli_accepts_integers_at_the_bound(tmp_path, capsys, doc):
+    _accepted(tmp_path, capsys, doc)
+
+
+def test_cli_rejects_an_integer_json_cannot_read(tmp_path, capsys):
+    path = tmp_path / "q.json"
+    path.write_text('{"field": {"kind": "real"}, "rep": {"kind": "skew_char", "l": %s}}' % ("1" * 5000))
+    assert main(["gamma", "-f", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "cannot read query: Exceeds the limit" in captured.err
+    assert captured.out == ""
+
+
+def _accepted(tmp_path, capsys, doc):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(doc))
     assert main(["gamma", "-f", str(path)]) == 0

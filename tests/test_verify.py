@@ -1,0 +1,62 @@
+"""The verify report: the comparison paths, the JSON on stdout, and that
+every check can fail."""
+
+import json
+from fractions import Fraction
+
+from lfactors.cli import main
+from lfactors.exactconst import ExactConst
+from lfactors.fields import LocalField
+from lfactors.mero import LinForm, MeroExpr, mero_mul
+from lfactors.verify import SUITES, compare, run_verify
+
+Q5 = LocalField.padic(5)
+S = LinForm(Fraction(1), Fraction(0))
+
+
+def test_compare_paths():
+    L = MeroExpr.l_atom(5, 1, S)
+    off = MeroExpr.const(ExactConst(Fraction(1000001, 1000000)))
+    assert compare(L, L, Q5, 7, 1e-9) == ("exact", 1, 0.0, True)
+    assert compare(L, L * off, Q5, 7, 1e-9) == ("exact", 1, 0.0, False)
+    # (1 - c X)(1 + c X) = 1 - c^2 X^2 with c = 5^(-3/10), a complex coefficient
+    form = LinForm(Fraction(1), Fraction(3, 10))
+    lhs = mero_mul(MeroExpr.l_atom(5, 1, form), MeroExpr.l_atom(5, -1, form))
+    rhs = MeroExpr.l_atom(5, 1, LinForm(Fraction(2), Fraction(3, 5)))
+    assert compare(lhs, rhs, Q5, 7, 1e-9) == ("inexact", 1, 0.0, True)
+    assert compare(lhs, rhs * off, Q5, 7, 1e-9) == ("inexact", 1, 0.0, False)
+
+    dup = mero_mul(MeroExpr.gamma_r(S), MeroExpr.gamma_r(LinForm(Fraction(1), Fraction(1))))
+    path, samples, err, ok = compare(dup, MeroExpr.gamma_c(S), LocalField.real(), 7, 1e-10)
+    assert (path, samples, ok) == ("sampled", 24, True) and err < 1e-10
+    path, samples, err, ok = compare(dup, MeroExpr.gamma_c(S) * off, LocalField.real(), 7, 1e-10)
+    assert (path, samples, ok) == ("sampled", 24, False) and abs(err - 1e-6) < 1e-9
+
+    # the relative error is measured against max(1, |rhs|)
+    assert compare(1e6 + 0.5, 1e6, None, 7, 1e-6) == ("close", 1, 0.5 / 1e6, True)
+    assert compare(1 + 2e-9, 1.0, None, 7, 1e-9)[::3] == ("close", False)
+    assert compare(1e-10j, 0j, None, 7, 1e-9) == ("close", 1, 1e-10, True)
+
+    # exact numbers and expressions given no field are compared with ==
+    assert compare(Fraction(1, 3), Fraction(1, 3), None, 7, 1e-9) == ("equal", 1, 0.0, True)
+    assert compare(L, L * off, None, 7, 1e-9) == ("equal", 1, 0.0, False)
+    assert compare((1, 2), (1, 3), None, 7, 1e-9) == ("equal", 1, 0.0, False)
+
+
+def test_verify_json_is_alone_on_stdout(capsys):
+    assert main(["verify", "--suite", "tate", "--json"]) == 0
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["passed"] and report["suite"] == "tate"
+    fe = report["checks"][0]
+    assert fe == {"name": "tate-functional-equation", "passed": True, "samples": 90,
+                  "mismatches": 0, "max_error": 0.0, "paths": {"exact": 18, "sampled": 3}}
+    assert "[pass] tate-functional-equation: 90 samples" in err
+    assert err.rstrip().endswith("all checks passed")
+
+
+def test_corrupt_fails_every_check():
+    report = run_verify("all", corrupt=True)
+    names = [check.name for checks in SUITES.values() for check in checks]
+    assert len(names) == 23 and [r.name for r in report.results] == names
+    assert [r.name for r in report.results if r.passed or r.mismatches < 1] == []

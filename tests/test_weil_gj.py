@@ -7,10 +7,10 @@ from lfactors.characters import (AddCharacter, MultCharacter, char_inverse,
 from lfactors.doubling import derive_gj_from_normalization
 from lfactors.exactconst import ExactConst
 from lfactors.fields import LocalField, SquareClass
-from lfactors.gj import gj_L, gj_eps, gj_gamma_norm
+from lfactors.gj import _prefactor, _shifted, gj_L, gj_gamma_norm
 from lfactors.mero import LinForm, MeroExpr, equals_numeric, mero_mul
 from lfactors.ratfunc import as_rational_in_X
-from lfactors.tate import tate_gamma
+from lfactors.tate import tate_eps, tate_gamma
 from lfactors.weil import WeilRep, WeilSummand, _discrete_gamma, weil_gamma
 
 R = LocalField.real()
@@ -103,6 +103,11 @@ def test_gj_real_measure_powers():
     defect = mero_mul(g, gd)
     want = MeroExpr.exp(2, LinForm(Fraction(0), Fraction(8 * m * m))).subst(1, 0)
     assert equals_numeric(defect, MeroExpr.const(ExactConst.of(Fraction(2) ** (8 * m * m))))
+
+
+def gj_eps(m, mu, psi):
+    """The GL_m(D) epsilon-factor: the gj prefactor times the shifted Tate epsilons."""
+    return mero_mul(_prefactor(m, mu), *_shifted(m, tate_eps(mu, psi)))
 
 
 def test_gj_eps_L_decomposition():
