@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 
 def factor_int(n: int) -> dict[int, int]:
@@ -23,6 +24,12 @@ def factor_int(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+@lru_cache(maxsize=64)
+def factorization(n: int) -> tuple[tuple[int, int], ...]:
+    """factor_int(n) as (prime, exponent) pairs, trial-divided once per process."""
+    return tuple(factor_int(n).items())
 
 
 @dataclass(frozen=True)
@@ -62,17 +69,15 @@ class ExactConst:
         base = Fraction(base)
         if base <= 0:
             raise ValueError("positive base required")
-        fac = factor_int(base.numerator)
-        for p, e in factor_int(base.denominator).items():
-            fac[p] = fac.get(p, 0) - e
-        rat = Fraction(1)
+        num_den = [1, 1]
         roots: set[int] = set()
-        for p, e in fac.items():
-            n = e * k  # total exponent of p is n/2
-            rat *= Fraction(p) ** (n // 2)
-            if n % 2:
-                roots.add(p)  # leftover sqrt(p); n//2 floored, so this adds +1/2
-        return ExactConst(rat, 0, frozenset(roots))
+        for part, sign in ((base.numerator, 1), (base.denominator, -1)):
+            for p, e in factorization(part):
+                n = sign * e * k  # total exponent of p is n/2
+                num_den[n < 0] *= p ** abs(n // 2)
+                if n % 2:
+                    roots.add(p)  # leftover sqrt(p); n//2 floored, so this adds +1/2
+        return ExactConst(Fraction(*num_den), 0, frozenset(roots))
 
     def __mul__(self, other) -> "ExactConst":
         o = other if type(other) is ExactConst else ExactConst.of(other)

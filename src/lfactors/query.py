@@ -13,6 +13,8 @@ Numbers in documents: rationals are strings ("3/4"), complex numbers are
 from __future__ import annotations
 
 import cmath
+import functools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +22,7 @@ from . import mero
 from .characters import AddCharacter, MultCharacter
 from .doubling import (GLChar, Induced, RegularNilpotentData, SkewHermCharR,
                        SpHighestWeight, TrivialRep, central_sign, correction_R,
-                       epsilon_factor, gamma_factor, l_factor, normalization_c,
+                       epsilon_from, gamma_factor, l_factor, normalization_c_from,
                        rep_field, rep_space, root_number, t_factor)
 from .fields import LocalField, SquareClass, UnsupportedFieldError
 from .hermitian import HermitianSpace
@@ -310,10 +312,14 @@ def _expr_payload(expr: MeroExpr, q: QueryDocument, pending: list) -> dict:
         "s_convention": "Gamma-side (s + 1/2)" if q.shifted else "gamma-side",
     }
     if not q.field.is_real:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # an exact coefficient may pass the default 4300 digits
         try:
             payload["rational_in_X"] = str(as_rational_in_X(shown, q.field.q))
-        except (UnsupportedExpressionError, ValueError, OverflowError):
+        except (UnsupportedExpressionError, OverflowError):
             payload["rational_in_X"] = None
+        finally:
+            sys.set_int_max_str_digits(limit)
     pending.append((payload, shown))
     return payload
 
@@ -341,34 +347,27 @@ def _metadata(q: QueryDocument) -> dict:
 
 def run_query(doc: dict) -> dict:
     """Evaluate a query document; raises QueryValidationError or
-    UnsupportedPairError for the two failure classes."""
+    UnsupportedPairError for the two failure classes. Each factor is built at
+    most once per call: epsilon from the gamma and L of those outputs (L doubles
+    as the dual L when rep and omega are self-dual), and c from R when psi = psi_1."""
     q = QueryDocument.from_json(doc)
     out: dict = {"schema": SCHEMA_VERSION, "results": {}, "metadata": _metadata(q)}
     A = RegularNilpotentData(q.norm_value)
     space = rep_space(q.rep) if {"root_number", "R", "c", "T"} & set(q.outputs) else None
+    rep, omega, psi = q.rep, q.omega, q.psi
+    gamma = functools.cache(lambda: gamma_factor(rep, omega, psi))
+    L = functools.cache(lambda: l_factor(rep, omega))
+    R = functools.cache(lambda at: correction_R(space, omega, A, at))  # c takes R at psi_1
+    build = {"gamma": gamma, "L": L, "epsilon": lambda: epsilon_from(rep, omega, gamma(), L()),
+             "R": lambda: R(psi), "T": lambda: t_factor(space, omega, q.t_scale),
+             "c": lambda: normalization_c_from(space, omega, psi, R(AddCharacter.standard(q.field)))}
     pending: list = []
     for name in q.outputs:
-        if name == "gamma":
-            out["results"]["gamma"] = _expr_payload(gamma_factor(q.rep, q.omega, q.psi), q, pending)
-        elif name == "L":
-            out["results"]["L"] = _expr_payload(l_factor(q.rep, q.omega), q, pending)
-        elif name == "epsilon":
-            out["results"]["epsilon"] = _expr_payload(epsilon_factor(q.rep, q.omega, q.psi), q,
-                                                      pending)
-        elif name == "root_number":
-            w = root_number(space, central_sign(q.rep), q.omega, q.psi)
+        if name == "root_number":
+            w = root_number(space, central_sign(rep), omega, psi)
             v = complex(w)
             out["results"]["root_number"] = {"exact": str(w) if is_exact(w) else None,
                                              "value": [v.real, v.imag]}
-        elif name == "R":
-            out["results"]["R"] = _expr_payload(
-                correction_R(space, q.omega, A, q.psi), q, pending)
-        elif name == "c":
-            out["results"]["c"] = _expr_payload(
-                normalization_c(space, q.omega, A, q.psi), q, pending)
-        elif name == "T":
-            out["results"]["T"] = _expr_payload(
-                t_factor(space, q.omega, q.t_scale), q, pending)
         elif name == "spherical":
             sz = spherical_zeta(q.spherical)
             out["results"]["spherical"] = {
@@ -380,6 +379,8 @@ def run_query(doc: dict) -> dict:
             }
             if sz.m_assumption is not None:
                 out["metadata"]["hermitian_dv_m"] = sz.m_assumption
+        else:
+            out["results"][name] = _expr_payload(build[name](), q, pending)
     if q.eval_points and pending:
         _fill_values(pending, q.eval_points)
     return out

@@ -12,14 +12,17 @@ coprime basis of polynomials f with constant term 1 and nonzero integers k.
 slope is turned round, 1 - c X^a = -c X^a (1 - c^-1 X^-a), equal binomials
 are merged, and a pair of factors with a nontrivial gcd is split into the gcd
 and the two quotients (factor refinement: Bach, Driscoll and Shallit, J.
-Algorithms 15, 1993). Distinct binomials of one degree differ by a monomial,
-so they are coprime without a gcd. Products and inverses merge bases and
-negate exponents. The canonical form then needs no gcd: the numerator is
-unit * X^max(e,0) times the factors with k > 0, the denominator X^max(-e,0)
-times those with k < 0; they are coprime, the lower of their two lowest
-exponents is 0 and the denominator's trailing coefficient is 1 (zero is 0/1).
-Both are expanded on first access to `num`, `den` or `str`. `f == g` refines
-f / g, which is 1 exactly when unit 1, e = 0 and an empty basis are left.
+Algorithms 15, 1993). Binomials 1 - c X^a and 1 - d X^b share a root only
+if c^(b/h) = d^(a/h), h = gcd(a, b), for a common root x has x^(ab/h) equal
+to c^(-b/h) and to d^(-a/h); a pair that fails this root test is coprime
+without a gcd (distinct binomials of one degree always fail it). Products
+and inverses merge bases and negate exponents. The canonical form then needs
+no gcd: the numerator is unit * X^max(e,0) times the factors with k > 0, the
+denominator X^max(-e,0) times those with k < 0; they are coprime, the lower
+of their two lowest exponents is 0 and the denominator's trailing
+coefficient is 1 (zero is 0/1). Both are expanded on first access to `num`,
+`den` or `str`. `f == g` refines f / g, which is 1 exactly when unit 1,
+e = 0 and an empty basis are left.
 
 Inexact inputs (irrational twists) degrade the whole function to complex
 coefficients. Such a function keeps the numerator and denominator of the
@@ -31,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exactconst import ExactConst, factor_int
+from .exactconst import ExactConst, factorization
 from .scalars import is_exact, mul, neg, power, rat_power
 
 
@@ -267,6 +270,15 @@ def _poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.scale(a.coeffs[0].inverse())
 
 
+def _may_share_root(f: Poly, g: Poly) -> bool:
+    """False only for binomials that fail the root test of the module docstring."""
+    if len(f.coeffs) != 2 or len(g.coeffs) != 2:
+        return True
+    a, b = max(f.coeffs), max(g.coeffs)
+    h = gcd(a, b)
+    return (-f.coeffs[a]) ** (b // h) == (-g.coeffs[b]) ** (a // h)
+
+
 def _refine(basis: dict[Poly, int], g: Poly, k: int) -> None:
     """Multiply the pairwise coprime basis {f: k} by g^k in place, g with
     constant term 1, keeping it pairwise coprime without zero exponents."""
@@ -277,8 +289,8 @@ def _refine(basis: dict[Poly, int], g: Poly, k: int) -> None:
             basis[g] = k
         return
     for f in basis:
-        if len(f.coeffs) == len(g.coeffs) == 2 and max(f.coeffs) == max(g.coeffs):
-            continue  # distinct binomials of one degree
+        if not _may_share_root(f, g):
+            continue
         h = _poly_gcd(f, g)
         if len(h.coeffs) > 1:
             break
@@ -381,10 +393,10 @@ def as_rational_in_X(expr, q: int) -> RatFunc:
     from .mero import (ExpAtom, GammaCAtom, GammaRAtom, LAtom, UnsupportedExpressionError,
                        _log_base)
 
-    fac = factor_int(q)
+    fac = factorization(q)
     if len(fac) != 1:
         raise ValueError(f"residue cardinality {q} is not a prime power")
-    p = next(iter(fac))
+    p = fac[0][0]
 
     scalar = expr.prefactor
     pieces: list[tuple[int, object, int]] = []  # (a, c, k): (1 - c X^a)^k, or X^a when c is None

@@ -83,11 +83,13 @@ def test_whn1_rule(space_builder):
 def test_whn1_matches_naive_substitution_for_units():
     """For |a| = 1 the built-in rule agrees with naive psi_a substitution of
     the printed formula."""
-    from lfactors.doubling import _normalization_c_base
+    from lfactors.doubling import _tate_block
     space = HermitianSpace.diagonal(D5, "hermitian", [1])
     A = RegularNilpotentData(Fraction(1))
     for a in (Fraction(-1), Fraction(2), Fraction(nonsquare_unit(Q5))):
-        naive = _normalization_c_base(space, triv5, A, psi5.rescale(a))
+        psi_a = psi5.rescale(a)
+        naive = mero_mul(*_tate_block(space, triv5, psi_a, 1),
+                         correction_R(space, triv5, A, psi_a).inv())
         ruled = normalization_c(space, triv5, A, psi5.rescale(a))
         assert as_rational_in_X(mero_mul(naive, ruled.inv()), 5).is_one
 

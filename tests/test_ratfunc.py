@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from lfactors.exactconst import ExactConst
 from lfactors.mero import LinForm, MeroExpr, mero_mul
-from lfactors.ratfunc import Poly, QiSqrt, RatFunc, _poly_divmod, as_rational_in_X
+from lfactors.ratfunc import (Poly, QiSqrt, RatFunc, _poly_divmod, _poly_gcd,
+                              as_rational_in_X)
 
 P_OF_Q = {3: 3, 5: 5, 7: 7, 9: 3, 25: 5}
 
@@ -273,6 +274,69 @@ def test_exact_equality_on_differently_factored_inputs():
         assert trial % 2 == 0 or cross
         for other in (f * x, f * two, f * x * two.inv()):  # f up to X^e or a unit
             assert not f == other and not (f * other.inv()).is_one
+
+
+# -- the root test that spares the gcd of two binomials ---------------------
+
+def _assert_refined(rf, p: int, factors):
+    """rf's basis is pairwise coprime by _poly_gcd, and rf is the product of
+    the factors (poly, k), compared by cross-multiplication."""
+    basis = list(rf.basis)
+    for j, f in enumerate(basis):
+        for g in basis[j + 1:]:
+            assert len(_poly_gcd(f, g).coeffs) == 1, (str(f), str(g))
+    num, den = Poly.const(p, 1), Poly.const(p, 1)
+    for poly, k in factors:
+        for _ in range(abs(k)):
+            num, den = (num * poly, den) if k > 0 else (num, den * poly)
+    assert rf.num * den == num * rf.den
+
+
+def _binomials(rng: random.Random, w, other, units):
+    """Two or three binomials (c, a), shaped 1 - c X^a: the first (u w)^a
+    for a unit u, so with a root 1/(u w); each later one the same way or,
+    four times in ten, other^a."""
+    out = []
+    for _ in range(rng.randint(2, 3)):
+        a = rng.randint(1, 4)
+        base = rng.choice(units) * w if rng.random() < 0.6 or not out else other
+        out.append((base ** a, a))
+    return out
+
+
+def test_root_test_keeps_a_coprime_basis():
+    p, rng = 5, random.Random(1993)
+    one, i, c = ExactConst.one(), ExactConst.i(), ExactConst(Fraction(1, 2), 1, frozenset([5]))
+    planted = [[(one, 2), (one, 1)],  # 1 - X^2 against 1 - X
+               [(ExactConst.of(4), 2), (ExactConst.of(2), 1)],  # 1 - 4X^2 against 1 - 2X
+               [(c * c, 4), (c, 2)],  # 1 - c^2 X^4 against 1 - c X^2, c = i sqrt(5) / 2
+               [(one, 4), (-one, 2)]]  # 1 - X^4 against 1 + X^2
+
+    def monomial():
+        return ExactConst(Fraction(rng.choice([1, -1, 2, -3]), rng.choice([1, 2, 5])),
+                          rng.randint(0, 1), frozenset([p]) if rng.random() < 0.5 else frozenset())
+
+    pairs = planted + [_binomials(rng, monomial(), monomial(), (one, -one, i, -i))
+                       for _ in range(60)]
+    for trial, pair in enumerate(pairs):
+        ks = [rng.choice([-2, -1, 1, 2]) if trial >= len(planted) else 1 for _ in pair]
+        specs = [("L", x, a, 0, -k) for (x, a), k in zip(pair, ks)]  # (1 - x X^a)^k
+        rf = as_rational_in_X(_mero(p, one, specs), p)
+        _assert_refined(rf, p, [(Poly(p, {0: 1, a: -QiSqrt.of(p, x)}), k)
+                                for (x, a), k in zip(pair, ks)])
+    # coefficients beyond monomials, through RatFunc products
+    qi = [QiSqrt(p, 1), QiSqrt(p, -1), QiSqrt(p, 0, 0, 1), QiSqrt(p, 0, 0, -1)]
+    for _ in range(60):
+        w, other = (QiSqrt(p, *(Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+                                for _ in range(4))) for _ in range(2))
+        if not (w and other):
+            continue
+        factors = [(Poly(p, {0: 1, a: -x}), rng.choice([-2, -1, 1, 2]))
+                   for x, a in _binomials(rng, w, other, qi)]
+        rf = RatFunc.one(p)
+        for poly, k in factors:
+            rf = rf * RatFunc(p, QiSqrt(p, 1), 0, {poly: k})
+        _assert_refined(rf, p, factors)
 
 
 # -- QiSqrt -----------------------------------------------------------------
