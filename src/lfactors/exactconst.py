@@ -8,12 +8,28 @@ a plain complex number, flagged by losing the ExactConst type.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)), n >= 1, by Newton's method from just above the root."""
+    t = math.log2(n) / k  # 2^t to a relative 1e-12: keep 40 bits, round up
+    shift = max(int(t) - 40, 0)
+    x = int(2 ** (t - shift)) + 2 << shift
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
+
+
 def factor_int(n: int) -> dict[int, int]:
+    """Prime factorisation; a perfect power r^k (k prime) is found by an integer
+    root, so q = p^f costs a trial division up to sqrt(p), not up to p."""
+    for k in range(2, n.bit_length()):
+        if all(k % d for d in range(2, math.isqrt(k) + 1)) and (r := _iroot(n, k)) ** k == n:
+            return {d: e * k for d, e in factor_int(r).items()}
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:

@@ -1,10 +1,11 @@
 """Rational functions in X = q^{-s} with exact Q(i, sqrt p) coefficients.
 
 Nonarchimedean local factors are rational in q^{-s}; the coefficients the
-formulas generate live in the biquadratic field Q(i, sqrt p) (half-integer
+formulas generate live in the biquadratic field K = Q(i, sqrt p) (half-integer
 argument shifts contribute sqrt q, Gauss sums contribute i and sqrt p).
 A coefficient (QiSqrt) is four integers over one positive denominator, in
-lowest terms, so equal values have equal fields and equal hashes.
+lowest terms, so equal values have equal fields and equal hashes; so is an
+exact polynomial (ExactPoly), with four integer lists of coefficient parts.
 
 An exact RatFunc is kept factored, unit * X^e * prod f^k, over a pairwise
 coprime basis of polynomials f with constant term 1 and nonzero integers k.
@@ -15,18 +16,22 @@ and the two quotients (factor refinement: Bach, Driscoll and Shallit, J.
 Algorithms 15, 1993). Binomials 1 - c X^a and 1 - d X^b share a root only
 if c^(b/h) = d^(a/h), h = gcd(a, b), for a common root x has x^(ab/h) equal
 to c^(-b/h) and to d^(-a/h); a pair that fails this root test is coprime
-without a gcd (distinct binomials of one degree always fail it). Products
-and inverses merge bases and negate exponents. The canonical form then needs
-no gcd: the numerator is unit * X^max(e,0) times the factors with k > 0, the
-denominator X^max(-e,0) times those with k < 0; they are coprime, the lower
-of their two lowest exponents is 0 and the denominator's trailing
-coefficient is 1 (zero is 0/1). Both are expanded on first access to `num`,
-`den` or `str`. `f == g` refines f / g, which is 1 exactly when unit 1,
-e = 0 and an empty basis are left.
+without a gcd. The norm N from K to Q is multiplicative, so the test first
+compares the rationals N(c)^(b/h) and N(d)^(a/h), each binomial holding its
+N(c), and raises c and d to their powers, by squaring, only if they agree.
+Products and inverses merge bases and negate exponents. The canonical form
+then needs no gcd: the numerator is unit * X^max(e,0) times the factors with
+k > 0, the denominator X^max(-e,0) times those with k < 0; they are coprime,
+the lower of their two lowest exponents is 0 and the denominator's trailing
+coefficient is 1 (zero is 0/1). They are expanded on first access to `num`,
+`den` or `str`, one factor after another on the integer lists (each step is
+linear in the partial product, which beat a product tree and Kronecker
+substitution), with one content gcd at the end. `f == g` refines f / g,
+which is 1 exactly when unit 1, e = 0 and an empty basis are left.
 
 Inexact inputs (irrational twists) degrade the whole function to complex
-coefficients. Such a function keeps the numerator and denominator of the
-product as built, and equality compares coefficients to a relative 1e-9.
+coefficients (Poly). Such a function keeps the numerator and denominator of
+the product as built, and equality compares coefficients to a relative 1e-9.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .exactconst import ExactConst, factorization
-from .scalars import is_exact, mul, neg, power, rat_power
+from .scalars import is_exact, is_half_integer, mul, neg, power, rat_power
 
 
 class QiSqrt:
@@ -69,9 +74,7 @@ class QiSqrt:
             if v.p != p:
                 raise ValueError("mixed base primes")
             return v
-        if isinstance(v, ExactConst):
-            return _exact_to_qisqrt(p, v)
-        return QiSqrt(p, v)
+        return _exact_to_qisqrt(p, v)
 
     def __bool__(self) -> bool:
         return bool(self.a or self.b or self.c or self.d)
@@ -113,15 +116,21 @@ class QiSqrt:
                                a * g + p * b * h + c * e + p * d * f,
                                a * h + b * g + c * f + d * e, self.n * o.n)
 
+    def _norms(self):
+        """(u, v, m): (x + y i)(x - y i) n^2 = u + v sqrt p with x = a + b sqrt p,
+        y = c + d sqrt p; the norm to Q, m / n^4, has m = u^2 - p v^2."""
+        p, a, b, c, d = self.p, self.a, self.b, self.c, self.d
+        u = a * a + p * b * b + c * c + p * d * d
+        v = 2 * (a * b + c * d)
+        return u, v, u * u - p * v * v
+
     def inverse(self) -> "QiSqrt":
         if not self:
             raise ZeroDivisionError
-        # n / (x + y i) = n (x - y i) / (u + v sqrt p) with u + v sqrt p = x^2 + y^2,
-        # and 1 / (u + v sqrt p) = (u - v sqrt p) / (u^2 - p v^2), a nonzero integer
+        # n / (x + y i) = n (x - y i) / (u + v sqrt p), and
+        # 1 / (u + v sqrt p) = (u - v sqrt p) / m, m a nonzero integer
         p, a, b, c, d, n = self.p, self.a, self.b, self.c, self.d, self.n
-        u = a * a + p * b * b + c * c + p * d * d
-        v = 2 * (a * b + c * d)
-        m = u * u - p * v * v
+        u, v, m = self._norms()
         if m < 0:
             n, m = -n, -m
         return QiSqrt._of_ints(p, n * (a * u - p * b * v), n * (b * u - a * v),
@@ -129,8 +138,8 @@ class QiSqrt:
 
     def __pow__(self, k: int) -> "QiSqrt":
         base, out = self if k >= 0 else self.inverse(), QiSqrt._of_ints(self.p, 1, 0, 0, 0, 1)
-        for _ in range(abs(k)):
-            out = out * base
+        for bit in bin(abs(k))[2:]:  # by squaring, from the highest bit
+            out = out * out * base if bit == "1" else out * out
         return out
 
     def to_complex(self) -> complex:
@@ -150,139 +159,189 @@ class QiSqrt:
         return " + ".join(terms).replace("+ -", "- ")
 
 
-def _exact_to_qisqrt(p: int, v: ExactConst) -> QiSqrt:
-    if any(r != p for r in v.roots):
+def _exact_to_qisqrt(p: int, v, e: int = 0) -> QiSqrt:
+    """v sqrt(p)^e for an int, Fraction or ExactConst v."""
+    rat, ipow, roots = (v.rat, v.ipow, v.roots) if type(v) is ExactConst else (v, 0, ())
+    if any(r != p for r in roots):
         raise ValueError(f"constant {v} does not lie in Q(i, sqrt {p})")
+    h, odd = divmod(e + (p in roots), 2)  # v sqrt(p)^e = rat i^ipow p^h sqrt(p)^odd
     parts = [0, 0, 0, 0]  # ExactConst keeps ipow in {0, 1}
-    parts[2 * v.ipow + (p in v.roots)] = v.rat.numerator
-    return QiSqrt._of_ints(p, *parts, v.rat.denominator)
+    parts[2 * ipow + odd] = rat.numerator * p ** max(h, 0)
+    return QiSqrt._of_ints(p, *parts, rat.denominator * p ** max(-h, 0))
+
+
+def _spell(coeffs: dict, spell) -> str:
+    """A polynomial {k: coefficient} as text, each coefficient spelled by spell."""
+    if not coeffs:
+        return "0"
+    terms = []
+    for k in sorted(coeffs):
+        cs = spell(coeffs[k])
+        if ("+" in cs[1:]) or ("-" in cs[1:]) or "*" in cs:
+            cs = f"({cs})"
+        if k == 0:
+            terms.append(cs)
+        elif k == 1:
+            terms.append(f"{cs}*X" if cs != "1" else "X")
+        else:
+            terms.append(f"{cs}*X^{k}" if cs != "1" else f"X^{k}")
+    return " + ".join(terms)
+
+
+class ExactPoly:
+    """sum_k (A_k + B_k sqrt(p) + (C_k + D_k sqrt(p)) i) X^k / n: parts = (A, B,
+    C, D), tuples of ints of length deg + 1 whose top entries are not all 0;
+    n > 0 and the gcd of n and every part is 1."""
+
+    __slots__ = ("p", "n", "parts", "binomial")
+
+    def __init__(self, p: int, n: int, parts):
+        """From integer parts over n > 0, not necessarily in lowest terms."""
+        m = len(parts[0])
+        while m and not any(part[m - 1] for part in parts):
+            m -= 1
+        parts = [part[:m] for part in parts]
+        g = gcd(n, *parts[0], *parts[1], *parts[2], *parts[3])
+        if g != 1:
+            parts = [[x // g for x in part] for part in parts]
+        self.p, self.n, self.parts, self.binomial = p, n // g, tuple(map(tuple, parts)), None
+        # with constant term 1: (a, c, t, u) when this is 1 - c X^a, with N(c) = t / u
+        if m > 1 and not any(x for part in parts for x in part[1:m - 1]):
+            c = QiSqrt._of_ints(p, *(-part[m - 1] for part in parts), self.n)
+            self.binomial = (m - 1, c, c._norms()[2], c.n ** 4)
+
+    @staticmethod
+    def of(p: int, coeffs: dict[int, object]) -> "ExactPoly":
+        """From {k: coefficient}, k >= 0, each an int, Fraction, ExactConst or QiSqrt."""
+        cs = {k: QiSqrt.of(p, v) for k, v in coeffs.items()}
+        n = lcm(*(c.n for c in cs.values()))
+        parts = [[0] * (max(cs, default=-1) + 1) for _ in range(4)]
+        for k, c in cs.items():
+            for part, x in zip(parts, (c.a, c.b, c.c, c.d)):
+                part[k] = x * (n // c.n)
+        return ExactPoly(p, n, parts)
+
+    @property
+    def coeffs(self) -> dict[int, QiSqrt]:
+        """The nonzero coefficients by exponent."""
+        p, n = self.p, self.n
+        return {k: QiSqrt._of_ints(p, *xs, n) for k, xs in enumerate(zip(*self.parts)) if any(xs)}
+
+    @property
+    def degree(self) -> int:
+        return len(self.parts[0]) - 1
+
+    def __mul__(self, other: "ExactPoly") -> "ExactPoly":
+        return ExactPoly(self.p, *_mul(self.p, (self.n, self.parts), (other.n, other.parts)))
+
+    def __eq__(self, other):
+        if not isinstance(other, ExactPoly):
+            return NotImplemented
+        return (self.p, self.n, self.parts) == (other.p, other.n, other.parts)
+
+    def __hash__(self):
+        return hash((self.p, self.n, self.parts))
+
+    def __str__(self):
+        return _spell(self.coeffs, str)
+
+
+def _mul(p: int, f: tuple, g: tuple) -> tuple:
+    """The product of two (n, parts) pairs, not in lowest terms. Part j1 of f
+    times part j2 of g adds to part j1 ^ j2, times p when both hold sqrt(p)
+    (bit 1) and times -1 when both hold i (bit 2)."""
+    (nf, f), (ng, g) = f, g
+    out = [[0] * max(len(f[0]) + len(g[0]) - 1, 0) for _ in range(4)]
+    f, g = ([[(k, x) for k, x in enumerate(part) if x] for part in parts] for parts in (f, g))
+    for j1, a in enumerate(f):
+        for j2, b in enumerate(g):
+            part = out[j1 ^ j2]
+            factor = (p if j1 & j2 & 1 else 1) * (-1 if j1 & j2 & 2 else 1)
+            for k, y in b:
+                y *= factor
+                for i, x in a:
+                    part[i + k] += x * y
+    return nf * ng, out
 
 
 class Poly:
-    """Laurent polynomial in X over QiSqrt(p) or complex coefficients."""
+    """Laurent polynomial in X with complex coefficients."""
 
-    __slots__ = ("p", "coeffs", "exact")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, p: int, coeffs: dict[int, object], exact: bool = True):
-        self.p = p
-        self.exact = exact
-        coeff = (lambda v: QiSqrt.of(p, v)) if exact else complex
-        self.coeffs = {k: c for k, v in coeffs.items() if (c := coeff(v))}
-
-    @staticmethod
-    def const(p: int, v, exact: bool = True) -> "Poly":
-        return Poly(p, {0: v}, exact)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def align(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if self.exact == other.exact:
-            return self, other
-        return self.to_inexact(), other.to_inexact()
-
-    def to_inexact(self) -> "Poly":
-        if not self.exact:
-            return self
-        return Poly(self.p, {k: v.to_complex() for k, v in self.coeffs.items()}, False)
+    def __init__(self, coeffs: dict[int, complex]):
+        self.coeffs = {k: v for k, v in coeffs.items() if v}
 
     def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self.align(other)
-        out: dict[int, object] = {}
-        for k1, v1 in a.coeffs.items():
-            for k2, v2 in b.coeffs.items():
+        out: dict[int, complex] = {}
+        for k1, v1 in self.coeffs.items():
+            for k2, v2 in other.coeffs.items():
                 k = k1 + k2
                 prod = v1 * v2
                 out[k] = out[k] + prod if k in out else prod
-        return Poly(a.p, out, a.exact)
-
-    def scale(self, v) -> "Poly":
-        return self * Poly.const(self.p, v, self.exact)
+        return Poly(out)
 
     def eval(self, x: complex) -> complex:
         total = 0j
         for k, v in self.coeffs.items():
-            total += complex(v) * x ** k
+            total += v * x ** k
         return total
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.align(other)
-        if a.exact:
-            return a.coeffs == b.coeffs
-        keys = set(a.coeffs) | set(b.coeffs)
-        scale = max((abs(v) for v in list(a.coeffs.values()) + list(b.coeffs.values())), default=1.0)
-        return all(abs(a.coeffs.get(k, 0) - b.coeffs.get(k, 0)) <= 1e-9 * scale for k in keys)
-
-    def __hash__(self):  # consistent with == on exact polynomials only
-        return hash(frozenset(self.coeffs.items()))
+        a, b = self.coeffs, other.coeffs
+        scale = max((abs(v) for v in list(a.values()) + list(b.values())), default=1.0)
+        return all(abs(a.get(k, 0) - b.get(k, 0)) <= 1e-9 * scale for k in set(a) | set(b))
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        terms = []
-        for k in sorted(self.coeffs):
-            c = self.coeffs[k]
-            cs = str(c) if isinstance(c, QiSqrt) else repr(c)
-            if ("+" in cs[1:]) or ("-" in cs[1:]) or "*" in cs:
-                cs = f"({cs})"
-            if k == 0:
-                terms.append(cs)
-            elif k == 1:
-                terms.append(f"{cs}*X" if cs != "1" else "X")
-            else:
-                terms.append(f"{cs}*X^{k}" if cs != "1" else f"X^{k}")
-        return " + ".join(terms)
+        return _spell(self.coeffs, repr)
 
 
-def _poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Division for honest polynomials (nonnegative exponents, exact coefficients)."""
-    assert a.exact and b.exact
-    p = a.p
-    rem = dict(a.coeffs)
-    db = max(b.coeffs)
-    lead = b.coeffs[db]
-    lead_inv = lead.inverse()
-    quo: dict[int, object] = {}
+def _poly_divmod(a: ExactPoly, b: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
+    """Division with remainder, on QiSqrt coefficients."""
+    rem, bc = a.coeffs, b.coeffs
+    db = b.degree
+    lead_inv = bc[db].inverse()
+    quo: dict[int, QiSqrt] = {}
     while rem:
         da = max(rem)
         if da < db:
             break
         factor = rem[da] * lead_inv
         quo[da - db] = factor
-        for k, v in b.coeffs.items():
+        for k, v in bc.items():
             kk = k + da - db
             new = rem[kk] - factor * v if kk in rem else -(factor * v)
             if new:
                 rem[kk] = new
             else:
                 del rem[kk]
-    return Poly(p, quo), Poly(p, rem)
+    return ExactPoly.of(a.p, quo), ExactPoly.of(a.p, rem)
 
 
-def _poly_gcd(a: Poly, b: Poly) -> Poly:
+def _poly_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
     """gcd of two polynomials with constant term 1, scaled to constant term 1."""
-    while not b.is_zero:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    return a.scale(a.coeffs[0].inverse())
+    while b.degree >= 0:
+        a, b = b, _poly_divmod(a, b)[1]
+    return a * ExactPoly.of(a.p, {0: a.coeffs[0].inverse()})
 
 
-def _may_share_root(f: Poly, g: Poly) -> bool:
+def _may_share_root(f: ExactPoly, g: ExactPoly) -> bool:
     """False only for binomials that fail the root test of the module docstring."""
-    if len(f.coeffs) != 2 or len(g.coeffs) != 2:
+    rf, rg = f.binomial, g.binomial
+    if rf is None or rg is None:
         return True
-    a, b = max(f.coeffs), max(g.coeffs)
+    (a, c, mc, dc), (b, d, md, dd) = rf, rg
     h = gcd(a, b)
-    return (-f.coeffs[a]) ** (b // h) == (-g.coeffs[b]) ** (a // h)
+    ec, ed = b // h, a // h  # N(c)^ec = N(d)^ed, then c^ec = d^ed
+    return mc ** ec * dd ** ed == md ** ed * dc ** ec and c ** ec == d ** ed
 
 
-def _refine(basis: dict[Poly, int], g: Poly, k: int) -> None:
+def _refine(basis: dict[ExactPoly, int], g: ExactPoly, k: int) -> None:
     """Multiply the pairwise coprime basis {f: k} by g^k in place, g with
     constant term 1, keeping it pairwise coprime without zero exponents."""
-    if len(g.coeffs) == 1:  # g = 1
+    if g.degree == 0:  # g = 1
         return
     if g in basis:
         if k := k + basis.pop(g):
@@ -292,7 +351,7 @@ def _refine(basis: dict[Poly, int], g: Poly, k: int) -> None:
         if not _may_share_root(f, g):
             continue
         h = _poly_gcd(f, g)
-        if len(h.coeffs) > 1:
+        if h.degree > 0:
             break
     else:
         basis[g] = k
@@ -304,32 +363,39 @@ def _refine(basis: dict[Poly, int], g: Poly, k: int) -> None:
 
 class RatFunc:
     """Exact: unit * X^xpow * prod f^k over the coprime basis {f: k}.
-    Inexact (unit None): the pair (num, den) as built. See the module docstring."""
+    Inexact (unit None): the Polys (num, den) as built. See the module docstring."""
 
     __slots__ = ("p", "unit", "xpow", "basis", "_pair")
 
     def __init__(self, p: int, unit: QiSqrt | None, xpow: int = 0,
-                 basis: dict[Poly, int] | None = None, pair: tuple[Poly, Poly] | None = None):
+                 basis: dict[ExactPoly, int] | None = None, pair: tuple[Poly, Poly] | None = None):
         if unit is not None and not unit:
             xpow, basis = 0, None
         self.p, self.unit, self.xpow, self.basis, self._pair = p, unit, xpow, basis or {}, pair
 
-    def _canonical(self) -> tuple[Poly, Poly]:
+    def _canonical(self) -> tuple:
         if self._pair is None:
-            e = self.xpow
-            pair = [Poly(self.p, {max(e, 0): self.unit}), Poly(self.p, {max(-e, 0): 1})]
+            p, e, u = self.p, self.xpow, self.unit
+            pair = [(u.n, [[0] * max(e, 0) + [x] for x in (u.a, u.b, u.c, u.d)]),
+                    (1, [[0] * max(-e, 0) + [x] for x in (1, 0, 0, 0)])]
             for f, k in self.basis.items():
                 for _ in range(abs(k)):
-                    pair[k < 0] = pair[k < 0] * f
-            self._pair = tuple(pair)
+                    pair[k < 0] = _mul(p, pair[k < 0], (f.n, f.parts))
+            self._pair = tuple(ExactPoly(p, *side) for side in pair)  # in lowest terms
         return self._pair
 
+    def _complex_pair(self) -> tuple[Poly, Poly]:
+        """(num, den) with complex coefficients, for arithmetic with an inexact function."""
+        if not self.is_exact:
+            return self._pair
+        return tuple(Poly({k: complex(v) for k, v in f.coeffs.items()}) for f in self._canonical())
+
     @property
-    def num(self) -> Poly:
+    def num(self):
         return self._canonical()[0]
 
     @property
-    def den(self) -> Poly:
+    def den(self):
         return self._canonical()[1]
 
     @staticmethod
@@ -338,7 +404,8 @@ class RatFunc:
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         if not (self.is_exact and other.is_exact):
-            return RatFunc(self.p, None, pair=(self.num * other.num, self.den * other.den))
+            (a, b), (c, d) = self._complex_pair(), other._complex_pair()
+            return RatFunc(self.p, None, pair=(a * c, b * d))
         basis = dict(self.basis)
         for f, k in other.basis.items():
             _refine(basis, f, k)
@@ -348,18 +415,21 @@ class RatFunc:
         if self.is_exact:
             return RatFunc(self.p, self.unit.inverse(), -self.xpow,
                            {f: -k for f, k in self.basis.items()})
-        if self.num.is_zero:
+        if not self.num.coeffs:
             raise ZeroDivisionError
         return RatFunc(self.p, None, pair=(self.den, self.num))
 
     def __pow__(self, k: int) -> "RatFunc":
-        base, out = self if k >= 0 else self.inv(), RatFunc.one(self.p)
+        one = Poly({0: 1 + 0j})
+        base = self if k >= 0 else self.inv()
+        out = RatFunc.one(self.p) if self.is_exact else RatFunc(self.p, None, pair=(one, one))
         for _ in range(abs(k)):
             out = out * base
         return out
 
     def eval(self, x: complex) -> complex:
-        return self.num.eval(x) / self.den.eval(x)
+        num, den = self._complex_pair()
+        return num.eval(x) / den.eval(x)
 
     @property
     def is_exact(self) -> bool:
@@ -369,7 +439,8 @@ class RatFunc:
         if not isinstance(other, RatFunc):
             return NotImplemented
         if not (self.is_exact and other.is_exact):
-            return (self.num * other.den) == (other.num * self.den)
+            (a, b), (c, d) = self._complex_pair(), other._complex_pair()
+            return a * d == c * b
         if not other.unit:
             return not self.unit
         return (self * other.inv()).is_one
@@ -396,10 +467,10 @@ def as_rational_in_X(expr, q: int) -> RatFunc:
     fac = factorization(q)
     if len(fac) != 1:
         raise ValueError(f"residue cardinality {q} is not a prime power")
-    p = fac[0][0]
+    (p, f), = fac
 
     scalar = expr.prefactor
-    pieces: list[tuple[int, object, int]] = []  # (a, c, k): (1 - c X^a)^k, or X^a when c is None
+    pieces: list[tuple] = []  # (a, z, beta, k): (1 - z q^-beta X^a)^k, or X^a when z is None
 
     for atom, k in expr.atoms:
         if isinstance(atom, (GammaRAtom, GammaCAtom)):
@@ -410,9 +481,7 @@ def as_rational_in_X(expr, q: int) -> RatFunc:
             alpha = atom.form.alpha
             if alpha.denominator != 1 or alpha == 0:
                 raise UnsupportedExpressionError("L-atom argument must have integer s-slope")
-            coeff = mul(atom.z, rat_power(q, neg(atom.form.beta)))
-            # atom = (1 - coeff X^alpha)^{-1}
-            pieces.append((int(alpha), coeff, -k))
+            pieces.append((int(alpha), atom.z, atom.form.beta, -k))  # atom^-1 = 1 - z q^-beta X^a
         else:
             assert isinstance(atom, ExpAtom)
             r = _log_base(atom.base, q)
@@ -421,27 +490,32 @@ def as_rational_in_X(expr, q: int) -> RatFunc:
                 raise UnsupportedExpressionError("exponential atom is not integral in X")
             # base^{alpha s + beta} = q^{r beta} X^{-r alpha}
             scalar = mul(scalar, power(rat_power(q, mul(r, atom.form.beta)), k))
-            pieces.append((-int(e) * k, None, 1))
+            pieces.append((-int(e) * k, None, None, 1))
 
-    exact = is_exact(scalar) and all(c is None or is_exact(c) for _, c, _ in pieces)
-    if not exact:
-        one = Poly.const(p, 1, False)
-        out = RatFunc(p, None, pair=(Poly.const(p, scalar, False), one))
-        for a, c, k in pieces:
-            poly = Poly(p, {a: 1} if c is None else {0: 1, a: neg(c)}, False)
+    if not (is_exact(scalar) and all(z is None or is_exact(z) and is_half_integer(beta)
+                                     for _, z, beta, _ in pieces)):
+        one = Poly({0: 1 + 0j})
+        out = RatFunc(p, None, pair=(Poly({0: complex(scalar)}), one))
+        for a, z, beta, k in pieces:
+            c = None if z is None else neg(mul(z, rat_power(q, neg(beta))))
+            poly = Poly({a: 1 + 0j} if c is None else {0: 1 + 0j, a: complex(c)})
             out = out * RatFunc(p, None, pair=(poly, one)) ** k
         return out
     unit, xpow, binomials = QiSqrt.of(p, scalar), 0, {}
-    for a, c, k in pieces:
-        if c is None:
+    for a, z, beta, k in pieces:
+        if z is None:
             xpow += a
             continue
-        c = QiSqrt.of(p, c)
-        if a < 0 and c:  # 1 - c X^a = -c X^a (1 - c^-1 X^-a)
+        c = _exact_to_qisqrt(p, z, int(-2 * f * beta))  # q^-beta = sqrt(p)^(-2 f beta)
+        if not c:  # 1 - 0 X^a = 1
+            continue
+        if a < 0:  # 1 - c X^a = -c X^a (1 - c^-1 X^-a)
             unit, xpow, a, c = unit * (-c) ** k, xpow + a * k, -a, c.inverse()
         binomials[a, c] = binomials.get((a, c), 0) + k
-    basis: dict[Poly, int] = {}
+    basis: dict[ExactPoly, int] = {}
     for (a, c), k in binomials.items():
         if k:
-            _refine(basis, Poly(p, {0: 1, a: -c}), k)
+            pad = [0] * (a - 1)  # 1 - c X^a, in lowest terms as c is
+            _refine(basis, ExactPoly(p, c.n, [[c.n * (j == 0), *pad, -x]
+                                              for j, x in enumerate((c.a, c.b, c.c, c.d))]), k)
     return RatFunc(p, unit, xpow, basis)

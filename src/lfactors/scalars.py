@@ -59,8 +59,13 @@ def power(x, k: int):
     return x ** k if type(x) in _EXACT else complex(x) ** k
 
 
+def is_half_integer(e) -> bool:
+    """Whether e is an exact half-integer, so that rat_power(base, e) is exact."""
+    return type(e) in _RATIONAL and e.denominator <= 2
+
+
 def rat_power(base, e):
     """base ** e for a positive rational base: exact when e is a half-integer."""
-    if type(e) in _RATIONAL and e.denominator <= 2:
+    if is_half_integer(e):
         return ExactConst.half_power(base, int(2 * e))
     return cmath.exp(complex(e) * cmath.log(float(base)))

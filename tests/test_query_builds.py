@@ -1,7 +1,9 @@
 """Work a query does once: each local factor is built once per query, q is
 factored once per process, and an exact result is printed whatever its size."""
 
+import hashlib
 import json
+import random
 import re
 import sys
 from pathlib import Path
@@ -55,11 +57,52 @@ def test_q_is_factored_once_per_process(monkeypatch):
     assert all(out["results"][name]["rational_in_X"] for name in doc["outputs"])
 
 
+def _trial_division(n: int) -> dict[int, int]:
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d], n = out.get(d, 0) + 1, n // d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factor_int_finds_prime_powers_by_integer_roots():
+    for n in range(1, 2001):
+        assert exactconst.factor_int(n) == _trial_division(n), n
+    for powers in ({2: 12, 3: 5}, {5: 7}, {3: 4, 7: 2}, {2: 30}, {11: 3, 13: 3}, {101: 6}):
+        n = 1
+        for prime, e in powers.items():
+            n *= prime ** e
+        assert exactconst.factor_int(n) == _trial_division(n) == powers
+    assert exactconst.factor_int(999983 ** 166) == {999983: 166}
+    rng = random.Random(166)  # the k-th root the perfect-power test relies on
+    for _ in range(300):
+        n, k = rng.randrange(1, 10 ** rng.randint(1, 400)), rng.randint(2, 60)
+        r = exactconst._iroot(n, k)
+        assert r ** k <= n < (r + 1) ** k, (n, k)
+
+
+def _spherical_doc(r: int) -> dict:
+    return {"field": {"kind": "nonarch", "p": "5"},
+            "spherical": {"form_type": "hermitian", "r": r, "n0": 1, "exponents": ["0"] * r},
+            "outputs": ["spherical"]}
+
+
+def test_large_spherical_result_is_pinned():
+    """d_V at r = 40: a product of 41 binomials, with integers of up to 2,322
+    digits, pinned by the SHA-256 of the text the dict-of-QiSqrt expansion
+    printed."""
+    d_v = run_query(_spherical_doc(40))["results"]["spherical"]["d_v"]["rational_in_X"]
+    assert len(d_v) == 185874
+    assert hashlib.sha256(d_v.encode()).hexdigest() == (
+        "7cae8740bb5bf7dd34e0e7ddc8706f3ac3a2d6f24aefdb997a1b507d394ba64a")
+
+
 def test_large_exact_result_is_printed_not_null():
     """Expanding d_V at r = 25 yields integers longer than 640 digits."""
-    doc = {"field": {"kind": "nonarch", "p": "5"},
-           "spherical": {"form_type": "hermitian", "r": 25, "n0": 1, "exponents": ["0"] * 25},
-           "outputs": ["spherical"]}
+    doc = _spherical_doc(25)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:

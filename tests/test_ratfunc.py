@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from lfactors.exactconst import ExactConst
 from lfactors.mero import LinForm, MeroExpr, mero_mul
-from lfactors.ratfunc import (Poly, QiSqrt, RatFunc, _poly_divmod, _poly_gcd,
+from lfactors.ratfunc import (ExactPoly, QiSqrt, RatFunc, _poly_divmod, _poly_gcd,
                               as_rational_in_X)
 
 P_OF_Q = {3: 3, 5: 5, 7: 7, 9: 3, 25: 5}
@@ -133,50 +133,58 @@ def test_common_factor_cancels():
 
 # -- the expand-then-gcd canonicaliser, kept as the reference ----------------
 
-def _ref_gcd(a: Poly, b: Poly) -> Poly:
+def _scaled(f: ExactPoly, c: QiSqrt) -> ExactPoly:
+    return f * ExactPoly.of(f.p, {0: c})
+
+
+def _ref_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
     """Monic gcd by Euclid's algorithm."""
-    while not b.is_zero:
+    while b.degree >= 0:
         _, r = _poly_divmod(a, b)
         a, b = b, r
-    if a.is_zero:
+    if a.degree < 0:
         return a
-    return a.scale(a.coeffs[max(a.coeffs)].inverse())
+    return _scaled(a, a.coeffs[max(a.coeffs)].inverse())
 
 
-def _ref_canonical(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+def _ref_canonical(num: ExactPoly, den: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
     """Canonical form of num/den (exact): coprime, lowest exponent 0 and the
     denominator's trailing coefficient 1."""
-    if num.is_zero:
-        return num, Poly.const(num.p, 1)
+    if num.degree < 0:
+        return num, ExactPoly.of(num.p, {0: 1})
     shift = min(min(num.coeffs), min(den.coeffs))
-    num, den = (Poly(f.p, {k - shift: v for k, v in f.coeffs.items()}) for f in (num, den))
+    num, den = (ExactPoly.of(f.p, {k - shift: v for k, v in f.coeffs.items()}) for f in (num, den))
     g = _ref_gcd(num, den)
     if max(g.coeffs):  # nontrivial common factor
         num, _ = _poly_divmod(num, g)
         den, _ = _poly_divmod(den, g)
     inv = den.coeffs[min(den.coeffs)].inverse()
-    return num.scale(inv), den.scale(inv)
+    return _scaled(num, inv), _scaled(den, inv)
 
 
-def _expanded(q: int, pref: ExactConst, specs) -> tuple[Poly, Poly]:
+def _expanded(q: int, pref: ExactConst, specs) -> tuple[ExactPoly, ExactPoly]:
     """The product of the specs multiplied out, numerator and denominator
-    apart, with nothing cancelled."""
+    apart, with nothing cancelled; the power of X goes in at the end."""
     p = P_OF_Q[q]
-    num, den = Poly.const(p, pref), Poly.const(p, 1)
+    num, den, xe = ExactPoly.of(p, {0: pref}), ExactPoly.of(p, {0: 1}), 0
     for kind, x, alpha, beta, k in specs:
         if kind == "L":  # (1 - x q^-beta X^alpha)^-k
             c = QiSqrt.of(p, ExactConst.of(x) * ExactConst.half_power(Fraction(q), -int(2 * beta)))
-            factor, k = Poly(p, {0: 1, alpha: -c}), -k
+            k = -k
+            if alpha > 0:
+                factor = ExactPoly.of(p, {0: 1, alpha: -c})
+            else:  # 1 - c X^alpha = X^alpha (X^-alpha - c)
+                factor, xe = ExactPoly.of(p, {0: -c, -alpha: 1}), xe + alpha * k
+            for _ in range(abs(k)):
+                if k > 0:
+                    num = num * factor
+                else:
+                    den = den * factor
         else:  # (q^x)^((alpha s + beta) k) = q^(x beta k) X^(-x alpha k)
             scalar = ExactConst.half_power(Fraction(q), int(2 * x * beta * k))
-            num = num * Poly.const(p, scalar)
-            factor, k = Poly(p, {-x * alpha * k: 1}), 1
-        for _ in range(abs(k)):
-            if k > 0:
-                num = num * factor
-            else:
-                den = den * factor
-    return num, den
+            num, xe = num * ExactPoly.of(p, {0: scalar}), xe - x * alpha * k
+    power = ExactPoly.of(p, {abs(xe): 1})
+    return (num * power, den) if xe >= 0 else (num, den * power)
 
 
 def _hidden_specs(rng: random.Random, q: int) -> list[tuple]:
@@ -242,6 +250,7 @@ def test_hidden_common_factors_of_unequal_degree():
             assert (rf.num, rf.den) == _ref_canonical(*_expanded(q, one, specs))
             assert len(rf.num.coeffs) == terms and len(rf.den.coeffs) == 1
         assert as_rational_in_X(_mero(q, one, quad + [("L", -z, a, 0, 1)]), q).is_one
+        assert as_rational_in_X(_mero(q, one, [("L", 0 * z, a, 0, 2)]), q).is_one  # 1 - 0 X^a
     # a zero prefactor is 0/1 whatever the atoms
     zero = as_rational_in_X(_mero(q, ExactConst(Fraction(0)), [("L", Fraction(2), -1, 0, 2)]), q)
     assert str(zero) == "0" and not zero.basis and not zero.is_one
@@ -279,13 +288,14 @@ def test_exact_equality_on_differently_factored_inputs():
 # -- the root test that spares the gcd of two binomials ---------------------
 
 def _assert_refined(rf, p: int, factors):
-    """rf's basis is pairwise coprime by _poly_gcd, and rf is the product of
-    the factors (poly, k), compared by cross-multiplication."""
+    """rf is exact, its basis is pairwise coprime by _poly_gcd, and rf is the
+    product of the factors (poly, k), compared by cross-multiplication."""
+    assert rf.is_exact
     basis = list(rf.basis)
     for j, f in enumerate(basis):
         for g in basis[j + 1:]:
             assert len(_poly_gcd(f, g).coeffs) == 1, (str(f), str(g))
-    num, den = Poly.const(p, 1), Poly.const(p, 1)
+    num, den = ExactPoly.of(p, {0: 1}), ExactPoly.of(p, {0: 1})
     for poly, k in factors:
         for _ in range(abs(k)):
             num, den = (num * poly, den) if k > 0 else (num, den * poly)
@@ -304,6 +314,14 @@ def _binomials(rng: random.Random, w, other, units):
     return out
 
 
+def _refined(p: int, factors) -> RatFunc:
+    """The product of the factors (poly, k) through RatFunc products."""
+    rf = RatFunc.one(p)
+    for poly, k in factors:
+        rf = rf * RatFunc(p, QiSqrt(p, 1), 0, {poly: k})
+    return rf
+
+
 def test_root_test_keeps_a_coprime_basis():
     p, rng = 5, random.Random(1993)
     one, i, c = ExactConst.one(), ExactConst.i(), ExactConst(Fraction(1, 2), 1, frozenset([5]))
@@ -320,10 +338,15 @@ def test_root_test_keeps_a_coprime_basis():
                        for _ in range(60)]
     for trial, pair in enumerate(pairs):
         ks = [rng.choice([-2, -1, 1, 2]) if trial >= len(planted) else 1 for _ in pair]
+        factors = [(ExactPoly.of(p, {0: 1, a: -QiSqrt.of(p, x)}), k)
+                   for (x, a), k in zip(pair, ks)]
         specs = [("L", x, a, 0, -k) for (x, a), k in zip(pair, ks)]  # (1 - x X^a)^k
         rf = as_rational_in_X(_mero(p, one, specs), p)
-        _assert_refined(rf, p, [(Poly(p, {0: 1, a: -QiSqrt.of(p, x)}), k)
-                                for (x, a), k in zip(pair, ks)])
+        if not rf.is_exact:  # MeroExpr.l_atom holds a z with i, sqrt(p) or 1/5^4 as a complex
+            want = _refined(p, factors)
+            assert rf == want and want == rf  # cross-multiplied to a relative 1e-9
+            rf = want
+        _assert_refined(rf, p, factors)
     # coefficients beyond monomials, through RatFunc products
     qi = [QiSqrt(p, 1), QiSqrt(p, -1), QiSqrt(p, 0, 0, 1), QiSqrt(p, 0, 0, -1)]
     for _ in range(60):
@@ -331,12 +354,67 @@ def test_root_test_keeps_a_coprime_basis():
                                 for _ in range(4))) for _ in range(2))
         if not (w and other):
             continue
-        factors = [(Poly(p, {0: 1, a: -x}), rng.choice([-2, -1, 1, 2]))
+        factors = [(ExactPoly.of(p, {0: 1, a: -x}), rng.choice([-2, -1, 1, 2]))
                    for x, a in _binomials(rng, w, other, qi)]
-        rf = RatFunc.one(p)
-        for poly, k in factors:
-            rf = rf * RatFunc(p, QiSqrt(p, 1), 0, {poly: k})
+        _assert_refined(_refined(p, factors), p, factors)
+
+
+def _norm(x: QiSqrt) -> QiSqrt:
+    """The product of the four conjugates of x: i -> +-i, sqrt(p) -> +-sqrt(p)."""
+    out = QiSqrt(x.p, 1)
+    for si in (1, -1):
+        for sp in (1, -1):
+            out = out * QiSqrt._of_ints(x.p, x.a, sp * x.b, si * x.c, si * sp * x.d, x.n)
+    return out
+
+
+def test_norm_check_reaches_the_exact_test():
+    """Binomial pairs whose norms agree, so that only the exact test can tell
+    a common root: c against its conjugates, -c and i c, at one degree and
+    as 1 - c^2 X^2a against 1 - d X^a, and planted common roots."""
+    p, rng = 7, random.Random(2009)
+    i = QiSqrt(p, 0, 0, 1)
+    pairs = [((1, QiSqrt(p, 1)), (2, QiSqrt(p, 1))),  # 1 - X against 1 - X^2
+             ((1, QiSqrt(p, 2)), (2, QiSqrt(p, 4)))]  # 1 - 2X against 1 - 4X^2
+    for _ in range(12):
+        c = QiSqrt(p, *(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 7]))
+                        for _ in range(4)))
+        a = rng.randint(1, 2)
+        pairs.append(((2 * a, c * c), (a, c)))  # 1 - c^2 X^2a against 1 - c X^a
+        for d in (QiSqrt._of_ints(p, c.a, c.b, -c.c, -c.d, c.n), -c, i * c,
+                  QiSqrt._of_ints(p, c.a, -c.b, c.c, -c.d, c.n)):
+            assert _norm(d) == _norm(c) and _norm(c * c) == _norm(d) * _norm(d)
+            pairs += [((a, c), (a, d)), ((2 * a, c * c), (a, d))]
+    shared = 0
+    for (a, c), (b, d) in pairs:
+        factors = [(ExactPoly.of(p, {0: 1, a: -c}), rng.choice([-1, 1, 2])),
+                   (ExactPoly.of(p, {0: 1, b: -d}), rng.choice([-1, 1]))]
+        rf = _refined(p, factors)
         _assert_refined(rf, p, factors)
+        shared += set(rf.basis) != {f for f, _ in factors}
+    assert shared >= 14  # the planted pairs, 1 - c^2 X^2a against 1 -+ c X^a, and more
+
+
+def test_exact_product_matches_qisqrt_schoolbook():
+    """ExactPoly products against the product of {k: QiSqrt} dicts, on
+    coefficients with every part, either sign and up to 60 digits."""
+    rng = random.Random(1982)
+    for trial in range(40):
+        p = (3, 5, 7, 11)[trial % 4]
+
+        def poly():
+            big = 10 ** rng.choice([1, 1, 30, 60])
+            return {k: QiSqrt(p, *(Fraction(rng.randint(-big, big), rng.choice([1, 2, 3, p]))
+                                   for _ in range(4)))
+                    for k in rng.sample(range(12), rng.randint(0, 6))}
+        f, g = poly(), poly()
+        want: dict[int, QiSqrt] = {}
+        for k1, x in f.items():
+            for k2, y in g.items():
+                want[k1 + k2] = want.get(k1 + k2, QiSqrt(p)) + x * y
+        got = ExactPoly.of(p, f) * ExactPoly.of(p, g)
+        assert got.coeffs == {k: v for k, v in want.items() if v}
+        assert got == ExactPoly.of(p, want) and hash(got) == hash(ExactPoly.of(p, want))
 
 
 # -- QiSqrt -----------------------------------------------------------------
@@ -393,6 +471,8 @@ def test_qisqrt_ring_axioms(p, u, v, w):
         assert x * x.inverse() == one
         assert (x * y) * x.inverse() == y
         assert x.inverse().inverse() == x
+        assert x ** 7 == x * x * x * x * x * x * x and x ** -2 == (x * x).inverse()
+        assert x ** 0 == one and x ** 1 == x
 
 
 @given(primes, parts, parts)
