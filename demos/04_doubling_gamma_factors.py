@@ -13,8 +13,7 @@ from lfactors import (AddCharacter, GLChar, Induced, LocalField,
                       SkewHermCharR, SpHighestWeight, TrivialRep,
                       as_rational_in_X, equals_numeric, format_expr,
                       gamma_factor, mero_mul, skew_char_space, sp_space,
-                      t_factor, rep_space)
-from lfactors.doubling import dual_rep
+                      t_factor)
 from lfactors.characters import char_inverse
 from lfactors.mero import MeroExpr
 
@@ -55,10 +54,10 @@ print("induced datum gamma = block gamma x kernel gamma:",
 
 print("\n== functional equation and psi-dependence ==")
 prod = mero_mul(gamma_factor(rep, triv5, psi5),
-                gamma_factor(dual_rep(rep), char_inverse(triv5), psi5.inverse()).subst(-1, 1))
+                gamma_factor(rep.dual(), char_inverse(triv5), psi5.inverse()).subst(-1, 1))
 print("gamma(s) gamma(1-s, dual, psi^{-1}) =", as_rational_in_X(prod, 5))
 a = Fraction(5)
 lhs = gamma_factor(rep, triv5, psi5.rescale(a))
-rhs = mero_mul(t_factor(rep_space(rep), triv5, a), gamma_factor(rep, triv5, psi5))
+rhs = mero_mul(t_factor(rep.space, triv5, a), gamma_factor(rep, triv5, psi5))
 print("gamma(psi_5) = T_N(s, omega, 5) gamma(psi):",
       as_rational_in_X(mero_mul(lhs, rhs.inv()), 5).is_one)

@@ -9,9 +9,8 @@ from fractions import Fraction
 
 from lfactors import (AddCharacter, HermitianSpace, LocalField, MultCharacter,
                       QuaternionAlgebra, SkewHermCharR, SpHighestWeight,
-                      SquareClass, TrivialRep, central_sign, epsilon_factor,
-                      l_factor, format_expr, rep_space, root_number,
-                      skew_char_space, sp_space)
+                      SquareClass, TrivialRep, epsilon_factor, l_factor,
+                      format_expr, root_number, skew_char_space, sp_space)
 from lfactors.fields import nonsquare_unit
 
 R = LocalField.real()
@@ -20,7 +19,7 @@ trivR = MultCharacter.trivial(R)
 
 print("== archimedean ==")
 for rep in (SkewHermCharR(0), SkewHermCharR(1), SpHighestWeight(2, (2, 1))):
-    w = root_number(rep_space(rep), central_sign(rep), trivR, psiR)
+    w = root_number(rep.space, rep.central_sign, trivR, psiR)
     machinery = epsilon_factor(rep, trivR, psiR).subst(0, Fraction(1, 2)).eval(0)
     print(f"{type(rep).__name__:<18} closed form {str(w):>3}   "
           f"machinery at 1/2: {machinery:.6f}")

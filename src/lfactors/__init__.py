@@ -6,10 +6,9 @@ from .characters import (AddCharacter, MultCharacter, char_eval, char_inverse,
                          char_mul, quadratic_character, unramified_twist)
 from .doubling import (GLChar, Induced, RegularNilpotentData, SkewHermCharR,
                        SpHighestWeight, TrivialRep, UnsupportedPairError,
-                       central_sign, correction_R, dual_rep, epsilon_factor,
-                       gamma_capital, gamma_factor, l_factor, normalization_c,
-                       rep_space, root_number, skew_char_space, sp_space,
-                       t_factor, zeta_fe_factor)
+                       correction_R, epsilon_factor, gamma_capital, gamma_factor,
+                       l_factor, normalization_c, root_number, skew_char_space,
+                       sp_space, t_factor, zeta_fe_factor)
 from .exactconst import ExactConst
 from .fields import (LocalField, SquareClass, UnsupportedFieldError,
                      UnsupportedOperationError, hilbert_symbol, nonsquare_unit,

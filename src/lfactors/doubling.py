@@ -5,9 +5,13 @@ normalizing constant c(s, omega, A, psi), the psi-change factor
 T_N(s, omega, a), the gamma-, L- and epsilon-factors, root numbers and the
 zeta functional-equation multiplier.
 
-gamma and L derive from one parameter table, `_parameter`: each datum maps
-to pieces (Tate characters at shifts, D_l or a Weil representation over R,
-(m, mu) GL blocks) and the omega that twists their product.
+Each datum class knows what the formulas need of it: its `field`, the
+`space` it lives on, its `dual()`, its `central_sign` and its local
+`parameter(omega)`.  The parameter lists pieces (Tate characters at shifts,
+D_l or a Weil representation over R, (m, mu) GL blocks) and the omega that
+twists their product; gamma and L are both one product over it.  An induced
+datum lives on its kernel's space plus one hyperbolic plane per GL block
+dimension, so its form type and discriminant are the kernel's.
 
 Variable conventions: gamma_factor returns gamma(s, pi x omega, psi) in the
 plain gamma-side variable; R, c, T_N and gamma_capital live on the
@@ -17,8 +21,9 @@ subst).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 from .characters import AddCharacter, MultCharacter, char_eval, char_inverse, char_mul
@@ -42,8 +47,27 @@ class UnsupportedPairError(ValueError):
 # ---------------------------------------------------------------------------
 # Representation data
 
+_R = LocalField.real()
+
+
+class RepDatum:
+    """A representation datum: its `field`, the `space` it lives on (built
+    once), its `dual()`, its `central_sign` (the central character at -1) and
+    `parameter(omega)`, the local parameter of its twist by omega.  By default
+    it is self-dual with central sign 1, over the field of its space."""
+
+    central_sign = 1
+
+    @property
+    def field(self) -> LocalField:
+        return self.space.field
+
+    def dual(self) -> "RepDatum":
+        return self
+
+
 @dataclass(frozen=True)
-class TrivialRep:
+class TrivialRep(RepDatum):
     """Trivial representation of the isometry group of an eps-hermitian space."""
 
     space: HermitianSpace
@@ -52,21 +76,49 @@ class TrivialRep:
         if self.space.form_type == LINEAR:
             raise ValueError("use GLChar for the linear case")
 
+    def parameter(self, omega: MultCharacter) -> Parameter:
+        space, n = self.space, self.space.n
+        if n == 0:  # full omega support at n = 0
+            return [([_tate(omega)] if space.form_type == HERMITIAN else [], None)]
+        _require_unramified(omega, "the trivial representation")
+        triv = MultCharacter.trivial(space.field)
+        if space.form_type == HERMITIAN:
+            return [([_tate(triv, range(-n, n + 1))], omega)]
+        return [([_tate(MultCharacter(space.field, discriminant(space))),
+                  _tate(triv, range(1 - n, n))], omega)]
+
 
 @dataclass(frozen=True)
-class SkewHermCharR:
+class SkewHermCharR(RepDatum):
     """Character z -> z^l of the rank-one skew group over R on (H, <i>)."""
 
     l: int
+    field = _R
+
+    @cached_property
+    def space(self) -> HermitianSpace:
+        return skew_char_space()
+
+    def dual(self) -> "SkewHermCharR":
+        return SkewHermCharR(-self.l)
+
+    @property
+    def central_sign(self) -> int:
+        return (-1) ** abs(self.l)
+
+    def parameter(self, omega: MultCharacter) -> Parameter:
+        """D_{2|l|}; independent of the sign part of omega."""
+        return [([_Piece(_discrete_gamma, _discrete_L, (2 * abs(self.l), Fraction(0)))], omega)]
 
 
 @dataclass(frozen=True)
-class SpHighestWeight:
+class SpHighestWeight(RepDatum):
     """Irreducible of the compact hermitian group over R on (H^n, <I_n>),
     by highest weight lam_1 >= ... >= lam_n >= 0."""
 
     n: int
     lam: tuple[int, ...]
+    field = _R
 
     def __post_init__(self):
         lam = tuple(int(v) for v in self.lam)
@@ -76,9 +128,23 @@ class SpHighestWeight:
         if any(a < b for a, b in zip(lam, lam[1:])) or (lam and lam[-1] < 0):
             raise ValueError("weight must be weakly decreasing and nonnegative")
 
+    @cached_property
+    def space(self) -> HermitianSpace:
+        return sp_space(self.n)
+
+    @property
+    def central_sign(self) -> int:
+        return (-1) ** sum(self.lam)
+
+    def parameter(self, omega: MultCharacter) -> Parameter:
+        """D_{2(lam_j + rho_j)} with rho_j = n + 1 - j, plus sgn^{n + delta}."""
+        discrete = (WeilSummand("discrete", 2 * (lam + self.n - j)) for j, lam in enumerate(self.lam))
+        sign = WeilSummand("sign" if (self.n + omega.delta) % 2 else "trivial")
+        return [([_Piece(weil_gamma, weil_L, (WeilRep(_R, (*discrete, sign)),))], omega)]
+
 
 @dataclass(frozen=True)
-class GLChar:
+class GLChar(RepDatum):
     """chi o N on GL_m(D) (the linear case)."""
 
     m: int
@@ -88,97 +154,65 @@ class GLChar:
         if self.m < 1:
             raise ValueError("block size must be >= 1")
 
+    @property
+    def field(self) -> LocalField:
+        return self.chi.field
+
+    @cached_property
+    def space(self) -> HermitianSpace:
+        return HermitianSpace.linear(QuaternionAlgebra(self.field, Fraction(-1), Fraction(-1)), self.m)
+
+    def dual(self) -> "GLChar":
+        return GLChar(self.m, char_inverse(self.chi))
+
+    def parameter(self, omega: MultCharacter) -> Parameter:
+        return [([_Piece(gj_gamma_norm, gj_L, (self.m, char_mul(chi, omega)))
+                  for chi in (self.chi, char_inverse(self.chi))], None)]
+
 
 @dataclass(frozen=True)
-class Induced:
+class Induced(RepDatum):
     """Constituent data of a parabolic induction: GL blocks plus a kernel."""
 
     blocks: tuple[GLChar, ...]
-    kernel: "RepDatum"
+    kernel: RepDatum
 
     def __post_init__(self):
         if isinstance(self.kernel, (GLChar, Induced)):
             raise ValueError("the kernel must be an eps-hermitian datum")
 
+    @property
+    def field(self) -> LocalField:
+        return self.kernel.field
 
-RepDatum = TrivialRep | SkewHermCharR | SpHighestWeight | GLChar | Induced
+    @cached_property
+    def space(self) -> HermitianSpace:
+        """The kernel's space plus one hyperbolic plane per GL block dimension."""
+        kernel, r = self.kernel.space, sum(b.m for b in self.blocks)
+        return replace(kernel, n=kernel.n + 2 * r, hyperbolic=kernel.hyperbolic + r)
 
-_R = LocalField.real()
+    def dual(self) -> "Induced":
+        return Induced(tuple(b.dual() for b in self.blocks), self.kernel.dual())
+
+    @property
+    def central_sign(self) -> int:
+        return self.kernel.central_sign
+
+    def parameter(self, omega: MultCharacter) -> Parameter:
+        return [part for r in (self.kernel, *self.blocks) for part in r.parameter(omega)]
 
 
-def _hamilton() -> QuaternionAlgebra:
-    return QuaternionAlgebra(_R, Fraction(-1), Fraction(-1))
+_HAMILTON = QuaternionAlgebra(_R, Fraction(-1), Fraction(-1))
 
 
 def skew_char_space() -> HermitianSpace:
     """(H, <i>) over R."""
-    alg = _hamilton()
-    return HermitianSpace.diagonal(alg, SKEW, [alg.element(0, 1)])
+    return HermitianSpace.diagonal(_HAMILTON, SKEW, [_HAMILTON.element(0, 1)])
 
 
 def sp_space(n: int) -> HermitianSpace:
     """(H^n, <I_n>) over R."""
-    return HermitianSpace.diagonal(_hamilton(), HERMITIAN, [1] * n)
-
-
-def rep_field(rep: RepDatum) -> LocalField:
-    if isinstance(rep, Induced):
-        rep = rep.kernel
-    if isinstance(rep, TrivialRep):
-        return rep.space.field
-    return rep.chi.field if isinstance(rep, GLChar) else _R
-
-
-def rep_space(rep: RepDatum) -> HermitianSpace:
-    """The ambient space the datum lives on."""
-    if isinstance(rep, TrivialRep):
-        return rep.space
-    if isinstance(rep, SkewHermCharR):
-        return skew_char_space()
-    if isinstance(rep, SpHighestWeight):
-        return sp_space(rep.n)
-    if isinstance(rep, GLChar):
-        return HermitianSpace.linear(QuaternionAlgebra(rep.chi.field, Fraction(-1), Fraction(-1)), rep.m)
-    return _extend_space(rep_space(rep.kernel), 2 * sum(b.m for b in rep.blocks))
-
-
-def _extend_space(kernel: HermitianSpace, extra: int) -> HermitianSpace:
-    """Kernel space plus `extra` hyperbolic dimensions (only type, n and the
-    discriminant matter downstream; disc of the hyperbolic part is 1)."""
-    from .quaternion import QuatMatrix
-    if extra == 0:
-        return kernel
-    alg = kernel.algebra
-    n = kernel.n + extra
-    r = extra // 2
-    eps = kernel.eps
-    rows = [[alg.element(0)] * n for _ in range(n)]
-    for i in range(r):
-        rows[i][n - 1 - i] = alg.element(1)
-        rows[n - 1 - i][i] = alg.element(eps)
-    for i in range(kernel.n):
-        for j in range(kernel.n):
-            rows[r + i][r + j] = kernel.gram.entries[i][j] if kernel.gram else alg.element(0)
-    return HermitianSpace(alg, kernel.form_type, n, QuatMatrix.from_rows(alg, rows))
-
-
-def dual_rep(rep: RepDatum) -> RepDatum:
-    if isinstance(rep, SkewHermCharR):
-        return SkewHermCharR(-rep.l)
-    if isinstance(rep, GLChar):
-        return GLChar(rep.m, char_inverse(rep.chi))
-    if isinstance(rep, Induced):
-        return Induced(tuple(dual_rep(b) for b in rep.blocks), dual_rep(rep.kernel))
-    return rep  # trivial representations and highest weights are self-dual
-
-
-def central_sign(rep: RepDatum) -> int:
-    """Value of the central character at -1."""
-    if isinstance(rep, Induced):
-        return central_sign(rep.kernel)
-    if isinstance(rep, SkewHermCharR):
-        return (-1) ** abs(rep.l)
-    return (-1) ** sum(rep.lam) if isinstance(rep, SpHighestWeight) else 1
+    return HermitianSpace.diagonal(_HAMILTON, HERMITIAN, [1] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +238,7 @@ def _apply_twist(expr: MeroExpr, omega: MultCharacter) -> MeroExpr:
 
 
 # ---------------------------------------------------------------------------
-# Local parameters: gamma and L of every datum from one table
+# Local parameters: gamma and L of every datum, one product over its pieces
 
 class _Piece(NamedTuple):
     """One factor of a local parameter: gamma(*args, psi) and L(*args),
@@ -220,34 +254,9 @@ def _tate(chi: MultCharacter, shifts: Sequence[int] = (0,)) -> _Piece:
     return _Piece(tate_gamma, tate_L, (chi,), shifts)
 
 
-def _sp_weil_rep(rep: SpHighestWeight, delta: int) -> WeilRep:
-    """D_{2(lam_j + rho_j)} with rho_j = n + 1 - j, plus sgn^{n + delta}."""
-    discrete = (WeilSummand("discrete", 2 * (lam + rep.n - j)) for j, lam in enumerate(rep.lam))
-    return WeilRep(_R, (*discrete, WeilSummand("sign" if (rep.n + delta) % 2 else "trivial")))
-
-
-def _parameter(rep: RepDatum, omega: MultCharacter) -> list[tuple[list[_Piece], MultCharacter | None]]:
-    """The local parameter of rep x omega: for the datum, or for each part of
-    an induced datum, its pieces and the omega that twists their product
-    (None where omega already sits inside the pieces)."""
-    if isinstance(rep, Induced):
-        return [part for r in (rep.kernel, *rep.blocks) for part in _parameter(r, omega)]
-    if isinstance(rep, GLChar):
-        return [([_Piece(gj_gamma_norm, gj_L, (rep.m, char_mul(chi, omega)))
-                  for chi in (rep.chi, char_inverse(rep.chi))], None)]
-    if isinstance(rep, SkewHermCharR):  # D_{2|l|}; independent of the sign part of omega
-        return [([_Piece(_discrete_gamma, _discrete_L, (2 * abs(rep.l), Fraction(0)))], omega)]
-    if isinstance(rep, SpHighestWeight):
-        return [([_Piece(weil_gamma, weil_L, (_sp_weil_rep(rep, omega.delta),))], omega)]
-    space, n = rep.space, rep.space.n
-    if n == 0:  # full omega support at n = 0
-        return [([_tate(omega)] if space.form_type == HERMITIAN else [], None)]
-    _require_unramified(omega, "the trivial representation")
-    triv = MultCharacter.trivial(space.field)
-    if space.form_type == HERMITIAN:
-        return [([_tate(triv, range(-n, n + 1))], omega)]
-    return [([_tate(MultCharacter(space.field, discriminant(space))),
-              _tate(triv, range(1 - n, n))], omega)]
+# for the datum, or for each part of an induced datum: its pieces and the
+# omega that twists their product (None where omega already sits inside them)
+Parameter = list[tuple[list[_Piece], MultCharacter | None]]
 
 
 def _product(rep: RepDatum, omega: MultCharacter,
@@ -255,7 +264,7 @@ def _product(rep: RepDatum, omega: MultCharacter,
     """Multiplies the built pieces of each part, twists each part's product,
     then multiplies the parts."""
     parts = []
-    for pieces, twist in _parameter(rep, omega):
+    for pieces, twist in rep.parameter(omega):
         exprs = []
         for piece in pieces:
             f = build(piece)
@@ -267,15 +276,14 @@ def _product(rep: RepDatum, omega: MultCharacter,
 
 def gamma_factor(rep: RepDatum, omega: MultCharacter, psi: AddCharacter) -> MeroExpr:
     """gamma(s, rep x omega, psi) via the supported closed-form table."""
-    field = rep_field(rep)
-    if omega.field != field or psi.field != field:
+    if omega.field != rep.field or psi.field != rep.field:
         raise ValueError("representation, omega and psi must share a field")
     return _product(rep, omega, lambda p: p.gamma(*p.args, psi))
 
 
 def l_factor(rep: RepDatum, omega: MultCharacter) -> MeroExpr:
     """Structural L-factor: the denominator normal form of gamma."""
-    if omega.field != rep_field(rep):
+    if omega.field != rep.field:
         raise ValueError("mismatched fields")
     return _product(rep, omega, lambda p: p.L(*p.args))
 
@@ -287,7 +295,7 @@ def epsilon_factor(rep: RepDatum, omega: MultCharacter, psi: AddCharacter) -> Me
 
 def epsilon_from(rep: RepDatum, omega: MultCharacter, gamma: MeroExpr, L: MeroExpr) -> MeroExpr:
     """epsilon from gamma and L of rep x omega; L is the dual L too if rep x omega is self-dual."""
-    dual = (dual_rep(rep), char_inverse(omega))
+    dual = (rep.dual(), char_inverse(omega))
     dual_L = L if dual == (rep, omega) else l_factor(*dual)
     return mero_mul(gamma, L, dual_L.subst(-1, 1).inv())
 
@@ -303,13 +311,6 @@ class RegularNilpotentData:
 
     def __post_init__(self):
         object.__setattr__(self, "norm_value", as_fraction(self.norm_value))
-
-    def disc(self, space: HermitianSpace) -> SquareClass:
-        if space.n == 0:
-            if self.norm_value != 1:
-                raise ValueError("n = 0 forces the norm value 1")
-            return SquareClass(space.field, "1")
-        return square_class(space.field, Fraction(-1) ** space.n * self.norm_value)
 
 
 def _omega_s_power(omega: MultCharacter, y: Fraction, k: int) -> MeroExpr:
@@ -330,8 +331,8 @@ def correction_R(space: HermitianSpace, omega: MultCharacter, A: RegularNilpoten
         return _omega_s_power(omega, y, -2)
     if space.n == 0 and x != 1:
         raise ValueError("n = 0 forces the norm value 1")
-    if space.form_type == HERMITIAN:
-        chi_d = MultCharacter(space.field, A.disc(space))
+    if space.form_type == HERMITIAN:  # the square class of (-1)^n N(A)
+        chi_d = MultCharacter(space.field, square_class(space.field, Fraction(-1) ** space.n * x))
         gam = tate_gamma(char_mul(omega, chi_d), psi).subst(1, Fraction(1, 2))
         eps = MeroExpr.const(eps_at_half(chi_d, psi))
         return mero_mul(_omega_s_power(omega, x, -1), gam, eps.inv())
@@ -401,22 +402,20 @@ def _tate_block(space: HermitianSpace, omega: MultCharacter, psi: AddCharacter,
 
 
 def gamma_capital(rep: RepDatum, omega: MultCharacter, A: RegularNilpotentData,
-                  psi: AddCharacter, space: HermitianSpace | None = None) -> MeroExpr:
+                  psi: AddCharacter) -> MeroExpr:
     """Gamma(s, pi, omega, A, psi) = gamma(s + 1/2) c_pi(-1) / R(s, omega, A, psi)."""
     gam = gamma_factor(rep, omega, psi).subst(1, Fraction(1, 2))
-    sign = MeroExpr.const(ExactConst.of(central_sign(rep)))
-    space = space or rep_space(rep)
-    return mero_mul(gam, sign, correction_R(space, omega, A, psi).inv())
+    sign = MeroExpr.const(ExactConst.of(rep.central_sign))
+    return mero_mul(gam, sign, correction_R(rep.space, omega, A, psi).inv())
 
 
-def zeta_fe_factor(rep: RepDatum, omega: MultCharacter, psi: AddCharacter,
-                   space: HermitianSpace | None = None) -> MeroExpr:
+def zeta_fe_factor(rep: RepDatum, omega: MultCharacter, psi: AddCharacter) -> MeroExpr:
     """The multiplier relating Z(M(s, omega) f_s, xi) to Z(f_s, xi)."""
-    space = space or rep_space(rep)
+    space = rep.space
     if space.form_type == LINEAR:
         raise UnsupportedPairError("the zeta functional-equation factor is stated "
                                    "for the eps-hermitian cases")
-    return mero_mul(*_tate_block(space, omega, psi, central_sign(rep),
+    return mero_mul(*_tate_block(space, omega, psi, rep.central_sign,
                                  gamma_factor(rep, omega, psi).subst(1, Fraction(1, 2))))
 
 
@@ -455,7 +454,7 @@ def derive_gj_from_normalization(m: int, omega: MultCharacter, psi: AddCharacter
                                  probe_norm: Fraction = Fraction(1)) -> MeroExpr:
     """Solve the linear-case normalizing-constant identity for the GJ-type
     gamma of omega^2 o N and substitute the block variable u = 2s - m + 1/2."""
-    case = HermitianSpace.linear(QuaternionAlgebra(omega.field, Fraction(-1), Fraction(-1)), m)
+    case = GLChar(m, omega).space
     A = RegularNilpotentData(probe_norm)
     c = normalization_c(case, omega, A, psi)
     omega_sq = char_mul(omega, omega)

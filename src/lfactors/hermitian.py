@@ -1,10 +1,11 @@
 """Epsilon-hermitian spaces over a quaternion algebra.
 
-A space is (V, h) with Gram matrix R = (h(v_i, v_j)) satisfying
-^tR^* = eps R; the linear case (h = 0) carries no Gram matrix.  The
-discriminant is the square class of (-1)^n N(R).  The Morita transfer
-turns a space over a split algebra into a 2n-dimensional bilinear space
-over F (zero / symplectic / symmetric for linear / hermitian / skew).
+A space W = H^r + W0 holds its r hyperbolic planes as a count and its kernel
+W0 as a Gram matrix R = (h(v_i, v_j)) with ^tR^* = eps R; n counts all
+dimensions, and the linear case (h = 0) carries neither.  The discriminant
+is the square class of (-1)^n N(R), to which H^r contributes 1.  The Morita
+transfer turns a space over a split algebra into a 2n-dimensional bilinear
+space over F (zero / symplectic / symmetric for linear / hermitian / skew).
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ class HermitianSpace:
     algebra: QuaternionAlgebra
     form_type: str  # linear | hermitian | skew
     n: int
-    gram: QuatMatrix | None = None
+    gram: QuatMatrix | None = None  # of the kernel: n - 2 * hyperbolic rows
+    hyperbolic: int = 0
     # N(gram), computed once by the degeneracy check; None without a gram
     gram_norm: Fraction | None = dataclasses.field(default=None, init=False, repr=False,
                                                    compare=False)
@@ -37,17 +39,18 @@ class HermitianSpace:
     def __post_init__(self):
         if self.form_type not in (LINEAR, HERMITIAN, SKEW):
             raise ValueError(f"unknown form type {self.form_type!r}")
-        if self.n < 0:
+        n0 = self.n - 2 * self.hyperbolic  # the kernel's dimension
+        if min(n0, self.hyperbolic) < 0:
             raise ValueError("dimension must be nonnegative")
         if self.form_type == LINEAR:
-            if self.gram is not None:
-                raise ValueError("the linear case carries no Gram matrix")
+            if self.gram is not None or self.hyperbolic:
+                raise ValueError("the linear case carries no Gram matrix and no hyperbolic planes")
             return
-        if self.n == 0:
+        if n0 == 0:
             return
         if self.gram is None:
             raise ValueError("epsilon-hermitian spaces need a Gram matrix")
-        if self.gram.rows != self.n or self.gram.cols != self.n:
+        if self.gram.rows != n0 or self.gram.cols != n0:
             raise ValueError("Gram matrix has wrong dimensions")
         eps = self.eps
         flipped = self.gram.conj_transpose()
@@ -82,10 +85,10 @@ class HermitianSpace:
 
 
 def discriminant(space: HermitianSpace) -> SquareClass:
-    """Square class of (-1)^n N(gram); 1 by convention when n = 0."""
+    """Square class of (-1)^n N(gram); 1 by convention for a kernel of dimension 0."""
     if space.form_type == LINEAR:
         raise UnsupportedOperationError("discriminant of the linear case")
-    if space.n == 0:
+    if space.gram_norm is None:
         return SquareClass(space.field, "1")
     val = Fraction(-1) ** space.n * space.gram_norm
     return square_class(space.field, val)
@@ -236,6 +239,8 @@ def morita_natural(space: HermitianSpace) -> BilinearSpace:
     """Transfer along D = M_2(F): the 2n-dimensional F-space Ve with the
     induced bilinear form (zero / symplectic / symmetric)."""
     alg = space.algebra
+    if space.hyperbolic:
+        raise MoritaError("the transfer needs the full Gram matrix, not a hyperbolic rank")
     if space.form_type == LINEAR:
         _split_iso(alg)  # raises when not rationally split
         return BilinearSpace(space.field, "zero", 2 * space.n, None)

@@ -60,6 +60,8 @@ def _beta_norm(b) -> BetaLike:
         return b
     if isinstance(b, int):
         return Fraction(b)
+    if isinstance(b, ExactConst) and b.is_rational:
+        return b.rat
     b = complex(b)
     if b.imag == 0 and b.real.is_integer():
         return Fraction(int(b.real))

@@ -123,8 +123,8 @@ class Quaternion:
 
 
 class SqrtExt:
-    """Q(sqrt a) as pairs (u, v) = u + v sqrt(a); collapses to Q when a is
-    a rational square.  Division is exact (field in both cases)."""
+    """Q(sqrt a) as pairs (u, v) = u + v sqrt(a), built by `make`; collapses
+    to Q when a is a rational square."""
 
     def __init__(self, a: Fraction):
         self.a = Fraction(a)
@@ -137,38 +137,6 @@ class SqrtExt:
         if self.rational_root is not None and v:
             return (u + v * self.rational_root, Fraction(0))
         return (u, v)
-
-    def add(self, x, y):
-        return (x[0] + y[0], x[1] + y[1])
-
-    def sub(self, x, y):
-        return (x[0] - y[0], x[1] - y[1])
-
-    def mul(self, x, y):
-        return self.make(x[0] * y[0] + self.a * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-    def neg(self, x):
-        return (-x[0], -x[1])
-
-    def inv(self, x):
-        u, v = x
-        if self.rational_root is not None:
-            if u == 0:
-                raise ZeroDivisionError
-            return (1 / u, Fraction(0))
-        n = u * u - self.a * v * v
-        if n == 0:
-            raise ZeroDivisionError
-        return (u / n, -v / n)
-
-    def is_zero(self, x) -> bool:
-        return x[0] == 0 and x[1] == 0
-
-    def zero(self):
-        return (Fraction(0), Fraction(0))
-
-    def one(self):
-        return (Fraction(1), Fraction(0))
 
 
 def _rational_sqrt(a: Fraction) -> Fraction | None:

@@ -20,10 +20,10 @@ from fractions import Fraction
 
 from . import mero
 from .characters import AddCharacter, MultCharacter
-from .doubling import (GLChar, Induced, RegularNilpotentData, SkewHermCharR,
-                       SpHighestWeight, TrivialRep, central_sign, correction_R,
+from .doubling import (GLChar, Induced, RegularNilpotentData, RepDatum,
+                       SkewHermCharR, SpHighestWeight, TrivialRep, correction_R,
                        epsilon_from, gamma_factor, l_factor, normalization_c_from,
-                       rep_field, rep_space, root_number, t_factor)
+                       root_number, t_factor)
 from .fields import LocalField, SquareClass, UnsupportedFieldError
 from .hermitian import HermitianSpace
 from .mero import MeroExpr, UnsupportedExpressionError, format_expr
@@ -240,7 +240,7 @@ def parse_spherical(doc, field: LocalField) -> SphericalData:
 class QueryDocument:
     field: LocalField
     algebra: QuaternionAlgebra
-    rep: object | None
+    rep: RepDatum | None
     omega: MultCharacter
     psi: AddCharacter
     outputs: tuple[str, ...]
@@ -257,7 +257,7 @@ class QueryDocument:
         field = parse_field(doc.get("field", {"kind": "real"}))
         alg = parse_algebra(doc.get("algebra", {"a": "-1", "b": "-1"}), field)
         rep = parse_rep(doc["rep"], field, alg) if "rep" in doc else None
-        if rep is not None and rep_field(rep) != field:
+        if rep is not None and rep.field != field:
             raise QueryValidationError(f"rep: {doc['rep']['kind']!r} is not defined over {field}")
         omega = parse_character(doc.get("omega", {}), field, "omega")
         psi_scale = _rational(doc.get("psi_scale", "1"), "psi_scale")
@@ -296,7 +296,7 @@ class QueryDocument:
         t_scale = _rational(doc.get("t_scale", "2"), "t_scale")
         if norm_value == 0 or t_scale == 0:
             raise QueryValidationError("norm_value, t_scale: must be nonzero")
-        if norm_value != 1 and {"R", "c"} & set(outputs) and rep_space(rep).n == 0:
+        if norm_value != 1 and {"R", "c"} & set(outputs) and rep.space.n == 0:
             raise QueryValidationError("norm_value: n = 0 forces the norm value 1")
         return QueryDocument(
             field, alg, rep, omega, AddCharacter(field, psi_scale),
@@ -353,7 +353,7 @@ def run_query(doc: dict) -> dict:
     q = QueryDocument.from_json(doc)
     out: dict = {"schema": SCHEMA_VERSION, "results": {}, "metadata": _metadata(q)}
     A = RegularNilpotentData(q.norm_value)
-    space = rep_space(q.rep) if {"root_number", "R", "c", "T"} & set(q.outputs) else None
+    space = q.rep.space if {"root_number", "R", "c", "T"} & set(q.outputs) else None
     rep, omega, psi = q.rep, q.omega, q.psi
     gamma = functools.cache(lambda: gamma_factor(rep, omega, psi))
     L = functools.cache(lambda: l_factor(rep, omega))
@@ -364,7 +364,7 @@ def run_query(doc: dict) -> dict:
     pending: list = []
     for name in q.outputs:
         if name == "root_number":
-            w = root_number(space, central_sign(rep), omega, psi)
+            w = root_number(space, rep.central_sign, omega, psi)
             v = complex(w)
             out["results"]["root_number"] = {"exact": str(w) if is_exact(w) else None,
                                              "value": [v.real, v.imag]}

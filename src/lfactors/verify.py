@@ -22,15 +22,14 @@ from typing import Callable, Iterable
 from .characters import (AddCharacter, MultCharacter, char_eval, char_inverse,
                          char_mul, unramified_twist)
 from .doubling import (GLChar, Induced, RegularNilpotentData, SkewHermCharR,
-                       SpHighestWeight, TrivialRep, central_sign, correction_R,
-                       dual_rep, epsilon_factor, gamma_capital, gamma_factor,
-                       normalization_c, rep_space, root_number, skew_char_space,
-                       sp_space, t_factor, derive_gj_from_normalization)
+                       SpHighestWeight, TrivialRep, correction_R, epsilon_factor,
+                       gamma_capital, gamma_factor, normalization_c, root_number,
+                       skew_char_space, sp_space, t_factor, derive_gj_from_normalization)
 from .exactconst import ExactConst
 from .fields import (LocalField, SquareClass, hilbert_symbol, nonsquare_unit,
                      square_class, unit_part, valuation)
 from .gj import gj_gamma_norm
-from .hermitian import (HermitianSpace, discriminant, kottwitz_sign,
+from .hermitian import (LINEAR, HermitianSpace, discriminant, kottwitz_sign,
                         morita_natural)
 from .mero import (LinForm, MeroExpr, format_expr, from_json, max_rel_error,
                    mero_mul, parse_expr, to_json)
@@ -400,14 +399,14 @@ def _functional_equation(rng):
     for rep, omega in rep_battery():
         psi = AddCharacter.standard(omega.field)
         g = gamma_factor(rep, omega, psi)
-        gd = gamma_factor(dual_rep(rep), char_inverse(omega), psi.inverse()).subst(-1, 1)
+        gd = gamma_factor(rep.dual(), char_inverse(omega), psi.inverse()).subst(-1, 1)
         yield mero_mul(g, gd), MeroExpr.one(), omega.field
 
 
 def _self_duality(rng):
     for rep, omega in rep_battery():
         psi = AddCharacter.standard(omega.field)
-        yield gamma_factor(dual_rep(rep), omega, psi), gamma_factor(rep, omega, psi), None
+        yield gamma_factor(rep.dual(), omega, psi), gamma_factor(rep, omega, psi), None
 
 
 def _twisting(rng):
@@ -422,11 +421,10 @@ def _psi_dependence(rng):
     """gamma(psi_a) = T_N(s, omega, a) gamma(psi), and the c-layer rule
     c(psi_a) T_N = c(psi)."""
     for rep, omega in rep_battery():
-        field = omega.field
-        if isinstance(rep, GLChar) and field.is_real:
+        field, space = omega.field, rep.space
+        if space.form_type == LINEAR and field.is_real:
             continue
         psi = AddCharacter.standard(field)
-        space = rep_space(rep)
         gam = gamma_factor(rep, omega, psi)
         for a in psi_scaling_values(field):
             yield (gamma_factor(rep, omega, psi.rescale(a)),
@@ -448,14 +446,12 @@ def _a_independence(rng):
     """gamma_capital(A) * central-sign * R(A) is the same expression for
     different A-data (the A-atoms cancel structurally)."""
     for rep, omega in rep_battery():
-        if isinstance(rep, (GLChar, Induced)):
+        space = rep.space  # a trivial, skew-character or highest-weight datum with n > 0
+        if space.form_type == LINEAR or space.hyperbolic or space.n == 0:
             continue
         psi = AddCharacter.standard(omega.field)
-        space = rep_space(rep)
-        if space.n == 0:
-            continue
-        sign = MeroExpr.const(ExactConst.of(central_sign(rep)))
-        e0, e1, e2 = (mero_mul(gamma_capital(rep, omega, A, psi, space), sign,
+        sign = MeroExpr.const(ExactConst.of(rep.central_sign))
+        e0, e1, e2 = (mero_mul(gamma_capital(rep, omega, A, psi), sign,
                                correction_R(space, omega, A, psi))
                       for A in map(RegularNilpotentData, (1, 4, Fraction(9, 4))))
         yield (e0, e1), (e1, e2), None
@@ -481,7 +477,7 @@ def _root_numbers(rng):
                       (Induced((GLChar(1, chi_u),), skew0), om)]
     for rep, omega in cases:
         psi = AddCharacter.standard(omega.field)
-        closed = root_number(rep_space(rep), central_sign(rep), omega, psi)
+        closed = root_number(rep.space, rep.central_sign, omega, psi)
         yield (epsilon_factor(rep, omega, psi).subst(0, Fraction(1, 2)).eval(0),
                complex(closed), None)
 

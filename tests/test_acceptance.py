@@ -11,8 +11,7 @@ from lfactors.characters import (AddCharacter, MultCharacter, char_inverse,
                                  unramified_twist)
 from lfactors.doubling import (GLChar, Induced, RegularNilpotentData,
                                SkewHermCharR, SpHighestWeight, TrivialRep,
-                               central_sign, dual_rep, epsilon_factor,
-                               gamma_factor, normalization_c, rep_space,
+                               epsilon_factor, gamma_factor, normalization_c,
                                root_number, skew_char_space, sp_space,
                                t_factor)
 from lfactors.exactconst import ExactConst
@@ -75,7 +74,7 @@ def test_criterion_04_functional_equation_battery():
         psi = AddCharacter.standard(field)
         prod = mero_mul(
             gamma_factor(rep, omega, psi),
-            gamma_factor(dual_rep(rep), char_inverse(omega), psi.inverse()).subst(-1, 1))
+            gamma_factor(rep.dual(), char_inverse(omega), psi.inverse()).subst(-1, 1))
         if field.is_real:
             worst = max(worst, max_rel_error(prod, MeroExpr.one(), samples=24))
         else:
@@ -88,7 +87,7 @@ def test_criterion_04_functional_equation_battery():
 def test_criterion_05_self_duality_and_twisting():
     for rep, omega in rep_battery():
         psi = AddCharacter.standard(omega.field)
-        assert gamma_factor(dual_rep(rep), omega, psi) == gamma_factor(rep, omega, psi)
+        assert gamma_factor(rep.dual(), omega, psi) == gamma_factor(rep, omega, psi)
         for s0 in (Fraction(2), Fraction(-1, 2)):
             assert gamma_factor(rep, unramified_twist(omega, s0), psi) \
                 == gamma_factor(rep, omega, psi).subst(1, s0)
@@ -102,7 +101,7 @@ def test_criterion_06_psi_dependence():
         if field.is_real and isinstance(rep, GLChar):
             continue  # measure powers of |2| are the documented discrepancy
         psi = AddCharacter.standard(field)
-        space = rep_space(rep)
+        space = rep.space
         for a in psi_scaling_values(field):
             lhs = gamma_factor(rep, omega, psi.rescale(a))
             rhs = mero_mul(t_factor(space, omega, a), gamma_factor(rep, omega, psi))
@@ -158,8 +157,7 @@ def test_criterion_07_root_numbers():
                     space0 = rep.space if isinstance(rep, TrivialRep) else rep.kernel.space
                     if space0.n > 0 and omega.quad.is_ramified:
                         continue
-                space = rep_space(rep)
-                closed = root_number(space, central_sign(rep), omega, psi)
+                closed = root_number(rep.space, rep.central_sign, omega, psi)
                 closed_v = closed.to_complex() if isinstance(closed, ExactConst) else complex(closed)
                 machinery = epsilon_factor(rep, omega, psi).subst(0, Fraction(1, 2)).eval(0)
                 assert abs(machinery - closed_v) < STRICT

@@ -5,11 +5,11 @@ import pytest
 from lfactors.characters import AddCharacter, MultCharacter, unramified_twist
 from lfactors.doubling import (GLChar, Induced, RegularNilpotentData,
                                SkewHermCharR, SpHighestWeight, TrivialRep,
-                               UnsupportedPairError, central_sign,
-                               correction_R, epsilon_factor, gamma_capital,
-                               gamma_factor, l_factor, normalization_c,
-                               rep_space, root_number, skew_char_space, sp_space,
-                               t_factor, zeta_fe_factor)
+                               UnsupportedPairError, correction_R,
+                               epsilon_factor, gamma_capital, gamma_factor,
+                               l_factor, normalization_c, root_number,
+                               skew_char_space, sp_space, t_factor,
+                               zeta_fe_factor)
 from lfactors.exactconst import ExactConst
 from lfactors.fields import LocalField, SquareClass, nonsquare_unit
 from lfactors.hermitian import HermitianSpace, discriminant
@@ -148,12 +148,12 @@ def test_unsupported_pairs():
 
 
 def test_central_sign():
-    assert central_sign(TrivialRep(sp_space(2))) == 1
-    assert central_sign(SkewHermCharR(3)) == -1
-    assert central_sign(SpHighestWeight(2, (2, 1))) == -1
-    assert central_sign(GLChar(1, triv5)) == 1
-    assert central_sign(Induced((GLChar(1, triv5),),
-                                TrivialRep(HermitianSpace(D5, "skew", 0)))) == 1
+    assert TrivialRep(sp_space(2)).central_sign == 1
+    assert SkewHermCharR(3).central_sign == -1
+    assert SpHighestWeight(2, (2, 1)).central_sign == -1
+    assert GLChar(1, triv5).central_sign == 1
+    assert Induced((GLChar(1, triv5),),
+                   TrivialRep(HermitianSpace(D5, "skew", 0))).central_sign == 1
 
 
 def test_gamma_capital_herher():
@@ -255,13 +255,12 @@ def test_epsilon_factor_functional_equation_pattern():
     """epsilon(s, pi, omega, psi) epsilon(1-s, dual, omega^{-1}, psi^{-1}) = 1,
     forced by the gamma FE and the L-factor definition."""
     from lfactors.characters import char_inverse
-    from lfactors.doubling import dual_rep
     kern = TrivialRep(HermitianSpace.diagonal(D5, "skew", [D5.element(0, 1)]))
     reps = [TrivialRep(HermitianSpace.diagonal(D5, "hermitian", [1])),
             GLChar(1, triv5), Induced((GLChar(1, triv5),), kern)]
     for rep in reps:
         e = epsilon_factor(rep, triv5, psi5)
-        ed = epsilon_factor(dual_rep(rep), char_inverse(triv5), psi5.inverse()).subst(-1, 1)
+        ed = epsilon_factor(rep.dual(), char_inverse(triv5), psi5.inverse()).subst(-1, 1)
         assert as_rational_in_X(mero_mul(e, ed), 5).is_one
 
 
@@ -269,8 +268,7 @@ def test_root_number_with_ramified_omega():
     chi_p = MultCharacter(Q5, SquareClass(Q5, "p"))
     kern = TrivialRep(HermitianSpace(D5, "skew", 0))
     rep = Induced((GLChar(1, chi_p),), kern)
-    space = rep_space(rep)
-    closed = root_number(space, central_sign(rep), chi_p, psi5)
+    closed = root_number(rep.space, rep.central_sign, chi_p, psi5)
     closed_v = closed.to_complex() if isinstance(closed, ExactConst) else complex(closed)
     machinery = epsilon_factor(rep, chi_p, psi5).subst(0, Fraction(1, 2)).eval(0)
     assert abs(machinery - closed_v) < 1e-9

@@ -21,10 +21,9 @@ from pathlib import Path
 from lfactors.characters import AddCharacter, MultCharacter
 from lfactors.doubling import (GLChar, Induced, RegularNilpotentData,
                                SkewHermCharR, SpHighestWeight, TrivialRep,
-                               central_sign, correction_R, epsilon_factor,
-                               gamma_capital, gamma_factor, l_factor,
-                               normalization_c, rep_space, root_number,
-                               t_factor, zeta_fe_factor)
+                               correction_R, epsilon_factor, gamma_capital,
+                               gamma_factor, l_factor, normalization_c,
+                               root_number, t_factor, zeta_fe_factor)
 from lfactors.exactconst import ExactConst
 from lfactors.fields import LocalField, SquareClass
 from lfactors.hermitian import HermitianSpace
@@ -97,7 +96,7 @@ def _text(value) -> str:
 
 
 def _outputs(rep, omega, psi) -> dict[str, str]:
-    space = rep_space(rep)
+    space = rep.space
     A = RegularNilpotentData(Fraction(3) if space.n else Fraction(1))
     a = psi.a if psi.a != 1 else Fraction(3)
     calls = {
@@ -109,7 +108,7 @@ def _outputs(rep, omega, psi) -> dict[str, str]:
         "T": lambda: t_factor(space, omega, a),
         "Gamma": lambda: gamma_capital(rep, omega, A, psi),
         "zeta_fe": lambda: zeta_fe_factor(rep, omega, psi),
-        "root_number": lambda: root_number(space, central_sign(rep), omega, psi),
+        "root_number": lambda: root_number(space, rep.central_sign, omega, psi),
     }
     out = {}
     for name, call in calls.items():

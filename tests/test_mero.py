@@ -114,6 +114,17 @@ def test_as_rational_examples():
         as_rational_in_X(GR(1), 5)
 
 
+def test_l_atom_keeps_a_rational_exact_z():
+    """A rational ExactConst z stays a Fraction; it once became a float on
+    the 2^-40 grid (0.025599999999940337 for 16/625)."""
+    la = MeroExpr.l_atom(5, ExactConst(Fraction(16, 625)), LinForm(4, 0))
+    (atom, _), = la.atoms
+    assert type(atom.z) is Fraction and atom.z == Fraction(16, 625)
+    rf = as_rational_in_X(la, 5)
+    assert rf.is_exact and str(rf) == "(1) / (1 + -16/625*X^4)"
+    assert la == MeroExpr.l_atom(5, Fraction(16, 625), LinForm(4, 0))
+
+
 def test_simplify_idempotent_and_eval_stable():
     x = mero_mul(GR(1), GR(1).inv(), GC(2, Fraction(1, 2)),
                  MeroExpr.exp(2, LinForm(Fraction(0), Fraction(3, 2))))

@@ -1,5 +1,6 @@
 """Work a query does once: each local factor is built once per query, q is
-factored once per process, and an exact result is printed whatever its size."""
+factored once per process, an induced datum takes no reduced norm beyond its
+kernel, and an exact result is printed whatever its size."""
 
 import hashlib
 import json
@@ -8,7 +9,7 @@ import re
 import sys
 from pathlib import Path
 
-from lfactors import doubling, exactconst
+from lfactors import doubling, exactconst, quaternion
 from lfactors.query import run_query
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -55,6 +56,19 @@ def test_q_is_factored_once_per_process(monkeypatch):
     out = run_query(doc)
     assert [args for _, args in calls].count((q,)) == 1
     assert all(out["results"][name]["rational_in_X"] for name in doc["outputs"])
+
+
+def test_induced_query_takes_no_reduced_norm_beyond_its_kernel(monkeypatch):
+    """The kernel <1> plus four GL_32 blocks lives on a 257-dimensional
+    space; its 256 hyperbolic dimensions are a count, not Gram matrix rows."""
+    doc = {"field": {"kind": "nonarch", "p": "5"}, "outputs": ["R", "T", "root_number"],
+           "rep": {"kind": "induced", "blocks": [{"m": 32, "chi": {}}] * 4,
+                   "kernel": {"kind": "trivial", "space": {"type": "hermitian", "diag": ["1"]}}}}
+    calls = _count_calls(monkeypatch, quaternion, "matrix_reduced_norm")
+    out = run_query(doc)
+    assert calls and {(X.rows, X.cols) for _, (X,) in calls} == {(1, 1)}
+    assert out["results"]["root_number"]["exact"] == "1"
+    assert out["results"]["R"]["rational_in_X"] is not None
 
 
 def _trial_division(n: int) -> dict[int, int]:

@@ -342,7 +342,7 @@ def test_root_test_keeps_a_coprime_basis():
                    for (x, a), k in zip(pair, ks)]
         specs = [("L", x, a, 0, -k) for (x, a), k in zip(pair, ks)]  # (1 - x X^a)^k
         rf = as_rational_in_X(_mero(p, one, specs), p)
-        if not rf.is_exact:  # MeroExpr.l_atom holds a z with i, sqrt(p) or 1/5^4 as a complex
+        if not rf.is_exact:  # MeroExpr.l_atom holds a z with i or sqrt(p) as a complex
             want = _refined(p, factors)
             assert rf == want and want == rf  # cross-multiplied to a relative 1e-9
             rf = want
