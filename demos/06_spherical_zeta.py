@@ -12,8 +12,7 @@ from lfactors import (AddCharacter, GLChar, HermitianSpace, Induced,
                       LocalField, MultCharacter, QuaternionAlgebra,
                       SphericalData, SquareClass, TrivialRep,
                       as_rational_in_X, format_expr, gamma_factor,
-                      gamma_spherical, mero_mul, resolve_hermitian_m,
-                      spherical_zeta)
+                      gamma_spherical, mero_mul, spherical_zeta)
 from lfactors.fields import nonsquare_unit
 from lfactors.hermitian import discriminant
 
@@ -28,9 +27,10 @@ print("skew n=1:", format_expr(spherical_zeta(skew1).d_v))
 herm2 = SphericalData(Q5, "hermitian", 1, 0, (Fraction(0),))
 sz = spherical_zeta(herm2)
 print("hermitian n=2:", format_expr(sz.d_v), " (shift parameter m =", sz.m_assumption, ")")
-print("The hermitian shift is pinned by the rank-one compact case;",
-      "the resolved offset is stable in q:",
-      [resolve_hermitian_m(q) for q in (3, 5, 9)])
+compact = [spherical_zeta(SphericalData(F, "hermitian", 0, 1, ()))
+           for F in (LocalField.padic(3), Q5, LocalField.padic(3, 2))]
+print("The hermitian shift m = n is pinned by the rank-one compact case,",
+      "where d^V is the L-product:", [c.d_v == c.l_product for c in compact])
 
 print("\n== the zeta value over the volume ==")
 print("Z / Vol(C_1) =", format_expr(sz.value_over_vol()))

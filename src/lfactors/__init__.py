@@ -21,8 +21,7 @@ from .mero import (LinForm, MeroExpr, PoleProximityError,
 from .quaternion import (QuatMatrix, Quaternion, QuaternionAlgebra,
                          matrix_reduced_norm, split_embedding)
 from .ratfunc import RatFunc, as_rational_in_X
-from .spherical import (SphericalData, SphericalZeta, gamma_spherical,
-                        resolve_hermitian_m, spherical_zeta)
+from .spherical import SphericalData, SphericalZeta, gamma_spherical, spherical_zeta
 from .tate import gauss_sum, tate_L, tate_eps, tate_gamma
 from .verify import Report, run_verify
 from .weil import WeilRep, WeilSummand, weil_gamma

@@ -23,20 +23,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 from .characters import AddCharacter, MultCharacter, char_eval, char_inverse, char_mul
 from .exactconst import ExactConst
 from .fields import (LocalField, Rational, SquareClass, as_fraction,
-                     hilbert_pair_class, square_class, valuation)
+                     hilbert_pair_class, square_class)
 from .gj import gj_L, gj_gamma_norm
 from .hermitian import (HERMITIAN, LINEAR, SKEW, HermitianSpace, discriminant,
                         kottwitz_sign)
 from .mero import LinForm, MeroExpr, mero_mul, twist_nonarch
 from .quaternion import QuaternionAlgebra
 from .scalars import mul
-from .tate import eps_at_half, tate_L, tate_gamma
+from .tate import abs_power, eps_at_half, tate_L, tate_gamma
 from .weil import WeilRep, WeilSummand, _discrete_L, _discrete_gamma, weil_L, weil_gamma
 
 
@@ -205,11 +205,14 @@ class Induced(RepDatum):
 _HAMILTON = QuaternionAlgebra(_R, Fraction(-1), Fraction(-1))
 
 
+# a HermitianSpace is frozen, so each query on a real datum can share one
+@lru_cache(maxsize=1)
 def skew_char_space() -> HermitianSpace:
     """(H, <i>) over R."""
     return HermitianSpace.diagonal(_HAMILTON, SKEW, [_HAMILTON.element(0, 1)])
 
 
+@lru_cache(maxsize=32)
 def sp_space(n: int) -> HermitianSpace:
     """(H^n, <I_n>) over R."""
     return HermitianSpace.diagonal(_HAMILTON, HERMITIAN, [1] * n)
@@ -317,7 +320,7 @@ def _omega_s_power(omega: MultCharacter, y: Fraction, k: int) -> MeroExpr:
     """omega_s(y)^k = omega(y)^k |y|^{ks} as a MeroExpr (Gamma-side s)."""
     y = as_fraction(y)
     const = MeroExpr.const(char_eval(omega, y) ** k)
-    absy = _abs_power(omega.field, y, LinForm(Fraction(k), Fraction(0)))
+    absy = abs_power(omega.field, y, LinForm(Fraction(k), Fraction(0)))
     return const if absy.is_constant else const * absy
 
 
@@ -347,22 +350,11 @@ def t_factor(space: HermitianSpace, omega: MultCharacter, a: Rational) -> MeroEx
     a = as_fraction(a)
     n = space.n
     N = {LINEAR: 4 * n, HERMITIAN: 2 * n + 1}.get(space.form_type, 2 * n)
-    out = _omega_s_power(omega, a, N) * _abs_power(omega.field, a, LinForm(Fraction(0), Fraction(-N, 2)))
+    out = _omega_s_power(omega, a, N) * abs_power(omega.field, a, LinForm(Fraction(0), Fraction(-N, 2)))
     if space.form_type == SKEW:
         sign = hilbert_pair_class(space.field, a, discriminant(space))
         out = out * MeroExpr.const(ExactConst.of(sign))
     return out
-
-
-def _abs_power(field: LocalField, a: Fraction, form: LinForm) -> MeroExpr:
-    """|a|^{form(s)}."""
-    if field.is_real:
-        absa = abs(a)
-        return MeroExpr.one() if absa == 1 else MeroExpr.exp(absa, form)
-    orda = valuation(field, a)
-    if orda == 0:
-        return MeroExpr.one()
-    return MeroExpr.exp(Fraction(field.q), form.times(-orda))
 
 
 def normalization_c(space: HermitianSpace, omega: MultCharacter, A: RegularNilpotentData,
@@ -397,7 +389,7 @@ def _tate_block(space: HermitianSpace, omega: MultCharacter, psi: AddCharacter,
     g = tate_gamma(char_mul(omega, omega), psi)
     return [MeroExpr.const(ExactConst.of(kottwitz_sign(space) * sign)),
             MeroExpr.const(char_eval(omega, Fraction(4)) ** (-k)), *inner,
-            _abs_power(space.field, Fraction(2), two_pow),
+            abs_power(space.field, Fraction(2), two_pow),
             *(g.subst(2, -step * i).inv() for i in range(k))]
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .exactconst import factorization
+
 Rational = Union[int, Fraction]
 
 
@@ -22,19 +24,6 @@ class UnsupportedFieldError(ValueError):
 
 class UnsupportedOperationError(ValueError):
     """Raised when an operation does not exist over the given field."""
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 @dataclass(frozen=True)
@@ -50,7 +39,7 @@ class LocalField:
             if self.p is not None:
                 raise UnsupportedFieldError("the real field carries no (p, f)")
         elif self.kind == "nonarch":
-            if self.p is None or not _is_prime(self.p):
+            if self.p is None or self.p < 2 or factorization(self.p) != ((self.p, 1),):
                 raise UnsupportedFieldError(f"residue characteristic {self.p} is not prime")
             if self.p == 2:
                 raise UnsupportedFieldError("residue characteristic 2 is out of scope")

@@ -21,19 +21,13 @@ from fractions import Fraction
 
 from .characters import AddCharacter, MultCharacter, char_eval
 from .mero import LinForm, MeroExpr, mero_mul
-from .tate import tate_L, tate_gamma
-
-
-def _two_power(field, form: LinForm) -> MeroExpr:
-    """|2|_F^{form(s)}; trivial over odd-p nonarchimedean fields."""
-    if field.is_real:
-        return MeroExpr.exp(Fraction(2), form)
-    return MeroExpr.one()  # |2| = 1 for odd residue characteristic
+from .tate import abs_power, tate_L, tate_gamma
 
 
 def _prefactor(m: int, mu: MultCharacter) -> MeroExpr:
     return mero_mul(MeroExpr.const(char_eval(mu, Fraction(2)) ** (4 * m)),
-                    _two_power(mu.field, LinForm(Fraction(4 * m), Fraction(4 * m * m - 2 * m))))
+                    abs_power(mu.field, Fraction(2),
+                              LinForm(Fraction(4 * m), Fraction(4 * m * m - 2 * m))))
 
 
 def _shifts(m: int):

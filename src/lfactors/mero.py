@@ -371,17 +371,9 @@ class MeroExpr:
         return self.prefactor
 
     # -- numerics ------------------------------------------------------
-    def eval_log_many(self, points) -> np.ndarray:
-        """log of the value at each point; see eval_log_batch."""
-        return eval_log_batch([self], points)[0]
-
-    def eval_many(self, points) -> np.ndarray:
-        """Values at each point; see eval_batch."""
-        return eval_batch([self], points)[0]
-
     def eval_log(self, s: complex) -> complex:
         """log of the value (any branch) at one point; raises near atom poles/zeros."""
-        out = complex(self.eval_log_many([s])[0])
+        out = complex(eval_log_batch([self], [s])[0, 0])
         if cmath.isnan(out):
             if self.prefactor == 0:
                 raise ZeroDivisionError("zero prefactor")

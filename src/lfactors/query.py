@@ -41,6 +41,9 @@ _NUMBER = (int, float)  # the types json gives a number; a bool is not one
 MAX_P = 10 ** 6 - 1
 MAX_Q = 10 ** 1000  # q = p^f must be below this
 MAX_BLOCK = 32  # the GL block size m of a gl_char or of an induced block
+MAX_DIM = 32  # rows of a diag or gram and the n of a highest weight (c over R overflows at 33)
+MAX_WEIGHT = 1000  # |l| of a skew_char and each lambda_j, as for an exponent t
+MAX_WITT_RANK = 100  # spherical.r
 
 
 class QueryValidationError(ValueError):
@@ -55,16 +58,17 @@ def _rational(v, what: str) -> Fraction:
 
 
 def _int(v, what: str, most: int | None = None) -> int:
-    """An int or an integer string, at most `most` when that is given; a float
-    (even a whole or non-finite one) or a bool is refused rather than truncated."""
+    """An int or an integer string, of size at most `most` when that is given; a
+    float (even a whole or non-finite one) or a bool is refused rather than truncated."""
     try:
         n = int(v) if type(v) in (str, int) else None
     except ValueError:
         n = None
     if n is None:
         raise QueryValidationError(f"{what}: expected an integer, got {v!r}")
-    if most is not None and n > most:
-        raise QueryValidationError(f"{what}: must be at most {most}, got {n}")
+    if most is not None and abs(n) > most:
+        bound = f"at most {most}" if n > 0 else f"at least {-most}"
+        raise QueryValidationError(f"{what}: must be {bound}, got {n}")
     return n
 
 
@@ -97,9 +101,12 @@ def _exponent(v, what: str):
     return t
 
 
-def _list(v, what: str) -> list:
+def _list(v, what: str, most: int | None = None) -> list:
+    """A list, of at most `most` entries when that is given."""
     if not isinstance(v, list):
         raise QueryValidationError(f"{what}: expected a list, got {v!r}")
+    if most is not None and len(v) > most:
+        raise QueryValidationError(f"{what}: at most {most} entries, got {len(v)}")
     return v
 
 
@@ -175,11 +182,12 @@ def parse_space(doc, alg: QuaternionAlgebra) -> HermitianSpace:
         if ftype in ("hermitian", "skew"):
             if "diag" in doc:
                 ents = [_parse_quaternion(alg, v, "space.diag")
-                        for v in _list(doc["diag"], "space.diag")]
+                        for v in _list(doc["diag"], "space.diag", MAX_DIM)]
                 return HermitianSpace.diagonal(alg, ftype, ents)
             if "gram" in doc:
-                rows = [[_parse_quaternion(alg, v, "space.gram") for v in _list(row, "space.gram")]
-                        for row in _list(doc["gram"], "space.gram")]
+                rows = [[_parse_quaternion(alg, v, "space.gram")
+                         for v in _list(row, "space.gram", MAX_DIM)]
+                        for row in _list(doc["gram"], "space.gram", MAX_DIM)]
                 n = len(rows)
                 return HermitianSpace(alg, ftype, n, QuatMatrix.from_rows(alg, rows))
             if _int(doc.get("n", -1), "space.n") == 0:
@@ -203,10 +211,11 @@ def parse_rep(doc, field: LocalField, alg: QuaternionAlgebra):
                 raise QueryValidationError("rep: the trivial representation needs its space")
             return TrivialRep(space)
         if kind == "skew_char":
-            return SkewHermCharR(_int(doc["l"], "rep.l"))
+            return SkewHermCharR(_int(doc["l"], "rep.l", most=MAX_WEIGHT))
         if kind == "sp_highest_weight":
-            lam = tuple(_int(v, "rep.lambda") for v in _list(doc["lambda"], "rep.lambda"))
-            return SpHighestWeight(_int(doc.get("n", len(lam)), "rep.n"), lam)
+            lam = tuple(_int(v, "rep.lambda", most=MAX_WEIGHT)
+                        for v in _list(doc["lambda"], "rep.lambda"))
+            return SpHighestWeight(_int(doc.get("n", len(lam)), "rep.n", most=MAX_DIM), lam)
         if kind == "gl_char":
             return GLChar(_int(doc["m"], "rep.m", most=MAX_BLOCK),
                           parse_character(doc["chi"], field, "rep.chi"))
@@ -225,7 +234,8 @@ def parse_rep(doc, field: LocalField, alg: QuaternionAlgebra):
 def parse_spherical(doc, field: LocalField) -> SphericalData:
     try:
         disc0 = SquareClass(field, str(doc["disc0"])) if "disc0" in doc else None
-        return SphericalData(field, doc["form_type"], _int(doc["r"], "spherical.r"),
+        return SphericalData(field, doc["form_type"],
+                             _int(doc["r"], "spherical.r", most=MAX_WITT_RANK),
                              _int(doc["n0"], "spherical.n0"),
                              tuple(_exponent(t, "spherical.exponents")
                                    for t in _list(doc.get("exponents", []), "spherical.exponents")),

@@ -10,9 +10,9 @@ GL_1(D) blocks.  The attached gamma factor is
 with n' = 2 ceil(n/2) (hermitian) or 2 floor(n/2) (skew), block L-factors
 L(u + 1/2 + t_i) L(u + 1/2 - t_i) and the anisotropic-kernel L-factors
 derived from the trivial-representation closed forms.  The zeta value is
-Vol(C_1) / d^V(s) times the L-product at s + 1/2, with d^V as displayed;
-the hermitian d^V parameter left open by the source material is resolved
-to m = n (see resolve_hermitian_m) and surfaced in the output metadata.
+Vol(C_1) / d^V(s) times the L-product at s + 1/2, with d^V as displayed.
+The hermitian d^V has m = n: in the compact rank-one case (r = 0, n0 = 1)
+Z = Vol(C_1), so d^V(s) = L^{V_0}(s + 1/2) = zeta(s + 3/2), forcing m = 1 = n.
 
 The e(G)-prefactor of the displayed gamma formula is dropped: it
 contradicts the closed forms combined with multiplicativity (the
@@ -25,10 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .characters import MultCharacter
 from .fields import LocalField, SquareClass
 from .mero import LinForm, MeroExpr, mero_mul
 from .ratfunc import as_rational_in_X
 from .scalars import add, neg, sub
+from .tate import tate_L
 
 
 @dataclass(frozen=True)
@@ -69,23 +71,10 @@ class SphericalData:
         half = self.n // 2 if self.form_type == "skew" else (self.n + 1) // 2
         return 2 * half
 
-    def disc_total(self) -> SquareClass:
-        """disc of the whole space; the hyperbolic part contributes 1."""
-        if self.form_type == "hermitian":
-            raise ValueError("only the skew case uses the total discriminant")
-        return self.disc0 if self.n0 else SquareClass(self.field, "1")
 
-
-def _zeta(q: int, shift) -> MeroExpr:
-    return MeroExpr.l_atom(q, 1, LinForm(Fraction(1), shift))
-
-
-def _l_quad(q: int, d: SquareClass, shift) -> MeroExpr:
-    """L(s + shift, chi_d) for a square class d."""
-    if d.is_ramified:
-        return MeroExpr.one()
-    z = -1 if d.name == "u" else 1
-    return MeroExpr.l_atom(q, z, LinForm(Fraction(1), shift))
+def _zeta(field: LocalField, shift) -> MeroExpr:
+    """zeta_F(s + shift), the Tate L-factor of the trivial character."""
+    return tate_L(MultCharacter.trivial(field)).subst(1, shift)
 
 
 def _kernel_shifts(form_type: str, n0: int) -> list[int]:
@@ -108,25 +97,23 @@ def _kernel_shifts(form_type: str, n0: int) -> list[int]:
 def _kernel_L(data: SphericalData, shift) -> MeroExpr:
     """L-factor of the trivial representation of the kernel, at s + shift."""
     out = MeroExpr.one()
-    q = data.q
     for j in _kernel_shifts(data.form_type, data.n0):
-        out = out * _zeta(q, add(shift, j))
-    if data.form_type == "skew" and data.n0:
-        out = out * _l_quad(q, data.disc0, shift)
+        out = out * _zeta(data.field, add(shift, j))
+    if data.form_type == "skew" and data.n0:  # L(s + shift, chi_disc0)
+        out = out * tate_L(MultCharacter(data.field, data.disc0)).subst(1, shift)
     return out
 
 
-def _block_L(q: int, t, shift) -> MeroExpr:
+def _block_L(field: LocalField, t, shift) -> MeroExpr:
     """L-factor of the |Nrd|^t block: L(s + shift + 1/2 + t) L(s + shift + 1/2 - t)."""
-    return mero_mul(_zeta(q, add(add(shift, Fraction(1, 2)), t)),
-                    _zeta(q, sub(add(shift, Fraction(1, 2)), t)))
+    return mero_mul(_zeta(field, add(add(shift, Fraction(1, 2)), t)),
+                    _zeta(field, sub(add(shift, Fraction(1, 2)), t)))
 
 
 def gamma_spherical(data: SphericalData) -> MeroExpr:
     """gamma(u, pi x 1, psi) of the spherical datum, gamma-side variable."""
-    q = data.q
     npr = data.n_prime
-    out = MeroExpr.exp(Fraction(q), LinForm(Fraction(-npr), Fraction(npr, 2))) \
+    out = MeroExpr.exp(Fraction(data.q), LinForm(Fraction(-npr), Fraction(npr, 2))) \
         if npr else MeroExpr.one()
     # The shift 0j, not 0, keeps the complex block betas of the committed
     # golden q3-spherical-hermitian (-s+[1.5+0.0i]); an exact 0 is the fix
@@ -137,73 +124,49 @@ def gamma_spherical(data: SphericalData) -> MeroExpr:
     den = _kernel_L(data, shift)
     out = mero_mul(out, num, den.inv())
     for t in data.exponents:
-        bnum = _block_L(q, neg(t), shift).subst(-1, 1)   # dual block: |Nrd|^{-t}
-        bden = _block_L(q, t, shift)
+        bnum = _block_L(data.field, neg(t), shift).subst(-1, 1)   # dual block: |Nrd|^{-t}
+        bden = _block_L(data.field, t, shift)
         out = mero_mul(out, bnum, bden.inv())
     return out
-
-
-def resolve_hermitian_m(q: int) -> int:
-    """Offset delta with m = n + delta in the hermitian d^V.
-
-    Derivation: for r = 0, n0 = 1 with a unit Gram entry the group is compact
-    and C_1 is everything, so the zeta value is identically Vol(C_1); the
-    displayed value Vol * L^{V_0}(s+1/2) / d^V(s) then forces
-    d^V(s) = zeta(s + 3/2), i.e. m = 1 = n.  The offset is checked to be the
-    unique one in a small window that satisfies the constraint."""
-    target = _zeta(q, Fraction(3, 2))  # kernel L at s + 1/2 for n0 = 1
-    hits = []
-    for delta in range(-2, 3):
-        m = 1 + delta
-        dv = _zeta(q, Fraction(m) + Fraction(1, 2))
-        if as_rational_in_X(mero_mul(dv, target.inv()), q).is_one:
-            hits.append(delta)
-    if hits != [0]:
-        raise ArithmeticError(f"hermitian d^V resolution failed: offsets {hits}")
-    return 0
 
 
 @dataclass(frozen=True)
 class SphericalZeta:
     """Z = vol / d^V(s) * prod_i L^{V_i}(s + 1/2, sigma_i x 1); vol stays symbolic."""
 
-    vol_symbol: str
+    vol_symbol = "Vol(C_1)"
     l_product: MeroExpr
     d_v: MeroExpr
-    m_assumption: int | None   # resolved hermitian shift parameter (None for skew)
+    m_assumption: int | None   # the hermitian shift parameter m = n (None for skew)
 
     def value_over_vol(self) -> MeroExpr:
         return self.l_product * self.d_v.inv()
 
 
-def spherical_zeta(data: SphericalData, vol_symbol: str = "Vol(C_1)",
-                   m: int | None = None) -> SphericalZeta:
-    q = data.q
-    n = data.n
-    # L-product at s + 1/2, including the displayed n0 = 0 conventions
+def spherical_zeta(data: SphericalData) -> SphericalZeta:
+    F, n = data.field, data.n
+    # L-product at s + 1/2; a skew n0 = 0 kernel still shows L(s + 1/2, chi_1)
     if data.n0 == 0 and data.form_type == "skew":
-        lprod = _l_quad(q, data.disc_total(), Fraction(1, 2))
+        lprod = _zeta(F, Fraction(1, 2))
     else:
         lprod = _kernel_L(data, Fraction(1, 2))
     for t in data.exponents:
-        lprod = lprod * _block_L(q, t, Fraction(1, 2))
+        lprod = lprod * _block_L(F, t, Fraction(1, 2))
     if data.form_type == "hermitian":
-        m_res = m if m is not None else n + resolve_hermitian_m(q)
-        dv = _zeta(q, Fraction(m_res) + Fraction(1, 2))
+        dv = _zeta(F, n + Fraction(1, 2))  # zeta(s + m + 1/2) with m = n
         for i in range(1, n // 2 + 1):
-            dv = dv * _zeta(q, Fraction(2 * n + 1 - 4 * i)).subst(2, 0)
+            dv = dv * _zeta(F, Fraction(2 * n + 1 - 4 * i)).subst(2, 0)
     else:
-        m_res = None
         dv = MeroExpr.one()
         for i in range(1, (n + 1) // 2 + 1):
-            dv = dv * _zeta(q, Fraction(2 * n + 3 - 4 * i)).subst(2, 0)
-    return SphericalZeta(vol_symbol, lprod, dv, m_res)
+            dv = dv * _zeta(F, Fraction(2 * n + 3 - 4 * i)).subst(2, 0)
+    return SphericalZeta(lprod, dv, n if data.form_type == "hermitian" else None)
 
 
-def xi_symmetry_holds(data: SphericalData, m: int | None = None) -> bool:
+def xi_symmetry_holds(data: SphericalData) -> bool:
     """Xi(X) D(1/X) = Xi(1/X) D(X) with Xi = Vol * D, checked exactly with the
     volume treated as an opaque positive constant (it cancels)."""
-    dv = spherical_zeta(data, m=m).d_v
+    dv = spherical_zeta(data).d_v
     D = as_rational_in_X(dv.inv(), data.q)
     D_inv_var = as_rational_in_X(dv.inv().subst(-1, 0), data.q)  # D(q^{s}) = D at s -> -s
     lhs = D * D_inv_var

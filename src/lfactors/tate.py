@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .characters import AddCharacter, MultCharacter, char_eval, char_inverse
 from .exactconst import ExactConst
-from .fields import UnsupportedFieldError, valuation
+from .fields import LocalField, UnsupportedFieldError, valuation
 from .mero import LinForm, MeroExpr, mero_mul
 from .scalars import add, is_exact, neg
 
@@ -85,21 +85,21 @@ def tate_eps(chi: MultCharacter, psi: AddCharacter) -> MeroExpr:
     return mero_mul(base, _psi_scale(chi, psi.a))
 
 
+def abs_power(field: LocalField, a: Fraction, form: LinForm) -> MeroExpr:
+    """|a|_F^{form(s)}, with |a| = q^{-ord a} over a p-adic field."""
+    if field.is_real:
+        absa = abs(a)
+        return MeroExpr.one() if absa == 1 else MeroExpr.exp(absa, form)
+    orda = valuation(field, a)
+    if orda == 0:
+        return MeroExpr.one()
+    return MeroExpr.exp(Fraction(field.q), form.times(-orda))
+
+
 def _psi_scale(chi: MultCharacter, a: Fraction) -> MeroExpr:
     """chi(a) |a|^{s - 1/2} as a MeroExpr."""
-    ca = char_eval(chi, a)
-    const = MeroExpr.const(ca)
-    if chi.field.is_real:
-        absa = abs(Fraction(a))
-        if absa == 1:
-            return const
-        return mero_mul(const, MeroExpr.exp(absa, LinForm(Fraction(1), Fraction(-1, 2))))
-    orda = valuation(chi.field, a)
-    if orda == 0:
-        return const
-    # |a| = q^{-ord a}
-    return mero_mul(const, MeroExpr.exp(Fraction(chi.field.q),
-                                        LinForm(Fraction(-orda), Fraction(orda, 2))))
+    return mero_mul(MeroExpr.const(char_eval(chi, a)),
+                    abs_power(chi.field, a, LinForm(Fraction(1), Fraction(-1, 2))))
 
 
 def tate_gamma(chi: MultCharacter, psi: AddCharacter) -> MeroExpr:

@@ -29,14 +29,14 @@ from .exactconst import ExactConst
 from .fields import (LocalField, SquareClass, hilbert_symbol, nonsquare_unit,
                      square_class, unit_part, valuation)
 from .gj import gj_gamma_norm
-from .hermitian import (LINEAR, HermitianSpace, discriminant, kottwitz_sign,
+from .hermitian import (LINEAR, SKEW, HermitianSpace, discriminant, kottwitz_sign,
                         morita_natural)
 from .mero import (LinForm, MeroExpr, format_expr, from_json, max_rel_error,
                    mero_mul, parse_expr, to_json)
 from .quaternion import (QuatMatrix, QuaternionAlgebra, matrix_reduced_norm,
                          regular_representation_det)
 from .ratfunc import as_rational_in_X
-from .spherical import (SphericalData, gamma_spherical, resolve_hermitian_m,
+from .spherical import (SphericalData, gamma_spherical, spherical_zeta,
                         xi_symmetry_holds)
 from .tate import _psi_scale, eps_at_half, gauss_sum, tate_gamma
 
@@ -44,6 +44,7 @@ PRIMES = (3, 5, 7, 11)
 REAL = LocalField.real()
 FIELDS = (REAL,) + tuple(LocalField.padic(p) for p in PRIMES)
 SAMPLES = 24  # seeded points of a sampled comparison
+SPHERICAL_FIELDS = tuple(LocalField.padic(p, f) for p, f in ((3, 1), (5, 1), (3, 2)))  # q = 3, 5, 9
 
 
 @dataclass
@@ -497,33 +498,42 @@ def _sp_consistency(rng):
                gamma_factor(SpHighestWeight(n, (0,) * n), triv, psi), REAL)
 
 
+def _spherical_data(rep: Induced) -> SphericalData:
+    """The spherical block of an induced datum: GL_1 blocks |Nrd|^t over a
+    TrivialRep kernel, with the form type, ranks and kernel discriminant of
+    the datum's space."""
+    space = rep.space
+    n0 = space.n - 2 * space.hyperbolic
+    disc0 = discriminant(space) if space.form_type == SKEW and n0 else None
+    return SphericalData(rep.field, space.form_type, space.hyperbolic, n0,
+                         tuple(b.chi.t for b in rep.blocks), disc0)
+
+
 def spherical_battery():
-    for p, f in ((3, 1), (5, 1), (3, 2)):
-        F = LocalField.padic(p, f)
-        u = nonsquare_unit(LocalField.padic(p))
-        div = QuaternionAlgebra(F, Fraction(u), Fraction(p))
-        kern_h = HermitianSpace.diagonal(div, "hermitian", [1])
-        kern_s = HermitianSpace.diagonal(div, "skew", [div.element(0, 1)])
-        for ftype, n0, kern in (("hermitian", 0, None), ("hermitian", 1, kern_h),
-                                ("skew", 0, None), ("skew", 1, kern_s)):
+    """(SphericalData, Induced) pairs, the data read off each induced datum."""
+    for F in SPHERICAL_FIELDS:
+        u = nonsquare_unit(LocalField.padic(F.p))
+        div = QuaternionAlgebra(F, Fraction(u), Fraction(F.p))
+        for kern in (HermitianSpace(div, "hermitian", 0),
+                     HermitianSpace.diagonal(div, "hermitian", [1]),
+                     HermitianSpace(div, "skew", 0),
+                     HermitianSpace.diagonal(div, "skew", [div.element(0, 1)])):
             for r in (1, 2):
                 for t in (Fraction(0), 0.7):
-                    disc0 = discriminant(kern) if (ftype == "skew" and n0) else None
-                    data = SphericalData(F, ftype, r, n0, tuple([t] * r), disc0)
-                    kspace = kern if kern is not None else HermitianSpace(div, ftype, 0)
-                    yield data, kspace
+                    rep = Induced((GLChar(1, MultCharacter.norm_power(F, t)),) * r,
+                                  TrivialRep(kern))
+                    yield _spherical_data(rep), rep
 
 
 def _spherical(rng):
-    for data, kspace in spherical_battery():
+    for data, rep in spherical_battery():
         F = data.field
-        blocks = tuple(GLChar(1, MultCharacter.norm_power(F, t)) for t in data.exponents)
-        rep = Induced(blocks, TrivialRep(kspace))
         yield (gamma_spherical(data),
                gamma_factor(rep, MultCharacter.trivial(F), AddCharacter.standard(F)), F)
         yield xi_symmetry_holds(data), True, None
-    for q in (3, 5, 9):
-        yield resolve_hermitian_m(q), 0, None
+    for F in SPHERICAL_FIELDS:  # compact rank one: Z = Vol(C_1), so d^V = L^{V_0}(s + 1/2)
+        sz = spherical_zeta(SphericalData(F, "hermitian", 0, 1, ()))
+        yield sz.l_product, sz.d_v, F
 
 
 def _gj(rng):

@@ -16,7 +16,7 @@ from .exactconst import ExactConst
 from .fields import LocalField
 from .mero import LinForm, MeroExpr, mero_mul
 from .scalars import add, mul, sub
-from .tate import tate_gamma, tate_L
+from .tate import abs_power, tate_gamma, tate_L
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,9 @@ def _discrete_psi_scale(l: int, twist, psi: AddCharacter) -> MeroExpr:
     if a == 1:
         return MeroExpr.one()
     det_sign = -1 if (a < 0 and (l + 1) % 2) else 1
-    absa = abs(Fraction(a))
-    const = MeroExpr.const(ExactConst.of(det_sign))
-    if absa == 1:
-        return const
     # |a|^{2(s + twist) - 1}
-    return mero_mul(const, MeroExpr.exp(absa, LinForm(Fraction(2), sub(mul(2, twist), 1))))
+    return mero_mul(MeroExpr.const(ExactConst.of(det_sign)),
+                    abs_power(psi.field, a, LinForm(Fraction(2), sub(mul(2, twist), 1))))
 
 
 def _discrete_L(l: int, twist) -> MeroExpr:

@@ -26,8 +26,8 @@ from lfactors.quaternion import (QuatMatrix, QuaternionAlgebra,
 from lfactors.ratfunc import as_rational_in_X
 from lfactors.tate import eps_at_half, tate_gamma
 from lfactors.verify import (conic_solvable_oracle, psi_scaling_values,
-                             rep_battery, spherical_battery)
-from lfactors.spherical import (gamma_spherical, resolve_hermitian_m,
+                             rep_battery, spherical_battery, SPHERICAL_FIELDS)
+from lfactors.spherical import (SphericalData, gamma_spherical, spherical_zeta,
                                 xi_symmetry_holds)
 
 R = LocalField.real()
@@ -210,21 +210,21 @@ def test_criterion_09_reduced_norm_oracle():
 
 def test_criterion_10_spherical():
     checked = 0
-    for data, kspace in spherical_battery():
+    for data, rep in spherical_battery():
         if data.r not in (1, 2) or data.n0 not in (0, 1):
             continue
         F = data.field
         psi = AddCharacter.standard(F)
         triv = MultCharacter.trivial(F)
-        rep = Induced(tuple(GLChar(1, MultCharacter.norm_power(F, t))
-                            for t in data.exponents), TrivialRep(kspace))
         ratio = mero_mul(gamma_spherical(data), gamma_factor(rep, triv, psi).inv())
         assert as_rational_in_X(ratio, F.q).is_one
         assert xi_symmetry_holds(data)
         checked += 1
-    for q in (3, 5, 9):
-        assert resolve_hermitian_m(q) == 0  # resolved m = n, stable in q
-    _report(10, f"spherical gamma = multiplicativity path over {checked} data sets; m stable")
+    for F in SPHERICAL_FIELDS:  # compact rank one: Z = Vol(C_1) pins m = n in d^V
+        sz = spherical_zeta(SphericalData(F, "hermitian", 0, 1, ()))
+        assert as_rational_in_X(mero_mul(sz.l_product, sz.d_v.inv()), F.q).is_one
+    _report(10, f"spherical gamma = multiplicativity path over {checked} data sets; "
+                "d^V = L-product in the compact rank-one case")
 
 
 def test_criterion_11_kottwitz_and_morita():

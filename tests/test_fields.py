@@ -32,6 +32,12 @@ def test_field_validation():
     with pytest.raises(UnsupportedFieldError):
         LocalField.padic(5, 0)
     assert LocalField.padic(3, 2).q == 9
+    for p in [*range(-30, 400), 999983, 999981, 3 ** 12, 997 * 1009]:
+        if p > 2 and all(p % d for d in range(2, p)):  # an odd prime
+            assert LocalField.padic(p).p == p
+        else:  # 0, 1, 2, negative values and composites
+            with pytest.raises(UnsupportedFieldError):
+                LocalField.padic(p)
 
 
 def test_valuation_examples():

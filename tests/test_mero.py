@@ -14,9 +14,9 @@ from scipy.special import loggamma
 from lfactors.exactconst import ExactConst
 from lfactors.mero import (ExpAtom, GammaCAtom, GammaRAtom, LinForm, MeroExpr,
                            PoleProximityError, UnsupportedExpressionError,
-                           _pole_free_samples, equals_numeric, format_expr,
-                           from_json, max_rel_error, mero_mul, parse_expr,
-                           to_json)
+                           _pole_free_samples, equals_numeric, eval_batch,
+                           eval_log_batch, format_expr, from_json, max_rel_error,
+                           mero_mul, parse_expr, to_json)
 from lfactors.ratfunc import as_rational_in_X
 
 
@@ -255,7 +255,7 @@ def test_eval_many_against_mpmath_on_wide_box():
     for _ in range(40):
         x = _random_kernel_expr(rng)
         pts = [complex(rng.uniform(-20, 20), rng.uniform(-20, 20)) for _ in range(8)]
-        got = x.eval_many(pts)
+        got = eval_batch([x], pts)[0]
         assert got.shape == (8,)
         for s, v in zip(pts, got):
             if np.isnan(v):
@@ -294,7 +294,7 @@ def test_eval_many_nan_exactly_where_scalar_rule_raises():
                 for p in _poles_and_zeros(atom):
                     pts += [p, p + 1e-9, p + 3e-9j, p + 1e-7, p - 1e-6j]
         generic = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(5)]
-        got = x.eval_many(pts + generic)
+        got = eval_batch([x], pts + generic)[0]
         want = [_scalar_raises(x, s) for s in pts + generic]
         assert np.isnan(got).tolist() == want, format_expr(x)
         seen_nan += sum(want)
@@ -312,17 +312,17 @@ def test_eval_many_nan_exactly_where_scalar_rule_raises():
 
 def test_eval_zero_prefactor_and_overflow():
     zero = MeroExpr.const(0) * GR(1)
-    assert np.isnan(zero.eval_many([1, 2 + 1j])).all()
+    assert np.isnan(eval_batch([zero], [1, 2 + 1j])).all()
     with pytest.raises(ZeroDivisionError):
         zero.eval(1)
     big = GC(1)
-    assert np.isnan(big.eval_many([400.0])).all()   # Gamma(400) overflows a double
+    assert np.isnan(eval_batch([big], [400.0])).all()   # Gamma(400) overflows a double
     with pytest.raises(OverflowError):
         big.eval(400.0)
-    assert np.isfinite(big.eval_log_many([400.0])).all()
+    assert np.isfinite(eval_log_batch([big], [400.0])).all()
     for x, s in ((MeroExpr.l_atom(5, 1, LinForm(Fraction(1), 0)), -1000.0),  # 5^1000
                  (big, 1e306), (big.inv(), 1e306)):                          # log Gamma
-        assert np.isnan(x.eval_log_many([s])).all() and np.isnan(x.eval_many([s])).all()
+        assert np.isnan(eval_log_batch([x], [s])).all() and np.isnan(eval_batch([x], [s])).all()
         with pytest.raises(ArithmeticError):
             x.eval(s)
 

@@ -71,6 +71,16 @@ def test_induced_query_takes_no_reduced_norm_beyond_its_kernel(monkeypatch):
     assert out["results"]["R"]["rational_in_X"] is not None
 
 
+def test_real_spaces_are_built_once(monkeypatch):
+    """A second query on the same real datum reuses its space: no reduced norm."""
+    for rep in ({"kind": "sp_highest_weight", "lambda": [2, 1, 0]}, {"kind": "skew_char", "l": 3}):
+        doc = {"field": {"kind": "real"}, "rep": rep, "outputs": ["R", "T", "root_number"]}
+        run_query(doc)
+        calls = _count_calls(monkeypatch, quaternion, "matrix_reduced_norm")
+        run_query(doc)
+        assert calls == []
+
+
 def _trial_division(n: int) -> dict[int, int]:
     out, d = {}, 2
     while d * d <= n:

@@ -230,6 +230,23 @@ _P5_HERM = {"field": {"kind": "nonarch", "p": "5"},
     ({"field": {"kind": "real"}, "rep": {"kind": "induced", "blocks": [{"m": 33, "chi": {}}],
                                          "kernel": {"kind": "skew_char", "l": 1}}},
      "rep.blocks.m: must be at most 32, got 33"),
+    ({"field": {"kind": "real"}, "rep": {"kind": "skew_char", "l": 10 ** 400}},
+     "rep.l: must be at most 1000, got 1000"),
+    ({"field": {"kind": "real"}, "rep": {"kind": "skew_char", "l": -10 ** 400}},
+     "rep.l: must be at least -1000, got -1000"),
+    ({"field": {"kind": "real"}, "rep": {"kind": "sp_highest_weight", "lambda": [10 ** 400]}},
+     "rep.lambda: must be at most 1000, got 1000"),
+    ({"field": {"kind": "real"}, "rep": {"kind": "sp_highest_weight", "lambda": [0] * 33}},
+     "rep.n: must be at most 32, got 33"),
+    ({"field": {"kind": "nonarch", "p": "5"},
+      "rep": {"kind": "trivial", "space": {"type": "hermitian", "diag": ["1"] * 33}}},
+     "space.diag: at most 32 entries, got 33"),
+    ({"field": {"kind": "nonarch", "p": "5"},
+      "rep": {"kind": "trivial", "space": {"type": "hermitian", "gram": [["1"]] * 33}}},
+     "space.gram: at most 32 entries, got 33"),
+    ({"field": {"kind": "nonarch", "p": "3"}, "outputs": ["spherical"],
+      "spherical": {"form_type": "skew", "r": 101, "n0": 0, "exponents": ["0"] * 101}},
+     "spherical.r: must be at most 100, got 101"),
 ], ids=["rep-field", "root-number-omega", "norm-value-zero", "t-scale-zero", "eval-point-nan",
         "eval-point-shape", "eval-point-string", "eval-point-triple", "eval-point-string-coordinate",
         "eval-point-bool", "eval-points-dict", "eval-point-beyond-floats", "outputs-string",
@@ -242,7 +259,8 @@ _P5_HERM = {"field": {"kind": "nonarch", "p": "5"},
         "rep-n-string", "r-infinite", "n0-nan", "m-beyond-floats", "m-fractional",
         "block-m-infinite", "linear-m-infinite", "space-n-float", "eps-bool", "p-31-digits",
         "p-above-bound", "f-huge", "q-above-bound", "m-above-bound-real", "m-above-bound-padic",
-        "block-m-above-bound"])
+        "block-m-above-bound", "l-above-bound", "l-below-bound", "lambda-above-bound",
+        "rep-n-above-bound", "diag-above-bound", "gram-above-bound", "r-above-bound"])
 def test_cli_rejects_malformed_query(tmp_path, capsys, doc, message):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(doc))
@@ -273,7 +291,20 @@ def test_cli_accepts_exponents_at_the_bound(tmp_path, capsys, doc):
      "outputs": ["gamma", "L", "epsilon"]},
     {"field": {"kind": "real"}, "rep": {"kind": "induced", "blocks": [{"m": 32, "chi": {}}],
                                         "kernel": {"kind": "skew_char", "l": 1}}},
-], ids=["p-at-bound", "q-at-bound", "m-at-bound-real", "m-at-bound-padic", "block-m-at-bound"])
+    {"field": {"kind": "real"}, "rep": {"kind": "skew_char", "l": -1000}, "eval_points": [[0.3, 0.1]],
+     "outputs": ["gamma", "L", "epsilon", "root_number", "R", "c", "T"]},
+    # c over R at n = 32 still evaluates; at n = 33 its constant overflows a float
+    {"field": {"kind": "real"}, "rep": {"kind": "sp_highest_weight", "lambda": [1000] * 32},
+     "eval_points": [[0.3, 0.1]], "outputs": ["gamma", "L", "epsilon", "root_number", "R", "c", "T"]},
+    {"field": {"kind": "nonarch", "p": "5"}, "outputs": ["gamma", "R", "c"],
+     "rep": {"kind": "trivial", "space": {"type": "hermitian", "diag": ["1"] * 32}}},
+    {"field": {"kind": "nonarch", "p": "5"}, "algebra": {"a": "2", "b": "5"}, "outputs": ["gamma", "R"],
+     "rep": {"kind": "trivial", "space": {"type": "skew", "gram": [
+         [[0, 1, 0, 0] if i == j else "0" for j in range(32)] for i in range(32)]}}},
+    {"field": {"kind": "nonarch", "p": "3"}, "outputs": ["spherical"],
+     "spherical": {"form_type": "skew", "r": 100, "n0": 0, "exponents": ["0"] * 100}},
+], ids=["p-at-bound", "q-at-bound", "m-at-bound-real", "m-at-bound-padic", "block-m-at-bound",
+        "l-at-bound", "lambda-at-bound", "diag-at-bound", "gram-at-bound", "r-at-bound"])
 def test_cli_accepts_integers_at_the_bound(tmp_path, capsys, doc):
     _accepted(tmp_path, capsys, doc)
 

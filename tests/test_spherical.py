@@ -9,8 +9,7 @@ from lfactors.hermitian import HermitianSpace, discriminant
 from lfactors.mero import MeroExpr, equals_numeric, format_expr, mero_mul
 from lfactors.quaternion import QuaternionAlgebra
 from lfactors.ratfunc import as_rational_in_X
-from lfactors.spherical import (SphericalData, gamma_spherical,
-                                resolve_hermitian_m, spherical_zeta,
+from lfactors.spherical import (SphericalData, gamma_spherical, spherical_zeta,
                                 xi_symmetry_holds)
 
 Q5 = LocalField.padic(5)
@@ -46,8 +45,12 @@ def test_zeta_kernel_conventions():
 
 
 def test_m_resolution_stable():
-    for q in (3, 5, 9):
-        assert resolve_hermitian_m(q) == 0  # m = n
+    # r = 0, n0 = 1 hermitian: Z = Vol(C_1), so d^V is the L-product, which
+    # holds only with m = n = 1, at every q
+    for F in (LocalField.padic(3), Q5, LocalField.padic(3, 2)):
+        sz = spherical_zeta(SphericalData(F, "hermitian", 0, 1, ()))
+        assert sz.m_assumption == 1
+        assert as_rational_in_X(mero_mul(sz.l_product, sz.d_v.inv()), F.q).is_one
 
 
 @pytest.mark.parametrize("ftype,n0", [("hermitian", 0), ("hermitian", 1),
