@@ -24,6 +24,5 @@ from .ratfunc import RatFunc, as_rational_in_X
 from .spherical import SphericalData, SphericalZeta, gamma_spherical, spherical_zeta
 from .tate import gauss_sum, tate_L, tate_eps, tate_gamma
 from .verify import Report, run_verify
-from .weil import WeilRep, WeilSummand, weil_gamma
 
 __version__ = "0.1.0"

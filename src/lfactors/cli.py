@@ -1,7 +1,7 @@
 """Command line interface: `lc gamma`, `lc verify`, `lc print`.
 
 Exit codes: 0 success, 2 validation error, 3 unsupported (rep, omega)
-pair, 4 verification failure.
+pair or a value past the float range, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -53,6 +53,9 @@ def _cmd_gamma(args) -> int:
         return EXIT_VALIDATION
     except (UnsupportedPairError, UnsupportedFieldError, UnsupportedOperationError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except OverflowError as exc:  # an inexact value, such as a complex z to a large power
+        print(f"unsupported: a value left the float range ({exc})", file=sys.stderr)
         return EXIT_UNSUPPORTED
     for name, payload in result["results"].items():
         if "text" in payload:

@@ -8,10 +8,10 @@ zeta functional-equation multiplier.
 Each datum class knows what the formulas need of it: its `field`, the
 `space` it lives on, its `dual()`, its `central_sign` and its local
 `parameter(omega)`.  The parameter lists pieces (Tate characters at shifts,
-D_l or a Weil representation over R, (m, mu) GL blocks) and the omega that
-twists their product; gamma and L are both one product over it.  An induced
-datum lives on its kernel's space plus one hyperbolic plane per GL block
-dimension, so its form type and discriminant are the kernel's.
+D_l, GL blocks) and the omega that twists their product; gamma and L are
+both one product over it.  An induced datum lives on its kernel's space plus
+one hyperbolic plane per GL block dimension, so its form type and
+discriminant are the kernel's.
 
 Variable conventions: gamma_factor returns gamma(s, pi x omega, psi) in the
 plain gamma-side variable; R, c, T_N and gamma_capital live on the
@@ -36,8 +36,7 @@ from .hermitian import (HERMITIAN, LINEAR, SKEW, HermitianSpace, discriminant,
 from .mero import LinForm, MeroExpr, mero_mul, twist_nonarch
 from .quaternion import QuaternionAlgebra
 from .scalars import mul
-from .tate import abs_power, eps_at_half, tate_L, tate_gamma
-from .weil import WeilRep, WeilSummand, _discrete_L, _discrete_gamma, weil_L, weil_gamma
+from .tate import abs_power, discrete_L, discrete_gamma, eps_at_half, tate_L, tate_gamma
 
 
 class UnsupportedPairError(ValueError):
@@ -108,7 +107,7 @@ class SkewHermCharR(RepDatum):
 
     def parameter(self, omega: MultCharacter) -> Parameter:
         """D_{2|l|}; independent of the sign part of omega."""
-        return [([_Piece(_discrete_gamma, _discrete_L, (2 * abs(self.l), Fraction(0)))], omega)]
+        return [([_Piece(discrete_gamma, discrete_L, (2 * abs(self.l),))], omega)]
 
 
 @dataclass(frozen=True)
@@ -138,9 +137,10 @@ class SpHighestWeight(RepDatum):
 
     def parameter(self, omega: MultCharacter) -> Parameter:
         """D_{2(lam_j + rho_j)} with rho_j = n + 1 - j, plus sgn^{n + delta}."""
-        discrete = (WeilSummand("discrete", 2 * (lam + self.n - j)) for j, lam in enumerate(self.lam))
-        sign = WeilSummand("sign" if (self.n + omega.delta) % 2 else "trivial")
-        return [([_Piece(weil_gamma, weil_L, (WeilRep(_R, (*discrete, sign)),))], omega)]
+        discrete = [_Piece(discrete_gamma, discrete_L, (2 * (lam + self.n - j),))
+                    for j, lam in enumerate(self.lam)]
+        sign = MultCharacter.sign(_R) if (self.n + omega.delta) % 2 else MultCharacter.trivial(_R)
+        return [(discrete + [_tate(sign)], omega)]
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ a plain complex number, flagged by losing the ExactConst type.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -147,6 +148,14 @@ class ExactConst:
         return v
 
     __complex__ = to_complex
+
+    def log(self) -> complex:
+        """The principal log, term by term, so it is finite wherever the
+        constant is nonzero, even past the float range."""
+        re = math.log(abs(self.rat.numerator)) - math.log(self.rat.denominator)
+        re += sum(map(math.log, self.roots)) / 2
+        sign = -1 if self.rat < 0 else 1
+        return complex(re, cmath.phase(sign * 1j ** self.ipow))
 
     def __eq__(self, other):
         if isinstance(other, ExactConst):

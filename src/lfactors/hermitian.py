@@ -148,91 +148,50 @@ def _split_iso(alg: QuaternionAlgebra):
     phi maps quaternions to 2x2 rational matrices, e = phi^{-1}(E11) and
     m = phi^{-1}(E21)."""
     x = _isotropic_vector(alg)
-    basis_src = [alg.one() * x, alg.element(0, 1) * x,
-                 alg.element(0, 0, 1) * x, alg.element(0, 0, 0, 1) * x]
+    units = [alg.one(), *alg.gens()]
     # pick two F-independent vectors spanning the left ideal Dx
-    ideal_basis = []
-    rows: list[list[Fraction]] = []
-    for v in basis_src:
-        cand = rows + [list(v.coords())]
-        if _rank(cand) > len(rows):
-            rows = cand
-            ideal_basis.append(v)
-        if len(ideal_basis) == 2:
+    ideal: list[Quaternion] = []
+    for u in units:
+        if _solve([w.coords() for w in ideal], (v := u * x).coords()) is None:
+            ideal.append(v)
+        if len(ideal) == 2:
             break
-    if len(ideal_basis) != 2:
+    if len(ideal) != 2:
         raise MoritaError("norm-zero element did not generate a 2-dimensional ideal")
-    w1, w2 = ideal_basis
+    basis = [w.coords() for w in ideal]
 
     def phi(qt: Quaternion):
-        cols = []
-        for w in (w1, w2):
-            prod = qt * w
-            cols.append(_solve_2(w1, w2, prod))
-        return [[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]]
+        # the columns are the coordinates of qt w1 and qt w2 in the ideal
+        (a, c), (b, d) = (_solve(basis, (qt * w).coords()) for w in ideal)
+        return [[a, b], [c, d]]
 
-    units = [alg.one()] + list(alg.gens())
-    mat = [[None] * 4 for _ in range(4)]  # phi as a 4x4 rational matrix
-    for col, u in enumerate(units):
-        img = phi(u)
-        flat = [img[0][0], img[0][1], img[1][0], img[1][1]]
-        for rix in range(4):
-            mat[rix][col] = flat[rix]
-    e = _solve_4(mat, [Fraction(1), 0, 0, 0], units, alg)
-    m = _solve_4(mat, [0, 0, Fraction(1), 0], units, alg)
-    return phi, e, m
+    images = [[v for row in phi(u) for v in row] for u in units]  # the columns of phi on F^4
+
+    def preimage(flat) -> Quaternion:
+        return sum((u * c for u, c in zip(units, _solve(images, flat))), alg.element(0))
+
+    return phi, preimage([1, 0, 0, 0]), preimage([0, 0, 1, 0])
 
 
-def _rank(rows) -> int:
-    m = [row[:] for row in rows]
-    rank = 0
-    ncols = len(m[0])
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+def _solve(cols, target) -> list[Fraction] | None:
+    """The unique x with sum_j x_j cols[j] = target, by exact Gauss-Jordan
+    elimination; None when there is no such x or more than one."""
+    k = len(cols)
+    m = [[*(Fraction(c[i]) for c in cols), Fraction(t)] for i, t in enumerate(target)]
+    for col in range(k):
+        piv = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
         if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col] * inv
-                for c in range(ncols):
-                    m[r][c] -= f * m[rank][c]
-        rank += 1
-    return rank
-
-
-def _solve_2(w1: Quaternion, w2: Quaternion, target: Quaternion):
-    """Coordinates of target in the plane spanned by w1, w2 (exact)."""
-    cols = [list(w1.coords()), list(w2.coords())]
-    t = list(target.coords())
-    # solve the overdetermined 4x2 system; consistent by construction
-    for i, j in itertools.combinations(range(4), 2):
-        det = cols[0][i] * cols[1][j] - cols[0][j] * cols[1][i]
-        if det != 0:
-            c1 = (t[i] * cols[1][j] - t[j] * cols[1][i]) / det
-            c2 = (cols[0][i] * t[j] - cols[0][j] * t[i]) / det
-            return (c1, c2)
-    raise MoritaError("degenerate ideal basis")
-
-
-def _solve_4(mat, rhs, units, alg: QuaternionAlgebra) -> Quaternion:
-    m = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    n = 4
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
+            return None
         m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
+        lead = m[col][col]
+        m[col] = [v / lead for v in m[col]]
+        for r in range(len(m)):
             if r != col and m[r][col] != 0:
                 f = m[r][col]
                 m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    coords = [m[r][n] for r in range(n)]
-    out = alg.element(0)
-    for c, u in zip(coords, units):
-        out = out + u * c
-    return out
+    if any(row[k] != 0 for row in m[k:]):
+        return None
+    return [row[k] for row in m[:k]]
 
 
 def morita_natural(space: HermitianSpace) -> BilinearSpace:

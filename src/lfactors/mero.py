@@ -510,8 +510,8 @@ def eval_log_batch(exprs: Sequence[MeroExpr], points) -> np.ndarray:
     gamma = []   # rows (expression, k, a, b): Gamma(a s + b)^k
     lnf = []     # rows (expression, k, a, b, z): (1 - z exp(a s + b))^-k
     for i, x in enumerate(exprs):
-        pref = x.prefactor.to_complex() if x.is_exact else x.prefactor
-        c, m = (cmath.log(pref) if pref != 0 else cmath.nan), 0j
+        pref = x.prefactor
+        c, m = (cmath.nan if pref == 0 else pref.log() if x.is_exact else cmath.log(pref)), 0j
         for atom, k in x.atoms:
             a, b, kind = atom.form.af, atom.form.bf, type(atom)
             if kind is ExpAtom:

@@ -150,11 +150,8 @@ def _rational_sqrt(a: Fraction) -> Fraction | None:
 
 
 def _isqrt_exact(n: int) -> int | None:
-    r = int(n ** 0.5)
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c * c == n:
-            return c
-    return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 def split_embedding(x: Quaternion, ext: SqrtExt | None = None):

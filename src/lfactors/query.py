@@ -41,7 +41,7 @@ _NUMBER = (int, float)  # the types json gives a number; a bool is not one
 MAX_P = 10 ** 6 - 1
 MAX_Q = 10 ** 1000  # q = p^f must be below this
 MAX_BLOCK = 32  # the GL block size m of a gl_char or of an induced block
-MAX_DIM = 32  # rows of a diag or gram and the n of a highest weight (c over R overflows at 33)
+MAX_DIM = 32  # rows of a diag or gram and the n of a highest weight
 MAX_WEIGHT = 1000  # |l| of a skew_char and each lambda_j, as for an exponent t
 MAX_WITT_RANK = 100  # spherical.r
 

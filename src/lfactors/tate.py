@@ -1,4 +1,5 @@
-"""Tate local L-, epsilon- and gamma-factors of multiplicative characters.
+"""Tate local L-, epsilon- and gamma-factors of multiplicative characters,
+and the gamma- and L-factors of the two-dimensional D_l over R.
 
 Conventions: the base additive character is e^{2 pi i x} over R and the
 conductor-O character over Q_p (level 0); psi_a rescales by a, entering
@@ -111,3 +112,19 @@ def tate_gamma(chi: MultCharacter, psi: AddCharacter) -> MeroExpr:
 def eps_at_half(chi: MultCharacter, psi: AddCharacter) -> ExactConst | complex:
     """epsilon(1/2, chi, psi), as a constant."""
     return tate_eps(chi, psi).subst(0, Fraction(1, 2)).constant_value()
+
+
+def discrete_L(l: int) -> MeroExpr:
+    """L(s, D_l) = GammaC(s + l/2)."""
+    return MeroExpr.gamma_c(LinForm(Fraction(1), Fraction(l, 2)))
+
+
+def discrete_gamma(l: int, psi: AddCharacter) -> MeroExpr:
+    """gamma(s, D_l, psi_a) = i^{l+1} GammaC(l/2 + 1 - s) / GammaC(s + l/2),
+    times sgn(a)^{l+1} |a|^{2s - 1}: D_l has determinant sgn^{l+1} and
+    dimension 2 (Tate, "Number theoretic background", Corvallis 1979, §3)."""
+    det_sign = -1 if psi.a < 0 and (l + 1) % 2 else 1
+    return mero_mul(MeroExpr.const(ExactConst.i() ** (l + 1) * det_sign),
+                    MeroExpr.gamma_c(LinForm(Fraction(-1), Fraction(l, 2) + 1)),
+                    discrete_L(l).inv(),
+                    abs_power(psi.field, psi.a, LinForm(Fraction(2), Fraction(-1))))

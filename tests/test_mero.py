@@ -11,7 +11,11 @@ import mpmath
 import numpy as np
 from scipy.special import loggamma
 
+from lfactors.characters import AddCharacter, MultCharacter
+from lfactors.doubling import (GLChar, Induced, RegularNilpotentData, SkewHermCharR,
+                               normalization_c)
 from lfactors.exactconst import ExactConst
+from lfactors.fields import LocalField
 from lfactors.mero import (ExpAtom, GammaCAtom, GammaRAtom, LinForm, MeroExpr,
                            PoleProximityError, UnsupportedExpressionError,
                            _pole_free_samples, equals_numeric, eval_batch,
@@ -202,20 +206,23 @@ def _mp(v):
     return mpmath.mpf(v.numerator) / v.denominator
 
 
+def _mp_atom(atom, s: complex):
+    """mpmath value of one atom at s, power not applied."""
+    z = _mp(atom.form.alpha) * mpmath.mpc(s.real, s.imag) + _mp(atom.form.beta)
+    if isinstance(atom, ExpAtom):
+        return mpmath.power(_mp(atom.base), z)
+    if isinstance(atom, GammaRAtom):
+        return mpmath.power(mpmath.pi, -z / 2) * mpmath.gamma(z / 2)
+    if isinstance(atom, GammaCAtom):
+        return 2 * mpmath.power(2 * mpmath.pi, -z) * mpmath.gamma(z)
+    return 1 / (1 - _mp(atom.z) * mpmath.power(atom.q, -z))
+
+
 def _mp_value(x: MeroExpr, s: complex):
     """mpmath value of the expression from its atoms."""
     out = mpmath.mpc(x.prefactor.to_complex() if x.is_exact else x.prefactor)
     for atom, k in x.atoms:
-        z = _mp(atom.form.alpha) * mpmath.mpc(s.real, s.imag) + _mp(atom.form.beta)
-        if isinstance(atom, ExpAtom):
-            v = mpmath.power(_mp(atom.base), z)
-        elif isinstance(atom, GammaRAtom):
-            v = mpmath.power(mpmath.pi, -z / 2) * mpmath.gamma(z / 2)
-        elif isinstance(atom, GammaCAtom):
-            v = 2 * mpmath.power(2 * mpmath.pi, -z) * mpmath.gamma(z)
-        else:
-            v = 1 / (1 - _mp(atom.z) * mpmath.power(atom.q, -z))
-        out *= v ** k
+        out *= _mp_atom(atom, s) ** k
     return complex(out)
 
 
@@ -325,6 +332,38 @@ def test_eval_zero_prefactor_and_overflow():
         assert np.isnan(eval_log_batch([x], [s])).all() and np.isnan(eval_batch([x], [s])).all()
         with pytest.raises(ArithmeticError):
             x.eval(s)
+
+
+def test_eval_log_of_a_constant_past_the_float_range():
+    """c of one GL_32 block over the l = 0 skew character over R has a
+    4193-bit constant; its log, and so eval_log, stays finite, and the real
+    part agrees with mpmath's log|c| from the same atoms."""
+    R = LocalField.real()
+    rep = Induced((GLChar(32, MultCharacter.trivial(R)),), SkewHermCharR(0))
+    c = normalization_c(rep.space, MultCharacter.trivial(R), RegularNilpotentData(1),
+                        AddCharacter.standard(R))
+    assert c.prefactor.rat.numerator.bit_length() > 4000
+    s = complex(0.3, 0.1)
+    got = c.eval_log(s)
+    assert cmath.isfinite(got)
+    with mpmath.workdps(50):
+        pref = c.prefactor
+        want = mpmath.log(abs(_mp(pref.rat))) + sum(mpmath.log(p) for p in pref.roots) / 2
+        for atom, k in c.atoms:
+            want += k * mpmath.log(abs(_mp_atom(atom, s)))
+        assert abs(got.real - want) <= 1e-9 * abs(want)
+
+
+def test_exact_const_log_is_the_principal_log():
+    """ExactConst.log agrees with cmath.log of the complex value wherever that
+    value is a float, sign and power of i included."""
+    for num, den in ((1, 1), (1, 2), (7, 3), (10 ** 6, 9), (1, 10 ** 5), (10 ** 30 + 1, 10 ** 30)):
+        for sign in (1, -1):
+            for ipow in range(4):
+                for roots in ((), (2,), (3, 5), (2, 3, 7)):
+                    x = ExactConst(Fraction(sign * num, den), ipow, frozenset(roots))
+                    want = cmath.log(x.to_complex())
+                    assert abs(x.log() - want) <= 1e-15 * max(1.0, abs(want)), x
 
 
 def _old_sampler_points(x, y, samples, seed):

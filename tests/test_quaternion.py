@@ -107,6 +107,17 @@ def test_reduced_norm_against_regular_representation(alg):
         assert matrix_reduced_norm(X) ** 2 == regular_representation_det(X)
 
 
+def test_reduced_norm_past_float_square_roots():
+    """a = (10^30 + 7)^2 is a perfect square past 2^106, which a float square
+    root misses."""
+    r = 10 ** 30 + 7
+    alg = QuaternionAlgebra(Q5, Fraction(r * r), Fraction(5))
+    assert alg.is_split
+    X = QuatMatrix.from_rows(alg, [[alg.element(r, 1), alg.element(1)],
+                                   [alg.element(2), alg.element(3)]])
+    assert matrix_reduced_norm(X) ** 2 == regular_representation_det(X)
+
+
 def test_reduced_norm_multiplicative():
     rng = random.Random(5)
     for _ in range(15):

@@ -293,7 +293,7 @@ def test_cli_accepts_exponents_at_the_bound(tmp_path, capsys, doc):
                                         "kernel": {"kind": "skew_char", "l": 1}}},
     {"field": {"kind": "real"}, "rep": {"kind": "skew_char", "l": -1000}, "eval_points": [[0.3, 0.1]],
      "outputs": ["gamma", "L", "epsilon", "root_number", "R", "c", "T"]},
-    # c over R at n = 32 still evaluates; at n = 33 its constant overflows a float
+    # c over R at n = 32 evaluates, with a constant far past the float range
     {"field": {"kind": "real"}, "rep": {"kind": "sp_highest_weight", "lambda": [1000] * 32},
      "eval_points": [[0.3, 0.1]], "outputs": ["gamma", "L", "epsilon", "root_number", "R", "c", "T"]},
     {"field": {"kind": "nonarch", "p": "5"}, "outputs": ["gamma", "R", "c"],
@@ -307,6 +307,27 @@ def test_cli_accepts_exponents_at_the_bound(tmp_path, capsys, doc):
         "l-at-bound", "lambda-at-bound", "diag-at-bound", "gram-at-bound", "r-at-bound"])
 def test_cli_accepts_integers_at_the_bound(tmp_path, capsys, doc):
     _accepted(tmp_path, capsys, doc)
+
+
+@pytest.mark.parametrize("doc, status", [
+    # the constant of c has 4193 bits: its log is taken term by term
+    ({"field": {"kind": "real"}, "outputs": ["c"], "eval_points": [[0.3, 0.1]],
+      "rep": {"kind": "induced", "blocks": [{"m": 32, "chi": {}}], "kernel": {"kind": "skew_char", "l": 0}}}, 0),
+    # the splitting test takes an integer square root of a 400-digit a
+    (dict(_P5_HERM, algebra={"a": str(10 ** 399 + 1), "b": "5"}), 0),
+    # z^ord(x) with a complex z has no exact form: refused as unsupported
+    (dict(_P5_HERM, omega={"z": [1.3, 0]}, norm_value=str(5 ** 3000), outputs=["R"]), 3),
+], ids=["induced-c-constant", "algebra-a-400-digits", "complex-z-to-power-3000"])
+def test_cli_values_past_the_float_range(tmp_path, capsys, doc, status):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(doc))
+    assert main(["gamma", "-f", str(path)]) == status
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if status:
+        assert captured.err == "unsupported: a value left the float range (complex exponentiation)\n"
+    else:
+        assert json.loads(captured.out[captured.out.index("\n{") + 1:])["results"]
 
 
 def test_cli_rejects_an_integer_json_cannot_read(tmp_path, capsys):

@@ -1,17 +1,15 @@
 from fractions import Fraction
 
-import pytest
-
 from lfactors.characters import (AddCharacter, MultCharacter, char_inverse,
                                  char_mul)
-from lfactors.doubling import derive_gj_from_normalization
+from lfactors.doubling import (SkewHermCharR, SpHighestWeight, derive_gj_from_normalization,
+                               gamma_factor)
 from lfactors.exactconst import ExactConst
 from lfactors.fields import LocalField, SquareClass
 from lfactors.gj import _prefactor, _shifted, gj_L, gj_gamma_norm
 from lfactors.mero import LinForm, MeroExpr, equals_numeric, mero_mul
 from lfactors.ratfunc import as_rational_in_X
-from lfactors.tate import tate_eps, tate_gamma
-from lfactors.weil import WeilRep, WeilSummand, _discrete_gamma, weil_gamma
+from lfactors.tate import discrete_L, discrete_gamma, tate_eps, tate_gamma
 
 R = LocalField.real()
 psiR = AddCharacter.standard(R)
@@ -22,45 +20,25 @@ psi5 = AddCharacter.standard(Q5)
 def test_discrete_series_formula():
     # i^{|l|+1} GammaC(-s + (|l|+1)/2) / GammaC(s + (|l|+1)/2) at the
     # half-shifted argument, i.e. GammaC(l/2 + 1 - s)/GammaC(s + l/2) plainly
-    rep = WeilRep(R, (WeilSummand("discrete", 2),))
-    g = weil_gamma(rep, psiR)
     want = mero_mul(MeroExpr.const(ExactConst(Fraction(-1), 1)),  # i^3
                     MeroExpr.gamma_c(LinForm(Fraction(-1), 2)),
                     MeroExpr.gamma_c(LinForm(Fraction(1), 1)).inv())
-    assert g == want
-
-
-def test_int_twist_is_exact_like_fraction():
-    # an int twist is exact: D_3 |.|^0 has the betas of the Fraction(0) twist
-    assert str(_discrete_gamma(3, 0, psiR)) == "GammaC(-s+5/2) / GammaC(s+3/2)"
-    for l in (1, 2, 3, 4):
-        for twist in (0, 1, -2):
-            for a in (1, 2, Fraction(-1, 3)):
-                psi = AddCharacter(R, a)
-                want = _discrete_gamma(l, Fraction(twist), psi)
-                got = _discrete_gamma(l, twist, psi)
-                assert (str(got), repr(got.prefactor)) == (str(want), repr(want.prefactor))
+    assert discrete_gamma(2, psiR) == want
+    assert discrete_L(2) == MeroExpr.gamma_c(LinForm(Fraction(1), 1))
+    assert str(discrete_gamma(3, psiR)) == "GammaC(-s+5/2) / GammaC(s+3/2)"
 
 
 def test_d_l_sign_twist_invariance():
-    d3 = WeilRep(R, (WeilSummand("discrete", 3),))
-    both = WeilRep(R, (WeilSummand("discrete", 3), WeilSummand("discrete", -3)))
-    assert weil_gamma(both, psiR) == weil_gamma(d3, psiR) ** 2
+    """D_l = D_{-l} and D_l tensor sgn = D_l."""
+    want = gamma_factor(SkewHermCharR(3), MultCharacter.trivial(R), psiR)
+    assert gamma_factor(SkewHermCharR(-3), MultCharacter.trivial(R), psiR) == want
+    assert gamma_factor(SkewHermCharR(3), MultCharacter.sign(R), psiR) == want
 
 
 def test_trivial_summand_matches_tate():
-    rep = WeilRep(R, (WeilSummand("trivial"),))
-    assert weil_gamma(rep, psiR) == tate_gamma(MultCharacter.trivial(R), psiR)
-
-
-def test_d0_is_rejected():
-    with pytest.raises(ValueError):
-        WeilSummand("discrete", 0)
-
-
-def test_weil_rep_needs_real_field():
-    with pytest.raises(ValueError):
-        WeilRep(Q5, (WeilSummand("trivial"),))
+    """At n = 0 the parameter is the one character sgn^delta of omega."""
+    for chi in (MultCharacter.trivial(R), MultCharacter.sign(R)):
+        assert gamma_factor(SpHighestWeight(0, ()), chi, psiR) == tate_gamma(chi, psiR)
 
 
 def test_gj_roundtrip_against_normalization():
