@@ -15,8 +15,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exactconst import factorization
 from .fields import (LocalField, SquareClass, UnsupportedOperationError,
-                     square_class)
+                     hilbert_symbol, square_class)
 from .quaternion import (QuatMatrix, Quaternion, QuaternionAlgebra,
                          matrix_reduced_norm, rational_det)
 
@@ -128,9 +129,22 @@ class MoritaError(ValueError):
 
 
 def _isotropic_vector(alg: QuaternionAlgebra) -> Quaternion:
-    """A nonzero quaternion of reduced norm zero, by bounded height search."""
+    """A nonzero quaternion of reduced norm zero, by bounded height search.
+    The search runs only for an algebra split over Q: by Hilbert reciprocity
+    (a, b) splits over Q when its symbols at R and at the odd primes of a and
+    b are all 1, as the symbol at 2 is their product and the rest are 1.
+    Finding those primes takes trial division, so the odd primes are tested
+    only when every numerator and denominator is below 10^12 (under a
+    second); above that, the real symbol and the search decide."""
     if not alg.is_split:
         raise MoritaError("algebra is not split over its base field")
+    ints = [abs(n) for x in (alg.a, alg.b) for n in (x.numerator, x.denominator)]
+    odd = {p for n in ints for p, _ in factorization(n) if p != 2} if max(ints) < 10 ** 12 else ()
+    places = [LocalField.real(), *(LocalField.padic(p) for p in sorted(odd))]
+    if any(hilbert_symbol(F, alg.a, alg.b) == -1 for F in places):
+        raise MoritaError(
+            "the algebra splits over the local field but not over Q, so an exact "
+            "rational splitting does not exist")
     for height in range(1, 40):
         span = [Fraction(v) for v in range(-height, height + 1)]
         for x0, x1, x2, x3 in itertools.product(span, repeat=4):
@@ -138,9 +152,7 @@ def _isotropic_vector(alg: QuaternionAlgebra) -> Quaternion:
             if not q.is_zero and q.reduced_norm() == 0 and max(
                     abs(c) for c in q.coords()) == height:
                 return q
-    raise MoritaError(
-        "no rational norm-zero element found: the algebra splits over the local "
-        "field but not over Q, so an exact rational splitting does not exist")
+    raise MoritaError("no rational norm-zero element of height below 40 found")
 
 
 def _split_iso(alg: QuaternionAlgebra):

@@ -9,9 +9,12 @@ A MeroExpr is an exact constant prefactor times a signed multiset of atoms:
 
 Negative multiplicities are denominator atoms.  Expressions multiply,
 invert, substitute s -> a's + b', evaluate numerically through one
-vectorised kernel (eval_log_batch: numpy over an atoms x points grid, one
-scipy loggamma call for all Gamma atoms), which also serves the seeded
-sampling comparisons, and round-trip exactly through text and JSON.
+vectorised kernel (eval_log_batch: numpy over a grid of distinct atoms x
+points, with its own log-Gamma), which also serves the seeded sampling
+comparisons, and round-trip exactly through text and JSON.  The log-Gamma is
+Stirling's series after reflection and a shift to Re >= 10 (Hare, J.
+Algorithms 25 (1997), without the branch bookkeeping: the kernel needs log
+Gamma only up to a multiple of 2 pi i).
 The core is on Python ints: a LinForm holds alpha = an/ad and an exact beta
 = bn/bd in lowest terms (normal forms over Z, Geddes-Czapor-Labahn ch. 2),
 or an inexact beta rounded to a 2^-40 grid, and both as floats for the
@@ -29,7 +32,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import loggamma
 
 from .exactconst import ExactConst
 from .scalars import inv, is_exact, mul, power, rat_power
@@ -38,6 +40,10 @@ _LN_2 = math.log(2)
 _LN_PI = math.log(math.pi)
 _LN_2PI = math.log(2 * math.pi)
 _POLE_TOL = 1e-8
+_SHIFT_TO = 10  # Stirling's series runs at Re >= _SHIFT_TO
+# B_2k / (2k (2k - 1)), k = 1..8: the Stirling terms in powers of 1/y^2
+_STIRLING = tuple(float(Fraction(b) / (2 * k * (2 * k - 1))) for k, b in enumerate(
+    ("1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730", "7/6", "-3617/510"), 1))
 
 
 class PoleProximityError(ArithmeticError):
@@ -497,18 +503,56 @@ def _log_base(b: Fraction, q: int) -> Fraction:
 
 # -- numeric evaluation ----------------------------------------------------
 
+def _log(z: np.ndarray) -> np.ndarray:
+    """The principal log from real parts: numpy's complex log is a scalar loop."""
+    return np.log(np.abs(z)) + 1j * np.arctan2(z.imag, z.real)
+
+
+def _log_gamma(z: np.ndarray) -> np.ndarray:
+    """log Gamma(z) up to a multiple of 2 pi i, elementwise: the reflection
+    Gamma(z) Gamma(1 - z) = pi / sin(pi z) for Re z < 1/2, with sin taken at
+    z - round(Re z) so that the log stays accurate near the poles; a shift of
+    each element to Re >= _SHIFT_TO, Gamma(y) = Gamma(y + n) / (y ... (y+n-1)),
+    the product taken over y + n so that it cannot overflow; then Stirling's
+    series with the _STIRLING terms."""
+    refl = z.real < 0.5
+    y = np.where(refl, 1 - z, z)
+    n = np.maximum(np.ceil(_SHIFT_TO - y.real), 0)
+    y_inv = 1 / (y + n)
+    prod = np.ones_like(y)  # prod_{k < n} (y + k) / (y + n)
+    for k in range(_SHIFT_TO):
+        prod *= np.where(k < n, (y + k) * y_inv, 1)
+    y = y + n
+    r, series = y_inv * y_inv, np.zeros_like(y)
+    for c in reversed(_STIRLING):
+        series = series * r + c
+    out = (y - n - 0.5) * _log(y) - y + _LN_2PI / 2 + series * y_inv - _log(prod)
+    x = z[refl]
+    m = np.rint(x.real)
+    u, v = np.pi * (x.real - m), np.pi * x.imag  # sin(pi x) = (-1)^m sin(u + i v)
+    vc = np.clip(v, -60, 60)  # past |v| = 60, sinh v = sign(v) cosh v = e^|v| / 2 to 1e-52
+    log_sin = (np.log(np.sin(u) ** 2 + np.sinh(vc) ** 2) / 2 + np.abs(v) - np.abs(vc)
+               + 1j * (np.arctan2(np.cos(u) * np.sinh(vc), np.sin(u) * np.cosh(vc)) + np.pi * m))
+    out[refl] = _LN_PI - log_sin - out[refl]
+    return out
+
+
 def eval_log_batch(exprs: Sequence[MeroExpr], points) -> np.ndarray:
     """log (any branch) of each expression at each of a 1-D sequence of points,
     shape (len(exprs), len(points)); NaN at a zero prefactor, within _POLE_TOL
     of a Gamma pole or a zero of 1 - z q^{-(a s + c)}, and where a term
     overflows.  A fixed number of numpy calls: exponential atoms and the
     elementary parts of the Gamma atoms fold into one affine c + m s per
-    expression, all Gamma atoms share one loggamma call, all L-atoms one exp
-    and one log."""
+    expression; each distinct Gamma argument a s + b is evaluated once, by one
+    _log_gamma call over all of them, and each distinct L-atom (a, b, q, z)
+    once, by one exp and one log; np.add.at scatters both, times their
+    multiplicities, into the rows of the expressions that hold them."""
     s = np.asarray(points, dtype=complex)
     affine = []  # (c, m) per expression
-    gamma = []   # rows (expression, k, a, b): Gamma(a s + b)^k
-    lnf = []     # rows (expression, k, a, b, z): (1 - z exp(a s + b))^-k
+    gargs: dict = {}  # (a, b) -> row of Gamma(a s + b)
+    largs: dict = {}  # (a, b, z) -> row of log(1 - z exp(a s + b))
+    gamma = []   # (expression, k, row): Gamma(a s + b)^k
+    lnf = []     # (expression, k, row): (1 - z exp(a s + b))^-k
     for i, x in enumerate(exprs):
         pref = x.prefactor
         c, m = (cmath.nan if pref == 0 else pref.log() if x.is_exact else cmath.log(pref)), 0j
@@ -519,29 +563,31 @@ def eval_log_batch(exprs: Sequence[MeroExpr], points) -> np.ndarray:
                 m, c = m + k * a * lnb, c + k * b * lnb
             elif kind is GammaRAtom:  # pi^{-z/2} Gamma(z/2)
                 m, c = m - k * a / 2 * _LN_PI, c - k * b / 2 * _LN_PI
-                gamma.append((i, k, a / 2, b / 2))
+                gamma.append((i, k, gargs.setdefault((a / 2, b / 2), len(gargs))))
             elif kind is GammaCAtom:  # 2 (2 pi)^{-z} Gamma(z)
                 m, c = m - k * a * _LN_2PI, c + k * (_LN_2 - b * _LN_2PI)
-                gamma.append((i, k, a, b))
+                gamma.append((i, k, gargs.setdefault((a, b), len(gargs))))
             else:
                 lq = math.log(atom.q)
-                lnf.append((i, k, -a * lq, -b * lq, atom.zf))
+                lnf.append((i, k, largs.setdefault((-a * lq, -b * lq, atom.zf), len(largs))))
         affine.append((c, m))
     with np.errstate(all="ignore"):
         cm = np.array(affine, dtype=complex)
         out = cm[:, :1] + cm[:, 1:] * s
         if gamma:
-            g = np.array(gamma, dtype=complex)
-            z = g[:, 2:3] * s + g[:, 3:]
-            lg = loggamma(z)
+            g = np.array(list(gargs), dtype=complex)
+            z = g[:, :1] * s + g[:, 1:]
+            lg = _log_gamma(z)
             lg[np.abs(z - np.rint(np.minimum(z.real, 0))) < _POLE_TOL] = np.nan
-            np.add.at(out, g[:, 0].real.astype(int), g[:, 1:2] * lg)
+            i, k, row = np.array(gamma).T
+            np.add.at(out, i, k[:, None] * lg[row])
         if lnf:
-            f = np.array(lnf, dtype=complex)
-            w = 1 - f[:, 4:] * np.exp(f[:, 2:3] * s + f[:, 3:4])
+            f = np.array(list(largs), dtype=complex)
+            w = 1 - f[:, 2:] * np.exp(f[:, :1] * s + f[:, 1:2])
             lw = np.log(w)
             lw[np.abs(w) < _POLE_TOL] = np.nan
-            np.add.at(out, f[:, 0].real.astype(int), -f[:, 1:2] * lw)
+            i, k, row = np.array(lnf).T
+            np.add.at(out, i, -k[:, None] * lw[row])
     out[~np.isfinite(out)] = np.nan
     return out
 

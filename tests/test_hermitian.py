@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,25 @@ def test_morita_rejects_nonsplit_and_unrational():
     assert q2_split_over_Q  # (1,1,1,0) works, so this one is fine rationally
     out = morita_natural(HermitianSpace.diagonal(tricky, "skew", [tricky.element(0, 1)]))
     assert out.form_type == "symmetric"
+
+
+def test_morita_refuses_an_algebra_split_locally_but_not_over_Q_at_once():
+    """(2, 5) splits over R and over Q_3 but not over Q ((2, 5)_5 = -1), so no
+    rational norm-zero element exists: the transfer refuses it within 1 s
+    instead of searching; the algebras verify and the demos transfer still
+    split, and so does (1, b) for a b too large to factor by trial division."""
+    for field in (R, LocalField.padic(3)):
+        alg = QuaternionAlgebra(field, Fraction(2), Fraction(5))
+        assert alg.is_split
+        start = time.perf_counter()
+        with pytest.raises(MoritaError, match="not over Q"):
+            morita_natural(HermitianSpace.linear(alg, 1))
+        assert time.perf_counter() - start < 1
+    for a, b in ((4, 3), (2, -1), (1, -1), (1, (10 ** 15 + 37) * (10 ** 15 + 91))):
+        alg = QuaternionAlgebra(Q5, Fraction(a), Fraction(b))
+        start = time.perf_counter()
+        assert morita_natural(HermitianSpace.linear(alg, 1)).form_type == "zero"
+        assert time.perf_counter() - start < 1
 
 
 def test_stored_reduced_norm():

@@ -1,16 +1,20 @@
 import cmath
 import json
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import mpmath
 import numpy as np
-from scipy.special import loggamma
 
+import lfactors
 from lfactors.characters import AddCharacter, MultCharacter
 from lfactors.doubling import (GLChar, Induced, RegularNilpotentData, SkewHermCharR,
                                normalization_c)
@@ -18,7 +22,7 @@ from lfactors.exactconst import ExactConst
 from lfactors.fields import LocalField
 from lfactors.mero import (ExpAtom, GammaCAtom, GammaRAtom, LinForm, MeroExpr,
                            PoleProximityError, UnsupportedExpressionError,
-                           _pole_free_samples, equals_numeric, eval_batch,
+                           _log_gamma, _pole_free_samples, equals_numeric, eval_batch,
                            eval_log_batch, format_expr, from_json, max_rel_error,
                            mero_mul, parse_expr, to_json)
 from lfactors.ratfunc import as_rational_in_X
@@ -180,9 +184,9 @@ def _scalar_log(x: MeroExpr, s: complex) -> complex:
             if n <= 0 and abs(g - n) < 1e-8:
                 raise PoleProximityError(f"Gamma argument {g} at a pole")
             if isinstance(atom, GammaRAtom):
-                total += k * (-g * cmath.log(cmath.pi) + complex(loggamma(g)))
+                total += k * (-g * cmath.log(cmath.pi) + complex(mpmath.loggamma(g)))
             else:
-                total += k * (cmath.log(2) - z * cmath.log(2 * cmath.pi) + complex(loggamma(z)))
+                total += k * (cmath.log(2) - z * cmath.log(2 * cmath.pi) + complex(mpmath.loggamma(z)))
             continue
         w = 1 - complex(atom.z) * cmath.exp(-z * cmath.log(atom.q))
         if abs(w) < 1e-8:
@@ -315,6 +319,41 @@ def test_eval_many_nan_exactly_where_scalar_rule_raises():
             if not _scalar_raises(x, s):
                 assert abs(cmath.exp(x.eval_log(s) - _scalar_log(x, s)) - 1) < 1e-12
     assert seen_nan > 50
+
+
+def test_log_gamma_kernel_against_mpmath():
+    """The kernel's log Gamma against mpmath at 40 digits, modulo 2 pi i:
+    |exp(delta) - 1| < 1e-13 on the |Re|, |Im| <= 30 grid and 1e-3 to 1e-5
+    from the poles 0, -1 and -7.  For 1e3 <= |z| <= 1e6, log Gamma(z) is 1e3
+    to 1e7 in size, so a double holds it only to 1e-13 of that size; there
+    the bound is |delta| < 1e-13 |log Gamma(z)|, and so at |z| = 1e100, where
+    the shift's product of ten factors must not overflow."""
+    mpmath.mp.dps = 40
+    axis = np.linspace(-30, 30, 41)  # the integers -30, -27, ..., 30 among them
+    grid = [complex(x, y) for x in axis for y in (axis[:-1] + axis[1:]) / 2]
+    near = [p + r * d for p in (0, -1, -7) for r in (1e-3, 1e-4, 1e-5)
+            for d in (1, -1, 1j, -1j, cmath.exp(2.5j))]
+    large = [1e3, -1e3 + 0.5j, 1e3j, 3e4 - 4e4j, 1e6, 1e6j, -1e6 + 0.5j, -7e5 + 7e5j,
+             0.25 + 1e100j]
+    zs = grid + near + large
+    with np.errstate(all="raise", under="ignore"):
+        got = _log_gamma(np.array(zs))
+    for z, g in zip(zs, got):
+        want = mpmath.loggamma(mpmath.mpc(z.real, z.imag))
+        d = complex(mpmath.mpc(g.real, g.imag) - want)
+        d = complex(d.real, math.remainder(d.imag, 2 * math.pi))
+        if abs(z) < 1e3:
+            assert abs(cmath.exp(d) - 1) < 1e-13, z
+        else:
+            assert abs(d) < 1e-13 * abs(want), z
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """The numeric kernel is numpy alone: importing the CLI loads no scipy."""
+    src = str(Path(lfactors.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, lfactors.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_eval_zero_prefactor_and_overflow():
