@@ -98,9 +98,6 @@ class MultCharacter:
         t0 = self.t == 0
         return bool(z2 and t0) if not self.field.is_real else bool(t0)
 
-    def __call__(self, x: Rational) -> ExactConst | complex:
-        return char_eval(self, x)
-
 
 def quadratic_character(field: LocalField, d: SquareClass) -> MultCharacter:
     """chi_d(x) = (x, d)_F, as a MultCharacter."""

@@ -27,13 +27,14 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import re
 from math import gcd
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exactconst import ExactConst
+from .exactconst import ExactConst, factorization
 from .scalars import inv, is_exact, mul, power, rat_power
 
 _LN_2 = math.log(2)
@@ -657,36 +658,11 @@ SCHEMA_VERSION = 1
 
 
 def _beta_json(b: BetaLike):
-    if isinstance(b, Fraction):
-        return str(b)
-    return [b.real, b.imag]
-
-
-def _beta_from_json(v) -> BetaLike:
-    if isinstance(v, str):
-        return Fraction(v)
-    return _beta_norm(complex(v[0], v[1]))
+    return str(b) if type(b) is Fraction else [b.real, b.imag]
 
 
 def _form_json(f: LinForm):
     return {"alpha": _qstr(f.an, f.ad), "beta": _beta_json(f.beta)}
-
-
-def _form_from_json(d) -> LinForm:
-    return LinForm(Fraction(d["alpha"]), _beta_from_json(d["beta"]))
-
-
-def _atom_from_json(d) -> Atom:
-    t = d["type"]
-    form = _form_from_json(d["arg"])
-    if t == "exp":
-        return ExpAtom(Fraction(d["base"]), form)
-    for cls in (GammaRAtom, GammaCAtom):
-        if t == cls._json_type:
-            return cls(form)
-    if t == "lnf":
-        return LAtom(int(d["q"]), _beta_from_json(d["z"]), form)
-    raise ValueError(f"unknown atom type {t!r}")
 
 
 def to_json(x: MeroExpr) -> dict:
@@ -703,187 +679,151 @@ def to_json(x: MeroExpr) -> dict:
     }
 
 
+# -- reading text and JSON ---------------------------------------------------
+# from_json builds every constant and atom through the constructors below,
+# which refuse with ValueError what to_json never prints; parse_expr spells
+# its text out as such a tree.  A rational is the string "n" or "n/d", a
+# complex number the pair of its float parts.
+
+_RAT = r"-?\d+(?:/0*[1-9]\d*)?"
+
+
+def _rat(v) -> Fraction:
+    if type(v) is not str or not re.fullmatch(_RAT, v):
+        raise ValueError(f"{v!r} is not a rational n or n/d with d > 0")
+    return Fraction(v)
+
+
+def _complex(re_, im) -> complex:
+    if not all(type(v) is float and math.isfinite(v) for v in (re_, im)):
+        raise ValueError(f"[{re_!r}, {im!r}] is not a finite complex number")
+    return complex(re_, im)
+
+
+def _beta(v) -> BetaLike:
+    """A rational, or a complex pair rounded to the grid of inexact betas."""
+    return _rat(v) if type(v) is str else _beta_norm(_complex(*v))
+
+
+def _power(k) -> int:
+    if type(k) is not int or k < 1:
+        raise ValueError(f"power {k!r} is not a positive integer")
+    return k
+
+
+def _exact(rat: Fraction, ipow, roots) -> ExactConst:
+    """rat i^ipow prod sqrt(p) over distinct primes p below 10^12, a bound
+    under which trial division decides primality at once."""
+    if type(ipow) is not int or len(set(roots)) < len(roots) or not all(
+            type(p) is int and 1 < p < 10 ** 12 and factorization(p) == ((p, 1),) for p in roots):
+        raise ValueError(f"i^{ipow!r} * sqrt{roots!r} is not over distinct primes below 10^12")
+    return ExactConst(rat, ipow, frozenset(roots))
+
+
+def _atom(kind, arg: LinForm, base=None, q=None, z=None) -> Atom:
+    """The atom of JSON type `kind`: an exponential's base is positive and its
+    argument a multiple of s (a constant term would be a power of a base that
+    may be too large to factor); an L-atom's q is an integer >= 2."""
+    if kind == "exp":
+        if (base := _rat(base)) <= 0 or arg.bf != 0:
+            raise ValueError(f"{base}^({arg}) needs a base > 0 and an argument a multiple of s")
+        return ExpAtom(base, arg)
+    if kind == "lnf":
+        if type(q) is not int or q < 2:
+            raise ValueError(f"Lnf: q = {q!r} is not an integer >= 2")
+        return LAtom(q, _beta(z), arg)
+    if kind in ("gammaR", "gammaC"):
+        return (GammaRAtom if kind == "gammaR" else GammaCAtom)(arg)
+    raise ValueError(f"unknown atom type {kind!r}")
+
+
 def from_json(d: dict) -> MeroExpr:
-    p = d["prefactor"]
-    if p["kind"] == "exact":
-        pref = ExactConst(Fraction(p["rat"]), int(p["ipow"]), frozenset(int(r) for r in p["roots"]))
-    else:
-        pref = complex(p["re"], p["im"])
-    atoms = [(_atom_from_json(e), int(e["power"])) for e in d.get("numerator", [])]
-    atoms += [(_atom_from_json(e), -int(e["power"])) for e in d.get("denominator", [])]
-    return MeroExpr(pref, atoms)
-
-
-# -- canonical text parser --------------------------------------------------
-
-class _Tok:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self, k: int = 1) -> str:
-        return self.text[self.pos:self.pos + k]
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def expect(self, lit: str):
-        self.skip_ws()
-        if not self.text.startswith(lit, self.pos):
-            raise ValueError(f"expected {lit!r} at ...{self.text[self.pos:self.pos+20]!r}")
-        self.pos += len(lit)
-
-    def try_lit(self, lit: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(lit, self.pos):
-            self.pos += len(lit)
-            return True
-        return False
-
-    def number(self) -> Fraction:
-        """A rational: optional sign, digits, optional /digits or .digits."""
-        self.skip_ws()
-        start = self.pos
-        if self.peek() in "+-":
-            self.pos += 1
-        while self.peek().isdigit():
-            self.pos += 1
-        if self.peek() == "." and self.text[self.pos + 1:self.pos + 2].isdigit():
-            self.pos += 1
-            while self.peek().isdigit():
-                self.pos += 1
-            return Fraction(self.text[start:self.pos])
-        if self.peek() == "/" and self.text[self.pos + 1:self.pos + 2].isdigit():
-            self.pos += 1
-            while self.peek().isdigit():
-                self.pos += 1
-        if self.pos == start or self.text[start:self.pos] in ("+", "-"):
-            raise ValueError(f"expected number at ...{self.text[start:start+20]!r}")
-        return Fraction(self.text[start:self.pos])
-
-    def float_number(self) -> float:
-        self.skip_ws()
-        start = self.pos
-        if self.peek() in "+-":
-            self.pos += 1
-        while self.peek().isdigit() or self.peek() in ".eE":
-            if self.peek() in "eE" and self.text[self.pos + 1:self.pos + 2] in "+-":
-                self.pos += 2
-            else:
-                self.pos += 1
-        return float(self.text[start:self.pos])
-
-    def done(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-
-def _parse_bracket_complex(tk: _Tok) -> complex:
-    tk.expect("[")
-    re = tk.float_number()
-    sign = -1.0 if tk.try_lit("-") else 1.0
-    tk.try_lit("+")
-    im = sign * tk.float_number()
-    tk.expect("i")
-    tk.expect("]")
-    return complex(re, im)
-
-
-def _parse_linform(tk: _Tok) -> LinForm:
-    """alpha s + beta, as printed by LinForm.__str__."""
-    tk.skip_ws()
-    alpha = Fraction(0)
-    beta: BetaLike = Fraction(0)
-    saw_s = False
-    if tk.peek() == "[":
-        return LinForm(Fraction(0), _parse_bracket_complex(tk))
-    # leading term
-    if tk.try_lit("-s"):
-        alpha, saw_s = Fraction(-1), True
-    elif tk.try_lit("s"):
-        alpha, saw_s = Fraction(1), True
-    else:
-        n = tk.number()
-        if tk.try_lit("s"):
-            alpha, saw_s = n, True
+    """Inverse of to_json; any other tree raises ValueError."""
+    try:
+        p = d["prefactor"]
+        if p["kind"] == "exact":
+            pref = _exact(_rat(p["rat"]), p["ipow"], p["roots"])
+        elif p["kind"] == "complex":
+            pref = _complex(p["re"], p["im"])
         else:
-            beta = n
-    # trailing beta
-    tk.skip_ws()
-    if saw_s and tk.peek() in "+-":
-        if tk.peek(2) == "+[":
-            tk.expect("+")
-            beta = _parse_bracket_complex(tk)
-        else:
-            beta = tk.number()
-    return LinForm(alpha, beta)
+            raise ValueError(f"unknown prefactor kind {p['kind']!r}")
+        atoms = [(_atom(e["type"], LinForm(_rat(e["arg"]["alpha"]), _beta(e["arg"]["beta"])),
+                        e.get("base"), e.get("q"), e.get("z")), sign * _power(e["power"]))
+                 for sign, side in ((1, "numerator"), (-1, "denominator")) for e in d[side]]
+        return MeroExpr(pref, atoms)
+    except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: past the float range
+        raise ValueError(f"malformed expression: {exc!r}") from exc
 
 
-def _parse_atom_or_const(tk: _Tok):
-    """Returns ('atom', Atom) or ('const', ExactConst|complex)."""
-    tk.skip_ws()
-    for cls in (GammaRAtom, GammaCAtom):
-        if tk.try_lit(cls._name + "("):
-            form = _parse_linform(tk)
-            tk.expect(")")
-            return "atom", cls(form)
-    if tk.try_lit("Lnf("):
-        q = int(tk.number())
-        tk.expect(";")
-        tk.skip_ws()
-        z = _parse_bracket_complex(tk) if tk.peek() == "[" else tk.number()
-        tk.expect(";")
-        form = _parse_linform(tk)
-        tk.expect(")")
-        return "atom", LAtom(q, _beta_norm(z), form)
-    for rat, lit in ((1, "sqrt("), (-1, "-sqrt(")):
-        if tk.try_lit(lit):
-            p = int(tk.number())
-            tk.expect(")")
-            return "const", ExactConst(Fraction(rat), 0, frozenset([p]))
-    if tk.peek() == "[":
-        return "const", _parse_bracket_complex(tk)
-    if tk.try_lit("-i"):
-        return "const", ExactConst(Fraction(1), 3)
-    if tk.try_lit("i"):
-        return "const", ExactConst.i()
-    n = tk.number()
-    if tk.try_lit("^("):
-        form = _parse_linform(tk)
-        tk.expect(")")
-        if n <= 0:
-            raise ValueError("exponential base must be positive")
-        return "atom", ExpAtom(n, form)
-    return "const", ExactConst.of(n)
+# The text grammar is what format_expr prints: factors joined by " * ", then
+# at most one " / " and the denominator's atoms, in parentheses when there are
+# several.  No factor holds either separator, so each is matched whole by one
+# pattern of _FACTORS.
+
+_NUM = r"\d+(?:\.\d+)?(?:e[+-]\d+)?"  # the repr of a finite float, unsigned
+_CPLX = rf"\[(-?{_NUM})([+-]{_NUM})i\]"  # as _beta_str prints it; groups re, im
+_FORM_RE = re.compile(  # as LinForm.__str__ prints it
+    rf"(?P<alpha>-|{_RAT})?s(?P<beta>[+-]\d+(?:/\d+)?|\+{_CPLX})?|(?P<const>{_RAT}|{_CPLX})")
+_POWER = r"(?:\^(?P<power>[1-9]\d*))?"
+_FACTORS = tuple((kind, re.compile(pattern)) for kind, pattern in (
+    ("gammaR", r"GammaR\((?P<arg>[^()]*)\)" + _POWER),
+    ("gammaC", r"GammaC\((?P<arg>[^()]*)\)" + _POWER),
+    ("lnf", r"Lnf\((?P<q>\d+); (?P<z>[^;()]*); (?P<arg>[^()]*)\)" + _POWER),
+    ("exp", r"(?P<base>\d+(?:/\d+)?)\^\((?P<arg>[^()]*)\)" + _POWER),
+    ("rat", _RAT),
+    ("i", r"(?P<neg>-?)i"),
+    ("sqrt", r"(?P<neg>-?)sqrt\((?P<p>\d+)\)"),
+    ("complex", _CPLX),
+))
 
 
-def _parse_product(tk: _Tok, sign: int):
-    pref = ExactConst.one()
-    atoms: list[tuple[Atom, int]] = []
-    while True:
-        kind, val = _parse_atom_or_const(tk)
-        if kind == "const":
-            pref = mul(pref, val)
-        else:
-            k = int(tk.number()) if tk.try_lit("^") else 1
-            atoms.append((val, sign * k))
-        if not tk.try_lit("*"):
-            break
-    return pref, atoms
+def _text_value(t: str):
+    """A rational's spelling as it is, a bracketed complex as (re, im)."""
+    m = re.fullmatch(_CPLX, t)
+    return (float(m[1]), float(m[2])) if m else t
+
+
+def _text_form(t: str) -> dict:
+    if (m := _FORM_RE.fullmatch(t)) is None:
+        raise ValueError(f"{t!r} is not a linear form a s + b")
+    alpha = "0" if m["const"] else {None: "1", "-": "-1"}.get(m["alpha"], m["alpha"])
+    return {"alpha": alpha, "beta": _text_value((m["const"] or m["beta"] or "0").removeprefix("+"))}
+
+
+def _text_prefactor(consts: list) -> dict:
+    """A lone complex factor as read, or the exact constant ExactConst.__str__ spells."""
+    kinds = [kind for kind, _ in consts]
+    if "complex" in kinds:
+        if len(kinds) > 1:
+            raise ValueError("a complex prefactor stands alone")
+        m = consts[0][1]
+        return {"kind": "complex", "re": float(m[1]), "im": float(m[2])}
+    rats = [m[0] if kind == "rat" else "-1" for kind, m in consts if kind == "rat" or m["neg"]]
+    if len(rats) > 1:
+        raise ValueError(f"rational part given twice: {rats}")
+    return {"kind": "exact", "rat": rats[0] if rats else "1", "ipow": kinds.count("i"),
+            "roots": [int(m["p"]) for kind, m in consts if kind == "sqrt"]}
 
 
 def parse_expr(text: str) -> MeroExpr:
-    """Inverse of format_expr on its own output."""
-    tk = _Tok(text)
-    pref, atoms = _parse_product(tk, +1)
-    if tk.try_lit("/"):
-        paren = tk.try_lit("(")
-        dpref, datoms = _parse_product(tk, -1)
-        if paren:
-            tk.expect(")")
-        pref = mul(pref, inv(dpref))
-        atoms += datoms
-    if not tk.done():
-        raise ValueError(f"trailing input at ...{tk.text[tk.pos:tk.pos+20]!r}")
-    return MeroExpr(pref, atoms)
+    """Inverse of format_expr on its own output; any other text raises
+    ValueError.  The text is spelled out as the tree to_json prints, and
+    from_json reads that."""
+    num, slash, den = text.partition(" / ")
+    dens = den[1:-1].split(" * ") if den[:1] == "(" and den[-1:] == ")" else [den] if slash else []
+    tree, consts = {"numerator": [], "denominator": []}, []
+    for side, factors in (("numerator", num.split(" * ")), ("denominator", dens)):
+        for f in factors:
+            kind, m = next(((k, m) for k, p in _FACTORS if (m := p.fullmatch(f))), (None, None))
+            if kind is None:
+                raise ValueError(f"{f!r} is not a factor format_expr prints")
+            g = m.groupdict()
+            if "arg" in g:
+                tree[side].append({"type": kind, "arg": _text_form(g["arg"]), "base": g.get("base"),
+                                   "q": int(g.get("q", 0)), "z": _text_value(g.get("z", "0")),
+                                   "power": int(g["power"] or 1)})
+            elif side == "denominator":
+                raise ValueError(f"constant {f!r} in a denominator")
+            else:
+                consts.append((kind, m))
+    return from_json(dict(tree, prefactor=_text_prefactor(consts)))

@@ -192,11 +192,6 @@ class QuatMatrix:
             raise ValueError("ragged matrix")
         return QuatMatrix(alg, ents)
 
-    @staticmethod
-    def identity(alg: QuaternionAlgebra, n: int) -> "QuatMatrix":
-        return QuatMatrix.from_rows(alg, [[1 if i == j else 0 for j in range(n)]
-                                          for i in range(n)])
-
     @property
     def rows(self) -> int:
         return len(self.entries)

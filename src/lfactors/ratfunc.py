@@ -281,12 +281,6 @@ class Poly:
                 out[k] = out[k] + prod if k in out else prod
         return Poly(out)
 
-    def eval(self, x: complex) -> complex:
-        total = 0j
-        for k, v in self.coeffs.items():
-            total += v * x ** k
-        return total
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
@@ -426,10 +420,6 @@ class RatFunc:
         for _ in range(abs(k)):
             out = out * base
         return out
-
-    def eval(self, x: complex) -> complex:
-        num, den = self._complex_pair()
-        return num.eval(x) / den.eval(x)
 
     @property
     def is_exact(self) -> bool:

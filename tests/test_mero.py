@@ -108,6 +108,12 @@ def test_roundtrip_misc():
         assert from_json(to_json(x)) == x
 
 
+def _ratfunc_at(rf, x: complex) -> complex:
+    """The rational function rf at X = x."""
+    num, den = (sum(complex(v) * x ** k for k, v in f.coeffs.items()) for f in (rf.num, rf.den))
+    return num / den
+
+
 def test_as_rational_examples():
     la = MeroExpr.l_atom(5, 1, LinForm(Fraction(1), 0))
     assert str(as_rational_in_X(la, 5)) == "(1) / (1 + -1*X)"
@@ -117,7 +123,7 @@ def test_as_rational_examples():
     rng = random.Random(2)
     for _ in range(5):
         s = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2))
-        assert abs(tate.eval(s) - rf.eval(cmath.exp(-s * cmath.log(5)))) < 1e-9
+        assert abs(tate.eval(s) - _ratfunc_at(rf, cmath.exp(-s * cmath.log(5)))) < 1e-9
     with pytest.raises(UnsupportedExpressionError):
         as_rational_in_X(GR(1), 5)
 
@@ -758,3 +764,34 @@ def test_text_and_json_roundtrip_of_random_expressions():
         for atom, _ in x.atoms:
             copied = pickle.loads(pickle.dumps(atom))
             assert copied == atom and copied.key == atom.key and copied.form == atom.form
+
+
+def _recorded_payloads(node):
+    """The {text, tree} payloads in a golden file, depth first."""
+    if isinstance(node, dict):
+        if isinstance(node.get("text"), str) and isinstance(node.get("tree"), dict):
+            yield node["text"], node["tree"]
+        for v in node.values():
+            yield from _recorded_payloads(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _recorded_payloads(v)
+
+
+def test_readers_reprint_every_recorded_expression_byte_for_byte():
+    """Every golden text and tree and every doubling-snapshot text reads back
+    to itself, byte for byte; one snapshot text starts [-0.0-0.016...i], a
+    lone complex prefactor whose zero sign a product with 1 would drop."""
+    root = Path(__file__).resolve().parents[1]
+    payloads = [pair for path in sorted((root / "perfbench" / "golden").rglob("*.json"))
+                for pair in _recorded_payloads(json.loads(path.read_text(encoding="utf-8")))]
+    snapshot = json.loads((root / "tests" / "data" / "doubling_snapshot.json").read_text(encoding="utf-8"))
+    texts = [text.split(" @ ")[0] for record in snapshot.values() for text in record.values()
+             if not text.startswith("raises ")]
+    assert len(payloads) >= 96 and len(texts) >= 2025
+    for text in [text for text, _ in payloads] + texts:
+        assert format_expr(parse_expr(text)) == text
+    for text, tree in payloads:
+        back = from_json(tree)
+        assert json.dumps(to_json(back), sort_keys=True) == json.dumps(tree, sort_keys=True)
+        assert back == parse_expr(text)

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from lfactors.cli import main
 from lfactors.query import QueryValidationError, run_query
 from lfactors.doubling import UnsupportedPairError
-from lfactors.mero import format_expr, from_json, parse_expr
+from lfactors.mero import format_expr, from_json, parse_expr, to_json
 
 
 def q_pi0():
@@ -355,8 +356,55 @@ def test_cli_print_roundtrip(tmp_path, capsys):
     out = capsys.readouterr().out.strip()
     assert out == text
     expr = parse_expr(text)
-    from lfactors.mero import to_json
     j = tmp_path / "expr.json"
     j.write_text(json.dumps(to_json(expr)))
     assert main(["print", "-f", str(j), "--canonical"]) == 0
     assert capsys.readouterr().out.strip() == text
+
+
+# A tree with every field kind: exact prefactor, exp and lnf numerator atoms,
+# a gammaR denominator atom.
+_TREE = to_json(parse_expr("-3/2 * sqrt(5) * 5^(-s) * Lnf(5; 1; s+1/2) / GammaR(s)"))
+
+
+def _edited(path, value: str) -> str:
+    """_TREE as JSON text with the field at `path` spelled as `value`."""
+    tree = copy.deepcopy(_TREE)
+    node = tree
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "@"
+    return json.dumps(tree).replace('"@"', value)
+
+
+MALFORMED = [pytest.param(".txt", text, id=f"text {text[:24]}") for text in (
+    "1/0", "GammaR(s+1/0)", "GammaR(s+[1e400+0i])", "GammaR(s+" + "9" * 400 + ")",
+    "Lnf(1/2; 1; s)", "GammaR(s)^1/2", "Lnf(0; 1; s)", "sqrt(4)",
+    # spellings format_expr never prints
+    "Lnf(5;1;s)", "GammaR(s)/GammaR(s+1)", "5^(s+1)", "2 / GammaR(s) * GammaR(s+1)",
+)] + [pytest.param(".json", text, id=f"json {name}") for name, text in (
+    ("rat 1/0", _edited(("prefactor", "rat"), '"1/0"')),
+    ("beta [1e400, 0]", _edited(("numerator", 1, "arg", "beta"), "[1e400, 0]")),
+    ("top-level []", "[]"),
+    ("re null", _edited(("prefactor",), '{"kind": "complex", "re": null, "im": 0.0}')),
+    ("power 1.5", _edited(("denominator", 0, "power"), "1.5")),
+    ("roots [4]", _edited(("prefactor", "roots"), "[4]")),
+    ("roots [-3]", _edited(("prefactor", "roots"), "[-3]")),
+    ("q 0", _edited(("numerator", 1, "q"), "0")),
+    ("exp base -2", _edited(("numerator", 0, "base"), '"-2"')),
+)]
+
+
+@pytest.mark.parametrize("suffix, text", MALFORMED)
+def test_cli_print_refuses_a_malformed_expression(tmp_path, capsys, suffix, text):
+    """Each exits 2 with a one-line message; an exception here would be a traceback."""
+    path = tmp_path / f"expr{suffix}"
+    path.write_text(text)
+    assert main(["print", "-f", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("validation error: ") and captured.out == ""
+
+
+def test_malformed_tree_edits_a_tree_that_reads():
+    assert format_expr(from_json(json.loads(_edited(("prefactor", "rat"), '"-3/2"')))) == \
+        "-3/2 * sqrt(5) * 5^(-s) * Lnf(5; 1; s+1/2) / GammaR(s)"
