@@ -26,6 +26,7 @@ from .fields import (
     hilbert_pair_class,
     valuation,
 )
+from .memo import per_call
 from .scalars import add, inv, is_exact, mul, neg, rat_power
 
 ComplexLike = complex | float | int | Fraction
@@ -81,6 +82,11 @@ class MultCharacter:
         return MultCharacter(field, SquareClass(field, "1"), 1, t)
 
     @property
+    def memo_key(self) -> tuple:
+        """Equal characters whose z or t differ in type print apart."""
+        return self, type(self.z), type(self.t)
+
+    @property
     def delta(self) -> int:
         """Sign exponent over R."""
         if not self.field.is_real:
@@ -104,6 +110,7 @@ def quadratic_character(field: LocalField, d: SquareClass) -> MultCharacter:
     return MultCharacter(field, d)
 
 
+@per_call
 def char_eval(chi: MultCharacter, x: Rational) -> ExactConst | complex:
     """chi(x) as an exact constant when z and t permit, else complex."""
     x = as_fraction(x)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .characters import AddCharacter, MultCharacter, char_eval
+from .memo import per_call
 from .mero import LinForm, MeroExpr, mero_mul
 from .tate import abs_power, tate_L, tate_gamma
 
@@ -38,11 +39,13 @@ def _shifted(m: int, tate: MeroExpr) -> list[MeroExpr]:
     return [tate.subst(1, shift) for shift in _shifts(m)]
 
 
+@per_call
 def gj_gamma_norm(m: int, mu: MultCharacter, psi: AddCharacter) -> MeroExpr:
     if m < 1:
         raise ValueError("GL block size must be >= 1")
     return mero_mul(_prefactor(m, mu), *_shifted(m, tate_gamma(mu, psi)))
 
 
+@per_call
 def gj_L(m: int, mu: MultCharacter) -> MeroExpr:
     return mero_mul(*_shifted(m, tate_L(mu)))

@@ -149,14 +149,15 @@ class QiSqrt:
     __complex__ = to_complex
 
     def __str__(self):
-        if not self:
-            return "0"
-        terms = []
-        for coef, tag in ((self.a, ""), (self.b, f"*sqrt({self.p})"),
-                          (self.c, "*i"), (self.d, f"*i*sqrt({self.p})")):
-            if coef:
-                terms.append(f"{Fraction(coef, self.n)}{tag}")
-        return " + ".join(terms).replace("+ -", "- ")
+        return _coef_text(self.p, self.n, (self.a, self.b, self.c, self.d))
+
+
+def _coef_text(p: int, n: int, parts) -> str:
+    """(a + b sqrt(p) + (c + d sqrt(p)) i) / n as text, each part spelled as
+    Fraction(part, n), so the parts need not be in lowest terms."""
+    tags = ("", f"*sqrt({p})", "*i", f"*i*sqrt({p})")
+    terms = [f"{Fraction(x, n)}{tag}" for x, tag in zip(parts, tags) if x]
+    return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
 def _exact_to_qisqrt(p: int, v, e: int = 0) -> QiSqrt:
@@ -221,11 +222,14 @@ class ExactPoly:
                 part[k] = x * (n // c.n)
         return ExactPoly(p, n, parts)
 
+    def _nonzero_parts(self) -> dict[int, tuple]:
+        """The (a, b, c, d) of each nonzero coefficient, by exponent."""
+        return {k: xs for k, xs in enumerate(zip(*self.parts)) if any(xs)}
+
     @property
     def coeffs(self) -> dict[int, QiSqrt]:
         """The nonzero coefficients by exponent."""
-        p, n = self.p, self.n
-        return {k: QiSqrt._of_ints(p, *xs, n) for k, xs in enumerate(zip(*self.parts)) if any(xs)}
+        return {k: QiSqrt._of_ints(self.p, *xs, self.n) for k, xs in self._nonzero_parts().items()}
 
     @property
     def degree(self) -> int:
@@ -243,7 +247,7 @@ class ExactPoly:
         return hash((self.p, self.n, self.parts))
 
     def __str__(self):
-        return _spell(self.coeffs, str)
+        return _spell(self._nonzero_parts(), lambda xs: _coef_text(self.p, self.n, xs))
 
 
 def _mul(p: int, f: tuple, g: tuple) -> tuple:

@@ -10,6 +10,7 @@ add and sub take rationals or complex numbers.
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 
 from .exactconst import ExactConst
@@ -65,7 +66,12 @@ def is_half_integer(e) -> bool:
 
 
 def rat_power(base, e):
-    """base ** e for a positive rational base: exact when e is a half-integer."""
+    """base ** e for a positive rational base: exact when e is a half-integer;
+    a base outside the float range is logged as log(numerator) - log(denominator)."""
     if is_half_integer(e):
         return ExactConst.half_power(base, int(2 * e))
-    return cmath.exp(complex(e) * cmath.log(float(base)))
+    try:
+        log = cmath.log(float(base))
+    except (OverflowError, ValueError):  # float(base) overflowed or became 0.0
+        log = math.log(base.numerator) - math.log(base.denominator)
+    return cmath.exp(complex(e) * log)

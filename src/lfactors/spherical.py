@@ -120,9 +120,8 @@ def gamma_spherical(data: SphericalData) -> MeroExpr:
     # of ROADMAP item 1 and waits for that golden to be regenerated.
     shift = 0j
     # kernel: L(1-u)/L(u); the kernel datum is self-dual
-    num = _kernel_L(data, shift).subst(-1, 1)
     den = _kernel_L(data, shift)
-    out = mero_mul(out, num, den.inv())
+    out = mero_mul(out, den.subst(-1, 1), den.inv())
     for t in data.exponents:
         bnum = _block_L(data.field, neg(t), shift).subst(-1, 1)   # dual block: |Nrd|^{-t}
         bden = _block_L(data.field, t, shift)

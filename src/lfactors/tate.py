@@ -11,23 +11,21 @@ values in {sqrt p, i sqrt p} after a numerical guard.
 from __future__ import annotations
 
 import cmath
+import functools
 from fractions import Fraction
 
 from .characters import AddCharacter, MultCharacter, char_eval, char_inverse
 from .exactconst import ExactConst
 from .fields import LocalField, UnsupportedFieldError, valuation
+from .memo import per_call
 from .mero import LinForm, MeroExpr, mero_mul
 from .scalars import add, is_exact, neg
 
-# idempotent value cache; concurrent double-computation is harmless
-_GAUSS_CACHE: dict[int, ExactConst] = {}
 
-
+@functools.cache  # a constant of p, kept for the life of the process
 def gauss_sum(p: int) -> ExactConst:
     """The quadratic Gauss sum sum_x (x/p) e^{2 pi i x / p}, computed as the
     literal finite sum and snapped to its exact value (sqrt p or i sqrt p)."""
-    if p in _GAUSS_CACHE:
-        return _GAUSS_CACHE[p]
     total = 0j
     for x in range(1, p):
         leg = pow(x, (p - 1) // 2, p)
@@ -43,10 +41,10 @@ def gauss_sum(p: int) -> ExactConst:
     best, val = min(candidates.items(), key=lambda kv: abs(total - kv[1]))
     if abs(total - val) > 1e-9 * root:
         raise ArithmeticError(f"Gauss sum for p={p} did not snap to an exact value")
-    _GAUSS_CACHE[p] = best
     return best
 
 
+@per_call
 def tate_L(chi: MultCharacter) -> MeroExpr:
     """L(s, chi): GammaR(s + t + delta) over R; (1 - chi(pi) q^{-s})^{-1}
     unramified nonarch; 1 ramified."""
@@ -58,6 +56,7 @@ def tate_L(chi: MultCharacter) -> MeroExpr:
     return MeroExpr.l_atom(chi.field.q, chi.z, LinForm(Fraction(1), chi.t))
 
 
+@per_call
 def tate_eps(chi: MultCharacter, psi: AddCharacter) -> MeroExpr:
     """epsilon(s, chi, psi_a), as a MeroExpr in s."""
     if chi.field != psi.field:
@@ -103,6 +102,7 @@ def _psi_scale(chi: MultCharacter, a: Fraction) -> MeroExpr:
                     abs_power(chi.field, a, LinForm(Fraction(1), Fraction(-1, 2))))
 
 
+@per_call
 def tate_gamma(chi: MultCharacter, psi: AddCharacter) -> MeroExpr:
     """gamma(s, chi, psi) = eps(s, chi, psi) L(1-s, chi^{-1}) / L(s, chi)."""
     dual = tate_L(char_inverse(chi)).subst(-1, 1)
@@ -114,11 +114,13 @@ def eps_at_half(chi: MultCharacter, psi: AddCharacter) -> ExactConst | complex:
     return tate_eps(chi, psi).subst(0, Fraction(1, 2)).constant_value()
 
 
+@per_call
 def discrete_L(l: int) -> MeroExpr:
     """L(s, D_l) = GammaC(s + l/2)."""
     return MeroExpr.gamma_c(LinForm(Fraction(1), Fraction(l, 2)))
 
 
+@per_call
 def discrete_gamma(l: int, psi: AddCharacter) -> MeroExpr:
     """gamma(s, D_l, psi_a) = i^{l+1} GammaC(l/2 + 1 - s) / GammaC(s + l/2),
     times sgn(a)^{l+1} |a|^{2s - 1}: D_l has determinant sgn^{l+1} and

@@ -31,6 +31,7 @@ from .fields import (LocalField, SquareClass, hilbert_symbol, nonsquare_unit,
 from .gj import gj_gamma_norm
 from .hermitian import (LINEAR, SKEW, HermitianSpace, discriminant, kottwitz_sign,
                         morita_natural)
+from .memo import scope
 from .mero import (LinForm, MeroExpr, format_expr, from_json, max_rel_error,
                    mero_mul, parse_expr, to_json)
 from .quaternion import (QuatMatrix, QuaternionAlgebra, matrix_reduced_norm,
@@ -272,19 +273,27 @@ def _morita(rng):
 # ---------------------------------------------------------------------------
 # Expressions and Tate's thesis
 
+def _complexified(rng: random.Random, x):
+    """x, or one time in four x + k i / 8 with k odd; no x drawn below is an odd
+    multiple of 1/8, so a reader that swaps the two parts changes the value."""
+    return complex(x, rng.choice([-7, -5, -3, -1, 1, 3, 5, 7]) / 8) if rng.random() < 0.25 else x
+
+
 def _random_expr(rng: random.Random) -> MeroExpr:
-    parts = [MeroExpr.const(ExactConst(Fraction(rng.randint(1, 5), rng.randint(1, 5)),
-                                       rng.randint(0, 3),
-                                       frozenset(rng.sample([2, 3, 5], rng.randint(0, 2)))))]
+    parts = [MeroExpr.const(_complexified(rng, ExactConst(
+        Fraction(rng.randint(1, 5), rng.randint(1, 5)), rng.randint(0, 3),
+        frozenset(rng.sample([2, 3, 5], rng.randint(0, 2))))))]
     for _ in range(rng.randint(1, 4)):
-        form = LinForm(Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-4, 4), 2))
+        form = LinForm(Fraction(rng.randint(-2, 2)),
+                       _complexified(rng, Fraction(rng.randint(-4, 4), 2)))
         kind = rng.randrange(4)
         if kind == 0:
             parts.append(MeroExpr.gamma_r(form))
         elif kind == 1:
             parts.append(MeroExpr.gamma_c(form))
         elif kind == 2:
-            parts.append(MeroExpr.l_atom(rng.choice(PRIMES), rng.choice([1, -1]), form))
+            parts.append(MeroExpr.l_atom(rng.choice(PRIMES),
+                                         _complexified(rng, rng.choice([1, -1])), form))
         else:
             parts.append(MeroExpr.exp(Fraction(rng.randint(2, 5)), form))
         if rng.random() < 0.4:
@@ -578,6 +587,7 @@ SUITES = {
 }
 
 
+@scope()
 def run_verify(suite: str = "all", seed: int = 7, corrupt: bool = False) -> Report:
     """Run a suite (or all of them); with corrupt, every check's first
     right-hand side is perturbed, so every check must fail."""

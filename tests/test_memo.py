@@ -1,0 +1,92 @@
+"""The per-call memo: inside a scope a builder returns what it built before for
+equal, equally typed arguments; nothing outlives the scope or crosses threads."""
+
+import threading
+from fractions import Fraction
+
+import pytest
+
+from lfactors import memo, tate, verify
+from lfactors.characters import AddCharacter, MultCharacter, char_eval, char_inverse
+from lfactors.fields import LocalField
+from lfactors.gj import gj_L, gj_gamma_norm
+from lfactors.verify import run_verify
+
+Q5 = LocalField.padic(5)
+PSI = AddCharacter.standard(Q5)
+# equal and hashing alike, but spelled s+1/2 and s+[0.5+0.0i]
+HALF = MultCharacter.norm_power(Q5, Fraction(1, 2))
+HALF_C = MultCharacter.norm_power(Q5, 0.5 + 0j)
+BUILDERS = [(tate.tate_gamma, (PSI,)), (tate.tate_L, ()), (tate.tate_eps, (PSI.rescale(5),)),
+            (lambda chi, *a: gj_gamma_norm(2, chi, *a), (PSI,)),
+            (lambda chi: gj_L(2, chi), ()), (char_eval, (Fraction(25),))]
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The characters tate_gamma has built, one entry per build (each build
+    inverts its character once, for the dual L)."""
+    seen = []
+
+    def counting(chi):
+        seen.append(chi)
+        return char_inverse(chi)
+
+    monkeypatch.setattr(tate, "char_inverse", counting)
+    return seen
+
+
+def test_rational_and_complex_twists_keep_their_spelling_in_one_scope():
+    assert HALF == HALF_C and hash(HALF) == hash(HALF_C)
+    spelled_apart = 0
+    for build, rest in BUILDERS:
+        want = [str(build(chi, *rest)) for chi in (HALF, HALF_C)]
+        spelled_apart += want[0] != want[1]
+        for order in ((0, 1), (1, 0)):
+            with memo.scope():
+                got = [str(build((HALF, HALF_C)[i], *rest)) for i in order * 2]
+            assert got == [want[i] for i in order * 2]
+    assert spelled_apart == len(BUILDERS) - 1  # gj_L's shifts land on integers, spelled alike
+    assert "s+1/2" in str(tate.tate_gamma(HALF, PSI))
+    assert "s+[0.5+0.0i]" in str(tate.tate_gamma(HALF_C, PSI))
+
+
+def test_nothing_outlives_a_verify_pass(builds):
+    for check in verify.SUITES["tate"]:  # outside a scope every call builds
+        check(7)
+    unscoped = len(builds)
+    builds.clear()
+    first = run_verify("tate", 7).to_json()
+    once = len(builds)
+    # tate-psi-rescaling asks for gamma(chi, psi) once per psi scale: one build a pass
+    assert 0 < once < unscoped
+    assert run_verify("tate", 7).to_json() == first
+    assert builds == builds[:once] * 2
+
+
+def test_threads_keep_their_own_memo(builds):
+    chars = {"a": MultCharacter.trivial(Q5), "b": HALF}
+    both_built = threading.Barrier(2)
+
+    def work(name, other):
+        with memo.scope():
+            tate.tate_gamma(chars[name], PSI)
+            both_built.wait(timeout=10)
+            tate.tate_gamma(chars[other], PSI)  # built by the other thread only
+            tate.tate_gamma(chars[name], PSI)   # this thread's own entry
+
+    threads = [threading.Thread(target=work, args=pair) for pair in (("a", "b"), ("b", "a"))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert sorted(map(str, builds)) == sorted(map(str, list(chars.values()) * 2))
+
+
+def test_no_scope_no_cache(builds):
+    first, second = tate.tate_gamma(HALF, PSI), tate.tate_gamma(HALF, PSI)
+    assert first == second and first is not second
+    assert builds == [HALF, HALF]
+    with memo.scope():
+        assert tate.tate_gamma(HALF, PSI) is tate.tate_gamma(HALF, PSI)
+    assert len(builds) == 3

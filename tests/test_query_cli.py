@@ -318,7 +318,11 @@ def test_cli_accepts_integers_at_the_bound(tmp_path, capsys, doc):
     (dict(_P5_HERM, algebra={"a": str(10 ** 399 + 1), "b": "5"}), 0),
     # z^ord(x) with a complex z has no exact form: refused as unsupported
     (dict(_P5_HERM, omega={"z": [1.3, 0]}, norm_value=str(5 ** 3000), outputs=["R"]), 3),
-], ids=["induced-c-constant", "algebra-a-400-digits", "complex-z-to-power-3000"])
+    # |x|^(1/3) of a 400-digit x is about 10^133: the base's log is taken from its parts
+    ({"field": {"kind": "real"}, "omega": {"t": "1/3"}, "norm_value": str(10 ** 400), "outputs": ["R"],
+      "rep": {"kind": "sp_highest_weight", "lambda": [0]}}, 0),
+], ids=["induced-c-constant", "algebra-a-400-digits", "complex-z-to-power-3000",
+        "norm-value-400-digits-to-a-third"])
 def test_cli_values_past_the_float_range(tmp_path, capsys, doc, status):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(doc))

@@ -249,6 +249,16 @@ def test_rat_power_matches_mero_and_ratfunc():
                   scalar, r, k)
 
 
+def test_rat_power_of_a_base_outside_the_float_range():
+    big, tiny = Fraction(10 ** 400), Fraction(1, 10 ** 400)
+    for base, e in ((big, Fraction(1, 3)), (tiny, Fraction(-1, 3)), (big, 0.001 + 0j)):
+        want = cmath.exp(complex(e) * 400 * cmath.log(10) * (1 if base > 1 else -1))
+        assert cmath.isclose(rat_power(base, e), want, rel_tol=1e-12)
+    # inside the range the float path is kept, bit for bit
+    for base in (Fraction(3), Fraction(1, 5), Fraction(10 ** 300, 7)):
+        assert rat_power(base, Fraction(1, 3)) == cmath.exp(complex(Fraction(1, 3)) * cmath.log(float(base)))
+
+
 def test_power_matches_ratfunc_and_the_mero_twist():
     for v in _exact_consts() + _floats() + _complexes():
         for k in (0, 1, 2, 3, -1, -2):

@@ -4,6 +4,7 @@ every check can fail."""
 import json
 from fractions import Fraction
 
+from lfactors import mero
 from lfactors.cli import main
 from lfactors.exactconst import ExactConst
 from lfactors.fields import LocalField
@@ -60,3 +61,19 @@ def test_corrupt_fails_every_check():
     names = [check.name for checks in SUITES.values() for check in checks]
     assert len(names) == 23 and [r.name for r in report.results] == names
     assert [r.name for r in report.results if r.passed or r.mismatches < 1] == []
+
+
+def test_roundtrip_check_reads_complex_parts(monkeypatch):
+    """The expression-roundtrip check draws complex betas, L-atom values and
+    prefactors, so a reader that swaps a complex number's parts fails it."""
+    assert list(run_verify("mero").lines()) == [
+        "[pass] expression-roundtrip: 40 samples, 0 mismatches, max err 0.00e+00 (equal 40)"]
+    read = mero._text_value
+
+    def swapped(text):
+        value = read(text)
+        return value[::-1] if isinstance(value, tuple) else value
+
+    monkeypatch.setattr(mero, "_text_value", swapped)
+    report = run_verify("mero")
+    assert not report.passed and report.results[0].mismatches > 0
