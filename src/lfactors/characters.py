@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exactconst import ExactConst
 from .fields import (
@@ -26,7 +27,7 @@ from .fields import (
     hilbert_pair_class,
     valuation,
 )
-from .memo import per_call
+from .memo import Key, per_call
 from .scalars import add, inv, is_exact, mul, neg, rat_power
 
 ComplexLike = complex | float | int | Fraction
@@ -81,10 +82,7 @@ class MultCharacter:
     def norm_power(field: LocalField, t: ComplexLike) -> "MultCharacter":
         return MultCharacter(field, SquareClass(field, "1"), 1, t)
 
-    @property
-    def memo_key(self) -> tuple:
-        """Equal characters whose z or t differ in type print apart."""
-        return self, type(self.z), type(self.t)
+    memo_key = cached_property(Key)  # equal z or t of other types print apart
 
     @property
     def delta(self) -> int:

@@ -33,6 +33,7 @@ from .fields import (LocalField, Rational, SquareClass, as_fraction,
 from .gj import gj_L, gj_gamma_norm
 from .hermitian import (HERMITIAN, LINEAR, SKEW, HermitianSpace, discriminant,
                         kottwitz_sign)
+from .memo import Key, per_call
 from .mero import LinForm, MeroExpr, mero_mul, twist_nonarch
 from .quaternion import QuaternionAlgebra
 from .scalars import mul
@@ -56,6 +57,7 @@ class RepDatum:
     it is self-dual with central sign 1, over the field of its space."""
 
     central_sign = 1
+    memo_key = cached_property(Key)  # types of a character's z and t included
 
     @property
     def field(self) -> LocalField:
@@ -277,6 +279,7 @@ def _product(rep: RepDatum, omega: MultCharacter,
     return mero_mul(*parts)
 
 
+@per_call
 def gamma_factor(rep: RepDatum, omega: MultCharacter, psi: AddCharacter) -> MeroExpr:
     """gamma(s, rep x omega, psi) via the supported closed-form table."""
     if omega.field != rep.field or psi.field != rep.field:
@@ -324,6 +327,7 @@ def _omega_s_power(omega: MultCharacter, y: Fraction, k: int) -> MeroExpr:
     return const if absy.is_constant else const * absy
 
 
+@per_call
 def correction_R(space: HermitianSpace, omega: MultCharacter, A: RegularNilpotentData,
                  psi: AddCharacter) -> MeroExpr:
     """The three-case correction factor R(s, omega, A, psi)."""
@@ -345,6 +349,7 @@ def correction_R(space: HermitianSpace, omega: MultCharacter, A: RegularNilpoten
     return mero_mul(_omega_s_power(omega, x, -1), MeroExpr.const(eps))
 
 
+@per_call
 def t_factor(space: HermitianSpace, omega: MultCharacter, a: Rational) -> MeroExpr:
     """T_N(s, omega, a) = omega_{s-1/2}(a)^N (times chi_disc(a) when skew)."""
     a = as_fraction(a)
@@ -357,6 +362,7 @@ def t_factor(space: HermitianSpace, omega: MultCharacter, a: Rational) -> MeroEx
     return out
 
 
+@per_call
 def normalization_c(space: HermitianSpace, omega: MultCharacter, A: RegularNilpotentData,
                     psi: AddCharacter) -> MeroExpr:
     """The normalizing constant c(s, omega, A, psi).

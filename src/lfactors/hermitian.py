@@ -14,10 +14,12 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exactconst import factorization
 from .fields import (LocalField, SquareClass, UnsupportedOperationError,
                      hilbert_symbol, square_class)
+from .memo import Key, per_call
 from .quaternion import (QuatMatrix, Quaternion, QuaternionAlgebra,
                          matrix_reduced_norm, rational_det)
 
@@ -36,6 +38,7 @@ class HermitianSpace:
     # N(gram), computed once by the degeneracy check; None without a gram
     gram_norm: Fraction | None = dataclasses.field(default=None, init=False, repr=False,
                                                    compare=False)
+    memo_key = cached_property(Key)  # hashed once: a Gram matrix hashes entry by entry
 
     def __post_init__(self):
         if self.form_type not in (LINEAR, HERMITIAN, SKEW):
@@ -155,6 +158,7 @@ def _isotropic_vector(alg: QuaternionAlgebra) -> Quaternion:
     raise MoritaError("no rational norm-zero element of height below 40 found")
 
 
+@per_call
 def _split_iso(alg: QuaternionAlgebra):
     """An explicit algebra isomorphism D -> M_2(F): returns (phi, e, m) where
     phi maps quaternions to 2x2 rational matrices, e = phi^{-1}(E11) and

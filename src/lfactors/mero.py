@@ -402,8 +402,8 @@ class MeroExpr:
             return NotImplemented
         return self.atoms == other.atoms and _pref_eq(self.prefactor, other.prefactor)
 
-    def __hash__(self):
-        return hash((self.atoms, str(self.prefactor)))
+    def __hash__(self):  # equal prefactors may differ in kind or in the last digits
+        return hash(self.atoms)
 
 
 def _pref_eq(x, y) -> bool:

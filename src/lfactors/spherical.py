@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from .characters import MultCharacter
 from .fields import LocalField, SquareClass
+from .memo import per_call
 from .mero import LinForm, MeroExpr, mero_mul
 from .ratfunc import as_rational_in_X
 from .scalars import add, neg, sub
@@ -72,6 +73,7 @@ class SphericalData:
         return 2 * half
 
 
+@per_call
 def _zeta(field: LocalField, shift) -> MeroExpr:
     """zeta_F(s + shift), the Tate L-factor of the trivial character."""
     return tate_L(MultCharacter.trivial(field)).subst(1, shift)
@@ -117,7 +119,7 @@ def gamma_spherical(data: SphericalData) -> MeroExpr:
         if npr else MeroExpr.one()
     # The shift 0j, not 0, keeps the complex block betas of the committed
     # golden q3-spherical-hermitian (-s+[1.5+0.0i]); an exact 0 is the fix
-    # of ROADMAP item 1 and waits for that golden to be regenerated.
+    # of ROADMAP item 2 and waits for that golden to be regenerated.
     shift = 0j
     # kernel: L(1-u)/L(u); the kernel datum is self-dual
     den = _kernel_L(data, shift)

@@ -31,7 +31,7 @@ from .fields import (LocalField, SquareClass, hilbert_symbol, nonsquare_unit,
 from .gj import gj_gamma_norm
 from .hermitian import (LINEAR, SKEW, HermitianSpace, discriminant, kottwitz_sign,
                         morita_natural)
-from .memo import scope
+from .memo import per_call, scope
 from .mero import (LinForm, MeroExpr, format_expr, from_json, max_rel_error,
                    mero_mul, parse_expr, to_json)
 from .quaternion import (QuatMatrix, QuaternionAlgebra, matrix_reduced_norm,
@@ -211,12 +211,11 @@ def _random_quat_matrix(rng, alg, n, height=4) -> QuatMatrix:
     return QuatMatrix.from_rows(alg, rows)
 
 
+@per_call
 def _space_of_type(alg, ftype, n) -> HermitianSpace:
     if ftype == "linear":
         return HermitianSpace.linear(alg, n)
-    if ftype == "hermitian":
-        return HermitianSpace.diagonal(alg, "hermitian", [1] * n)
-    return HermitianSpace.diagonal(alg, "skew", [alg.element(0, 1)] * n)
+    return HermitianSpace.diagonal(alg, ftype, [1 if ftype == "hermitian" else alg.element(0, 1)] * n)
 
 
 def _reduced_norm(rng, samples: int = 100):
@@ -369,6 +368,7 @@ def _tate_psi_scaling(rng):
 # ---------------------------------------------------------------------------
 # The representation battery
 
+@per_call
 def rep_battery():
     """(rep, omega, field) triples covering the supported table."""
     out = []
@@ -401,7 +401,7 @@ def rep_battery():
         out.append((GLChar(1, chi_u), chi_u))
         kern = TrivialRep(_space_of_type(div, "hermitian", 1))
         out.append((Induced((GLChar(1, triv),), kern), triv))
-    return out
+    return tuple(out)
 
 
 def _functional_equation(rng):

@@ -1,15 +1,22 @@
 """The per-call memo: inside a scope a builder returns what it built before for
-equal, equally typed arguments; nothing outlives the scope or crosses threads."""
+equal, equally typed arguments; nothing outlives the scope or crosses threads,
+and a memoised verify pass reports what an unmemoised one does."""
 
+import copy
+import pickle
 import threading
 from fractions import Fraction
 
 import pytest
 
-from lfactors import memo, tate, verify
+from lfactors import doubling, memo, tate, verify
 from lfactors.characters import AddCharacter, MultCharacter, char_eval, char_inverse
+from lfactors.doubling import GLChar, Induced, TrivialRep, gamma_factor
 from lfactors.fields import LocalField
 from lfactors.gj import gj_L, gj_gamma_norm
+from lfactors.hermitian import HermitianSpace
+from lfactors.quaternion import QuaternionAlgebra
+from lfactors.spherical import SphericalData, spherical_zeta
 from lfactors.verify import run_verify
 
 Q5 = LocalField.padic(5)
@@ -20,6 +27,13 @@ HALF_C = MultCharacter.norm_power(Q5, 0.5 + 0j)
 BUILDERS = [(tate.tate_gamma, (PSI,)), (tate.tate_L, ()), (tate.tate_eps, (PSI.rescale(5),)),
             (lambda chi, *a: gj_gamma_norm(2, chi, *a), (PSI,)),
             (lambda chi: gj_L(2, chi), ()), (char_eval, (Fraction(25),))]
+TRIV = MultCharacter.trivial(Q5)
+KERNEL = TrivialRep(HermitianSpace(QuaternionAlgebra(Q5, 2, 5), "hermitian", 0))
+# builders above the characters, each fed a twist chi through a new datum
+DATA = {"glchar": lambda chi: gamma_factor(GLChar(1, chi), TRIV, PSI),
+        "induced": lambda chi: gamma_factor(Induced((GLChar(1, chi),), KERNEL), TRIV, PSI),
+        "spherical": lambda chi: spherical_zeta(
+            SphericalData(Q5, "hermitian", 1, 0, (chi.t,))).value_over_vol()}
 
 
 @pytest.fixture
@@ -49,6 +63,49 @@ def test_rational_and_complex_twists_keep_their_spelling_in_one_scope():
     assert spelled_apart == len(BUILDERS) - 1  # gj_L's shifts land on integers, spelled alike
     assert "s+1/2" in str(tate.tate_gamma(HALF, PSI))
     assert "s+[0.5+0.0i]" in str(tate.tate_gamma(HALF_C, PSI))
+
+
+@pytest.mark.parametrize("build", DATA.values(), ids=DATA)
+def test_data_with_rational_and_complex_twists_keep_their_spelling(build):
+    want = [str(build(chi)) for chi in (HALF, HALF_C)]
+    assert want[0] != want[1]
+    for order in ((0, 1), (1, 0)):
+        with memo.scope():
+            got = [str(build((HALF, HALF_C)[i])) for i in order * 2]
+        assert got == [want[i] for i in order * 2]
+
+
+def test_a_value_keeps_its_key_through_a_copy_or_a_pickle():
+    rep = Induced((GLChar(1, HALF_C),), KERNEL)
+    key = rep.memo_key
+    for copied in (copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))):
+        assert copied == rep and copied.memo_key == key and hash(copied.memo_key) == hash(key)
+    assert copied.memo_key != Induced((GLChar(1, HALF),), KERNEL).memo_key
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_a_memoised_pass_reports_what_an_unmemoised_one_does(seed):
+    assert run_verify("all", seed).to_json() == run_verify.__wrapped__("all", seed).to_json()
+
+
+def test_gamma_factor_is_built_once_per_distinct_key(monkeypatch):
+    asked, built = [], 0
+    lookup, product = doubling.gamma_factor, doubling._product
+
+    def asking(*args):
+        asked.append(tuple(map(memo.key_of, args)))
+        return lookup(*args)
+
+    def building(rep, omega, build):
+        nonlocal built
+        built += build.__qualname__.startswith("gamma_factor.")  # not an L-factor
+        return product(rep, omega, build)
+
+    for module in (doubling, verify):
+        monkeypatch.setattr(module, "gamma_factor", asking)
+    monkeypatch.setattr(doubling, "_product", building)
+    run_verify("all", 1)
+    assert built == len(set(asked)) < len(asked)
 
 
 def test_nothing_outlives_a_verify_pass(builds):

@@ -155,6 +155,16 @@ def test_mul_commutative_associative_canonical():
     assert mero_mul(mero_mul(a, b), c) == mero_mul(a, mero_mul(b, c))
 
 
+def test_equal_expressions_hash_alike():
+    """Prefactors compare equal within 1e-12, and an exact one equal to a complex one."""
+    pairs = [(1 + 0j, 1.0000000000001 + 0j), (ExactConst(Fraction(1, 2)), 0.5 + 0j)]
+    for x, y in pairs:
+        for atom in (MeroExpr.one(), GR(1, Fraction(1, 2))):
+            a, b = atom * MeroExpr.const(x), atom * MeroExpr.const(y)
+            assert a == b and hash(a) == hash(b)
+            assert len({a, b}) == 1
+
+
 def test_eval_accuracy_on_strip_against_mpmath():
     """>= 1e-12 relative accuracy for |Re s|, |Im s| <= 20."""
     mpmath.mp.dps = 40
