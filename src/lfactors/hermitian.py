@@ -38,7 +38,7 @@ class HermitianSpace:
     # N(gram), computed once by the degeneracy check; None without a gram
     gram_norm: Fraction | None = dataclasses.field(default=None, init=False, repr=False,
                                                    compare=False)
-    memo_key = cached_property(Key)  # hashed once: a Gram matrix hashes entry by entry
+    memo_key = cached_property(Key)  # hashed once: a Gram matrix hashes every coordinate
 
     def __post_init__(self):
         if self.form_type not in (LINEAR, HERMITIAN, SKEW):
@@ -229,7 +229,7 @@ def morita_natural(space: HermitianSpace) -> BilinearSpace:
         row = []
         gi_star = estar if gi is e else mstar
         for j, gj in gens:
-            hij = space.gram.entries[i][j]
+            hij = space.gram[i, j]
             val = phi(gi_star * hij * gj)
             # h(x e, y e) sits in (1-e) D e, i.e. the (2,1) matrix slot
             row.append(val[1][0])

@@ -20,6 +20,13 @@ The core is on Python ints: a LinForm holds alpha = an/ad and an exact beta
 or an inexact beta rounded to a 2^-40 grid, and both as floats for the
 kernel.  Slotted atoms with with_form make subst one affine composition
 per atom; mero_mul canonicalises once, whatever the number of factors.
+Results that are canonical by construction skip canonicalisation: inv
+negates powers, which keeps every atom's key, and subst(a, b) with a != 0
+and an int or Fraction b maps distinct atoms to distinct atoms, so it only
+moves exponential constants into the prefactor and re-sorts.  subst takes
+the general path for a = 0, for any other b, and when a beta computed in
+floats (a complex beta, or an int b times a fractional alpha) lets two
+atoms merge.
 """
 
 from __future__ import annotations
@@ -161,10 +168,15 @@ class LinForm:
         long as it is at most 2^53, so that every factor is a float exactly)."""
         if type(b) is Fraction:
             return _reduce(self.an * b.numerator, self.ad * b.denominator)
-        if type(b) is int and self.ad == 1 and abs(p := self.an * b) <= 2 ** 53:
-            return p, 1
+        if self._scales_exactly(b):
+            return self.an * b, 1
         v = _beta_norm(complex(self.af) * complex(b))
         return (v.numerator, 1) if type(v) is Fraction else v
+
+    def _scales_exactly(self, b) -> bool:
+        """Whether _scaled(b) works without floats."""
+        return (type(b) is Fraction
+                or type(b) is int and self.ad == 1 and abs(self.an * b) <= 2 ** 53)
 
     def _plus_beta(self, y):
         """beta + y for y as _scaled returns it: exact when both are, else the
@@ -304,8 +316,7 @@ Atom = ExpAtom | GammaRAtom | GammaCAtom | LAtom
 
 
 def _atom_sort_key(item):
-    atom, power = item
-    return atom.key + (power,)
+    return item[0].key  # unique within a table
 
 
 class MeroExpr:
@@ -353,7 +364,10 @@ class MeroExpr:
         return mero_mul(self, other)
 
     def inv(self) -> "MeroExpr":
-        return MeroExpr(inv(self.prefactor), [(a, -k) for a, k in self.atoms])
+        # negated powers and exponents keep every atom's key: no re-canonicalisation
+        return _canonical(inv(self.prefactor), tuple(
+            (ExpAtom(a.base, _form(-a.form.an, a.form.ad, (0, 1))), 1) if type(a) is ExpAtom
+            else (a, -k) for a, k in self.atoms))
 
     def __pow__(self, k: int) -> "MeroExpr":
         return mero_mul(*[self if k > 0 else self.inv()] * abs(k))
@@ -361,8 +375,31 @@ class MeroExpr:
     def subst(self, a, b=0) -> "MeroExpr":
         """s |-> a*s + b in every atom argument."""
         a = Fraction(a)
+        if a != 0 and type(b) in (int, Fraction) and (out := self._subst_exact(a, b)) is not None:
+            return out
         return MeroExpr(self.prefactor, [(atom.with_form(atom.form.compose(a, b)), k)
                                          for atom, k in self.atoms])
+
+    def _subst_exact(self, a: Fraction, b) -> "MeroExpr | None":
+        """subst for a != 0 and an exact b, which sends distinct atoms to
+        distinct atoms: exponential constants move to the prefactor, as in
+        _canonicalize, and the table is re-sorted.  None when a beta computed
+        in floats, and so rounded to the grid or onto an integer, has merged
+        two atoms."""
+        pref, out, inexact = self.prefactor, [], False
+        for atom, k in self.atoms:
+            form = atom.form.compose(a, b)
+            if type(atom) is ExpAtom:
+                if form.bf != 0:
+                    pref = mul(pref, rat_power(atom.base, form.beta))
+                form = _form(form.an, form.ad, (0, 1))
+            elif atom.form.bn is None or not atom.form._scales_exactly(b):
+                inexact = True
+            out.append((atom.with_form(form), k))
+        if inexact and len({atom for atom, _ in out}) < len(out):
+            return None
+        out.sort(key=_atom_sort_key)
+        return _canonical(pref, tuple(out))
 
     @property
     def is_constant(self) -> bool:
@@ -447,6 +484,14 @@ def _canonicalize(prefactor, groups):
 # -- algebra helpers ----------------------------------------------------
 
 _ONE = MeroExpr()  # immutable, so one instance serves every caller
+
+
+def _canonical(prefactor, atoms: tuple) -> MeroExpr:
+    """The MeroExpr of a prefactor and atom table already in canonical form."""
+    x = object.__new__(MeroExpr)
+    object.__setattr__(x, "prefactor", prefactor)
+    object.__setattr__(x, "atoms", atoms)
+    return x
 
 
 def mero_mul(*xs: MeroExpr) -> MeroExpr:

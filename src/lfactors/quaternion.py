@@ -1,14 +1,16 @@
 """Exact quaternion arithmetic and matrix reduced norms.
 
 A quaternion algebra is presented by (a, b): i^2 = a, j^2 = b, k = ij = -ji,
-with rational structure constants.  Reduced norms of matrices are computed
-through the splitting embedding into 2x2 matrices over Q(sqrt a) (or Q when
-a is a rational square).  All matrix linear algebra clears denominators
-once and then runs on Python ints: matrix products and the regular
-representation share one integer left-multiplication table, and
-determinants use fraction-free (Bareiss) elimination over Z, or over
+with rational structure constants.  A Quaternion holds four Fractions.  A
+QuatMatrix holds integer coordinates over one positive common denominator,
+in lowest terms, and its linear algebra never leaves Python ints: products
+and the regular representation share one integer left-multiplication table,
+and determinants use fraction-free (Bareiss) elimination over Z, or over
 Z[sqrt A] with A = num(a) den(a), where every division is exact.  The
-sqrt-part of the reduced norm must vanish, which is asserted.
+reduced norm of a matrix is the determinant of its splitting embedding into
+2x2 blocks over Z[sqrt A] (over Z when a is a rational square), built
+straight from the coordinates; its sqrt-part must vanish, which is asserted.
+Quaternion entries of a matrix are built only when asked for.
 """
 
 from __future__ import annotations
@@ -122,86 +124,52 @@ class Quaternion:
         return " + ".join(parts) if parts else "0"
 
 
-class SqrtExt:
-    """Q(sqrt a) as pairs (u, v) = u + v sqrt(a), built by `make`; collapses
-    to Q when a is a rational square."""
-
-    def __init__(self, a: Fraction):
-        self.a = Fraction(a)
-        root = _rational_sqrt(self.a)
-        self.rational_root = root  # None when a is not a rational square
-
-    def make(self, u, v=0) -> tuple[Fraction, Fraction]:
-        u = u if type(u) is Fraction else Fraction(u)
-        v = v if type(v) is Fraction else Fraction(v)
-        if self.rational_root is not None and v:
-            return (u + v * self.rational_root, Fraction(0))
-        return (u, v)
-
-
-def _rational_sqrt(a: Fraction) -> Fraction | None:
-    if a <= 0:
-        return None
-    num, den = a.numerator, a.denominator
-    rn, rd = _isqrt_exact(num), _isqrt_exact(den)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
-def _isqrt_exact(n: int) -> int | None:
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def split_embedding(x: Quaternion, ext: SqrtExt | None = None):
-    """2x2 matrix over Q(sqrt a) with det = Nrd(x):
-    1 -> I, i -> diag(sqrt a, -sqrt a), j -> [[0,1],[b,0]]."""
-    alg = x.alg
-    ext = ext or SqrtExt(alg.a)
-    b = alg.b
-    e = ext.make
-    return [
-        [e(x.x0, x.x1), e(x.x2, x.x3)],
-        [e(b * x.x2, -b * x.x3), e(x.x0, -x.x1)],
-    ]
-
-
-def _int_coords(X: QuatMatrix) -> tuple[int, list[list[tuple[int, int, int, int]]]]:
-    """(d, P) with X = P / d: the coordinates of every entry as ints over
-    one common denominator d."""
-    flat = [c for row in X.entries for x in row for c in (x.x0, x.x1, x.x2, x.x3)]
-    d = math.lcm(*[c.denominator for c in flat])
-    it = iter([c.numerator * (d // c.denominator) for c in flat])
-    quads = list(zip(it, it, it, it))
-    w = X.cols
-    return d, [quads[w * i:w * (i + 1)] for i in range(X.rows)]
-
-
 @dataclass(frozen=True)
 class QuatMatrix:
+    """X = coords / d: a tuple of rows of integer coordinate 4-tuples over one
+    positive denominator d, brought to lowest terms (gcd(d, every coordinate)
+    = 1) on construction, so that equal matrices over one algebra have equal
+    fields.  from_rows builds one from quaternions and rationals; entries and
+    [i, j] build Quaternions on demand."""
     alg: QuaternionAlgebra
-    entries: tuple[tuple[Quaternion, ...], ...]
+    d: int
+    coords: tuple[tuple[tuple[int, int, int, int], ...], ...]
+
+    def __post_init__(self):
+        if self.d <= 0:
+            raise ValueError("a quaternion matrix needs a positive denominator")
+        g = math.gcd(self.d, *(c for row in self.coords for x in row for c in x))
+        if g > 1:
+            object.__setattr__(self, "d", self.d // g)
+            object.__setattr__(self, "coords", tuple(
+                tuple(tuple(c // g for c in x) for x in row) for row in self.coords))
 
     @staticmethod
     def from_rows(alg: QuaternionAlgebra, rows) -> "QuatMatrix":
-        ents = tuple(tuple(r if isinstance(r, Quaternion) else alg.element(r) for r in row)
-                     for row in rows)
-        width = {len(r) for r in ents}
-        if len(width) > 1:
+        ents = [[r if isinstance(r, Quaternion) else alg.element(r) for r in row] for row in rows]
+        if len({len(r) for r in ents}) > 1:
             raise ValueError("ragged matrix")
-        return QuatMatrix(alg, ents)
+        if any(x.alg != alg for row in ents for x in row):
+            raise ValueError("quaternions from different algebras")
+        d = math.lcm(*(c.denominator for row in ents for x in row for c in x.coords()))
+        return QuatMatrix(alg, d, tuple(
+            tuple(tuple(c.numerator * (d // c.denominator) for c in x.coords()) for x in row)
+            for row in ents))
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self.coords)
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return len(self.coords[0]) if self.coords else 0
 
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
+    @property
+    def entries(self) -> tuple[tuple[Quaternion, ...], ...]:
+        return tuple(tuple(self[i, j] for j in range(self.cols)) for i in range(self.rows))
+
+    def __getitem__(self, ij) -> Quaternion:
+        return Quaternion(self.alg, *(Fraction(c, self.d) for c in self.coords[ij[0]][ij[1]]))
 
     def __mul__(self, other: "QuatMatrix") -> "QuatMatrix":
         if self.cols != other.rows:
@@ -209,58 +177,57 @@ class QuatMatrix:
         if self.alg != other.alg:
             raise ValueError("quaternions from different algebras")
         # column j of the product is left multiplication by self on column j of other
-        dl, L = _left_mult_rows(self)
-        dq, Q = _int_coords(other)
-        cols = [[c for x in col for c in x] for col in zip(*Q)]
-        den = dl * dq
-        return QuatMatrix(self.alg, tuple(
-            tuple(Quaternion(self.alg, *(Fraction(sum(map(operator.mul, r, col)), den)
-                                         for r in L[4 * i:4 * i + 4]))
+        den, L = _left_mult_rows(self)
+        cols = [[c for x in col for c in x] for col in zip(*other.coords)]
+        return QuatMatrix(self.alg, den * other.d, tuple(
+            tuple(tuple(sum(map(operator.mul, r, col)) for r in L[4 * i:4 * i + 4])
                   for col in cols)
             for i in range(self.rows)))
 
     def conj_transpose(self) -> "QuatMatrix":
         """^t X^* (transpose with the main involution entrywise)."""
-        return QuatMatrix.from_rows(
-            self.alg, [[self.entries[j][i].conj() for j in range(self.rows)]
-                       for i in range(self.cols)])
+        return QuatMatrix(self.alg, self.d, tuple(
+            tuple((x0, -x1, -x2, -x3) for x0, x1, x2, x3 in col) for col in zip(*self.coords)))
 
     def scale(self, c) -> "QuatMatrix":
-        return QuatMatrix.from_rows(self.alg, [[e * Fraction(c) for e in row]
-                                               for row in self.entries])
+        c = Fraction(c)
+        return QuatMatrix(self.alg, self.d * c.denominator, tuple(
+            tuple(tuple(v * c.numerator for v in x) for x in row) for row in self.coords))
 
     def __neg__(self) -> "QuatMatrix":
-        return self.scale(-1)
+        return QuatMatrix(self.alg, self.d, tuple(
+            tuple(tuple(-v for v in x) for x in row) for row in self.coords))
 
-    def __eq__(self, other):
-        return isinstance(other, QuatMatrix) and self.entries == other.entries
 
-    def __hash__(self):
-        return hash(self.entries)
+def split_embedding(X: QuatMatrix) -> tuple[int, int, list[list[tuple[int, int]]]]:
+    """(A, s, M): the splitting embedding 1 -> I, i -> diag(sqrt a, -sqrt a),
+    j -> [[0, 1], [b, 0]] applied entrywise to X, as the 2n x 2n matrix M / s
+    over Z[sqrt A] with A = num(a) den(a), so that sqrt a = sqrt A / den(a);
+    an entry (u, v) of M stands for u + v sqrt A.  det(M) / s^(2n) = Nrd(X)."""
+    a, b = X.alg.a, X.alg.b
+    ad, bd, bn = a.denominator, b.denominator, b.numerator
+    c, e = ad * bd, ad * bn
+    M = []
+    for row in X.coords:
+        M.append([z for x0, x1, x2, x3 in row for z in ((c * x0, bd * x1), (c * x2, bd * x3))])
+        M.append([z for x0, x1, x2, x3 in row for z in ((e * x2, -bn * x3), (c * x0, -bd * x1))])
+    return a.numerator * ad, X.d * c, M
 
 
 def matrix_reduced_norm(X: QuatMatrix) -> Fraction:
-    """Reduced norm of a square quaternion matrix: determinant of the
-    entrywise splitting embedding, a 2n x 2n matrix over Q(sqrt a)."""
+    """Reduced norm of a square quaternion matrix: the determinant of its
+    splitting embedding, over Z when a is a rational square (then A is an
+    integer square) and over Z[sqrt A] otherwise."""
     if X.rows != X.cols:
         raise ValueError("reduced norm of a nonsquare matrix")
-    ext = SqrtExt(X.alg.a)
-    blocks = [[split_embedding(x, ext) for x in row] for row in X.entries]
-    big = [[z for blk in brow for z in blk[r]] for brow in blocks for r in range(2)]
-    if ext.rational_root is not None:  # the embedding is rational
-        return rational_det([[u for u, _ in row] for row in big])
-    # u + v sqrt(a) = u + (v / d) sqrt(A) with d = den(a), A = num(a) d
-    d = ext.a.denominator
-    A = ext.a.numerator * d
-    D = math.lcm(*(den for row in big for u, v in row
-                   for den in (u.denominator, v.denominator * d)))
-    det_u, det_v = _bareiss_det(
-        [[(u.numerator * (D // u.denominator), v.numerator * (D // (v.denominator * d)))
-          for u, v in row] for row in big], A)
+    A, s, M = split_embedding(X)
+    if A > 0 and (root := math.isqrt(A)) ** 2 == A:  # the embedding is rational
+        return Fraction(_bareiss_det([[u + v * root for u, v in row] for row in M]), s ** len(M))
+    det_u, det_v = _bareiss_det(M, A)
     if det_v != 0:
         raise ArithmeticError(
             "internal inconsistency: reduced norm has a residual sqrt component")
-    return Fraction(det_u, D ** len(big))
+    return Fraction(det_u, s ** len(M))
 
 
 def rational_det(mat) -> Fraction:
@@ -317,19 +284,18 @@ def _left_mult_rows(X: QuatMatrix) -> tuple[int, list[list[int]]]:
     """(den, M) with M / den the matrix of left multiplication by X on the
     column module D^n, on the basis (e_k times 1, i, j, k): block (i, k) is
     the 4 x 4 matrix of y -> X_ik y, in closed form in a and b."""
-    d, P = _int_coords(X)
     a, b = X.alg.a, X.alg.b
     # 1, a, b, ab over the common denominator den(a) den(b)
     c1, ca, cb, cab = (a.denominator * b.denominator, a.numerator * b.denominator,
                        a.denominator * b.numerator, a.numerator * b.numerator)
     rows = []
-    for prow in P:
+    for prow in X.coords:
         blocks = [[[c1 * x0, ca * x1, cb * x2, -cab * x3],
                    [c1 * x1, c1 * x0, cb * x3, -cb * x2],
                    [c1 * x2, -ca * x3, c1 * x0, ca * x1],
                    [c1 * x3, -c1 * x2, c1 * x1, c1 * x0]] for x0, x1, x2, x3 in prow]
         rows.extend([z for blk in blocks for z in blk[r]] for r in range(4))
-    return d * c1, rows
+    return X.d * c1, rows
 
 
 def regular_representation_det(X: QuatMatrix) -> Fraction:

@@ -14,6 +14,7 @@ mismatch count, the worst error and how many comparisons took each path.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -148,6 +149,11 @@ def _random_rational(rng: random.Random, height: int = 30) -> Fraction:
 # ---------------------------------------------------------------------------
 # Hilbert symbols, square classes, characters
 
+@functools.cache  # a constant of the modulus, kept for the life of the process
+def _squares_mod(mod: int) -> frozenset[int]:
+    return frozenset(z * z % mod for z in range(mod))
+
+
 def conic_solvable_oracle(p: int, a: Fraction, b: Fraction) -> bool:
     """Whether z^2 = a x^2 + b y^2 has a nontrivial Q_p-point, by exhaustive
     search modulo p^3 after normalizing valuations to {0, 1}.  A primitive
@@ -162,7 +168,7 @@ def conic_solvable_oracle(p: int, a: Fraction, b: Fraction) -> bool:
         return u.numerator * pow(u.denominator, -1, mod) * p ** (valuation(F, v) % 2) % mod
 
     an, bn = normalize(a), normalize(b)
-    squares = {z * z % mod for z in range(mod)}
+    squares = _squares_mod(mod)
     return (any((an + bn * y * y) % mod in squares for y in range(mod))
             or any((an * x * x + bn) % mod in squares for x in range(0, mod, p)))
 
@@ -206,9 +212,8 @@ def _char_algebra(rng, samples: int = 60):
 # Reduced norms, discriminants, Morita transfer
 
 def _random_quat_matrix(rng, alg, n, height=4) -> QuatMatrix:
-    rows = [[alg.element(*(Fraction(rng.randint(-height, height)) for _ in range(4)))
-             for _ in range(n)] for _ in range(n)]
-    return QuatMatrix.from_rows(alg, rows)
+    return QuatMatrix(alg, 1, tuple(tuple(tuple(rng.randint(-height, height) for _ in range(4))
+                                          for _ in range(n)) for _ in range(n)))
 
 
 @per_call

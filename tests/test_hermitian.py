@@ -138,3 +138,23 @@ def test_stored_reduced_norm():
     one = alg.element(1)
     with pytest.raises(ValueError, match="degenerate"):
         HermitianSpace(alg, "hermitian", 2, QuatMatrix.from_rows(alg, [[one, one], [one, one]]))
+
+
+def test_gram_matrices_compare_by_their_integer_coordinates():
+    """A space built from Fraction entries is the space built from the same
+    values as integers, with the same memo key; equal coordinates over
+    another algebra make another space.  The ^tR^* = eps R check sees
+    fractional off-diagonal entries."""
+    alg = QuaternionAlgebra(Q5, Fraction(2), Fraction(5))
+    q = alg.element(Fraction(1, 2), Fraction(1, 3), 0, Fraction(-3, 4))
+    V = HermitianSpace(alg, "hermitian", 2, QuatMatrix.from_rows(alg, [[5, q], [q.conj(), 7]]))
+    assert V.gram.d == 12 and V.gram_norm == (35 - q.reduced_norm()) ** 2
+    with pytest.raises(ValueError, match="eps"):
+        HermitianSpace(alg, "hermitian", 2, QuatMatrix.from_rows(alg, [[5, q], [q, 7]]))
+    fracs = HermitianSpace.diagonal(alg, "hermitian", [Fraction(4, 2), Fraction(-9, 3)])
+    ints = HermitianSpace.diagonal(alg, "hermitian", [2, -3])
+    assert fracs == ints and hash(fracs) == hash(ints) and fracs.memo_key == ints.memo_key
+    other = QuaternionAlgebra(Q5, Fraction(2), Fraction(-5))
+    moved = HermitianSpace.diagonal(other, "hermitian", [2, -3])
+    assert moved.gram.coords == ints.gram.coords
+    assert moved != ints and moved.memo_key != ints.memo_key

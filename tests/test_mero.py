@@ -20,7 +20,8 @@ from lfactors.doubling import (GLChar, Induced, RegularNilpotentData, SkewHermCh
                                normalization_c)
 from lfactors.exactconst import ExactConst
 from lfactors.fields import LocalField
-from lfactors.mero import (ExpAtom, GammaCAtom, GammaRAtom, LinForm, MeroExpr,
+from lfactors import scalars
+from lfactors.mero import (ExpAtom, GammaCAtom, GammaRAtom, LAtom, LinForm, MeroExpr,
                            PoleProximityError, UnsupportedExpressionError,
                            _log_gamma, _pole_free_samples, equals_numeric, eval_batch,
                            eval_log_batch, format_expr, from_json, max_rel_error,
@@ -761,6 +762,98 @@ def test_subst_agrees_with_reference_and_sorts_by_its_keys():
         new = [k for atom, k in y.atoms if not isinstance(atom, ExpAtom)]
         reordered += a < 0 and old != new
     assert reordered >= 5
+
+
+# -- the canonical-order fast paths of inv and subst against the constructor -----
+
+_STEP = 2.0 ** -40  # the rounding grid of inexact betas
+
+
+def _crowded_beta(rng: random.Random, centre):
+    """A beta at or next to centre: exact ones closer than a grid step or a
+    grid step apart, complex ones a grid step apart, and values past 2^12,
+    where a float sum of two grid values can fall between grid points."""
+    j = rng.randint(-1, 1)
+    if type(centre) is Fraction:
+        return centre + j * rng.choice([Fraction(1, 10 ** 15), Fraction(1, 2 ** 40)])
+    return complex(centre.real + j * _STEP, centre.imag)
+
+
+def _crowded_expr(rng: random.Random) -> MeroExpr:
+    """A canonical expression built by the general constructor whose atoms
+    share a class and an s-coefficient and have betas that crowd one centre,
+    plus exponential atoms of several bases with constant parts."""
+    alpha = Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
+    # the last centre lands on an integer under s -> a s + b for an int b in
+    # [-3, 3], where alpha * b is scaled in floats when alpha is fractional
+    centre = rng.choice([Fraction(rng.randint(-9, 9), rng.choice([1, 3, 7])),
+                         complex(rng.randint(-3, 3) + 0.25, rng.choice([0.0, 0.5])),
+                         complex(rng.choice([4095.5, 6000.25, 8191.75, -8191.5]),
+                                 rng.choice([0.0, 1.0])),
+                         Fraction(2 ** 13 - 1) + Fraction(1, 3),
+                         rng.randint(-9, 9) - alpha * rng.randint(-3, 3)])
+    atoms, main = [], rng.randrange(5)
+    for _ in range(rng.randint(1, 6)):
+        other = Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2))
+        form = LinForm(alpha if rng.random() < 0.7 else other, _crowded_beta(rng, centre))
+        kind = main if rng.random() < 0.6 else rng.randrange(5)
+        if kind == 0:
+            atom = GammaRAtom(form)
+        elif kind == 1:
+            atom = GammaCAtom(form)
+        elif kind == 2:
+            atom = LAtom(5, rng.choice([Fraction(1), Fraction(-1, 2), 0.3 - 0.4j]), form)
+        else:
+            constant = rng.choice([Fraction(rng.randint(-3, 3), 2), 0.5j, 1.25])
+            atom = ExpAtom(Fraction(rng.choice([2, 3, 5, 25]), rng.choice([1, 4])),
+                           LinForm(alpha, constant))
+        atoms.append((atom, rng.choice([-2, -1, 1, 1, 2])))
+    pref = rng.choice([ExactConst(Fraction(rng.randint(1, 9), rng.randint(1, 9))), 1.5 - 0.5j])
+    return MeroExpr(pref, atoms)
+
+
+def _assert_same_expr(got: MeroExpr, want: MeroExpr):
+    def table(x):
+        return [(type(a), a.key, k) for a, k in x.atoms]
+
+    assert table(got) == table(want)
+    assert type(got.prefactor) is type(want.prefactor) and got.prefactor == want.prefactor
+    assert format_expr(got) == format_expr(want)
+
+
+def test_inv_and_subst_match_the_general_constructor():
+    """inv and subst(a, b) give the atoms (class, key, power, order) and the
+    prefactor (type and value) that canonicalising their atoms anew gives,
+    for a = 0 or negative, int, Fraction and complex b, complex betas a grid
+    step apart and past 2^12, exponential atoms of several bases, and exact
+    betas that an int b moves onto one integer through a float product."""
+    third = Fraction(1, 3)
+    x = MeroExpr(1, [(GammaRAtom(LinForm(third, 2 * third)), 1),
+                     (GammaRAtom(LinForm(third, 2 * third + Fraction(1, 10 ** 15))), 1)])
+    _assert_same_expr(x.subst(1, 1), MeroExpr.gamma_r(LinForm(third, 1)) ** 2)
+    rng = random.Random(21)
+    merged = float_merged = reordered = exp_moved = 0
+    for _ in range(2000):
+        x = _crowded_expr(rng)
+        _assert_same_expr(x.inv(),
+                          MeroExpr(scalars.inv(x.prefactor), [(a, -k) for a, k in x.atoms]))
+        a = Fraction(rng.choice([0, -1, -2, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
+        b = rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-9, 9), rng.choice([2, 3, 7])),
+                        complex(rng.uniform(-2, 2), rng.choice([0.0, 0.5]))])
+        if not any(type(t) is ExpAtom for t, _ in x.atoms) and rng.random() < 0.2:
+            # large b only without exponential atoms, whose prefactor would overflow
+            b = rng.choice([1, -1]) * rng.randint(2 ** 11, 2 ** 14)
+        got = x.subst(a, b)
+        want = MeroExpr(x.prefactor, [(atom.with_form(atom.form.compose(a, b)), k)
+                                      for atom, k in x.atoms])
+        _assert_same_expr(got, want)
+        if a != 0 and type(b) in (int, Fraction):
+            merged += len(want.atoms) < len(x.atoms)
+            float_merged += (len(want.atoms) < len(x.atoms) and type(b) is int
+                             and all(t.form.bn is not None for t, _ in x.atoms))
+            reordered += [type(t) for t, _ in want.atoms] != [type(t) for t, _ in x.atoms] or a < 0
+            exp_moved += any(type(t) is ExpAtom and t.form.alpha * b for t, _ in x.atoms)
+    assert merged >= 15 and float_merged >= 5 and reordered >= 100 and exp_moved >= 100
 
 
 def test_text_and_json_roundtrip_of_random_expressions():

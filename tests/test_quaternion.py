@@ -1,13 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from lfactors.fields import LocalField
-from lfactors.quaternion import (QuatMatrix, QuaternionAlgebra, SqrtExt,
-                                 _bareiss_det, matrix_reduced_norm,
-                                 rational_det, regular_representation_det,
-                                 split_embedding)
+from lfactors.quaternion import (QuatMatrix, QuaternionAlgebra, _bareiss_det,
+                                 matrix_reduced_norm, rational_det,
+                                 regular_representation_det, split_embedding)
 
 Q5 = LocalField.padic(5)
 R = LocalField.real()
@@ -15,9 +15,23 @@ H = QuaternionAlgebra(R, Fraction(-1), Fraction(-1))
 D25 = QuaternionAlgebra(Q5, Fraction(2), Fraction(5))
 
 
-class _Ext(SqrtExt):
-    """Field arithmetic on the pairs SqrtExt.make builds, for the reference
-    determinant; division is exact (Q(sqrt a) or Q is a field)."""
+class _Ext:
+    """Reference arithmetic in Q(sqrt a) on Fraction pairs (u, v) = u + v sqrt(a),
+    collapsed to Q when a is a rational square; division is exact (Q(sqrt a)
+    or Q is a field)."""
+
+    def __init__(self, a):
+        self.a = Fraction(a)
+        num, den = self.a.numerator, self.a.denominator
+        rn, rd = (math.isqrt(num), math.isqrt(den)) if num > 0 else (None, None)
+        square = rn is not None and (rn * rn, rd * rd) == (num, den)
+        self.rational_root = Fraction(rn, rd) if square else None
+
+    def make(self, u, v=0):
+        u, v = Fraction(u), Fraction(v)
+        if self.rational_root is not None and v:
+            return (u + v * self.rational_root, Fraction(0))
+        return (u, v)
 
     def add(self, x, y):
         return (x[0] + y[0], x[1] + y[1])
@@ -52,6 +66,23 @@ class _Ext(SqrtExt):
         return (Fraction(1), Fraction(0))
 
 
+def _ref_split_embedding(x, ext: _Ext):
+    """The 2x2 matrix over Q(sqrt a), on Fractions, with det = Nrd(x):
+    1 -> I, i -> diag(sqrt a, -sqrt a), j -> [[0,1],[b,0]]."""
+    b, e = x.alg.b, ext.make
+    return [[e(x.x0, x.x1), e(x.x2, x.x3)],
+            [e(b * x.x2, -b * x.x3), e(x.x0, -x.x1)]]
+
+
+def _embedding_over_ext(X: QuatMatrix, ext: _Ext):
+    """split_embedding(X) read as a matrix over Q(sqrt a): (u + v sqrt A) / s
+    with sqrt A = den(a) sqrt a."""
+    A, s, M = split_embedding(X)
+    assert A == X.alg.a.numerator * X.alg.a.denominator
+    return [[ext.make(Fraction(u, s), Fraction(v * X.alg.a.denominator, s)) for u, v in row]
+            for row in M]
+
+
 def test_quat_arith_examples():
     i = H.element(0, 1)
     assert i.conj() == H.element(0, -1)
@@ -66,23 +97,26 @@ def test_quat_arith_examples():
 
 
 def test_split_embedding_is_multiplicative_and_norm_compatible():
+    """The integer embedding of a 1 x 1 matrix is the Fraction reference
+    embedding of its entry, multiplicative, with determinant Nrd."""
     rng = random.Random(11)
-    for alg in (H, D25):
+    for alg in (H, D25, QuaternionAlgebra(Q5, Fraction(9, 4), Fraction(-3, 7))):
         ext = _Ext(alg.a)
-        one = split_embedding(alg.one(), ext)
-        assert one[0][0] == ext.one() and one[1][1] == ext.one()
-        i_img = split_embedding(alg.element(0, 1), ext)
+        emb = lambda x: _embedding_over_ext(QuatMatrix.from_rows(alg, [[x]]), ext)
+        assert emb(alg.one()) == [[ext.one(), ext.zero()], [ext.zero(), ext.one()]]
+        i_img = emb(alg.element(0, 1))
         det_i = ext.sub(ext.mul(i_img[0][0], i_img[1][1]), ext.mul(i_img[0][1], i_img[1][0]))
         assert det_i == ext.make(-alg.a)
         for _ in range(20):
-            x = alg.element(*(rng.randint(-5, 5) for _ in range(4)))
+            x = alg.element(*(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)))
             y = alg.element(*(rng.randint(-5, 5) for _ in range(4)))
-            mx, my = split_embedding(x, ext), split_embedding(y, ext)
+            mx, my = emb(x), emb(y)
+            assert mx == _ref_split_embedding(x, ext)
             prod = [[ext.add(ext.mul(mx[0][0], my[0][jj]), ext.mul(mx[0][1], my[1][jj]))
                      for jj in range(2)],
                     [ext.add(ext.mul(mx[1][0], my[0][jj]), ext.mul(mx[1][1], my[1][jj]))
                      for jj in range(2)]]
-            assert prod == split_embedding(x * y, ext)
+            assert prod == emb(x * y)
             det = ext.sub(ext.mul(mx[0][0], mx[1][1]), ext.mul(mx[0][1], mx[1][0]))
             assert det == ext.make(x.reduced_norm())
 
@@ -193,7 +227,7 @@ def _ref_reduced_norm(X: QuatMatrix) -> Fraction:
     big = [[ext.zero()] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         for j in range(n):
-            blk = split_embedding(X.entries[i][j], ext)
+            blk = _ref_split_embedding(X[i, j], ext)
             for di in range(2):
                 for dj in range(2):
                     big[2 * i + di][2 * j + dj] = blk[di][dj]
@@ -277,6 +311,57 @@ def test_matrix_product_shapes():
         X * QuatMatrix.from_rows(H, [[1], [1]])
 
 
+def _entrywise(X: QuatMatrix):
+    return [[X[i, j] for j in range(X.cols)] for i in range(X.rows)]
+
+
+@pytest.mark.parametrize("alg", KERNEL_ALGEBRAS, ids=str)
+def test_conj_transpose_scale_and_negation_entrywise(alg):
+    rng = random.Random(29)
+    for k in range(30):
+        X = QuatMatrix.from_rows(alg, [[_random_entry(rng, alg, k % 2 == 0)
+                                        for _ in range(k % 3 + 1)] for _ in range(k % 4)])
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        ents = _entrywise(X)
+        assert _entrywise(X.conj_transpose()) == [[ents[j][i].conj() for j in range(X.rows)]
+                                                  for i in range(X.cols)]
+        assert _entrywise(X.scale(c)) == [[x * c for x in row] for row in ents]
+        assert _entrywise(-X) == [[-x for x in row] for row in ents]
+        assert X.entries == tuple(map(tuple, ents))
+        # lowest terms, so that equal values have equal fields
+        for Y in (X, X.conj_transpose(), X.scale(c), -X):
+            assert Y.d > 0 and math.gcd(Y.d, *(v for row in Y.coords for x in row for v in x)) == 1
+            assert Y == QuatMatrix.from_rows(alg, _entrywise(Y))
+
+
+def test_matrix_equality_and_hash_follow_the_integer_coordinates():
+    half = Fraction(1, 2)
+    X = QuatMatrix.from_rows(D25, [[D25.element(Fraction(4, 2), 0, 1), 3],
+                                   [D25.element(0, Fraction(-6, 3)), Fraction(10, 5)]])
+    Y = QuatMatrix.from_rows(D25, [[D25.element(2, 0, 1), 3], [D25.element(0, -2), 2]])
+    assert (X.d, X.coords) == (1, (((2, 0, 1, 0), (3, 0, 0, 0)), ((0, -2, 0, 0), (2, 0, 0, 0))))
+    assert X == Y and hash(X) == hash(Y)
+    Z = QuatMatrix.from_rows(D25, [[D25.element(half, Fraction(1, 3))]])
+    assert (Z.d, Z.coords) == (6, (((3, 2, 0, 0),),))
+    assert Z.scale(6) == QuatMatrix.from_rows(D25, [[D25.element(3, 2)]]) and Z.scale(6).d == 1
+    assert Z.scale(0) == QuatMatrix.from_rows(D25, [[0]]) and Z.scale(0).d == 1
+    inv = QuatMatrix.from_rows(D25, [[D25.element(half, Fraction(1, 3)).inverse()]])
+    assert Z * inv == QuatMatrix.from_rows(D25, [[1]]) and (Z * inv).d == 1
+    other = QuaternionAlgebra(Q5, Fraction(2), Fraction(-5))
+    W = QuatMatrix.from_rows(other, [[other.element(2, 0, 1), 3], [other.element(0, -2), 2]])
+    assert W.coords == X.coords and W.d == X.d
+    assert W != X and len({W, X}) == 2
+    assert QuatMatrix(D25, 1, X.coords) == X
+    # the constructor brings its coordinates to lowest terms
+    assert QuatMatrix(D25, 2, (((2, 0, 0, 0),),)) == QuatMatrix.from_rows(D25, [[1]])
+    assert QuatMatrix(D25, 8, (((18, 12, 0, 0),),)) == Z.scale(Fraction(9, 2))
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="positive denominator"):
+            QuatMatrix(D25, d, (((1, 0, 0, 0),),))
+    with pytest.raises(ValueError, match="different algebras"):  # not read as D25 coordinates
+        QuatMatrix.from_rows(D25, [[other.element(1, 1)]])
+
+
 def test_rational_det_against_fraction_elimination():
     rng = random.Random(23)
     assert rational_det([]) == 1
@@ -309,12 +394,14 @@ def test_bareiss_over_quadratic_ring(A):
 
 
 def test_residual_sqrt_part_is_an_error(monkeypatch):
-    """An embedding whose determinant keeps a sqrt(a) part must not be
+    """An embedding whose determinant keeps a sqrt(A) part must not be
     reported as a reduced norm."""
     import lfactors.quaternion as quaternion
+    embed = quaternion.split_embedding
 
-    def skewed(x, ext):
-        return [[ext.make(x.x0, x.x1), ext.make(0)], [ext.make(0), ext.make(1)]]
+    def skewed(X):  # diag(x0 + x1 sqrt a, 1) for a 1 x 1 matrix (x)
+        A, s, M = embed(X)
+        return A, s, [[M[0][0], (0, 0)], [(0, 0), (s, 0)]]
 
     monkeypatch.setattr(quaternion, "split_embedding", skewed)
     X = QuatMatrix.from_rows(D25, [[D25.element(1, 1)]])

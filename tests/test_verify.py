@@ -1,8 +1,15 @@
-"""The verify report: the comparison paths, the JSON on stdout, and that
-every check can fail."""
+"""The verify report: the comparison paths, the JSON on stdout, that every
+check can fail, and the structure of the report for seeds 1 and 7.
+
+The structure snapshot lives in tests/data/verify_snapshot.json.  Regenerate
+it, only when a change to the checks or their sampling is intended, with
+
+    PYTHONPATH=src python tests/test_verify.py
+"""
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 from lfactors import mero
 from lfactors.cli import main
@@ -13,6 +20,8 @@ from lfactors.verify import SUITES, compare, run_verify
 
 Q5 = LocalField.padic(5)
 S = LinForm(Fraction(1), Fraction(0))
+SNAPSHOT = Path(__file__).resolve().parent / "data" / "verify_snapshot.json"
+SNAPSHOT_SEEDS = (1, 7)
 
 
 def test_compare_paths():
@@ -77,3 +86,29 @@ def test_roundtrip_check_reads_complex_parts(monkeypatch):
     monkeypatch.setattr(mero, "_text_value", swapped)
     report = run_verify("mero")
     assert not report.passed and report.results[0].mismatches > 0
+
+
+def _structure(checks: list[dict]) -> list[dict]:
+    """The checks of a report's JSON without their max_error, whose last
+    digits depend on the platform's libm."""
+    return [{k: v for k, v in check.items() if k != "max_error"} for check in checks]
+
+
+def test_verify_report_structure_matches_snapshot():
+    """Each check's name, verdict, sample and mismatch counts and path counts
+    are pinned for two seeds; max_error is bounded by the check's tolerance."""
+    expected = json.loads(SNAPSHOT.read_text(encoding="utf-8"))
+    assert sorted(expected) == [str(seed) for seed in SNAPSHOT_SEEDS]
+    tols = {check.name: check.tol for checks in SUITES.values() for check in checks}
+    for seed in SNAPSHOT_SEEDS:
+        checks = run_verify("all", seed).to_json()["checks"]
+        assert [c["name"] for c in checks] == list(tols)
+        assert all(0 <= c["max_error"] < tols[c["name"]] for c in checks)
+        assert _structure(checks) == expected[str(seed)]
+
+
+if __name__ == "__main__":
+    snapshot = {str(seed): _structure(run_verify("all", seed).to_json()["checks"])
+                for seed in SNAPSHOT_SEEDS}
+    SNAPSHOT.parent.mkdir(exist_ok=True)
+    SNAPSHOT.write_text(json.dumps(snapshot, indent=1, sort_keys=True) + "\n", encoding="utf-8")
