@@ -147,6 +147,7 @@ class AddCharacter:
 
     field: LocalField
     a: Fraction = Fraction(1)
+    memo_key = cached_property(Key)
 
     def __post_init__(self):
         object.__setattr__(self, "a", as_fraction(self.a))

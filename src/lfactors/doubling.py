@@ -314,6 +314,7 @@ class RegularNilpotentData:
     """A regular nilpotent datum enters only through its reduced norm."""
 
     norm_value: Fraction
+    memo_key = cached_property(Key)
 
     def __post_init__(self):
         object.__setattr__(self, "norm_value", as_fraction(self.norm_value))

@@ -4,16 +4,21 @@ Fields are either the real numbers or a p-adic field with odd residue
 characteristic, described by (p, f) with residue cardinality q = p^f.
 Field elements are nonzero rationals; for f > 1 this restricts inputs to
 the Q_p-rational subgroup, which covers every Gram matrix and norm value
-in scope.
+in scope.  On the nonarchimedean paths `_split` reads a rational once, as
+its valuation and the integers n, d prime to p of its unit part, and the
+residue symbol is the Legendre symbol of n d: no Fraction is built, raised
+to a power or divided there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .exactconst import factorization
+from .memo import Key
 
 Rational = Union[int, Fraction]
 
@@ -33,6 +38,7 @@ class LocalField:
     kind: str  # "real" | "nonarch"
     p: int | None = None
     f: int = 1
+    memo_key = cached_property(Key)
 
     def __post_init__(self):
         if self.kind == "real":
@@ -80,26 +86,27 @@ def as_fraction(x: Rational) -> Fraction:
     return v
 
 
-def valuation(field: LocalField, x: Rational) -> int:
-    """ord_p of a nonzero rational, seen inside the nonarchimedean field."""
+def _split(field: LocalField, x: Rational) -> tuple[int, int, int]:
+    """(ord_p x, n, d) with x = p^ord n / d and n, d prime to p: the one read
+    of a nonzero rational on the nonarchimedean paths, on ints alone."""
     if field.is_real:
         raise UnsupportedOperationError("valuation is undefined over R")
-    v = as_fraction(x)
-    p = field.p
-    ord_ = 0
-    num, den = v.numerator, v.denominator
-    while num % p == 0:
-        num //= p
+    n, d = (x if type(x) is int or type(x) is Fraction else as_fraction(x)).as_integer_ratio()
+    if not n:
+        raise ValueError("field elements must be nonzero")
+    p, ord_ = field.p, 0
+    while n % p == 0:
+        n //= p
         ord_ += 1
-    while den % p == 0:
-        den //= p
+    while d % p == 0:
+        d //= p
         ord_ -= 1
-    return ord_
+    return ord_, n, d
 
 
-def unit_part(field: LocalField, x: Rational) -> Fraction:
-    """x / p^{ord(x)}, a p-adic unit (as a rational)."""
-    return as_fraction(x) / Fraction(field.p) ** valuation(field, x)
+def valuation(field: LocalField, x: Rational) -> int:
+    """ord_p of a nonzero rational, seen inside the nonarchimedean field."""
+    return _split(field, x)[0]
 
 
 def _legendre(a: int, p: int) -> int:
@@ -107,19 +114,16 @@ def _legendre(a: int, p: int) -> int:
     return -1 if r == p - 1 else r
 
 
-def residue_symbol(field: LocalField, x: Rational) -> int:
-    """Quadratic residue symbol of a unit in the residue field F_q.
+def _residue(field: LocalField, n: int, d: int) -> int:
+    """Quadratic residue symbol in F_q of the unit n / d, n and d prime to p:
+    legendre(n d)^f, as legendre(1/d) = legendre(d) and the norm map collapses
+    x^{(q-1)/2} to (x^{(p-1)/2})^{1+p+...+p^{f-1}} on Q_p-rational units."""
+    return _legendre(n * d, field.p) if field.f % 2 else 1
 
-    For Q_p-rational units this is legendre(x mod p)^f, since the norm map
-    collapses x^{(q-1)/2} to (x^{(p-1)/2})^{1+p+...+p^{f-1}}.
-    """
-    u = unit_part(field, x)
-    p = field.p
-    num = u.numerator % p
-    den = u.denominator % p
-    a = num * pow(den, -1, p) % p
-    sym = _legendre(a, p)
-    return sym if field.f % 2 == 1 else sym * sym  # sym^f, only parity matters
+
+def _eps(field: LocalField) -> bool:
+    """(q - 1) / 2 mod 2: whether -1 is a nonsquare in F_q."""
+    return field.q % 4 == 3
 
 
 # Square-class representatives.  Nonarch classes are indexed by a pair of
@@ -134,6 +138,7 @@ class SquareClass:
 
     field: LocalField
     name: str  # "1"/"-1" (real), "1"/"u"/"p"/"up" (nonarch)
+    memo_key = cached_property(Key)
 
     def __post_init__(self):
         valid = ("1", "-1") if self.field.is_real else ("1", "u", "p", "up")
@@ -193,27 +198,24 @@ def nonsquare_unit(field: LocalField) -> int:
 
 def square_class(field: LocalField, x: Rational) -> SquareClass:
     """Canonical representative of x modulo squares."""
-    v = as_fraction(x)
     if field.is_real:
-        return SquareClass(field, "1" if v > 0 else "-1")
-    pbit = valuation(field, v) % 2
-    ubit = 1 if residue_symbol(field, v) == -1 else 0
-    return SquareClass(field, _NONARCH_NAMES[(ubit, pbit)])
+        return SquareClass(field, "1" if as_fraction(x) > 0 else "-1")
+    ord_, n, d = _split(field, x)
+    return SquareClass(field, _NONARCH_NAMES[(_residue(field, n, d) == -1, ord_ % 2)])
 
 
 def hilbert_symbol(field: LocalField, a: Rational, b: Rational) -> int:
     """The Hilbert symbol (a,b)_F, by sign inspection over R and the tame
     formula (valuations and residue symbols) over p-adic fields of odd p."""
-    av, bv = as_fraction(a), as_fraction(b)
     if field.is_real:
+        av, bv = as_fraction(a), as_fraction(b)
         return -1 if (av < 0 and bv < 0) else 1
-    alpha, beta = valuation(field, av), valuation(field, bv)
-    eps = ((field.q - 1) // 2) % 2
-    sym = (-1) ** (alpha * beta * eps)
+    (alpha, an, ad), (beta, bn, bd) = _split(field, a), _split(field, b)
+    sym = -1 if alpha * beta * _eps(field) % 2 else 1
     if beta % 2:
-        sym *= residue_symbol(field, unit_part(field, av))
+        sym *= _residue(field, an, ad)
     if alpha % 2:
-        sym *= residue_symbol(field, unit_part(field, bv))
+        sym *= _residue(field, bn, bd)
     return sym
 
 
@@ -221,16 +223,9 @@ def hilbert_pair_class(field: LocalField, x: Rational, d: SquareClass) -> int:
     """(x, d)_F for a square class d, without needing a rational lift of d."""
     if d.field != field:
         raise ValueError("square class over a different field")
-    xv = as_fraction(x)
     if field.is_real:
-        return -1 if (d.name == "-1" and xv < 0) else 1
+        return -1 if (d.name == "-1" and as_fraction(x) < 0) else 1
     ubit, pbit = d.bits
-    alpha = valuation(field, xv)
-    eps = ((field.q - 1) // 2) % 2
-    sym = 1
-    if ubit:  # pairing against the nonsquare-unit factor
-        sym *= (-1) ** alpha
-    if pbit:  # pairing against the uniformizer factor
-        sym *= (-1) ** (alpha * eps)
-        sym *= residue_symbol(field, unit_part(field, xv))
-    return sym
+    alpha, n, den = _split(field, x)
+    sym = -1 if alpha * (ubit + pbit * _eps(field)) % 2 else 1  # the unit, then the uniformizer factor
+    return sym * _residue(field, n, den) if pbit else sym

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -38,7 +39,7 @@ class HermitianSpace:
     # N(gram), computed once by the degeneracy check; None without a gram
     gram_norm: Fraction | None = dataclasses.field(default=None, init=False, repr=False,
                                                    compare=False)
-    memo_key = cached_property(Key)  # hashed once: a Gram matrix hashes every coordinate
+    memo_key = cached_property(Key)
 
     def __post_init__(self):
         if self.form_type not in (LINEAR, HERMITIAN, SKEW):
@@ -175,13 +176,15 @@ def _split_iso(alg: QuaternionAlgebra):
     if len(ideal) != 2:
         raise MoritaError("norm-zero element did not generate a 2-dimensional ideal")
     basis = [w.coords() for w in ideal]
+    images = []  # phi(u), row by row, for u = 1, i, j, k: the columns of phi on F^4
+    for u in units:
+        # the columns of phi(u) are the coordinates of u w1 and u w2 in the ideal
+        (a, c), (b, d) = (_solve(basis, (u * w).coords()) for w in ideal)
+        images.append([a, b, c, d])
 
-    def phi(qt: Quaternion):
-        # the columns are the coordinates of qt w1 and qt w2 in the ideal
-        (a, c), (b, d) = (_solve(basis, (qt * w).coords()) for w in ideal)
+    def phi(qt: Quaternion):  # F-linear, so a combination of the four images
+        a, b, c, d = (sum(map(operator.mul, qt.coords(), col)) for col in zip(*images))
         return [[a, b], [c, d]]
-
-    images = [[v for row in phi(u) for v in row] for u in units]  # the columns of phi on F^4
 
     def preimage(flat) -> Quaternion:
         return sum((u * c for u, c in zip(units, _solve(images, flat))), alg.element(0))

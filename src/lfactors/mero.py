@@ -162,21 +162,13 @@ class LinForm:
         return _form(*_reduce(self.an * k, self.ad), beta)
 
     def _scaled(self, b):
-        """alpha * b, as (n, d) in lowest terms or a complex on the grid.  Only
-        a Fraction b is exact: any other b is scaled in floats and rounded,
-        which for an int b and an integral alpha gives the exact product (as
-        long as it is at most 2^53, so that every factor is a float exactly)."""
-        if type(b) is Fraction:
+        """alpha * b, as (n, d) in lowest terms or a complex on the grid.  An
+        int or a Fraction b is exact; any other b is scaled in floats and
+        rounded."""
+        if type(b) is int or type(b) is Fraction:
             return _reduce(self.an * b.numerator, self.ad * b.denominator)
-        if self._scales_exactly(b):
-            return self.an * b, 1
         v = _beta_norm(complex(self.af) * complex(b))
         return (v.numerator, 1) if type(v) is Fraction else v
-
-    def _scales_exactly(self, b) -> bool:
-        """Whether _scaled(b) works without floats."""
-        return (type(b) is Fraction
-                or type(b) is int and self.ad == 1 and abs(self.an * b) <= 2 ** 53)
 
     def _plus_beta(self, y):
         """beta + y for y as _scaled returns it: exact when both are, else the
@@ -383,9 +375,9 @@ class MeroExpr:
     def _subst_exact(self, a: Fraction, b) -> "MeroExpr | None":
         """subst for a != 0 and an exact b, which sends distinct atoms to
         distinct atoms: exponential constants move to the prefactor, as in
-        _canonicalize, and the table is re-sorted.  None when a beta computed
-        in floats, and so rounded to the grid or onto an integer, has merged
-        two atoms."""
+        _canonicalize, and the table is re-sorted.  None when a complex beta,
+        computed in floats and so rounded to the grid or onto an integer, has
+        merged two atoms."""
         pref, out, inexact = self.prefactor, [], False
         for atom, k in self.atoms:
             form = atom.form.compose(a, b)
@@ -393,7 +385,7 @@ class MeroExpr:
                 if form.bf != 0:
                     pref = mul(pref, rat_power(atom.base, form.beta))
                 form = _form(form.an, form.ad, (0, 1))
-            elif atom.form.bn is None or not atom.form._scales_exactly(b):
+            elif atom.form.bn is None:
                 inexact = True
             out.append((atom.with_form(form), k))
         if inexact and len({atom for atom, _ in out}) < len(out):

@@ -19,8 +19,10 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .fields import LocalField, hilbert_symbol
+from .memo import Key
 
 
 @dataclass(frozen=True)
@@ -28,6 +30,7 @@ class QuaternionAlgebra:
     base: LocalField
     a: Fraction
     b: Fraction
+    memo_key = cached_property(Key)
 
     def __post_init__(self):
         object.__setattr__(self, "a", Fraction(self.a))
@@ -134,6 +137,7 @@ class QuatMatrix:
     alg: QuaternionAlgebra
     d: int
     coords: tuple[tuple[tuple[int, int, int, int], ...], ...]
+    memo_key = cached_property(Key)
 
     def __post_init__(self):
         if self.d <= 0:

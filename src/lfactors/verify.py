@@ -27,8 +27,7 @@ from .doubling import (GLChar, Induced, RegularNilpotentData, SkewHermCharR,
                        gamma_capital, gamma_factor, normalization_c, root_number,
                        skew_char_space, sp_space, t_factor, derive_gj_from_normalization)
 from .exactconst import ExactConst
-from .fields import (LocalField, SquareClass, hilbert_symbol, nonsquare_unit,
-                     square_class, unit_part, valuation)
+from .fields import LocalField, SquareClass, hilbert_symbol, nonsquare_unit, square_class
 from .gj import gj_gamma_norm
 from .hermitian import (LINEAR, SKEW, HermitianSpace, discriminant, kottwitz_sign,
                         morita_natural)
@@ -161,11 +160,16 @@ def conic_solvable_oracle(p: int, a: Fraction, b: Fraction) -> bool:
     squares and primitivity, so a solution exists iff a + b y^2 is a square
     for some y, or a x^2 + b for some x = 0 mod p: p^3 + p^2 values."""
     mod = p ** 3
-    F = LocalField.padic(p)
 
-    def normalize(v: Fraction) -> int:
-        u = unit_part(F, v)
-        return u.numerator * pow(u.denominator, -1, mod) * p ** (valuation(F, v) % 2) % mod
+    def normalize(v: Fraction) -> int:  # strips p here, apart from fields.py
+        num, den, odd = v.numerator, v.denominator, 0
+        if not num:
+            raise ValueError("the conic oracle needs nonzero coefficients")
+        while num % p == 0:
+            num, odd = num // p, odd ^ 1
+        while den % p == 0:
+            den, odd = den // p, odd ^ 1
+        return num * pow(den, -1, mod) * p ** odd % mod
 
     an, bn = normalize(a), normalize(b)
     squares = _squares_mod(mod)

@@ -10,8 +10,9 @@ from lfactors.characters import (MultCharacter, char_eval,
                                  char_inverse, char_mul, quadratic_character,
                                  unramified_twist)
 from lfactors.fields import (LocalField, SquareClass, UnsupportedFieldError,
-                             UnsupportedOperationError, hilbert_symbol,
-                             nonsquare_unit, square_class, unit_part, valuation)
+                             UnsupportedOperationError, hilbert_pair_class,
+                             hilbert_symbol, nonsquare_unit, square_class,
+                             valuation)
 from lfactors.verify import conic_solvable_oracle
 
 Q3 = LocalField.padic(3)
@@ -46,6 +47,89 @@ def test_valuation_examples():
     assert valuation(Q7, 2) == 0
     with pytest.raises(UnsupportedOperationError):
         valuation(R, 2)
+
+
+# The Fraction formulas fields.py used before it read each rational once, on
+# ints: the references of the property test below.
+
+def _ref_valuation(F, x):
+    v = Fraction(x)
+    if v == 0:
+        raise ValueError("field elements must be nonzero")
+    num, den, ord_ = v.numerator, v.denominator, 0
+    while num % F.p == 0:
+        num, ord_ = num // F.p, ord_ + 1
+    while den % F.p == 0:
+        den, ord_ = den // F.p, ord_ - 1
+    return ord_
+
+
+def unit_part(F, x):
+    """x / p^{ord(x)}, a p-adic unit (as a rational)."""
+    return Fraction(x) / Fraction(F.p) ** _ref_valuation(F, x)
+
+
+def _ref_residue(F, x):
+    u, p = unit_part(F, x), F.p
+    r = pow(u.numerator % p * pow(u.denominator % p, -1, p) % p, (p - 1) // 2, p)
+    sym = -1 if r == p - 1 else r
+    return sym if F.f % 2 == 1 else sym * sym
+
+
+def _ref_square_class(F, x):
+    bits = (1 if _ref_residue(F, x) == -1 else 0, _ref_valuation(F, x) % 2)
+    return {(0, 0): "1", (1, 0): "u", (0, 1): "p", (1, 1): "up"}[bits]
+
+
+def _ref_hilbert(F, a, b):
+    alpha, beta = _ref_valuation(F, a), _ref_valuation(F, b)
+    sym = (-1) ** (alpha * beta * (((F.q - 1) // 2) % 2))
+    if beta % 2:
+        sym *= _ref_residue(F, unit_part(F, a))
+    if alpha % 2:
+        sym *= _ref_residue(F, unit_part(F, b))
+    return sym
+
+
+def _ref_pair_class(F, x, d):
+    ubit, pbit = d.bits
+    alpha = _ref_valuation(F, x)
+    sym = (-1) ** alpha if ubit else 1
+    if pbit:
+        sym *= (-1) ** (alpha * (((F.q - 1) // 2) % 2)) * _ref_residue(F, unit_part(F, x))
+    return sym
+
+
+@pytest.mark.parametrize("f", [1, 2])
+@pytest.mark.parametrize("p", [3, 5, 11, 999983])
+def test_int_symbols_match_the_fraction_formulas(p, f):
+    F, rng = LocalField.padic(p, f), random.Random(100 * p + f)
+    classes = [SquareClass(F, name) for name in ("1", "u", "p", "up")]
+
+    def draw():  # either sign, p-powers up to +-6, as an int or a Fraction
+        k, unit = rng.randint(-6, 6), rng.choice([-1, 1]) * rng.randint(1, 3 * p)
+        if k >= 0 and rng.random() < 0.5:
+            return unit * p ** k
+        return Fraction(unit, rng.randint(1, 3 * p)) * Fraction(p) ** k
+
+    values = [draw() for _ in range(150)]
+    assert {type(x) for x in values} == {int, Fraction}
+    assert {_ref_valuation(F, x) for x in values} >= set(range(-6, 7))
+    assert {_ref_square_class(F, x) for x in values} == ({"1", "u", "p", "up"} if f == 1 else {"1", "p"})
+    for x, y in zip(values, values[1:] + values[:1]):
+        assert valuation(F, x) == _ref_valuation(F, x)
+        assert square_class(F, x).name == _ref_square_class(F, x)
+        assert hilbert_symbol(F, x, y) == _ref_hilbert(F, x, y)
+        assert type(hilbert_symbol(F, x, y)) is int
+        for d in classes:
+            assert hilbert_pair_class(F, x, d) == _ref_pair_class(F, x, d)
+            assert type(hilbert_pair_class(F, x, d)) is int
+    for zero in (0, Fraction(0)):
+        for call in (lambda: valuation(F, zero), lambda: square_class(F, zero),
+                     lambda: hilbert_symbol(F, zero, 1), lambda: hilbert_symbol(F, 1, zero),
+                     lambda: hilbert_pair_class(F, zero, classes[3])):
+            with pytest.raises(ValueError, match="nonzero"):
+                call()
 
 
 def test_square_class_examples():
@@ -99,7 +183,7 @@ def _ref_conic_oracle(p, a, b):
     """The conic oracle as a grid search over all p^6 pairs (x, y) mod p^3."""
     def normalize(v):
         F = LocalField.padic(p)
-        val = valuation(F, v) % 2
+        val = _ref_valuation(F, v) % 2
         u = unit_part(F, v)
         lift = (u.numerator * pow(u.denominator, -1, p ** 3)) % p ** 3
         return (lift * (p if val else 1)) % p ** 3
@@ -168,6 +252,8 @@ def test_conic_oracle_odd_valuations(p):
         want = conic_solvable_oracle(p, a, b)
         assert want == _ref_conic_oracle(p, a, b) == brute_conic_mod(p, ia, ib), (p, a, b)
         assert want == (hilbert_symbol(F, a, b) == 1), (p, a, b)
+    with pytest.raises(ValueError, match="nonzero"):  # no endless stripping of p from 0
+        conic_solvable_oracle(p, Fraction(0), Fraction(1))
 
 
 def test_hilbert_oracle_check_can_fail(monkeypatch):

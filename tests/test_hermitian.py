@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from lfactors import hermitian
 from lfactors.fields import LocalField, UnsupportedOperationError, square_class
 from lfactors.hermitian import (HermitianSpace, MoritaError, discriminant,
                                 kottwitz_sign, morita_natural)
@@ -158,3 +159,36 @@ def test_gram_matrices_compare_by_their_integer_coordinates():
     moved = HermitianSpace.diagonal(other, "hermitian", [2, -3])
     assert moved.gram.coords == ints.gram.coords
     assert moved != ints and moved.memo_key != ints.memo_key
+
+
+def _solved_phi(alg):
+    """phi as two Gauss-Jordan solves give it: the columns of phi(q) are the
+    coordinates of q w1 and q w2 in the left ideal D x, x of norm zero."""
+    x, ideal = hermitian._isotropic_vector(alg), []
+    for u in (alg.one(), *alg.gens()):
+        if len(ideal) < 2 and hermitian._solve([w.coords() for w in ideal], (u * x).coords()) is None:
+            ideal.append(u * x)
+    basis = [w.coords() for w in ideal]
+
+    def phi(q):
+        (a, c), (b, d) = (hermitian._solve(basis, (q * w).coords()) for w in ideal)
+        return [[a, b], [c, d]]
+    return phi
+
+
+@pytest.mark.parametrize("ab", [(4, 3), (2, -1)])  # verify's algebra, and another split over Q
+def test_linear_phi_is_the_solved_phi_and_multiplicative(ab):
+    alg = QuaternionAlgebra(Q5, *map(Fraction, ab))
+    phi, e, m = hermitian._split_iso(alg)
+    solved, rng = _solved_phi(alg), random.Random(sum(ab))
+
+    def draw():
+        return alg.element(*(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)))
+
+    for _ in range(200):
+        x, y = draw(), draw()
+        assert phi(x) == solved(x)
+        px, py = phi(x), phi(y)
+        assert phi(x * y) == [[sum(px[i][k] * py[k][j] for k in range(2)) for j in range(2)]
+                              for i in range(2)]
+    assert phi(e) == [[1, 0], [0, 0]] and phi(m) == [[0, 0], [1, 0]]

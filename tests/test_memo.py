@@ -11,11 +11,11 @@ import pytest
 
 from lfactors import doubling, memo, tate, verify
 from lfactors.characters import AddCharacter, MultCharacter, char_eval, char_inverse
-from lfactors.doubling import GLChar, Induced, TrivialRep, gamma_factor
-from lfactors.fields import LocalField
+from lfactors.doubling import GLChar, Induced, RegularNilpotentData, TrivialRep, gamma_factor
+from lfactors.fields import LocalField, SquareClass
 from lfactors.gj import gj_L, gj_gamma_norm
 from lfactors.hermitian import HermitianSpace
-from lfactors.quaternion import QuaternionAlgebra
+from lfactors.quaternion import QuatMatrix, QuaternionAlgebra
 from lfactors.spherical import SphericalData, spherical_zeta
 from lfactors.verify import run_verify
 
@@ -86,6 +86,30 @@ def test_a_value_keeps_its_key_through_a_copy_or_a_pickle():
 @pytest.mark.parametrize("seed", [1, 7])
 def test_a_memoised_pass_reports_what_an_unmemoised_one_does(seed):
     assert run_verify("all", seed).to_json() == run_verify.__wrapped__("all", seed).to_json()
+
+
+def _leaves(key):
+    if type(key) is tuple:
+        for part in key:
+            yield from _leaves(part)
+    else:
+        yield key
+
+
+def test_every_key_of_a_verify_pass_has_plain_leaves():
+    """A key is a plain tuple of ints, strs, floats, complexes, bools, None and
+    types after its builder, so CPython hashes and compares it in C: every
+    value class a builder takes keys through its memo_key."""
+    with memo.scope():
+        run_verify.__wrapped__("all", 1)
+        keys = list(memo._MEMO.get())
+    leaves = [leaf for key in keys for leaf in _leaves(key[1:])]
+    assert len(keys) > 1000 and all(callable(key[0]) for key in keys)
+    assert {type(leaf) for leaf in leaves if not isinstance(leaf, type)} <= {
+        int, str, float, complex, bool, type(None)}
+    keyed = {leaf for leaf in leaves if isinstance(leaf, type)}
+    assert {LocalField, SquareClass, AddCharacter, MultCharacter, QuaternionAlgebra, QuatMatrix,
+            HermitianSpace, RegularNilpotentData, Induced, Fraction} <= keyed
 
 
 def test_gamma_factor_is_built_once_per_distinct_key(monkeypatch):

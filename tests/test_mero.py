@@ -540,7 +540,7 @@ def _ref_add(x, y):
 
 
 def _ref_scale(a, b):
-    if isinstance(b, Fraction):
+    if isinstance(b, (int, Fraction)):
         return a * b
     return _ref_norm(complex(a) * complex(b))
 
@@ -560,7 +560,8 @@ def _ref_beta_str(b):
 class _RefLinForm:
     """Reference: the Fraction-based form the integer LinForm replaced, with its
     two-step rounding of complex betas (scale, then add); every result goes
-    through the constructor, which normalises its beta once more."""
+    through the constructor, which normalises its beta once more.  An int or a
+    Fraction b scales exactly."""
 
     def __init__(self, alpha, beta):
         self.alpha, self.beta = Fraction(alpha), _ref_norm(beta)
@@ -691,8 +692,8 @@ def test_complex_betas_round_in_two_steps():
     assert tiny.key == ref.key() and tiny.beta == ref.beta
     one_step = _ref_norm(complex(Fraction(1, 3)) + 4e-13)
     assert tiny.beta != one_step
-    assert LinForm(Fraction(1, 2), Fraction(1, 3)).compose(1, 3).beta == \
-        _RefLinForm(Fraction(1, 2), Fraction(1, 3)).compose(1, 3).beta  # an int b is not exact here
+    assert LinForm(Fraction(1, 2), Fraction(1, 3)).compose(1, 3).beta == Fraction(11, 6)  # an int b is exact
+    assert str(MeroExpr.gamma_r(LinForm(Fraction(1, 2), Fraction(1, 3))).subst(1, 3)) == "GammaR(1/2s+11/6)"
     # a result that the grid rounds onto an integer is exact, but a given
     # beta keeps its type: the constructor rounds only once
     assert LinForm(Fraction(2, 3), Fraction(-5, 3)).compose(Fraction(1, 2), 0.9999999999999).beta == -1
@@ -785,7 +786,7 @@ def _crowded_expr(rng: random.Random) -> MeroExpr:
     plus exponential atoms of several bases with constant parts."""
     alpha = Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
     # the last centre lands on an integer under s -> a s + b for an int b in
-    # [-3, 3], where alpha * b is scaled in floats when alpha is fractional
+    # [-3, 3], which scales exactly when alpha is fractional too
     centre = rng.choice([Fraction(rng.randint(-9, 9), rng.choice([1, 3, 7])),
                          complex(rng.randint(-3, 3) + 0.25, rng.choice([0.0, 0.5])),
                          complex(rng.choice([4095.5, 6000.25, 8191.75, -8191.5]),
@@ -826,13 +827,15 @@ def test_inv_and_subst_match_the_general_constructor():
     prefactor (type and value) that canonicalising their atoms anew gives,
     for a = 0 or negative, int, Fraction and complex b, complex betas a grid
     step apart and past 2^12, exponential atoms of several bases, and exact
-    betas that an int b moves onto one integer through a float product."""
+    betas that an int b moves next to an integer on a fractional alpha, which
+    stay exact and apart."""
     third = Fraction(1, 3)
     x = MeroExpr(1, [(GammaRAtom(LinForm(third, 2 * third)), 1),
                      (GammaRAtom(LinForm(third, 2 * third + Fraction(1, 10 ** 15))), 1)])
-    _assert_same_expr(x.subst(1, 1), MeroExpr.gamma_r(LinForm(third, 1)) ** 2)
+    _assert_same_expr(x.subst(1, 1), MeroExpr(1, [(GammaRAtom(LinForm(third, 1)), 1),
+                                                   (GammaRAtom(LinForm(third, 1 + Fraction(1, 10 ** 15))), 1)]))
     rng = random.Random(21)
-    merged = float_merged = reordered = exp_moved = 0
+    merged = int_exact = reordered = exp_moved = 0
     for _ in range(2000):
         x = _crowded_expr(rng)
         _assert_same_expr(x.inv(),
@@ -849,11 +852,13 @@ def test_inv_and_subst_match_the_general_constructor():
         _assert_same_expr(got, want)
         if a != 0 and type(b) in (int, Fraction):
             merged += len(want.atoms) < len(x.atoms)
-            float_merged += (len(want.atoms) < len(x.atoms) and type(b) is int
-                             and all(t.form.bn is not None for t, _ in x.atoms))
+            for t, _ in x.atoms:  # an int b on a fractional alpha keeps an exact beta exact
+                if type(b) is int and t.form.ad != 1 and t.form.bn is not None:
+                    assert t.form.compose(a, b).bn is not None
+                    int_exact += 1
             reordered += [type(t) for t, _ in want.atoms] != [type(t) for t, _ in x.atoms] or a < 0
             exp_moved += any(type(t) is ExpAtom and t.form.alpha * b for t, _ in x.atoms)
-    assert merged >= 15 and float_merged >= 5 and reordered >= 100 and exp_moved >= 100
+    assert merged >= 5 and int_exact >= 100 and reordered >= 100 and exp_moved >= 100
 
 
 def test_text_and_json_roundtrip_of_random_expressions():
