@@ -28,20 +28,9 @@ from .fields import (
     valuation,
 )
 from .memo import Key, per_call
-from .scalars import add, inv, is_exact, mul, neg, rat_power
+from .scalars import add, exact_or_complex, inv, is_exact, mul, neg, rat_power
 
 ComplexLike = complex | float | int | Fraction
-
-
-def _exact_or_complex(v: ComplexLike):
-    """Keep exact rationals exact; collapse everything else to complex."""
-    if isinstance(v, (int, Fraction)):
-        return Fraction(v)
-    if isinstance(v, float) and v == int(v):
-        return Fraction(int(v))
-    if isinstance(v, complex) and v.imag == 0 and v.real == int(v.real):
-        return Fraction(int(v.real))
-    return complex(v)
 
 
 @dataclass(frozen=True)
@@ -54,8 +43,11 @@ class MultCharacter:
     def __post_init__(self):
         if self.quad.field != self.field:
             raise ValueError("quadratic part lives over a different field")
-        object.__setattr__(self, "z", _exact_or_complex(self.z))
-        object.__setattr__(self, "t", _exact_or_complex(self.t))
+        z, t = exact_or_complex(self.z), exact_or_complex(self.t)
+        if any(type(v) is complex and not cmath.isfinite(v) for v in (z, t)):
+            raise ValueError(f"z and t must be finite, got {self.z!r} and {self.t!r}")
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "t", t)
         if self.field.is_real:
             if self.z != 1:
                 raise ValueError("real characters carry no uniformizer value")
@@ -64,7 +56,7 @@ class MultCharacter:
                 raise ValueError("unramified value must be nonzero")
             ubit, pbit = self.quad.bits
             if ubit:  # fold chi_u into the unramified part
-                object.__setattr__(self, "z", _exact_or_complex(-self.z))
+                object.__setattr__(self, "z", exact_or_complex(-self.z))
                 name = "p" if pbit else "1"
                 object.__setattr__(self, "quad", SquareClass(self.field, name))
 
@@ -138,7 +130,7 @@ def char_inverse(chi: MultCharacter) -> MultCharacter:
 
 def unramified_twist(chi: MultCharacter, s0: ComplexLike) -> MultCharacter:
     """omega |-> omega_{s0} = omega * |.|^{s0}; only t changes."""
-    return MultCharacter(chi.field, chi.quad, chi.z, add(chi.t, _exact_or_complex(s0)))
+    return MultCharacter(chi.field, chi.quad, chi.z, add(chi.t, exact_or_complex(s0)))
 
 
 @dataclass(frozen=True)

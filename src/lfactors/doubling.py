@@ -287,6 +287,7 @@ def gamma_factor(rep: RepDatum, omega: MultCharacter, psi: AddCharacter) -> Mero
     return _product(rep, omega, lambda p: p.gamma(*p.args, psi))
 
 
+@per_call
 def l_factor(rep: RepDatum, omega: MultCharacter) -> MeroExpr:
     """Structural L-factor: the denominator normal form of gamma."""
     if omega.field != rep.field:
@@ -296,14 +297,8 @@ def l_factor(rep: RepDatum, omega: MultCharacter) -> MeroExpr:
 
 def epsilon_factor(rep: RepDatum, omega: MultCharacter, psi: AddCharacter) -> MeroExpr:
     """epsilon = gamma * L(s, pi x omega) / L(1-s, dual pi x omega^{-1})."""
-    return epsilon_from(rep, omega, gamma_factor(rep, omega, psi), l_factor(rep, omega))
-
-
-def epsilon_from(rep: RepDatum, omega: MultCharacter, gamma: MeroExpr, L: MeroExpr) -> MeroExpr:
-    """epsilon from gamma and L of rep x omega; L is the dual L too if rep x omega is self-dual."""
-    dual = (rep.dual(), char_inverse(omega))
-    dual_L = L if dual == (rep, omega) else l_factor(*dual)
-    return mero_mul(gamma, L, dual_L.subst(-1, 1).inv())
+    return mero_mul(gamma_factor(rep, omega, psi), l_factor(rep, omega),
+                    l_factor(rep.dual(), char_inverse(omega)).subst(-1, 1).inv())
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +367,8 @@ def normalization_c(space: HermitianSpace, omega: MultCharacter, A: RegularNilpo
     proven change-of-character rule c(psi_a) = T_N^{-1} c(psi) (naive
     substitution into the closed form disagrees for |a| != 1; see the
     package docs on conventions)."""
-    return normalization_c_from(space, omega, psi,
-                                correction_R(space, omega, A, AddCharacter.standard(psi.field)))
-
-
-def normalization_c_from(space: HermitianSpace, omega: MultCharacter, psi: AddCharacter,
-                         R: MeroExpr) -> MeroExpr:
-    """c(s, omega, A, psi) from R = R(s, omega, A, psi_1) at the base psi_1."""
-    c0 = mero_mul(*_tate_block(space, omega, AddCharacter.standard(psi.field), 1), R.inv())
+    psi_1 = AddCharacter.standard(psi.field)
+    c0 = mero_mul(*_tate_block(space, omega, psi_1, 1), correction_R(space, omega, A, psi_1).inv())
     return c0 if psi.a == 1 else t_factor(space, omega, psi.a).inv() * c0
 
 

@@ -1,4 +1,4 @@
-"""A memo whose lifetime is one top-level call (`run_verify`).
+"""A memo whose lifetime is one top-level call (`run_verify` or `run_query`).
 
 A key is a plain tuple whose leaves are ints, strs, floats, complexes, None
 and types, so CPython hashes and compares it in C: a Fraction keys as its

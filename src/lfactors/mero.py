@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exactconst import ExactConst, factorization
-from .scalars import inv, is_exact, mul, power, rat_power
+from .scalars import exact_or_complex, inv, is_exact, mul, power, rat_power
 
 _LN_2 = math.log(2)
 _LN_PI = math.log(math.pi)
@@ -70,15 +70,11 @@ _QUANT = float(2 ** 40)
 
 
 def _beta_norm(b) -> BetaLike:
-    if isinstance(b, Fraction):
-        return b
-    if isinstance(b, int):
-        return Fraction(b)
-    if isinstance(b, ExactConst) and b.is_rational:
+    if type(b) is ExactConst and b.is_rational:
         return b.rat
-    b = complex(b)
-    if b.imag == 0 and b.real.is_integer():
-        return Fraction(int(b.real))
+    b = exact_or_complex(b)
+    if type(b) is Fraction:
+        return b
     # quantize inexact parameters so that float-sum associativity cannot
     # split canonically equal atoms (grid ~ 9e-13)
     return complex(round(b.real * _QUANT) / _QUANT, round(b.imag * _QUANT) / _QUANT)

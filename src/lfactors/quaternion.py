@@ -108,12 +108,6 @@ class Quaternion:
         return (self.x0 ** 2 - a * self.x1 ** 2 - b * self.x2 ** 2
                 + a * b * self.x3 ** 2)
 
-    def inverse(self) -> "Quaternion":
-        n = self.reduced_norm()
-        if n == 0:
-            raise ZeroDivisionError("zero reduced norm")
-        return self.conj() * Fraction(1, 1) * (Fraction(1) / n)
-
     @property
     def is_zero(self) -> bool:
         return not (self.x0 or self.x1 or self.x2 or self.x3)
@@ -168,10 +162,6 @@ class QuatMatrix:
     def cols(self) -> int:
         return len(self.coords[0]) if self.coords else 0
 
-    @property
-    def entries(self) -> tuple[tuple[Quaternion, ...], ...]:
-        return tuple(tuple(self[i, j] for j in range(self.cols)) for i in range(self.rows))
-
     def __getitem__(self, ij) -> Quaternion:
         return Quaternion(self.alg, *(Fraction(c, self.d) for c in self.coords[ij[0]][ij[1]]))
 
@@ -192,11 +182,6 @@ class QuatMatrix:
         """^t X^* (transpose with the main involution entrywise)."""
         return QuatMatrix(self.alg, self.d, tuple(
             tuple((x0, -x1, -x2, -x3) for x0, x1, x2, x3 in col) for col in zip(*self.coords)))
-
-    def scale(self, c) -> "QuatMatrix":
-        c = Fraction(c)
-        return QuatMatrix(self.alg, self.d * c.denominator, tuple(
-            tuple(tuple(v * c.numerator for v in x) for x in row) for row in self.coords))
 
     def __neg__(self) -> "QuatMatrix":
         return QuatMatrix(self.alg, self.d, tuple(

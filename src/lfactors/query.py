@@ -13,7 +13,6 @@ Numbers in documents: rationals are strings ("3/4"), complex numbers are
 from __future__ import annotations
 
 import cmath
-import functools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,10 +21,11 @@ from . import mero
 from .characters import AddCharacter, MultCharacter
 from .doubling import (GLChar, Induced, RegularNilpotentData, RepDatum,
                        SkewHermCharR, SpHighestWeight, TrivialRep, correction_R,
-                       epsilon_from, gamma_factor, l_factor, normalization_c_from,
+                       epsilon_factor, gamma_factor, l_factor, normalization_c,
                        root_number, t_factor)
 from .fields import LocalField, SquareClass, UnsupportedFieldError
 from .hermitian import HermitianSpace
+from .memo import scope
 from .mero import MeroExpr, UnsupportedExpressionError, format_expr
 from .quaternion import QuatMatrix, QuaternionAlgebra
 from .ratfunc import as_rational_in_X
@@ -249,7 +249,6 @@ def parse_spherical(doc, field: LocalField) -> SphericalData:
 @dataclass
 class QueryDocument:
     field: LocalField
-    algebra: QuaternionAlgebra
     rep: RepDatum | None
     omega: MultCharacter
     psi: AddCharacter
@@ -309,7 +308,7 @@ class QueryDocument:
         if norm_value != 1 and {"R", "c"} & set(outputs) and rep.space.n == 0:
             raise QueryValidationError("norm_value: n = 0 forces the norm value 1")
         return QueryDocument(
-            field, alg, rep, omega, AddCharacter(field, psi_scale),
+            field, rep, omega, AddCharacter(field, psi_scale),
             outputs, pts, norm_value, t_scale, sph, bool(doc.get("shifted", False)))
 
 
@@ -355,26 +354,26 @@ def _metadata(q: QueryDocument) -> dict:
     return meta
 
 
+@scope()
 def run_query(doc: dict) -> dict:
     """Evaluate a query document; raises QueryValidationError or
-    UnsupportedPairError for the two failure classes. Each factor is built at
-    most once per call: epsilon from the gamma and L of those outputs (L doubles
-    as the dual L when rep and omega are self-dual), and c from R when psi = psi_1."""
+    UnsupportedPairError for the two failure classes. The call opens a memo
+    scope, so each factor is built at most once per call: epsilon reuses the
+    gamma and L of those outputs (and L as the dual L when rep and omega are
+    self-dual), and c reuses R when psi = psi_1."""
     q = QueryDocument.from_json(doc)
     out: dict = {"schema": SCHEMA_VERSION, "results": {}, "metadata": _metadata(q)}
     A = RegularNilpotentData(q.norm_value)
-    space = q.rep.space if {"root_number", "R", "c", "T"} & set(q.outputs) else None
     rep, omega, psi = q.rep, q.omega, q.psi
-    gamma = functools.cache(lambda: gamma_factor(rep, omega, psi))
-    L = functools.cache(lambda: l_factor(rep, omega))
-    R = functools.cache(lambda at: correction_R(space, omega, A, at))  # c takes R at psi_1
-    build = {"gamma": gamma, "L": L, "epsilon": lambda: epsilon_from(rep, omega, gamma(), L()),
-             "R": lambda: R(psi), "T": lambda: t_factor(space, omega, q.t_scale),
-             "c": lambda: normalization_c_from(space, omega, psi, R(AddCharacter.standard(q.field)))}
+    build = {"gamma": lambda: gamma_factor(rep, omega, psi), "L": lambda: l_factor(rep, omega),
+             "epsilon": lambda: epsilon_factor(rep, omega, psi),
+             "R": lambda: correction_R(rep.space, omega, A, psi),
+             "c": lambda: normalization_c(rep.space, omega, A, psi),
+             "T": lambda: t_factor(rep.space, omega, q.t_scale)}
     pending: list = []
     for name in q.outputs:
         if name == "root_number":
-            w = root_number(space, rep.central_sign, omega, psi)
+            w = root_number(rep.space, rep.central_sign, omega, psi)
             v = complex(w)
             out["results"]["root_number"] = {"exact": str(w) if is_exact(w) else None,
                                              "value": [v.real, v.imag]}

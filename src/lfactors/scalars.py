@@ -25,6 +25,17 @@ def is_exact(x) -> bool:
     return type(x) in _EXACT
 
 
+def exact_or_complex(v):
+    """v as a Fraction if it is an int or Fraction, or a float or complex equal
+    to an integer; else as a complex.  A Fraction is returned as it is."""
+    if type(v) is Fraction:
+        return v
+    if type(v) is int:
+        return Fraction(v)
+    v = complex(v)
+    return Fraction(int(v.real)) if v.imag == 0 and v.real.is_integer() else v
+
+
 def add(x, y):
     if type(x) in _EXACT and type(y) in _EXACT:
         return x + y

@@ -52,8 +52,10 @@ class SphericalData:
             raise ValueError("ranks must be nonnegative")
         if len(self.exponents) != self.r:
             raise ValueError("one exponent per hyperbolic block")
-        if self.form_type == "hermitian" and self.n0 > 1:
-            raise ValueError("hermitian anisotropic rank is at most 1 over division algebras")
+        most = 1 if self.form_type == "hermitian" else 3  # skew: Tsukamoto (1961)
+        if self.n0 > most:
+            raise ValueError(f"{self.form_type} anisotropic rank is at most {most} "
+                             "over division algebras")
         if self.form_type == "skew" and self.n0 >= 1 and self.disc0 is None:
             raise ValueError("skew kernels need their discriminant class")
         if self.disc0 is not None and self.disc0.field != self.field:

@@ -30,7 +30,7 @@ def _reference_extend(kernel: HermitianSpace, extra: int) -> HermitianSpace:
         rows[n - 1 - i][i] = alg.element(eps)
     for i in range(kernel.n):
         for j in range(kernel.n):
-            rows[r + i][r + j] = kernel.gram.entries[i][j] if kernel.gram else alg.element(0)
+            rows[r + i][r + j] = kernel.gram[i, j] if kernel.gram else alg.element(0)
     return HermitianSpace(alg, kernel.form_type, n, QuatMatrix.from_rows(alg, rows))
 
 

@@ -1,6 +1,7 @@
-"""Work a query does once: each local factor is built once per query, q is
-factored once per process, an induced datum takes no reduced norm beyond its
-kernel, and an exact result is printed whatever its size."""
+"""Work a query does once: each local factor is built once per query and its
+memo is gone when it returns, q is factored once per process, an induced datum
+takes no reduced norm beyond its kernel, and an exact result is printed
+whatever its size."""
 
 import hashlib
 import json
@@ -9,10 +10,20 @@ import re
 import sys
 from pathlib import Path
 
-from lfactors import doubling, exactconst, quaternion
-from lfactors.query import run_query
+import pytest
+
+from lfactors import doubling, exactconst, memo, quaternion
+from lfactors.doubling import UnsupportedPairError
+from lfactors.query import QueryValidationError, run_query
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+_P5 = {"kind": "nonarch", "p": "5"}
+
+
+def _n3_doc() -> dict:
+    """The q5-division-hermitian-n3 document of the padic-exact corpus."""
+    corpus = json.loads((PERFBENCH / "corpus" / "padic-exact.json").read_text())
+    return next(e["doc"] for e in corpus if e["name"] == "q5-division-hermitian-n3")
 
 
 def _count_calls(monkeypatch, module, name: str) -> list:
@@ -32,19 +43,67 @@ def _count_calls(monkeypatch, module, name: str) -> list:
 
 
 def test_each_factor_is_built_once_per_query(monkeypatch):
-    entry = next(e for e in json.loads((PERFBENCH / "corpus" / "padic-exact.json").read_text())
-                 if e["name"] == "q5-division-hermitian-n3")
-    assert entry["doc"]["outputs"] == ["gamma", "L", "epsilon", "root_number", "R", "c", "T"]
+    """Counts builds, not lookups: a build of gamma or L runs _product once, and
+    a build of R runs _omega_s_power once.  Without run_query's memo scope gamma
+    is built twice (for gamma and epsilon), L three times and R twice (R and c)."""
+    doc = _n3_doc()
+    assert doc["outputs"] == ["gamma", "L", "epsilon", "root_number", "R", "c", "T"]
     products = _count_calls(monkeypatch, doubling, "_product")
-    corrections = _count_calls(monkeypatch, doubling, "correction_R")
-    out = json.loads(json.dumps(run_query(entry["doc"])))
-    # gamma once; L once, and again as the dual L of epsilon unless reused (the
-    # trivial representation with the trivial omega is self-dual)
+    powers = _count_calls(monkeypatch, doubling, "_omega_s_power")
+    out = json.loads(json.dumps(run_query(doc)))
+    # gamma once; L once, and found again as the dual L of epsilon (the trivial
+    # representation with the trivial omega is self-dual)
     assert sorted(caller for caller, _ in products) == ["gamma_factor", "l_factor"]
-    assert len(corrections) == 1  # R, and c at psi_1 from the same R
+    assert [caller for caller, _ in powers].count("correction_R") == 1  # c takes R at psi_1
     out["results"]["root_number"].pop("value")  # the golden keeps only the exact root number
     golden = PERFBENCH / "golden" / "padic-exact" / "q5-division-hermitian-n3.json"
     assert out == json.loads(golden.read_text(encoding="utf-8"))
+
+
+def test_a_query_leaves_no_memo_behind():
+    doc = _n3_doc()
+    assert memo._MEMO.get() is None
+    first = json.dumps(run_query(doc))
+    assert memo._MEMO.get() is None
+    assert json.dumps(run_query(doc)) == first
+    herm = {"kind": "trivial", "space": {"type": "hermitian", "diag": ["1"]}}
+    refused = [({"field": _P5, "rep": herm, "outputs": ["nothing"]}, QueryValidationError),
+               ({"field": _P5, "rep": herm, "omega": {"quad": "p"}}, UnsupportedPairError)]
+    for doc, error in refused:
+        with pytest.raises(error):
+            run_query(doc)
+        assert memo._MEMO.get() is None
+
+
+_N0 = {"kind": "trivial", "space": {"type": "hermitian", "n": 0}}
+
+
+@pytest.mark.parametrize("blocks, omega_t, want", [
+    # omega's t = 1/2 prints as such in R and c; the block's 0.5+0j sums with it to exact 1 and 0
+    ([[0.5, 0]], "1/2", {
+        "gamma": "Lnf(5; 1; -s-1/2) * Lnf(5; 1; -s+1/2)^3 * Lnf(5; 1; -s+3/2)"
+                 " / (Lnf(5; 1; s-1/2) * Lnf(5; 1; s+1/2)^3 * Lnf(5; 1; s+3/2))",
+        "L": "Lnf(5; 1; s-1/2) * Lnf(5; 1; s+1/2)^3 * Lnf(5; 1; s+3/2)",
+        "epsilon": "1",
+        "R": "Lnf(5; 1; -s) / Lnf(5; 1; s+1)",
+        "c": "Lnf(5; 1; s+1) * Lnf(5; 1; 2s-1) * Lnf(5; 1; 2s+1)"
+             " / (Lnf(5; 1; -2s) * Lnf(5; 1; -2s+2) * Lnf(5; 1; -s))",
+        "T": "1"}),
+    # equal twists 1/2 and 0.5+0j of two blocks meet in one memo: the complex one keeps its prefactor
+    (["1/2", [0.5, 0]], "0", {
+        "gamma": "[1.0+0.0i] * Lnf(5; 1; -s)^2 * Lnf(5; 1; -s+1)^5 * Lnf(5; 1; -s+2)^2"
+                 " / (Lnf(5; 1; s-1)^2 * Lnf(5; 1; s)^5 * Lnf(5; 1; s+1)^2)",
+        "L": "Lnf(5; 1; s-1)^2 * Lnf(5; 1; s)^5 * Lnf(5; 1; s+1)^2",
+        "epsilon": "[1.0+0.0i]"}),
+])
+def test_rational_and_complex_twists_print_as_before(blocks, omega_t, want):
+    """A rational twist and an equal complex one print apart; one query's memo
+    holds both, and the texts are those the unmemoised query printed."""
+    for order in (blocks, blocks[::-1]):
+        doc = {"field": _P5, "omega": {"t": omega_t}, "outputs": list(want),
+               "rep": {"kind": "induced", "kernel": _N0,
+                       "blocks": [{"m": 1, "chi": {"t": t}} for t in order]}}
+        assert {name: r["text"] for name, r in run_query(doc)["results"].items()} == want
 
 
 def test_q_is_factored_once_per_process(monkeypatch):

@@ -248,6 +248,11 @@ _P5_HERM = {"field": {"kind": "nonarch", "p": "5"},
     ({"field": {"kind": "nonarch", "p": "3"}, "outputs": ["spherical"],
       "spherical": {"form_type": "skew", "r": 101, "n0": 0, "exponents": ["0"] * 101}},
      "spherical.r: must be at most 100, got 101"),
+    # a skew-hermitian form of dimension 4 or more over D is isotropic (Tsukamoto 1961)
+    *(({"field": {"kind": "nonarch", "p": "5"}, "outputs": ["spherical"],
+        "spherical": {"form_type": "skew", "r": 1, "n0": n0, "disc0": "p", "exponents": ["0"]}},
+       "spherical: skew anisotropic rank is at most 3 over division algebras")
+      for n0 in (4, 10 ** 6)),
 ], ids=["rep-field", "root-number-omega", "norm-value-zero", "t-scale-zero", "eval-point-nan",
         "eval-point-shape", "eval-point-string", "eval-point-triple", "eval-point-string-coordinate",
         "eval-point-bool", "eval-points-dict", "eval-point-beyond-floats", "outputs-string",
@@ -261,13 +266,14 @@ _P5_HERM = {"field": {"kind": "nonarch", "p": "5"},
         "block-m-infinite", "linear-m-infinite", "space-n-float", "eps-bool", "p-31-digits",
         "p-above-bound", "f-huge", "q-above-bound", "m-above-bound-real", "m-above-bound-padic",
         "block-m-above-bound", "l-above-bound", "l-below-bound", "lambda-above-bound",
-        "rep-n-above-bound", "diag-above-bound", "gram-above-bound", "r-above-bound"])
+        "rep-n-above-bound", "diag-above-bound", "gram-above-bound", "r-above-bound",
+        "skew-n0-4", "skew-n0-million"])
 def test_cli_rejects_malformed_query(tmp_path, capsys, doc, message):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(doc))
     assert main(["gamma", "-f", str(path)]) == 2
     captured = capsys.readouterr()
-    assert message in captured.err
+    assert message in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
 
 
@@ -304,8 +310,11 @@ def test_cli_accepts_exponents_at_the_bound(tmp_path, capsys, doc):
          [[0, 1, 0, 0] if i == j else "0" for j in range(32)] for i in range(32)]}}},
     {"field": {"kind": "nonarch", "p": "3"}, "outputs": ["spherical"],
      "spherical": {"form_type": "skew", "r": 100, "n0": 0, "exponents": ["0"] * 100}},
+    {"field": {"kind": "nonarch", "p": "5"}, "outputs": ["spherical"],
+     "spherical": {"form_type": "skew", "r": 1, "n0": 3, "disc0": "p", "exponents": ["0"]}},
 ], ids=["p-at-bound", "q-at-bound", "m-at-bound-real", "m-at-bound-padic", "block-m-at-bound",
-        "l-at-bound", "lambda-at-bound", "diag-at-bound", "gram-at-bound", "r-at-bound"])
+        "l-at-bound", "lambda-at-bound", "diag-at-bound", "gram-at-bound", "r-at-bound",
+        "skew-n0-at-bound"])
 def test_cli_accepts_integers_at_the_bound(tmp_path, capsys, doc):
     _accepted(tmp_path, capsys, doc)
 

@@ -16,7 +16,12 @@ from fractions import Fraction
 from lfactors.exactconst import ExactConst
 from lfactors.mero import LinForm, _beta_norm
 from lfactors.ratfunc import QiSqrt
-from lfactors.scalars import add, inv, is_exact, mul, neg, power, rat_power, sub
+import pytest
+
+from lfactors.characters import MultCharacter
+from lfactors.fields import LocalField
+from lfactors.scalars import (add, exact_or_complex, inv, is_exact, mul, neg, power, rat_power,
+                              sub)
 
 
 # -- references: the helpers as they were --------------------------------
@@ -116,6 +121,28 @@ def ratfunc_to_cx(v):
     if isinstance(v, QiSqrt):
         return v.to_complex()
     return complex(v)
+
+
+def characters_exact_or_complex(v):
+    if isinstance(v, (int, Fraction)):
+        return Fraction(v)
+    if isinstance(v, float) and v == int(v):
+        return Fraction(int(v))
+    if isinstance(v, complex) and v.imag == 0 and v.real == int(v.real):
+        return Fraction(int(v.real))
+    return complex(v)
+
+
+def mero_beta_exact(b):
+    """_beta_norm before its 2^-40 grid, less its ExactConst branch."""
+    if isinstance(b, Fraction):
+        return b
+    if isinstance(b, int):
+        return Fraction(b)
+    b = complex(b)
+    if b.imag == 0 and b.real.is_integer():
+        return Fraction(int(b.real))
+    return b
 
 
 def char_mul_t(a, b):
@@ -289,6 +316,25 @@ def test_character_arithmetic():
         for sgn in (1, -1):
             for x in (Fraction(2), Fraction(-3, 4), Fraction(1, 7), Fraction(-25)):
                 _same(mul(sgn, rat_power(abs(x), t)), char_eval_real(sgn, x, t), sgn, x, t)
+
+
+def test_exact_or_complex_matches_characters_and_mero():
+    for v in _ints() + RATIONAL_OR_COMPLEX + [10.0 ** 300, complex(-7.0, 0.0)]:
+        _same(exact_or_complex(v), characters_exact_or_complex(v), v)
+        _same(exact_or_complex(v), mero_beta_exact(v), v)
+    half = Fraction(1, 2)
+    assert exact_or_complex(half) is half  # not rewrapped
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), complex(1, float("inf")),
+                                 complex(float("-inf"), 0), complex(float("nan"), 0)])
+def test_a_character_refuses_a_non_finite_z_or_t(bad):
+    q5 = LocalField.padic(5)
+    for z, t in ((bad, 0), (1, bad)):
+        with pytest.raises(ValueError, match="must be finite"):
+            MultCharacter(q5, MultCharacter.trivial(q5).quad, z, t)
+    with pytest.raises(ValueError, match="must be finite"):
+        MultCharacter.norm_power(LocalField.real(), bad)
 
 
 def test_the_rule():
