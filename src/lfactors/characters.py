@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .exactconst import ExactConst
 from .fields import (
@@ -27,7 +26,7 @@ from .fields import (
     hilbert_pair_class,
     valuation,
 )
-from .memo import Key, per_call
+from .memo import MemoKey, per_call
 from .scalars import add, exact_or_complex, inv, is_exact, mul, neg, rat_power
 
 ComplexLike = complex | float | int | Fraction
@@ -61,6 +60,7 @@ class MultCharacter:
                 object.__setattr__(self, "quad", SquareClass(self.field, name))
 
     @staticmethod
+    @per_call
     def trivial(field: LocalField) -> "MultCharacter":
         return MultCharacter(field, SquareClass(field, "1"))
 
@@ -74,7 +74,7 @@ class MultCharacter:
     def norm_power(field: LocalField, t: ComplexLike) -> "MultCharacter":
         return MultCharacter(field, SquareClass(field, "1"), 1, t)
 
-    memo_key = cached_property(Key)  # equal z or t of other types print apart
+    memo_key = MemoKey()  # equal z or t of other types print apart
 
     @property
     def delta(self) -> int:
@@ -116,6 +116,7 @@ def char_eval(chi: MultCharacter, x: Rational) -> ExactConst | complex:
         -complex(chi.t) * ordx * cmath.log(chi.field.q))
 
 
+@per_call
 def char_mul(a: MultCharacter, b: MultCharacter) -> MultCharacter:
     if a.field != b.field:
         raise ValueError("characters over different fields")
@@ -123,6 +124,7 @@ def char_mul(a: MultCharacter, b: MultCharacter) -> MultCharacter:
     return MultCharacter(a.field, a.quad * b.quad, z, add(a.t, b.t))
 
 
+@per_call
 def char_inverse(chi: MultCharacter) -> MultCharacter:
     z = 1 if chi.field.is_real else inv(chi.z)
     return MultCharacter(chi.field, chi.quad, z, neg(chi.t))
@@ -139,12 +141,13 @@ class AddCharacter:
 
     field: LocalField
     a: Fraction = Fraction(1)
-    memo_key = cached_property(Key)
+    memo_key = MemoKey()
 
     def __post_init__(self):
         object.__setattr__(self, "a", as_fraction(self.a))
 
     @staticmethod
+    @per_call
     def standard(field: LocalField) -> "AddCharacter":
         return AddCharacter(field, Fraction(1))
 

@@ -33,7 +33,7 @@ from .fields import (LocalField, Rational, SquareClass, as_fraction,
 from .gj import gj_L, gj_gamma_norm
 from .hermitian import (HERMITIAN, LINEAR, SKEW, HermitianSpace, discriminant,
                         kottwitz_sign)
-from .memo import Key, per_call
+from .memo import MemoKey, per_call
 from .mero import LinForm, MeroExpr, mero_mul, twist_nonarch
 from .quaternion import QuaternionAlgebra
 from .scalars import mul
@@ -57,7 +57,7 @@ class RepDatum:
     it is self-dual with central sign 1, over the field of its space."""
 
     central_sign = 1
-    memo_key = cached_property(Key)  # types of a character's z and t included
+    memo_key = MemoKey()  # types of a character's z and t included
 
     @property
     def field(self) -> LocalField:
@@ -309,7 +309,7 @@ class RegularNilpotentData:
     """A regular nilpotent datum enters only through its reduced norm."""
 
     norm_value: Fraction
-    memo_key = cached_property(Key)
+    memo_key = MemoKey()
 
     def __post_init__(self):
         object.__setattr__(self, "norm_value", as_fraction(self.norm_value))

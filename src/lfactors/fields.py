@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Union
 
 from .exactconst import factorization
-from .memo import Key
+from .memo import MemoKey
 
 Rational = Union[int, Fraction]
 
@@ -38,7 +37,7 @@ class LocalField:
     kind: str  # "real" | "nonarch"
     p: int | None = None
     f: int = 1
-    memo_key = cached_property(Key)
+    memo_key = MemoKey()
 
     def __post_init__(self):
         if self.kind == "real":
@@ -138,7 +137,7 @@ class SquareClass:
 
     field: LocalField
     name: str  # "1"/"-1" (real), "1"/"u"/"p"/"up" (nonarch)
-    memo_key = cached_property(Key)
+    memo_key = MemoKey()
 
     def __post_init__(self):
         valid = ("1", "-1") if self.field.is_real else ("1", "u", "p", "up")

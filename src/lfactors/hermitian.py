@@ -15,12 +15,11 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .exactconst import factorization
 from .fields import (LocalField, SquareClass, UnsupportedOperationError,
                      hilbert_symbol, square_class)
-from .memo import Key, per_call
+from .memo import MemoKey, per_call
 from .quaternion import (QuatMatrix, Quaternion, QuaternionAlgebra,
                          matrix_reduced_norm, rational_det)
 
@@ -39,7 +38,7 @@ class HermitianSpace:
     # N(gram), computed once by the degeneracy check; None without a gram
     gram_norm: Fraction | None = dataclasses.field(default=None, init=False, repr=False,
                                                    compare=False)
-    memo_key = cached_property(Key)
+    memo_key = MemoKey()
 
     def __post_init__(self):
         if self.form_type not in (LINEAR, HERMITIAN, SKEW):

@@ -3,16 +3,15 @@
 A key is a plain tuple whose leaves are ints, strs, floats, complexes, None
 and types, so CPython hashes and compares it in C: a Fraction keys as its
 type, numerator and denominator, and a character, datum, space, field or
-algebra as its `memo_key`, the types and keys of its fields.  Every leaf
-carries its type: t = 1/2 and t = 0.5+0j are equal, yet print `s+1/2` and
-`s+[0.5+0.0i]`.  Each scope and each thread has its own memo; outside a
-scope nothing is kept.
+algebra as its `memo_key`, its type then its fields' keys, built once per
+value without a lock.  Every leaf carries its type: t = 1/2 and t = 0.5+0j
+are equal, yet print `s+1/2` and `s+[0.5+0.0i]`.  Each scope and each
+thread has its own memo; outside a scope nothing is kept.
 """
 
 import functools
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import fields
 from fractions import Fraction
 
 _MEMO = ContextVar("lfactors_memo", default=None)
@@ -29,18 +28,27 @@ def scope():
 
 
 def Key(obj) -> tuple:
-    """A dataclass value's type and field keys, for `memo_key = cached_property(Key)`."""
-    return type(obj), *(key_of(getattr(obj, f.name)) for f in fields(obj))
+    """A dataclass value's type, then the keys of its fields (named once per class)."""
+    return type(obj), *(key_of(getattr(obj, name)) for name in obj.__dataclass_fields__)
+
+
+class MemoKey:
+    """`memo_key = MemoKey()`: Key(obj) on the first read, then kept in obj's __dict__
+    (a frozen value's key is a pure function of it, so a race stores one tuple twice)."""
+
+    def __get__(self, obj, cls=None):
+        return self if obj is None else obj.__dict__.setdefault("memo_key", Key(obj))
 
 
 def key_of(a):
-    """a's part of a key: its type and memo key (else value); a tuple's items each so."""
+    """a's part of a key: its memo key, else its type and value; a tuple's items each so."""
     t = type(a)
     if t is tuple:
         return tuple(map(key_of, a))
     if t is Fraction:
         return t, a.numerator, a.denominator
-    return t, getattr(a, "memo_key", a)
+    key = getattr(a, "memo_key", None)
+    return (t, a) if key is None else key
 
 
 def per_call(fn):

@@ -19,10 +19,9 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .fields import LocalField, hilbert_symbol
-from .memo import Key
+from .memo import MemoKey
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,7 @@ class QuaternionAlgebra:
     base: LocalField
     a: Fraction
     b: Fraction
-    memo_key = cached_property(Key)
+    memo_key = MemoKey()
 
     def __post_init__(self):
         object.__setattr__(self, "a", Fraction(self.a))
@@ -131,7 +130,7 @@ class QuatMatrix:
     alg: QuaternionAlgebra
     d: int
     coords: tuple[tuple[tuple[int, int, int, int], ...], ...]
-    memo_key = cached_property(Key)
+    memo_key = MemoKey()
 
     def __post_init__(self):
         if self.d <= 0:

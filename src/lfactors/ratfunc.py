@@ -156,8 +156,39 @@ def _coef_text(p: int, n: int, parts) -> str:
     """(a + b sqrt(p) + (c + d sqrt(p)) i) / n as text, each part spelled as
     Fraction(part, n), so the parts need not be in lowest terms."""
     tags = ("", f"*sqrt({p})", "*i", f"*i*sqrt({p})")
-    terms = [f"{Fraction(x, n)}{tag}" for x, tag in zip(parts, tags) if x]
+    terms = [f"{_fraction_text(Fraction(x, n))}{tag}" for x, tag in zip(parts, tags) if x]
     return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+
+
+def _fraction_text(x: Fraction) -> str:
+    """str(x), its numerator and denominator spelled by _int_text."""
+    num = _int_text(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_int_text(x.denominator)}"
+
+
+_DIRECT_DIGITS = 8000  # below this many digits str() is the faster
+_BIG = 10 ** _DIRECT_DIGITS
+
+
+def _int_text(k: int) -> str:
+    """str(k) in subquadratic time: CPython 3.11's str() of an int is quadratic,
+    so a big k is split at 2^1024, 2^2048, 2^4096, ... and its pieces are
+    joined in decimal, whose products are subquadratic and whose str() is linear."""
+    if -_BIG < k < _BIG:
+        return str(k)
+    from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
+    with localcontext(Context(MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])):  # exact
+        powers = [Decimal(2) ** 1024]  # powers[i] = 2^(1024 * 2^i)
+        while 1024 << len(powers) < k.bit_length():
+            powers.append(powers[-1] * powers[-1])
+
+        def join(k, i):  # Decimal(k) for 0 <= k < 2^(2048 * 2^i)
+            if i < 0:
+                return Decimal(k)
+            hi = k >> (1024 << i)
+            return join(hi, i - 1) * powers[i] + join(k - (hi << (1024 << i)), i - 1)
+        text = str(join(abs(k), len(powers) - 1))
+    return "-" + text if k < 0 else text
 
 
 def _exact_to_qisqrt(p: int, v, e: int = 0) -> QiSqrt:

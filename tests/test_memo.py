@@ -5,12 +5,14 @@ and a memoised verify pass reports what an unmemoised one does."""
 import copy
 import pickle
 import threading
+from collections import Counter
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 
 import pytest
 
 from lfactors import doubling, memo, tate, verify
-from lfactors.characters import AddCharacter, MultCharacter, char_eval, char_inverse
+from lfactors.characters import AddCharacter, MultCharacter, char_eval, char_inverse, char_mul
 from lfactors.doubling import GLChar, Induced, RegularNilpotentData, TrivialRep, gamma_factor
 from lfactors.fields import LocalField, SquareClass
 from lfactors.gj import gj_L, gj_gamma_norm
@@ -34,6 +36,18 @@ DATA = {"glchar": lambda chi: gamma_factor(GLChar(1, chi), TRIV, PSI),
         "induced": lambda chi: gamma_factor(Induced((GLChar(1, chi),), KERNEL), TRIV, PSI),
         "spherical": lambda chi: spherical_zeta(
             SphericalData(Q5, "hermitian", 1, 0, (chi.t,))).value_over_vol()}
+
+
+@dataclass(frozen=True)
+class Box:
+    x: object
+    memo_key = memo.MemoKey()
+
+
+@dataclass(frozen=True)
+class Crate:  # a Box by another name
+    x: object
+    memo_key = memo.MemoKey()
 
 
 @pytest.fixture
@@ -171,3 +185,70 @@ def test_no_scope_no_cache(builds):
     with memo.scope():
         assert tate.tate_gamma(HALF, PSI) is tate.tate_gamma(HALF, PSI)
     assert len(builds) == 3
+
+
+# -- the key path ------------------------------------------------------------
+
+def test_a_key_is_built_once_per_object_its_type_first(monkeypatch):
+    keyed, key = Counter(), memo.Key
+
+    def counting(obj):
+        keyed[id(obj)] += 1
+        return key(obj)
+
+    monkeypatch.setattr(memo, "Key", counting)
+    chi = MultCharacter(LocalField.padic(5), SquareClass(LocalField.padic(5), "1"), 2, Fraction(1, 2))
+    with memo.scope():
+        for _ in range(3):
+            chi.memo_key, memo.key_of(chi), memo.key_of((chi, chi.field)), tate.tate_L(chi)
+    assert keyed[id(chi)] == 1 and set(keyed.values()) == {1}
+    field = (LocalField, (str, "nonarch"), (int, 5), (int, 1))
+    assert chi.memo_key == memo.key_of(chi) == (
+        MultCharacter, field, (SquareClass, field, (str, "1")), (Fraction, 2, 1), (Fraction, 1, 2))
+
+
+@pytest.mark.parametrize("a, b", [(Box(1), Crate(1)), (Box(Box(1)), Box(Crate(1))),
+                                  (Box(1), Box(1.0)), (Box(1), Box(True)),
+                                  (Box(Fraction(1, 2)), Box(0.5 + 0j))])
+def test_equal_values_of_other_types_key_apart(a, b):
+    assert astuple(a) == astuple(b)
+    assert memo.key_of(a) != memo.key_of(b)
+    with memo.scope():
+        assert memo.per_call(repr)(a) == repr(a) and memo.per_call(repr)(b) == repr(b)
+
+
+def test_a_tuple_of_keyed_values_never_keys_as_a_keyed_value():
+    for value in (Box(1), Box((1, 2)), Box(HALF), HALF, Q5):
+        assert memo.key_of((value,)) != memo.key_of(Box(value))
+        assert memo.key_of((value, value)) != memo.key_of(Box((value, value))) != memo.key_of(value)
+
+
+# -- the memoised character algebra ------------------------------------------
+
+# z = 2+0j is stored as z = 2 (an integer-valued complex is made exact); z = 3/2 is not
+Z2, Z2_C, Z3_2, Z3_2_C = (MultCharacter(Q5, SquareClass(Q5, "1"), z)
+                          for z in (2, 2 + 0j, Fraction(3, 2), 1.5 + 0j))
+ALGEBRA = {"char_mul": lambda: char_mul(HALF, Z3_2), "char_inverse": lambda: char_inverse(HALF),
+           "trivial": lambda: MultCharacter.trivial(LocalField.padic(5)),
+           "standard": lambda: AddCharacter.standard(LocalField.padic(5))}
+
+
+@pytest.mark.parametrize("build", ALGEBRA.values(), ids=ALGEBRA)
+def test_the_character_algebra_builds_once_per_scope(build):
+    with memo.scope():
+        assert build() is build()
+    first, second = build(), build()
+    assert first == second and first is not second
+
+
+def test_character_algebra_keeps_each_spelling_of_z_and_t():
+    assert HALF == HALF_C and Z3_2 == Z3_2_C and repr(Z2) == repr(Z2_C)
+    pairs = [(HALF, Z3_2), (HALF_C, Z3_2), (HALF, Z3_2_C), (HALF_C, Z3_2_C)]
+    for op in (char_mul, lambda x, y: char_mul(y, x), lambda x, y: char_inverse(char_mul(x, y)),
+               lambda x, y: (char_inverse(x), char_inverse(y))):
+        want = [repr(op(*pair)) for pair in pairs]
+        assert len(set(want)) == len(pairs)
+        for order in (range(4), range(3, -1, -1)):  # pairs compare equal: index them
+            with memo.scope():
+                got = {i: [repr(op(*pairs[i])) for _ in range(2)] for i in order}
+            assert [got[i] for i in range(4)] == [[text] * 2 for text in want]

@@ -3,6 +3,7 @@ and against the expand-then-gcd reference, equality and is_one against the
 canonical form, and QiSqrt arithmetic."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 from lfactors.exactconst import ExactConst
 from lfactors.mero import LinForm, MeroExpr, mero_mul
-from lfactors.ratfunc import (ExactPoly, QiSqrt, RatFunc, _poly_divmod, _poly_gcd,
-                              as_rational_in_X)
+from lfactors.ratfunc import (_DIRECT_DIGITS, ExactPoly, QiSqrt, RatFunc, _fraction_text,
+                              _int_text, _poly_divmod, _poly_gcd, as_rational_in_X)
 
 P_OF_Q = {3: 3, 5: 5, 7: 7, 9: 3, 25: 5}
 
@@ -496,3 +497,46 @@ def test_qisqrt_str_and_complex_match_fraction_spelling(p, u, v):
     for value, ref in ((x, ref_x), (x * QiSqrt(p, *v), ref_x * _FractionQiSqrt(p, *v))):
         assert str(value) == str(ref)
         assert value.to_complex() == ref.to_complex()
+
+
+# -- spelling big integers ----------------------------------------------------
+# _int_text splits an integer past _DIRECT_DIGITS digits at 2^(1024 * 2^i), so
+# powers of 2 at those widths, and of 10 at the threshold, sit on its edges.
+EDGES = [(b, e, d) for b, e in [(10, _DIRECT_DIGITS - 1), (10, _DIRECT_DIGITS),
+                                (2, 1024 << 5), (2, 1024 << 6), (2, 1024 << 7)]
+         for d in (-1, 0, 1)] + [(10, 200_000, -1)]  # 200,000 nines
+
+
+def _assert_spelled_as_str(k):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = str(k)  # quadratic: about 0.6 s at 200,000 digits
+        assert _int_text(k) == text and _int_text(-k) == "-" + text
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("b, e, d", EDGES)
+def test_int_text_is_str_at_powers_of_10_and_2(b, e, d):
+    _assert_spelled_as_str(b ** e + d)
+
+
+# half the draws past the threshold, where _int_text splits
+@given(st.integers(1, 200_000) | st.integers(_DIRECT_DIGITS, 40_000),
+       st.randoms(use_true_random=False))
+@settings(max_examples=16, deadline=None)
+def test_int_text_is_str(digits, rng):
+    _assert_spelled_as_str(rng.randrange(10 ** (digits - 1), 10 ** digits))
+
+
+def test_fraction_text_is_str():
+    big = 7 ** 20_000
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for x in (Fraction(-big, 2), Fraction(big, big + 2), Fraction(3, -big), Fraction(-big),
+                  Fraction(1, 2), Fraction(-5), Fraction(0)):
+            assert _fraction_text(x) == str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
