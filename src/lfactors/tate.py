@@ -2,16 +2,14 @@
 and the gamma- and L-factors of the two-dimensional D_l over R.
 
 Conventions: the base additive character is e^{2 pi i x} over R and the
-conductor-O character over Q_p (level 0); psi_a rescales by a, entering
+level-0 character e^{+2 pi i {x}_p} over Q_p; psi_a rescales by a, entering
 epsilon through chi(a)|a|^{s-1/2}.  Ramified quadratic epsilon constants
-are literal Gauss sums over the residue field, snapped to their exact
-values in {sqrt p, i sqrt p} after a numerical guard.
+rest on the quadratic Gauss sum over the residue field (residue degree 1),
+taken from Gauss's closed form: sqrt p or i sqrt p as p = 1 or 3 mod 4.
 """
 
 from __future__ import annotations
 
-import cmath
-import functools
 from fractions import Fraction
 
 from .characters import AddCharacter, MultCharacter, char_eval, char_inverse
@@ -22,26 +20,10 @@ from .mero import LinForm, MeroExpr, mero_mul
 from .scalars import add, is_exact, neg
 
 
-@functools.cache  # a constant of p, kept for the life of the process
 def gauss_sum(p: int) -> ExactConst:
-    """The quadratic Gauss sum sum_x (x/p) e^{2 pi i x / p}, computed as the
-    literal finite sum and snapped to its exact value (sqrt p or i sqrt p)."""
-    total = 0j
-    for x in range(1, p):
-        leg = pow(x, (p - 1) // 2, p)
-        sign = -1 if leg == p - 1 else 1
-        total += sign * cmath.exp(2j * cmath.pi * x / p)
-    root = p ** 0.5
-    candidates = {
-        ExactConst(Fraction(1), 0, frozenset([p])): root,
-        ExactConst(Fraction(-1), 0, frozenset([p])): -root,
-        ExactConst(Fraction(1), 1, frozenset([p])): root * 1j,
-        ExactConst(Fraction(-1), 1, frozenset([p])): -root * 1j,
-    }
-    best, val = min(candidates.items(), key=lambda kv: abs(total - kv[1]))
-    if abs(total - val) > 1e-9 * root:
-        raise ArithmeticError(f"Gauss sum for p={p} did not snap to an exact value")
-    return best
+    """sum_x (x/p) e^{2 pi i x/p} = sqrt p or i sqrt p as the odd prime p is 1 or
+    3 mod 4, by Gauss's theorem (Ireland and Rosen, ch. 6)."""
+    return ExactConst(Fraction(1), p % 4 == 3, frozenset([p]))
 
 
 @per_call

@@ -14,7 +14,9 @@ mismatch count, the worst error and how many comparisons took each path.
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -26,7 +28,7 @@ from .doubling import (GLChar, Induced, RegularNilpotentData, SkewHermCharR,
                        SpHighestWeight, TrivialRep, correction_R, epsilon_factor,
                        gamma_capital, gamma_factor, normalization_c, root_number,
                        skew_char_space, sp_space, t_factor, derive_gj_from_normalization)
-from .exactconst import ExactConst
+from .exactconst import ExactConst, factor_int
 from .fields import LocalField, SquareClass, hilbert_symbol, nonsquare_unit, square_class
 from .gj import gj_gamma_norm
 from .hermitian import (LINEAR, SKEW, HermitianSpace, discriminant, kottwitz_sign,
@@ -208,8 +210,7 @@ def _char_algebra(rng, samples: int = 60):
                                     rng.choice([1, -1]), Fraction(rng.randint(-2, 2)))
                       for _ in range(2))
         x = _random_rational(rng)
-        yield (complex(char_eval(char_mul(chi1, chi2), x)),
-               complex(char_eval(chi1, x)) * complex(char_eval(chi2, x)), None)
+        yield char_eval(char_mul(chi1, chi2), x), char_eval(chi1, x) * char_eval(chi2, x), None
 
 
 # ---------------------------------------------------------------------------
@@ -346,16 +347,30 @@ def _tate_fe(rng):
 
 
 def _gauss(rng):
-    """|g| = sqrt p for the Gauss sum g; |eps| = 1 and eps^2 = chi(-1) at s = 1/2."""
+    """g against the literal sum_x (x/p) e^{2 pi i x/p}, which decides its sign;
+    eps^2 = chi(-1) and eps(chi, psi) eps(chi^{-1}, psi^{-1}) = 1 at s = 1/2."""
     for p in PRIMES:
         F = LocalField.padic(p)
         psi = AddCharacter.standard(F)
-        yield abs(gauss_sum(p).to_complex()) / p ** 0.5, 1.0, None
+        literal = sum((1 if pow(x, p // 2, p) == 1 else -1) * cmath.exp(2j * cmath.pi * x / p)
+                      for x in range(1, p))
+        yield literal, gauss_sum(p).to_complex(), None
         for name in ("p", "up"):
             chi = MultCharacter(F, SquareClass(F, name))
-            eps = complex(eps_at_half(chi, psi))
-            yield abs(eps), 1.0, None
-            yield eps * eps, complex(char_eval(chi, Fraction(-1))), None
+            eps = eps_at_half(chi, psi)
+            yield eps * eps, char_eval(chi, Fraction(-1)), None
+            yield eps * eps_at_half(char_inverse(chi), psi.inverse()), ExactConst.one(), None
+
+
+def _tate_epsilon_product(rng):
+    """Tate's thesis: prod_{v | d oo} eps_v(1/2, chi_{d,v}, psi_v) = 1 for the
+    quadratic character chi_d of Q(sqrt d), d squarefree and 1 mod 4, with
+    psi_oo = e^{2 pi i x} and psi_l the level-0 e^{+2 pi i {x}_l} rescaled by -1."""
+    for d in (-39, -35, -23, -15, -11, -7, -3, 5, 13, 21, 65, 105):
+        places = [AddCharacter.standard(REAL)] + [
+            AddCharacter.standard(LocalField.padic(l)).rescale(-1) for l in factor_int(abs(d))]
+        yield (math.prod((eps_at_half(MultCharacter(psi.field, square_class(psi.field, d)), psi)
+                          for psi in places), start=ExactConst.one()), ExactConst.one(), None)
 
 
 def psi_scaling_values(field: LocalField):
@@ -496,9 +511,8 @@ def _root_numbers(rng):
                       (Induced((GLChar(1, chi_u),), skew0), om)]
     for rep, omega in cases:
         psi = AddCharacter.standard(omega.field)
-        closed = root_number(rep.space, rep.central_sign, omega, psi)
-        yield (epsilon_factor(rep, omega, psi).subst(0, Fraction(1, 2)).eval(0),
-               complex(closed), None)
+        yield (epsilon_factor(rep, omega, psi).subst(0, Fraction(1, 2)).constant_value(),
+               root_number(rep.space, rep.central_sign, omega, psi), None)
 
 
 def _minimal_cases(rng):
@@ -573,7 +587,7 @@ SUITES = {
     "hilbert": [Check("hilbert-symbol-bilinearity", _hilbert_bilinearity),
                 Check("hilbert-symbol-vs-conic-oracle", _hilbert_oracle),
                 Check("square-class-modulo-squares", _square_class),
-                Check("character-evaluation-homomorphism", _char_algebra, 1e-12)],
+                Check("character-evaluation-homomorphism", _char_algebra)],
     "reduced_norm": [Check("reduced-norm-vs-regular-representation", _reduced_norm),
                      Check("discriminant-basis-invariance", _disc_basis_invariance)],
     "morita": [Check("morita-transfer-types-and-discriminant", _morita),
@@ -582,7 +596,8 @@ SUITES = {
     "duplication": [Check("legendre-duplication", _duplication, 1e-10)],
     "tate": [Check("tate-functional-equation", _tate_fe),
              Check("gauss-sum-epsilon-constants", _gauss, 1e-12),
-             Check("tate-psi-rescaling", _tate_psi_scaling)],
+             Check("tate-psi-rescaling", _tate_psi_scaling),
+             Check("tate-epsilon-product", _tate_epsilon_product)],
     "functional_equation": [Check("gamma-functional-equation", _functional_equation)],
     "self_duality": [Check("self-duality", _self_duality),
                      Check("unramified-twisting", _twisting)],

@@ -290,6 +290,7 @@ def test_cli_accepts_exponents_at_the_bound(tmp_path, capsys, doc):
 
 @pytest.mark.parametrize("doc", [
     {"field": {"kind": "nonarch", "p": 999983}, "rep": {"kind": "gl_char", "m": 1, "chi": {}}},
+    {"field": {"kind": "nonarch", "p": 999983}, "rep": {"kind": "gl_char", "m": 1, "chi": {"quad": "p"}}},
     # 5^1430 < 10^1000 <= 5^1431
     {"field": {"kind": "nonarch", "p": 5, "f": 1430}, "rep": {"kind": "gl_char", "m": 1, "chi": {}}},
     {"field": {"kind": "real"}, "rep": {"kind": "gl_char", "m": 32, "chi": {}},
@@ -312,7 +313,7 @@ def test_cli_accepts_exponents_at_the_bound(tmp_path, capsys, doc):
      "spherical": {"form_type": "skew", "r": 100, "n0": 0, "exponents": ["0"] * 100}},
     {"field": {"kind": "nonarch", "p": "5"}, "outputs": ["spherical"],
      "spherical": {"form_type": "skew", "r": 1, "n0": 3, "disc0": "p", "exponents": ["0"]}},
-], ids=["p-at-bound", "q-at-bound", "m-at-bound-real", "m-at-bound-padic", "block-m-at-bound",
+], ids=["p-at-bound", "p-at-bound-ramified", "q-at-bound", "m-at-bound-real", "m-at-bound-padic", "block-m-at-bound",
         "l-at-bound", "lambda-at-bound", "diag-at-bound", "gram-at-bound", "r-at-bound",
         "skew-n0-at-bound"])
 def test_cli_accepts_integers_at_the_bound(tmp_path, capsys, doc):

@@ -38,13 +38,14 @@ def test_tate_eps_examples():
 
 
 def test_gauss_sum_literal():
-    # sum_x (x/5) e^{2 pi i x/5} = sqrt 5
-    lit = sum((1 if pow(x, 2, 5) in {1, 4} and pow(x, (5 - 1) // 2, 5) == 1 else -1)
-              * cmath.exp(2j * cmath.pi * x / 5) for x in range(1, 5))
-    assert abs(lit - 5 ** 0.5) < 1e-12
     assert gauss_sum(5) == ExactConst(Fraction(1), 0, frozenset([5]))
     assert gauss_sum(7) == ExactConst(Fraction(1), 1, frozenset([7]))  # i sqrt 7
-    assert gauss_sum(3) == ExactConst(Fraction(1), 1, frozenset([3]))
+    odd_primes = [p for p in range(3, 500) if all(p % d for d in range(2, p))]
+    assert len(odd_primes) == 94
+    for p in odd_primes:  # the float reference: sum_x (x/p) e^{2 pi i x/p}, added up
+        literal = sum((1 if pow(x, (p - 1) // 2, p) == 1 else -1) * cmath.exp(2j * cmath.pi * x / p)
+                      for x in range(1, p))
+        assert abs(literal - gauss_sum(p).to_complex()) < 1e-10 * p ** 0.5, p
 
 
 def test_ramified_needs_residue_degree_one():

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from lfactors import mero
+from lfactors import mero, tate
 from lfactors.cli import main
 from lfactors.exactconst import ExactConst
 from lfactors.fields import LocalField
@@ -68,7 +68,7 @@ def test_verify_json_is_alone_on_stdout(capsys):
 def test_corrupt_fails_every_check():
     report = run_verify("all", corrupt=True)
     names = [check.name for checks in SUITES.values() for check in checks]
-    assert len(names) == 23 and [r.name for r in report.results] == names
+    assert len(names) == 24 and [r.name for r in report.results] == names
     assert [r.name for r in report.results if r.passed or r.mismatches < 1] == []
 
 
@@ -86,6 +86,32 @@ def test_roundtrip_check_reads_complex_parts(monkeypatch):
     monkeypatch.setattr(mero, "_text_value", swapped)
     report = run_verify("mero")
     assert not report.passed and report.results[0].mismatches > 0
+
+
+def _epsilon_product_mismatches(monkeypatch, name, fault):
+    """Run the tate suite with `fault` planted as tate.<name>; it must fail, and
+    the epsilon-product check must see the fault at each of its seven negative d."""
+    monkeypatch.setattr(tate, name, fault)
+    report = run_verify("tate")
+    assert not report.passed
+    return next(r.mismatches for r in report.results if r.name == "tate-epsilon-product")
+
+
+def test_conjugated_gauss_sum_fails_verify(monkeypatch):
+    """-i sqrt p for p = 3 mod 4 keeps |g|, eps^2 and eps(chi) eps(chi^{-1}), but
+    not Tate's global product of local root numbers."""
+    def conjugated(p):
+        return ExactConst(Fraction(1), -(p % 4 == 3), frozenset([p]))
+    assert _epsilon_product_mismatches(monkeypatch, "gauss_sum", conjugated) == 7
+
+
+def test_p_adic_psi_of_the_other_sign_fails_verify(monkeypatch):
+    """tate_eps reading psi_a as psi_{-a} over Q_p keeps every local identity."""
+    plain = tate.tate_eps
+
+    def flipped(chi, psi):
+        return plain(chi, psi if chi.field.is_real else psi.inverse())
+    assert _epsilon_product_mismatches(monkeypatch, "tate_eps", flipped) == 7
 
 
 def _structure(checks: list[dict]) -> list[dict]:
