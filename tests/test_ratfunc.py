@@ -1,10 +1,19 @@
 """Exact rational functions in X: the canonical form against a sympy oracle
 and against the expand-then-gcd reference, equality and is_one against the
-canonical form, and QiSqrt arithmetic."""
+canonical form, the printed text against a pinned record, and QiSqrt
+arithmetic.
 
+The record of printed text lives in tests/data/ratfunc_text.json.  Regenerate
+it, only when a change to the spelling is intended, with
+
+    PYTHONPATH=src python tests/test_ratfunc.py
+"""
+
+import json
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,20 +24,30 @@ from lfactors.mero import LinForm, MeroExpr, mero_mul
 from lfactors.ratfunc import (_DIRECT_DIGITS, ExactPoly, QiSqrt, RatFunc, _fraction_text,
                               _int_text, _poly_divmod, _poly_gcd, as_rational_in_X)
 
-P_OF_Q = {3: 3, 5: 5, 7: 7, 9: 3, 25: 5}
+P_OF_Q = {3: 3, 5: 5, 7: 7, 9: 3, 25: 5, 27: 3, 49: 7}
+TEXT = Path(__file__).resolve().parent / "data" / "ratfunc_text.json"
 
 
 # -- random products and quotients of L- and Exp-atoms ----------------------
 # An atom spec is ("L", z, alpha, beta, k): (1 - z q^{-beta} X^alpha)^{-k},
 # or ("E", r, alpha, beta, k): (q^r)^{(alpha s + beta) k}.
 
+def _random_z(rng: random.Random, p: int) -> Fraction:
+    """A small rational, or one with p in its numerator or denominator."""
+    if rng.random() < 0.7:
+        return Fraction(rng.choice([1, -1, 2, -3]), rng.choice([1, 1, 2, 3]))
+    return rng.choice([1, -1]) * rng.choice([Fraction(p), Fraction(1, p), Fraction(p * p, 3)])
+
+
 def _random_specs(rng: random.Random, q: int) -> list[tuple]:
+    """Slopes down to -3 with half-integer shifts, so that a binomial with
+    sqrt(p) in its constant is turned round, and exponents up to 3."""
     specs = []
     for _ in range(rng.randint(1, 4)):
         if rng.random() < 0.75:
-            z = Fraction(rng.choice([1, -1, 2, -3]), rng.choice([1, 1, 2, 3]))
-            specs.append(("L", z, rng.choice([1, 1, 2, 3, -1]),
-                          Fraction(rng.randint(-2, 2), 2), rng.choice([-2, -1, 1, 2])))
+            specs.append(("L", _random_z(rng, P_OF_Q[q]), rng.choice([1, 1, 2, 3, -1, -2, -3]),
+                          Fraction(rng.randint(-2, 2), 2),
+                          rng.choice([-3, -2, -1, -1, 1, 1, 2, 3])))
         else:
             specs.append(("E", rng.choice([1, -1, 2]), rng.choice([1, -1, 2]),
                           Fraction(rng.randint(-2, 2), 2), rng.choice([-1, 1])))
@@ -238,6 +257,26 @@ def test_factored_form_matches_reference_canonicaliser():
         _assert_factored(prod, p)
         if pref.rat:
             assert (rf.inv().num, rf.inv().den) == _ref_canonical(den, num)
+
+
+def _text_record() -> list[str]:
+    """str(as_rational_in_X(...)) of 400 seeded random expressions."""
+    rng, out = random.Random(20261020), []
+    for trial in range(400):
+        q = (3, 5, 7, 9, 25, 27, 49)[trial % 7]
+        pref = _random_prefactor(rng, P_OF_Q[q])
+        out.append(str(as_rational_in_X(_mero(q, pref, _hidden_specs(rng, q)), q)))
+    return out
+
+
+def test_text_matches_the_pinned_record():
+    """The printed form byte for byte: the reference tests compare values,
+    so only this pins the spelling of each coefficient."""
+    want = json.loads(TEXT.read_text(encoding="utf-8"))
+    got = _text_record()
+    assert len(got) == len(want)
+    for trial, (g, w) in enumerate(zip(got, want)):
+        assert g == w, trial
 
 
 def test_hidden_common_factors_of_unequal_degree():
@@ -540,3 +579,8 @@ def test_fraction_text_is_str():
             assert _fraction_text(x) == str(x)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+if __name__ == "__main__":
+    TEXT.parent.mkdir(exist_ok=True)
+    TEXT.write_text(json.dumps(_text_record(), indent=0) + "\n", encoding="utf-8")
