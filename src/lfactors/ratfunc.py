@@ -40,7 +40,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .exactconst import ExactConst, factorization
-from .scalars import is_exact, is_half_integer, mul, neg, power, rat_power
+from .mero import ExpAtom, GammaCAtom, GammaRAtom, LAtom, UnsupportedExpressionError, _log_base
+from .scalars import is_exact, mul, neg, power, rat_power
 
 
 class QiSqrt:
@@ -74,7 +75,7 @@ class QiSqrt:
             if v.p != p:
                 raise ValueError("mixed base primes")
             return v
-        return _exact_to_qisqrt(p, v)
+        return _monomial(p, *_exact_parts(p, v))
 
     def __bool__(self) -> bool:
         return bool(self.a or self.b or self.c or self.d)
@@ -153,17 +154,20 @@ class QiSqrt:
 
 
 def _coef_text(p: int, n: int, parts) -> str:
-    """(a + b sqrt(p) + (c + d sqrt(p)) i) / n as text, each part spelled as
-    Fraction(part, n), so the parts need not be in lowest terms."""
+    """(a + b sqrt(p) + (c + d sqrt(p)) i) / n as text, each part x spelled as
+    x / n in lowest terms, so the parts need not be in lowest terms."""
     tags = ("", f"*sqrt({p})", "*i", f"*i*sqrt({p})")
-    terms = [f"{_fraction_text(Fraction(x, n))}{tag}" for x, tag in zip(parts, tags) if x]
+    terms = []
+    for x, tag in zip(parts, tags):
+        if x:
+            g = gcd(x, n)
+            terms.append(_fraction_text(x // g, n // g) + tag)
     return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
-def _fraction_text(x: Fraction) -> str:
-    """str(x), its numerator and denominator spelled by _int_text."""
-    num = _int_text(x.numerator)
-    return num if x.denominator == 1 else f"{num}/{_int_text(x.denominator)}"
+def _fraction_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for coprime num and den > 0, spelled by _int_text."""
+    return _int_text(num) if den == 1 else f"{_int_text(num)}/{_int_text(den)}"
 
 
 _DIRECT_DIGITS = 8000  # below this many digits str() is the faster
@@ -191,15 +195,23 @@ def _int_text(k: int) -> str:
     return "-" + text if k < 0 else text
 
 
-def _exact_to_qisqrt(p: int, v, e: int = 0) -> QiSqrt:
-    """v sqrt(p)^e for an int, Fraction or ExactConst v."""
+def _exact_parts(p: int, v) -> tuple[int, int, int, int]:
+    """(num, den, ipow, e) with v = num / den i^ipow sqrt(p)^e, for an int,
+    Fraction or ExactConst v."""
     rat, ipow, roots = (v.rat, v.ipow, v.roots) if type(v) is ExactConst else (v, 0, ())
     if any(r != p for r in roots):
         raise ValueError(f"constant {v} does not lie in Q(i, sqrt {p})")
-    h, odd = divmod(e + (p in roots), 2)  # v sqrt(p)^e = rat i^ipow p^h sqrt(p)^odd
-    parts = [0, 0, 0, 0]  # ExactConst keeps ipow in {0, 1}
-    parts[2 * ipow + odd] = rat.numerator * p ** max(h, 0)
-    return QiSqrt._of_ints(p, *parts, rat.denominator * p ** max(-h, 0))
+    return rat.numerator, rat.denominator, ipow, p in roots
+
+
+def _monomial(p: int, num: int, den: int, ipow: int, e: int) -> QiSqrt:
+    """num / den i^ipow sqrt(p)^e, for ipow in {0, 1} and den != 0."""
+    h, odd = divmod(e, 2)  # sqrt(p)^e = p^h sqrt(p)^odd
+    if den < 0:
+        num, den = -num, -den
+    parts = [0, 0, 0, 0]
+    parts[2 * ipow + odd] = num * p ** max(h, 0)
+    return QiSqrt._of_ints(p, *parts, den * p ** max(-h, 0))
 
 
 def _spell(coeffs: dict, spell) -> str:
@@ -228,11 +240,12 @@ class ExactPoly:
     __slots__ = ("p", "n", "parts", "binomial")
 
     def __init__(self, p: int, n: int, parts):
-        """From integer parts over n > 0, not necessarily in lowest terms."""
+        """From integer parts over n > 0, not necessarily in lowest terms; parts
+        missing from the end of the four are 0."""
         m = len(parts[0])
         while m and not any(part[m - 1] for part in parts):
             m -= 1
-        parts = [part[:m] for part in parts]
+        parts = [part[:m] for part in parts] + [[0] * m] * (4 - len(parts))
         g = gcd(n, *parts[0], *parts[1], *parts[2], *parts[3])
         if g != 1:
             parts = [[x // g for x in part] for part in parts]
@@ -405,11 +418,18 @@ class RatFunc:
     def _canonical(self) -> tuple:
         if self._pair is None:
             p, e, u = self.p, self.xpow, self.unit
-            pair = [(u.n, [[0] * max(e, 0) + [x] for x in (u.a, u.b, u.c, u.d)]),
-                    (1, [[0] * max(-e, 0) + [x] for x in (1, 0, 0, 0)])]
+            parts = (u.a, u.b, u.c, u.d) if u.b or u.c or u.d else (u.a,)  # rational: A alone
+            pair = [(u.n, [[0] * max(e, 0) + [x] for x in parts]), (1, [[0] * max(-e, 0) + [1]])]
             for f, k in self.basis.items():
-                for _ in range(abs(k)):
-                    pair[k < 0] = _mul(p, pair[k < 0], (f.n, f.parts))
+                (n, parts), (a, c) = pair[k < 0], f.binomial[:2] if f.binomial else (0, None)
+                if a and len(parts) == 1 and not (c.b or c.c or c.d):  # rational side and c
+                    part, pad = parts[0], [0] * a
+                    for _ in range(abs(k)):  # times 1 - (c.a / c.n) X^a in one pass
+                        part = [x * c.n - y * c.a for x, y in zip(part + pad, pad + part)]
+                    pair[k < 0] = n * c.n ** abs(k), [part]
+                else:
+                    for _ in range(abs(k)):
+                        pair[k < 0] = _mul(p, pair[k < 0], (f.n, f.parts))
             self._pair = tuple(ExactPoly(p, *side) for side in pair)  # in lowest terms
         return self._pair
 
@@ -486,16 +506,13 @@ class RatFunc:
 def as_rational_in_X(expr, q: int) -> RatFunc:
     """Rewrite a purely nonarchimedean expression as a ratio of polynomials
     in X = q^{-s}; exact whenever every constant lies in Q(i, sqrt p)."""
-    from .mero import (ExpAtom, GammaCAtom, GammaRAtom, LAtom, UnsupportedExpressionError,
-                       _log_base)
-
     fac = factorization(q)
     if len(fac) != 1:
         raise ValueError(f"residue cardinality {q} is not a prime power")
     (p, f), = fac
 
     scalar = expr.prefactor
-    pieces: list[tuple] = []  # (a, z, beta, k): (1 - z q^-beta X^a)^k, or X^a when z is None
+    pieces: list[tuple] = []  # (a, z, form, k): (1 - z q^-beta X^a)^k, or X^a when z is None
 
     for atom, k in expr.atoms:
         if isinstance(atom, (GammaRAtom, GammaCAtom)):
@@ -503,10 +520,10 @@ def as_rational_in_X(expr, q: int) -> RatFunc:
         if isinstance(atom, LAtom):
             if atom.q != q:
                 raise UnsupportedExpressionError(f"mixed residue cardinalities {atom.q} vs {q}")
-            alpha = atom.form.alpha
-            if alpha.denominator != 1 or alpha == 0:
+            form = atom.form
+            if form.ad != 1 or form.an == 0:
                 raise UnsupportedExpressionError("L-atom argument must have integer s-slope")
-            pieces.append((int(alpha), atom.z, atom.form.beta, -k))  # atom^-1 = 1 - z q^-beta X^a
+            pieces.append((form.an, atom.z, form, -k))  # atom^-1 = 1 - z q^-beta X^a
         else:
             assert isinstance(atom, ExpAtom)
             r = _log_base(atom.base, q)
@@ -517,30 +534,35 @@ def as_rational_in_X(expr, q: int) -> RatFunc:
             scalar = mul(scalar, power(rat_power(q, mul(r, atom.form.beta)), k))
             pieces.append((-int(e) * k, None, None, 1))
 
-    if not (is_exact(scalar) and all(z is None or is_exact(z) and is_half_integer(beta)
-                                     for _, z, beta, _ in pieces)):
+    if not (is_exact(scalar) and all(z is None or is_exact(z) and form.bn is not None
+                                     and form.bd <= 2 for _, z, form, _ in pieces)):
         one = Poly({0: 1 + 0j})
         out = RatFunc(p, None, pair=(Poly({0: complex(scalar)}), one))
-        for a, z, beta, k in pieces:
-            c = None if z is None else neg(mul(z, rat_power(q, neg(beta))))
+        for a, z, form, k in pieces:
+            c = None if z is None else neg(mul(z, rat_power(q, neg(form.beta))))
             poly = Poly({a: 1 + 0j} if c is None else {0: 1 + 0j, a: complex(c)})
             out = out * RatFunc(p, None, pair=(poly, one)) ** k
         return out
-    unit, xpow, binomials = QiSqrt.of(p, scalar), 0, {}
-    for a, z, beta, k in pieces:
+    # z is a Fraction and beta a half-integer, so c = z q^-beta = cn / cd sqrt(p)^odd;
+    # the unit is un / ud i^ipow sqrt(p)^ue
+    (un, ud, ipow, ue), xpow, binomials = _exact_parts(p, scalar), 0, {}
+    for a, z, form, k in pieces:
         if z is None:
             xpow += a
-            continue
-        c = _exact_to_qisqrt(p, z, int(-2 * f * beta))  # q^-beta = sqrt(p)^(-2 f beta)
-        if not c:  # 1 - 0 X^a = 1
-            continue
-        if a < 0:  # 1 - c X^a = -c X^a (1 - c^-1 X^-a)
-            unit, xpow, a, c = unit * (-c) ** k, xpow + a * k, -a, c.inverse()
-        binomials[a, c] = binomials.get((a, c), 0) + k
+        elif z:  # 1 - 0 X^a = 1
+            h, odd = divmod(-2 * f * form.bn // form.bd, 2)  # q^-beta = p^h sqrt(p)^odd
+            cn, cd = z.numerator * p ** max(h, 0), z.denominator * p ** max(-h, 0)
+            if a < 0:  # 1 - c X^a = -c X^a (1 - c^-1 X^-a), and 1 / sqrt(p) = sqrt(p) / p
+                x, y = (-cn, cd) if k > 0 else (cd, -cn)
+                un, ud, ue, xpow = un * x ** abs(k), ud * y ** abs(k), ue + odd * k, xpow + a * k
+                a, cn, cd = -a, cd, cn * p ** odd
+            g = gcd(cn, cd) if cd > 0 else -gcd(cn, cd)  # in lowest terms with cd > 0
+            key = a, cn // g, cd // g, odd
+            binomials[key] = binomials.get(key, 0) + k
     basis: dict[ExactPoly, int] = {}
-    for (a, c), k in binomials.items():
-        if k:
-            pad = [0] * (a - 1)  # 1 - c X^a, in lowest terms as c is
-            _refine(basis, ExactPoly(p, c.n, [[c.n * (j == 0), *pad, -x]
-                                              for j, x in enumerate((c.a, c.b, c.c, c.d))]), k)
-    return RatFunc(p, unit, xpow, basis)
+    for (a, cn, cd, odd), k in binomials.items():
+        if k:  # 1 - c X^a over cd, in lowest terms as c is
+            pad = [0] * (a - 1)
+            _refine(basis, ExactPoly(p, cd, [[cd * (j == 0), *pad, -cn * (j == odd)]
+                                             for j in range(odd + 1)]), k)
+    return RatFunc(p, _monomial(p, un, ud, ipow, ue), xpow, basis)

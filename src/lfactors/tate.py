@@ -17,7 +17,7 @@ from .exactconst import ExactConst
 from .fields import LocalField, UnsupportedFieldError, valuation
 from .memo import per_call
 from .mero import LinForm, MeroExpr, mero_mul
-from .scalars import add, is_exact, neg
+from .scalars import add, mul, neg
 
 
 def gauss_sum(p: int) -> ExactConst:
@@ -56,8 +56,7 @@ def tate_eps(chi: MultCharacter, psi: AddCharacter) -> MeroExpr:
         chi_pi = char_eval(
             MultCharacter(chi.field, chi.quad, chi.z, 0), Fraction(p))
         norm = ExactConst.half_power(Fraction(p), -1)  # 1/sqrt p
-        const = g * norm * chi_pi if is_exact(chi_pi) \
-            else g.to_complex() * norm.to_complex() * chi_pi
+        const = mul(g * norm, chi_pi)  # g / sqrt p = 1 or i exactly
         # q^{(1/2 - s - t)} times the normalized Gauss root number
         base = mero_mul(MeroExpr.const(const),
                         MeroExpr.exp(Fraction(chi.field.q),

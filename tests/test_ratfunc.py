@@ -576,7 +576,7 @@ def test_fraction_text_is_str():
     try:
         for x in (Fraction(-big, 2), Fraction(big, big + 2), Fraction(3, -big), Fraction(-big),
                   Fraction(1, 2), Fraction(-5), Fraction(0)):
-            assert _fraction_text(x) == str(x)
+            assert _fraction_text(x.numerator, x.denominator) == str(x)
     finally:
         sys.set_int_max_str_digits(limit)
 
