@@ -9,25 +9,32 @@ exact polynomial (ExactPoly), with four integer lists of coefficient parts.
 
 An exact RatFunc is kept factored, unit * X^e * prod f^k, over a pairwise
 coprime basis of polynomials f with constant term 1 and nonzero integers k.
-`as_rational_in_X` builds it from the Tate factors (1 - c X^a)^-k: a negative
-slope is turned round, 1 - c X^a = -c X^a (1 - c^-1 X^-a), equal binomials
-are merged, and a pair of factors with a nontrivial gcd is split into the gcd
-and the two quotients (factor refinement: Bach, Driscoll and Shallit, J.
-Algorithms 15, 1993). Binomials 1 - c X^a and 1 - d X^b share a root only
-if c^(b/h) = d^(a/h), h = gcd(a, b), for a common root x has x^(ab/h) equal
-to c^(-b/h) and to d^(-a/h); a pair that fails this root test is coprime
-without a gcd. The norm N from K to Q is multiplicative, so the test first
-compares the rationals N(c)^(b/h) and N(d)^(a/h), each binomial holding its
-N(c), and raises c and d to their powers, by squaring, only if they agree.
-Products and inverses merge bases and negate exponents. The canonical form
-then needs no gcd: the numerator is unit * X^max(e,0) times the factors with
-k > 0, the denominator X^max(-e,0) times those with k < 0; they are coprime,
-the lower of their two lowest exponents is 0 and the denominator's trailing
-coefficient is 1 (zero is 0/1). They are expanded on first access to `num`,
-`den` or `str`, one factor after another on the integer lists (each step is
-linear in the partial product, which beat a product tree and Kronecker
-substitution), with one content gcd at the end. `f == g` refines f / g,
-which is 1 exactly when unit 1, e = 0 and an empty basis are left.
+`as_rational_in_X` builds it from the Tate factors (1 - c X^a)^-k on plain
+ints: an L-atom's slope a and half-integer shift beta are its LinForm's
+integers, and c = z q^-beta is held as (cn, cd, odd), c = cn / cd sqrt(p)^odd
+in lowest terms. A negative slope is turned round, 1 - c X^a = -c X^a
+(1 - c^-1 X^-a), its -c X^a folding into an integer unit and the power of X
+(1 / sqrt p = sqrt p / p). Equal binomials merge on their int keys, and one
+ExactPoly is built per distinct binomial. A pair of factors with a
+nontrivial gcd is split into the gcd and the two quotients (factor
+refinement: Bach, Driscoll and Shallit, J. Algorithms 15, 1993). Binomials
+1 - c X^a and 1 - d X^b share a root only if c^(b/h) = d^(a/h), h = gcd(a,
+b), for a common root x has x^(ab/h) equal to c^(-b/h) and to d^(-a/h); a
+pair that fails this root test is coprime without a gcd. The norm N from K
+to Q is multiplicative, so the test first compares the rationals N(c)^(b/h)
+and N(d)^(a/h), each binomial holding its N(c), and raises c and d to their
+powers, by squaring, only if they agree. Products and inverses merge bases
+and negate exponents. The canonical form then needs no gcd: the numerator
+is unit * X^max(e,0) times the factors with k > 0, the denominator
+X^max(-e,0) times those with k < 0; they are coprime, the lower of their two
+lowest exponents is 0 and the denominator's trailing coefficient is 1 (zero
+is 0/1). They are expanded on first access to `num`, `den` or `str`, one
+factor after another on the integer lists (each step is linear in the
+partial product, which beat a product tree and Kronecker substitution), with
+one content gcd at the end; while a side is rational it is one list, and a
+binomial with a rational c goes into it in one pass. Each coefficient part
+is spelled over n after one gcd. `f == g` refines f / g, which is 1 exactly
+when unit 1, e = 0 and an empty basis are left.
 
 Inexact inputs (irrational twists) degrade the whole function to complex
 coefficients (Poly). Such a function keeps the numerator and denominator of

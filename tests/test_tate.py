@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lfactors.characters import (AddCharacter, MultCharacter, char_inverse,
+from lfactors.characters import (AddCharacter, MultCharacter, char_eval, char_inverse,
                                  unramified_twist)
 from lfactors.exactconst import ExactConst
 from lfactors.fields import LocalField, SquareClass, UnsupportedFieldError
@@ -46,6 +46,17 @@ def test_gauss_sum_literal():
         literal = sum((1 if pow(x, (p - 1) // 2, p) == 1 else -1) * cmath.exp(2j * cmath.pi * x / p)
                       for x in range(1, p))
         assert abs(literal - gauss_sum(p).to_complex()) < 1e-10 * p ** 0.5, p
+
+
+def test_ramified_epsilon_with_complex_z_carries_no_gauss_rounding():
+    """g / sqrt p is 1 or i exactly (p = 1 or 3 mod 4), so with a complex
+    chi(pi) the constant of epsilon(s, chi, psi) = c q^-s is chi(pi) sqrt p
+    or i chi(pi) sqrt p to the last bit."""
+    for p, unit in ((5, 1), (13, 1), (3, 1j), (7, 1j)):
+        F = LocalField.padic(p)
+        chi = MultCharacter(F, SquareClass(F, "p"), 2j)
+        chi_pi = char_eval(MultCharacter(F, chi.quad, chi.z, 0), Fraction(p))
+        assert tate_eps(chi, AddCharacter.standard(F)).prefactor == unit * chi_pi * p ** 0.5, p
 
 
 def test_ramified_needs_residue_degree_one():
