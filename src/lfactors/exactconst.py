@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -49,24 +48,22 @@ def factorization(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(factor_int(n).items())
 
 
-@dataclass(frozen=True)
 class ExactConst:
-    """rat * i^ipow * prod_{p in roots} sqrt(p)."""
+    """rat * i^ipow * prod_{p in roots} sqrt(p).  A value: do not assign to its fields."""
 
-    rat: Fraction = Fraction(1)
-    ipow: int = 0                      # modulo 4
-    roots: frozenset[int] = field(default_factory=frozenset)
+    __slots__ = ("rat", "ipow", "roots")
 
-    def __post_init__(self):
-        rat = self.rat if type(self.rat) is Fraction else Fraction(self.rat)
-        ipow = self.ipow % 4
+    def __init__(self, rat=Fraction(1), ipow: int = 0, roots: frozenset[int] = frozenset()):
+        rat = rat if type(rat) is Fraction else Fraction(rat)
+        ipow %= 4
         if ipow >= 2:  # canonical form keeps ipow in {0, 1}
             rat, ipow = -rat, ipow - 2
-        object.__setattr__(self, "rat", rat)
-        object.__setattr__(self, "ipow", ipow)
-        if rat == 0:
-            object.__setattr__(self, "ipow", 0)
-            object.__setattr__(self, "roots", frozenset())
+        if not rat:
+            ipow, roots = 0, frozenset()
+        self.rat, self.ipow, self.roots = rat, ipow, roots
+
+    def __repr__(self):
+        return f"ExactConst(rat={self.rat!r}, ipow={self.ipow!r}, roots={self.roots!r})"
 
     @staticmethod
     def one() -> "ExactConst":
@@ -120,8 +117,7 @@ class ExactConst:
     def __pow__(self, k: int) -> "ExactConst":
         if k < 0:
             return self.inverse() ** (-k)
-        out = ExactConst.one()
-        b = self
+        out, b = ExactConst.one(), self
         while k:
             if k & 1:
                 out = out * b

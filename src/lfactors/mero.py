@@ -555,7 +555,7 @@ def _log_gamma(z: np.ndarray) -> np.ndarray:
     y_inv = 1 / (y + n)
     prod = np.ones_like(y)  # prod_{k < n} (y + k) / (y + n)
     for k in range(_SHIFT_TO):
-        prod *= np.where(k < n, (y + k) * y_inv, 1)
+        np.multiply(prod, (y + k) * y_inv, out=prod, where=k < n)
     y = y + n
     r, series = y_inv * y_inv, np.zeros_like(y)
     for c in reversed(_STIRLING):
@@ -633,6 +633,15 @@ def eval_batch(exprs: Sequence[MeroExpr], points) -> np.ndarray:
         out = np.exp(eval_log_batch(exprs, points))
     out[~np.isfinite(out)] = np.nan
     return out
+
+
+def values_json(exprs: Sequence[MeroExpr], points) -> list[list]:
+    """eval_batch's values as JSON rows: [re, im] at each point, None at NaN."""
+    values = eval_batch(exprs, points)
+    rows = values.view(float).reshape(*values.shape, 2).tolist()
+    for i, j in zip(*np.nonzero(np.isnan(values))):
+        rows[i][j] = None
+    return rows
 
 
 # -- numeric comparison --------------------------------------------------

@@ -334,9 +334,8 @@ def _expr_payload(expr: MeroExpr, q: QueryDocument, pending: list) -> dict:
 
 
 def _fill_values(pending: list, points) -> None:
-    values = mero.eval_batch([shown for _, shown in pending], points).tolist()
-    for (payload, _), row in zip(pending, values):
-        payload["values"] = [None if cmath.isnan(v) else [v.real, v.imag] for v in row]
+    for (payload, _), row in zip(pending, mero.values_json([shown for _, shown in pending], points)):
+        payload["values"] = row
 
 
 def _metadata(q: QueryDocument) -> dict:

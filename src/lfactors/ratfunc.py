@@ -15,26 +15,29 @@ integers, and c = z q^-beta is held as (cn, cd, odd), c = cn / cd sqrt(p)^odd
 in lowest terms. A negative slope is turned round, 1 - c X^a = -c X^a
 (1 - c^-1 X^-a), its -c X^a folding into an integer unit and the power of X
 (1 / sqrt p = sqrt p / p). Equal binomials merge on their int keys, and one
-ExactPoly is built per distinct binomial. A pair of factors with a
-nontrivial gcd is split into the gcd and the two quotients (factor
-refinement: Bach, Driscoll and Shallit, J. Algorithms 15, 1993). Binomials
-1 - c X^a and 1 - d X^b share a root only if c^(b/h) = d^(a/h), h = gcd(a,
-b), for a common root x has x^(ab/h) equal to c^(-b/h) and to d^(-a/h); a
-pair that fails this root test is coprime without a gcd. The norm N from K
-to Q is multiplicative, so the test first compares the rationals N(c)^(b/h)
-and N(d)^(a/h), each binomial holding its N(c), and raises c and d to their
-powers, by squaring, only if they agree. Products and inverses merge bases
-and negate exponents. The canonical form then needs no gcd: the numerator
-is unit * X^max(e,0) times the factors with k > 0, the denominator
-X^max(-e,0) times those with k < 0; they are coprime, the lower of their two
-lowest exponents is 0 and the denominator's trailing coefficient is 1 (zero
-is 0/1). They are expanded on first access to `num`, `den` or `str`, one
-factor after another on the integer lists (each step is linear in the
-partial product, which beat a product tree and Kronecker substitution), with
-one content gcd at the end; while a side is rational it is one list, and a
-binomial with a rational c goes into it in one pass. Each coefficient part
-is spelled over n after one gcd. `f == g` refines f / g, which is 1 exactly
-when unit 1, e = 0 and an empty basis are left.
+ExactPoly per distinct binomial is built and told that it is 1 - c X^a (no
+ExactPoly guesses it). Factor refinement (Bach, Driscoll and Shallit,
+J. Algorithms 15, 1993) splits a pair of factors with a nontrivial gcd into the
+gcd and the two quotients. Binomials 1 - c X^a and 1 - d X^b share a root
+exactly when c^(b/h) = d^(a/h), h = gcd(a, b), for a common root x has x^(ab/h)
+equal to c^(-b/h) and to d^(-a/h). The norm N from K to Q is multiplicative, so
+this root test first compares the rationals N(c)^(b/h) and N(d)^(a/h), each
+binomial holding its N(c). A pair that passes splits in closed form: u =
+(a/h)^-1 mod b/h and v = (1 - u a/h) / (b/h) make w = c^u d^v satisfy w^(a/h) =
+c and w^(b/h) = d, so the gcd is 1 - w X^h and the quotients are the sums of
+w^j X^(jh) over j < a/h and j < b/h (1 + w X^h for a bound 2). Only a pair with
+a non-binomial side takes Euclid's algorithm on QiSqrt coefficients. Products
+and inverses merge bases and negate exponents. The canonical form then needs no
+gcd: the numerator is unit * X^max(e,0) times the factors with k > 0, the
+denominator X^max(-e,0) times those with k < 0; they are coprime, the lower of
+their two lowest exponents is 0 and the denominator's trailing coefficient is 1
+(zero is 0/1). They are expanded on first access to `num`, `den` or `str`, one
+factor after another on the integer lists (each step is linear in the partial
+product, which beat a product tree and Kronecker substitution), with one
+content gcd at the end; while a side is rational it is one list, and a binomial
+with a rational c goes into it in one pass. Each coefficient part is spelled
+over n after one gcd. `f == g` refines f / g, which is 1 exactly when unit 1, e
+= 0 and an empty basis are left.
 
 Inexact inputs (irrational twists) degrade the whole function to complex
 coefficients (Poly). Such a function keeps the numerator and denominator of
@@ -256,11 +259,8 @@ class ExactPoly:
         g = gcd(n, *parts[0], *parts[1], *parts[2], *parts[3])
         if g != 1:
             parts = [[x // g for x in part] for part in parts]
+        # binomial: (a, c, t, u) when _one_minus built this as 1 - c X^a, N(c) = t / u
         self.p, self.n, self.parts, self.binomial = p, n // g, tuple(map(tuple, parts)), None
-        # with constant term 1: (a, c, t, u) when this is 1 - c X^a, with N(c) = t / u
-        if m > 1 and not any(x for part in parts for x in part[1:m - 1]):
-            c = QiSqrt._of_ints(p, *(-part[m - 1] for part in parts), self.n)
-            self.binomial = (m - 1, c, c._norms()[2], c.n ** 4)
 
     @staticmethod
     def of(p: int, coeffs: dict[int, object]) -> "ExactPoly":
@@ -317,6 +317,14 @@ def _mul(p: int, f: tuple, g: tuple) -> tuple:
                 for i, x in a:
                     part[i + k] += x * y
     return nf * ng, out
+
+
+def _one_minus(a: int, c: QiSqrt) -> ExactPoly:
+    """1 - c X^a, a > 0 and c != 0, told that it is this binomial; in lowest terms as c is."""
+    f, pad = object.__new__(ExactPoly), (0,) * (a - 1)
+    f.p, f.n, f.binomial = c.p, c.n, (a, c, c._norms()[2], c.n ** 4)
+    f.parts = ((c.n, *pad, -c.a),) + tuple((0, *pad, -x) for x in (c.b, c.c, c.d))
+    return f
 
 
 class Poly:
@@ -376,15 +384,23 @@ def _poly_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
     return a * ExactPoly.of(a.p, {0: a.coeffs[0].inverse()})
 
 
-def _may_share_root(f: ExactPoly, g: ExactPoly) -> bool:
-    """False only for binomials that fail the root test of the module docstring."""
-    rf, rg = f.binomial, g.binomial
-    if rf is None or rg is None:
-        return True
-    (a, c, mc, dc), (b, d, md, dd) = rf, rg
+def _split(f: ExactPoly, g: ExactPoly) -> tuple | None:
+    """(h, f / h, g / h) for h = gcd(f, g) when it has positive degree, else
+    None. Two binomials take the root test and, past it, the closed form of
+    the module docstring; any other pair takes Euclid's algorithm."""
+    if f.binomial is None or g.binomial is None:
+        h = _poly_gcd(f, g)
+        return (h, _poly_divmod(f, h)[0], _poly_divmod(g, h)[0]) if h.degree > 0 else None
+    (a, c, mc, dc), (b, d, md, dd) = f.binomial, g.binomial
     h = gcd(a, b)
     ec, ed = b // h, a // h  # N(c)^ec = N(d)^ed, then c^ec = d^ed
-    return mc ** ec * dd ** ed == md ** ed * dc ** ec and c ** ec == d ** ed
+    if not (mc ** ec * dd ** ed == md ** ed * dc ** ec and c ** ec == d ** ed):
+        return None
+    u = pow(ed, -1, ec)  # u a/h + v b/h = 1
+    w = c ** u * d ** ((1 - u * ed) // ec)
+    quotients = (_one_minus(h, -w) if m == 2 else ExactPoly.of(c.p, {j * h: w ** j for j in range(m)})
+                 for m in (ed, ec))  # sum_{j < m} w^j X^(jh)
+    return _one_minus(h, w), *quotients
 
 
 def _refine(basis: dict[ExactPoly, int], g: ExactPoly, k: int) -> None:
@@ -397,16 +413,13 @@ def _refine(basis: dict[ExactPoly, int], g: ExactPoly, k: int) -> None:
             basis[g] = k
         return
     for f in basis:
-        if not _may_share_root(f, g):
-            continue
-        h = _poly_gcd(f, g)
-        if h.degree > 0:
+        if split := _split(f, g):
             break
     else:
         basis[g] = k
         return
-    kf = basis.pop(f)
-    for part, m in ((_poly_divmod(f, h)[0], kf), (h, kf), (_poly_divmod(g, h)[0], k), (h, k)):
+    (h, qf, qg), kf = split, basis.pop(f)
+    for part, m in ((qf, kf), (h, kf), (qg, k), (h, k)):
         _refine(basis, part, m)
 
 
@@ -568,8 +581,6 @@ def as_rational_in_X(expr, q: int) -> RatFunc:
             binomials[key] = binomials.get(key, 0) + k
     basis: dict[ExactPoly, int] = {}
     for (a, cn, cd, odd), k in binomials.items():
-        if k:  # 1 - c X^a over cd, in lowest terms as c is
-            pad = [0] * (a - 1)
-            _refine(basis, ExactPoly(p, cd, [[cd * (j == 0), *pad, -cn * (j == odd)]
-                                             for j in range(odd + 1)]), k)
+        if k:
+            _refine(basis, _one_minus(a, _monomial(p, cn, cd, 0, odd)), k)
     return RatFunc(p, _monomial(p, un, ud, ipow, ue), xpow, basis)

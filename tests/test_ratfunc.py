@@ -13,6 +13,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,12 @@ from hypothesis import strategies as st
 
 from lfactors.exactconst import ExactConst
 from lfactors.mero import LinForm, MeroExpr, mero_mul
+from lfactors import ratfunc
+from lfactors.query import run_query
 from lfactors.ratfunc import (_DIRECT_DIGITS, ExactPoly, QiSqrt, RatFunc, _fraction_text,
-                              _int_text, _poly_divmod, _poly_gcd, as_rational_in_X)
+                              _int_text, _one_minus, _poly_divmod, _poly_gcd, _split,
+                              as_rational_in_X)
+from lfactors.verify import run_verify
 
 P_OF_Q = {3: 3, 5: 5, 7: 7, 9: 3, 25: 5, 27: 3, 49: 7}
 TEXT = Path(__file__).resolve().parent / "data" / "ratfunc_text.json"
@@ -378,8 +383,7 @@ def test_root_test_keeps_a_coprime_basis():
                        for _ in range(60)]
     for trial, pair in enumerate(pairs):
         ks = [rng.choice([-2, -1, 1, 2]) if trial >= len(planted) else 1 for _ in pair]
-        factors = [(ExactPoly.of(p, {0: 1, a: -QiSqrt.of(p, x)}), k)
-                   for (x, a), k in zip(pair, ks)]
+        factors = [(_one_minus(a, QiSqrt.of(p, x)), k) for (x, a), k in zip(pair, ks)]
         specs = [("L", x, a, 0, -k) for (x, a), k in zip(pair, ks)]  # (1 - x X^a)^k
         rf = as_rational_in_X(_mero(p, one, specs), p)
         if not rf.is_exact:  # MeroExpr.l_atom holds a z with i or sqrt(p) as a complex
@@ -394,7 +398,7 @@ def test_root_test_keeps_a_coprime_basis():
                                 for _ in range(4))) for _ in range(2))
         if not (w and other):
             continue
-        factors = [(ExactPoly.of(p, {0: 1, a: -x}), rng.choice([-2, -1, 1, 2]))
+        factors = [(_one_minus(a, x), rng.choice([-2, -1, 1, 2]))
                    for x, a in _binomials(rng, w, other, qi)]
         _assert_refined(_refined(p, factors), p, factors)
 
@@ -427,12 +431,114 @@ def test_norm_check_reaches_the_exact_test():
             pairs += [((a, c), (a, d)), ((2 * a, c * c), (a, d))]
     shared = 0
     for (a, c), (b, d) in pairs:
-        factors = [(ExactPoly.of(p, {0: 1, a: -c}), rng.choice([-1, 1, 2])),
-                   (ExactPoly.of(p, {0: 1, b: -d}), rng.choice([-1, 1]))]
+        factors = [(_one_minus(a, c), rng.choice([-1, 1, 2])), (_one_minus(b, d), rng.choice([-1, 1]))]
         rf = _refined(p, factors)
         _assert_refined(rf, p, factors)
         shared += set(rf.basis) != {f for f, _ in factors}
     assert shared >= 14  # the planted pairs, 1 - c^2 X^2a against 1 -+ c X^a, and more
+
+
+# -- the closed-form split of two binomials ----------------------------------
+
+def _split_mismatches(f: ExactPoly, g: ExactPoly, split) -> list[str]:
+    """How a split (h, f / h, g / h), or None, departs from Euclid's gcd and
+    division; a part built as a binomial must have the coefficients it claims."""
+    h = _poly_gcd(f, g)
+    if h.degree == 0:
+        return [] if split is None else ["split of a coprime pair"]
+    if split is None:
+        return ["coprime by the root test, gcd " + str(h)]
+    (qf, rf), (qg, rg) = _poly_divmod(f, h), _poly_divmod(g, h)
+    assert rf.degree < 0 and rg.degree < 0
+    out = [f"{name}: {got} against {want}"
+           for name, got, want in zip(("gcd", "f / gcd", "g / gcd"), split, (h, qf, qg)) if got != want]
+    for part in split:
+        if part.binomial:
+            (a, c, norm, den), nc = part.binomial, _norm(part.binomial[1])
+            if part.coeffs != {0: QiSqrt(f.p, 1), a: -c} or Fraction(norm, den) != Fraction(nc.a, nc.n):
+                out.append(f"{part} is not 1 - ({c}) X^{a}")
+    return out
+
+
+def _powers(w: QiSqrt, h: int, m: int) -> ExactPoly:
+    """sum_{j < m} w^j X^(jh)."""
+    return ExactPoly.of(w.p, {j * h: w ** j for j in range(m)})
+
+
+def test_closed_form_split_matches_euclid():
+    """Seeded binomial pairs 1 - c X^a, 1 - d X^b with slopes up to 8 and
+    constants +-p^k / m or +-p^k sqrt(p) / m, many sharing planted roots: the
+    closed-form gcd and quotients equal Euclid's; a planted w = c^u d^(v+1)
+    or a quotient missing its top term is told apart."""
+    rng, seen = random.Random(1993), {"shared": 0, "coprime": 0, "v<0": 0, "a|b": 0,
+                                      "equal slopes": 0, "w planted": 0, "term dropped": 0}
+
+    def monomial(p: int) -> QiSqrt:
+        num = rng.choice([1, -1]) * p ** rng.randint(0, 2)
+        return QiSqrt._of_ints(p, *((num, 0) if rng.random() < 0.5 else (0, num)), 0, 0,
+                               rng.choice([1, 2, 3, p]))
+
+    for trial in range(240):
+        q = (3, 5, 9, 25)[trial % 4]
+        p = P_OF_Q[q]
+        if trial % 3 == 0:  # unrelated constants
+            a, b, c, d = rng.randint(1, 8), rng.randint(1, 8), monomial(p), monomial(p)
+        else:  # c = +-w^(a/h), d = +-w^(b/h): a common root when the signs allow
+            h, w = rng.randint(1, 4), monomial(p)
+            ea, eb = rng.randint(1, 8 // h), rng.randint(1, 8 // h)
+            a, b = h * ea, h * eb
+            c, d = (QiSqrt(p, rng.choice([1, -1])) * w ** e for e in (ea, eb))
+        f, g = _one_minus(a, c), _one_minus(b, d)
+        split = _split(f, g)
+        assert _split_mismatches(f, g, split) == [], (q, a, str(c), b, str(d))
+        if split is None:
+            seen["coprime"] += 1
+            seen["equal slopes"] += a == b and c != d
+            continue
+        seen["shared"] += 1
+        k = gcd(a, b)
+        u = pow(a // k, -1, b // k)
+        v = (1 - u * a // k) // (b // k)
+        seen["v<0"] += v < 0
+        seen["a|b"] += b % a == 0
+        w = c ** u * d ** v
+        assert split[0] == _one_minus(k, w)
+        if d != QiSqrt(p, 1):  # w = c^u d^(v+1) breaks the gcd, so the check must fail
+            planted = w * d
+            planted = (_one_minus(k, planted), _powers(planted, k, a // k), _powers(planted, k, b // k))
+            assert _split_mismatches(f, g, planted)
+            seen["w planted"] += 1
+        assert _split_mismatches(f, g, (split[0], _powers(w, k, a // k - 1), split[2]))
+        seen["term dropped"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_corpus_and_verify_reach_no_euclid(monkeypatch):
+    """The nine padic-exact documents and a seed-7 verify pass split every
+    pair in closed form: _poly_gcd is not reached, while the closed form is."""
+    calls = {"gcd": 0, "closed form": 0}
+
+    def counted_gcd(f, g):
+        calls["gcd"] += 1
+        return _poly_gcd(f, g)
+
+    def counted_split(f, g):
+        out = _split(f, g)
+        calls["closed form"] += out is not None and f.binomial is not None and g.binomial is not None
+        return out
+    monkeypatch.setattr(ratfunc, "_poly_gcd", counted_gcd)
+    monkeypatch.setattr(ratfunc, "_split", counted_split)
+    corpus = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
+                         / "padic-exact.json").read_text(encoding="utf-8"))
+    assert len(corpus) == 9
+    for entry in corpus:
+        run_query(entry["doc"])
+    assert calls == {"gcd": 0, "closed form": 3}
+    run_verify("all", 7)
+    assert calls["gcd"] == 0
+    # the counter sees Euclid: a trinomial against a binomial it divides
+    ratfunc._refine({ExactPoly.of(5, {0: 1, 1: 1, 2: 1}): 1}, _one_minus(3, QiSqrt(5, 1)), 1)
+    assert calls["gcd"] > 0
 
 
 def test_exact_product_matches_qisqrt_schoolbook():
