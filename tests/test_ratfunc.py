@@ -3,8 +3,9 @@ and against the expand-then-gcd reference, equality and is_one against the
 canonical form, the printed text against a pinned record, and QiSqrt
 arithmetic.
 
-The record of printed text lives in tests/data/ratfunc_text.json.  Regenerate
-it, only when a change to the spelling is intended, with
+The records of printed text live in tests/data/ratfunc_text.json (exact
+results) and tests/data/ratfunc_inexact_text.json (complex coefficients).
+Regenerate them, only when a change to the spelling is intended, with
 
     PYTHONPATH=src python tests/test_ratfunc.py
 """
@@ -31,6 +32,7 @@ from lfactors.verify import run_verify
 
 P_OF_Q = {3: 3, 5: 5, 7: 7, 9: 3, 25: 5, 27: 3, 49: 7}
 TEXT = Path(__file__).resolve().parent / "data" / "ratfunc_text.json"
+INEXACT_TEXT = TEXT.with_name("ratfunc_inexact_text.json")
 
 
 # -- random products and quotients of L- and Exp-atoms ----------------------
@@ -279,6 +281,50 @@ def test_text_matches_the_pinned_record():
     so only this pins the spelling of each coefficient."""
     want = json.loads(TEXT.read_text(encoding="utf-8"))
     got = _text_record()
+    assert len(got) == len(want)
+    for trial, (g, w) in enumerate(zip(got, want)):
+        assert g == w, trial
+
+
+def _inexact_specs(rng: random.Random, q: int) -> list[tuple]:
+    """Specs whose first L-atom has a complex z, with float or complex shifts
+    (twists) beside half-integer ones, slopes -3..3 and exponents up to 3."""
+    def shift():
+        return rng.choice([Fraction(rng.randint(-2, 2), 2), round(rng.uniform(-2, 2), 3),
+                           complex(round(rng.uniform(-2, 2), 3), round(rng.uniform(-1, 1), 3))])
+    slopes, powers = [-3, -2, -1, 1, 2, 3], [-3, -2, -1, 1, 2, 3]
+    z = complex(rng.choice([1, -1, 2, 0.5]), rng.choice([0.5, -1, 2, -0.25]))
+    specs = [("L", z, rng.choice(slopes), shift(), rng.choice(powers))]
+    for _ in range(rng.randint(0, 3)):
+        if rng.random() < 0.75:
+            z = (complex(round(rng.uniform(-2, 2), 3), round(rng.uniform(-2, 2), 3))
+                 if rng.random() < 0.5 else _random_z(rng, P_OF_Q[q]))
+            specs.append(("L", z, rng.choice(slopes), shift(), rng.choice(powers)))
+        else:
+            specs.append(("E", rng.choice([1, -1, 2]), rng.choice([1, -1, 2]), shift(),
+                          rng.choice([-1, 1])))
+    return specs
+
+
+def _inexact_text_record() -> list[str]:
+    """str(as_rational_in_X(...)) of 200 seeded expressions with complex
+    coefficients, half of them with a complex prefactor."""
+    rng, out = random.Random(20261021), []
+    for trial in range(200):
+        q = (3, 5, 9, 25)[trial % 4]
+        pref = (complex(round(rng.uniform(-3, 3), 3), round(rng.uniform(-3, 3), 3))
+                if trial % 2 else _random_prefactor(rng, P_OF_Q[q]))
+        rf = as_rational_in_X(_mero(q, pref, _inexact_specs(rng, q)), q)
+        assert not rf.is_exact
+        out.append(str(rf))
+    return out
+
+
+def test_inexact_text_matches_the_pinned_record():
+    """The complex-coefficient form byte for byte, so the order of the float
+    products that build it is pinned too."""
+    want = json.loads(INEXACT_TEXT.read_text(encoding="utf-8"))
+    got = _inexact_text_record()
     assert len(got) == len(want)
     for trial, (g, w) in enumerate(zip(got, want)):
         assert g == w, trial
@@ -690,3 +736,4 @@ def test_fraction_text_is_str():
 if __name__ == "__main__":
     TEXT.parent.mkdir(exist_ok=True)
     TEXT.write_text(json.dumps(_text_record(), indent=0) + "\n", encoding="utf-8")
+    INEXACT_TEXT.write_text(json.dumps(_inexact_text_record(), indent=0) + "\n", encoding="utf-8")
