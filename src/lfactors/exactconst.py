@@ -160,8 +160,8 @@ class ExactConst:
             return self.is_rational and self.rat == other
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.rat, self.ipow, self.roots))
+    def __hash__(self):  # a rational constant hashes as the int or Fraction it equals
+        return hash(self.rat) if self.is_rational else hash((self.rat, self.ipow, self.roots))
 
     def __str__(self):
         if self.rat == 0:

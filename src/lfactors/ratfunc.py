@@ -3,9 +3,12 @@
 Nonarchimedean local factors are rational in q^{-s}; the coefficients the
 formulas generate live in the biquadratic field K = Q(i, sqrt p) (half-integer
 argument shifts contribute sqrt q, Gauss sums contribute i and sqrt p).
-A coefficient (QiSqrt) is four integers over one positive denominator, in
-lowest terms, so equal values have equal fields and equal hashes; so is an
-exact polynomial (ExactPoly), with four integer lists of coefficient parts.
+K has one representation here: integer parts over one positive denominator,
+(A + B sqrt(p) + (C + D sqrt(p)) i) / n in lowest terms, so equal values have
+equal fields and equal hashes. An exact polynomial (ExactPoly) holds four
+integer lists of such parts, and an (n, parts) pair of degree 0 is a single
+coefficient. A monomial r i^j sqrt(p)^e (a unit, or the w of a split) is an
+ExactConst.
 
 An exact RatFunc is kept factored, unit * X^e * prod f^k, over a pairwise
 coprime basis of polynomials f with constant term 1 and nonzero integers k.
@@ -14,34 +17,35 @@ ints: an L-atom's slope a and half-integer shift beta are its LinForm's
 integers, and c = z q^-beta is held as (cn, cd, odd), c = cn / cd sqrt(p)^odd
 in lowest terms. A negative slope is turned round, 1 - c X^a = -c X^a
 (1 - c^-1 X^-a), its -c X^a folding into an integer unit and the power of X
-(1 / sqrt p = sqrt p / p). Equal binomials merge on their int keys, and one
-ExactPoly per distinct binomial is built and told that it is 1 - c X^a (no
+(1 / sqrt p = sqrt p / p). Equal binomials merge on their int keys (a, cn, cd,
+odd), and one ExactPoly per distinct binomial is built and told that key (no
 ExactPoly guesses it). Factor refinement (Bach, Driscoll and Shallit,
 J. Algorithms 15, 1993) splits a pair of factors with a nontrivial gcd into the
 gcd and the two quotients. Binomials 1 - c X^a and 1 - d X^b share a root
 exactly when c^(b/h) = d^(a/h), h = gcd(a, b), for a common root x has x^(ab/h)
-equal to c^(-b/h) and to d^(-a/h). The norm N from K to Q is multiplicative, so
-this root test first compares the rationals N(c)^(b/h) and N(d)^(a/h), each
-binomial holding its N(c). A pair that passes splits in closed form: u =
-(a/h)^-1 mod b/h and v = (1 - u a/h) / (b/h) make w = c^u d^v satisfy w^(a/h) =
-c and w^(b/h) = d, so the gcd is 1 - w X^h and the quotients are the sums of
-w^j X^(jh) over j < a/h and j < b/h (1 + w X^h for a bound 2). Only a pair with
-a non-binomial side takes Euclid's algorithm on QiSqrt coefficients. Products
-and inverses merge bases and negate exponents. The canonical form then needs no
-gcd: the numerator is unit * X^max(e,0) times the factors with k > 0, the
-denominator X^max(-e,0) times those with k < 0; they are coprime, the lower of
-their two lowest exponents is 0 and the denominator's trailing coefficient is 1
-(zero is 0/1). They are expanded on first access to `num`, `den` or `str`, one
-factor after another on the integer lists (each step is linear in the partial
-product, which beat a product tree and Kronecker substitution), with one
-content gcd at the end; while a side is rational it is one list, and a binomial
-with a rational c goes into it in one pass. Each coefficient part is spelled
-over n after one gcd. `f == g` refines f / g, which is 1 exactly when unit 1, e
-= 0 and an empty basis are left.
+equal to c^(-b/h) and to d^(-a/h). On the keys this root test is one parity
+check of the powers of sqrt p and one cross-multiplication of integers. A pair
+that passes splits in closed form: u = (a/h)^-1 mod b/h and v = (1 - u a/h) /
+(b/h) make w = c^u d^v satisfy w^(a/h) = c and w^(b/h) = d, so the gcd is 1 -
+w X^h and the quotients are the sums of w^j X^(jh) over j < a/h and j < b/h (1
++ w X^h for a bound 2). Only a pair with a non-binomial side takes Euclid's
+algorithm, on the integer parts. Products and inverses merge bases and negate
+exponents. The canonical form then needs no gcd: the numerator is unit *
+X^max(e,0) times the factors with k > 0, the denominator X^max(-e,0) times
+those with k < 0; they are coprime, the lower of their two lowest exponents is
+0 and the denominator's trailing coefficient is 1 (zero is 0/1). They are
+expanded on first access to `num`, `den` or `str`, one factor after another on
+the integer lists (each step is linear in the partial product, which beat a
+product tree and Kronecker substitution), with one content gcd at the end;
+while a side is rational it is one list, and a binomial with a rational c goes
+into it in one pass. Each coefficient part is spelled over n after one gcd.
+`f == g` refines f / g, which is 1 exactly when unit 1, e = 0 and an empty
+basis are left.
 
 Inexact inputs (irrational twists) degrade the whole function to complex
-coefficients (Poly). Such a function keeps the numerator and denominator of
-the product as built, and equality compares coefficients to a relative 1e-9.
+coefficients (Poly): the numerator and denominator multiplied out piece by
+piece. Such a function prints and answers `is_one` (coefficients equal to a
+relative 1e-9) but takes no arithmetic.
 """
 
 from __future__ import annotations
@@ -52,115 +56,6 @@ from math import gcd, lcm
 from .exactconst import ExactConst, factorization
 from .mero import ExpAtom, GammaCAtom, GammaRAtom, LAtom, UnsupportedExpressionError, _log_base
 from .scalars import is_exact, mul, neg, power, rat_power
-
-
-class QiSqrt:
-    """(a + b sqrt(p) + (c + d sqrt(p)) i) / n, p an odd prime.
-
-    a, b, c, d and n > 0 are ints with gcd(a, b, c, d, n) = 1."""
-
-    __slots__ = ("p", "a", "b", "c", "d", "n")
-
-    def __init__(self, p: int, a=0, b=0, c=0, d=0):
-        parts = [Fraction(x) for x in (a, b, c, d)]
-        n = lcm(*(x.denominator for x in parts))
-        self._set(p, *(x.numerator * (n // x.denominator) for x in parts), n)
-
-    def _set(self, p, a, b, c, d, n):
-        g = gcd(a, b, c, d, n)
-        if g != 1:
-            a, b, c, d, n = a // g, b // g, c // g, d // g, n // g
-        self.p, self.a, self.b, self.c, self.d, self.n = p, a, b, c, d, n
-
-    @classmethod
-    def _of_ints(cls, p: int, a: int, b: int, c: int, d: int, n: int) -> "QiSqrt":
-        """From integer parts over n > 0, not necessarily in lowest terms."""
-        out = object.__new__(cls)
-        out._set(p, a, b, c, d, n)
-        return out
-
-    @staticmethod
-    def of(p: int, v) -> "QiSqrt":
-        if isinstance(v, QiSqrt):
-            if v.p != p:
-                raise ValueError("mixed base primes")
-            return v
-        return _monomial(p, *_exact_parts(p, v))
-
-    def __bool__(self) -> bool:
-        return bool(self.a or self.b or self.c or self.d)
-
-    def _key(self):
-        return (self.p, self.a, self.b, self.c, self.d, self.n)
-
-    def __eq__(self, o):
-        if not isinstance(o, QiSqrt):
-            return NotImplemented
-        return self._key() == o._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"QiSqrt({self.p}, {self})"
-
-    def __add__(self, o: "QiSqrt") -> "QiSqrt":
-        n, m = self.n, o.n
-        if n == m:
-            return QiSqrt._of_ints(self.p, self.a + o.a, self.b + o.b, self.c + o.c,
-                                   self.d + o.d, n)
-        return QiSqrt._of_ints(self.p, self.a * m + o.a * n, self.b * m + o.b * n,
-                               self.c * m + o.c * n, self.d * m + o.d * n, n * m)
-
-    def __neg__(self) -> "QiSqrt":
-        return QiSqrt._of_ints(self.p, -self.a, -self.b, -self.c, -self.d, self.n)
-
-    def __sub__(self, o: "QiSqrt") -> "QiSqrt":
-        return self + (-o)
-
-    def __mul__(self, o: "QiSqrt") -> "QiSqrt":
-        # (x + y i)(x' + y' i) with x = a + b sqrt p, y = c + d sqrt p
-        p, a, b, c, d = self.p, self.a, self.b, self.c, self.d
-        e, f, g, h = o.a, o.b, o.c, o.d
-        return QiSqrt._of_ints(p, a * e + p * b * f - c * g - p * d * h,
-                               a * f + b * e - c * h - d * g,
-                               a * g + p * b * h + c * e + p * d * f,
-                               a * h + b * g + c * f + d * e, self.n * o.n)
-
-    def _norms(self):
-        """(u, v, m): (x + y i)(x - y i) n^2 = u + v sqrt p with x = a + b sqrt p,
-        y = c + d sqrt p; the norm to Q, m / n^4, has m = u^2 - p v^2."""
-        p, a, b, c, d = self.p, self.a, self.b, self.c, self.d
-        u = a * a + p * b * b + c * c + p * d * d
-        v = 2 * (a * b + c * d)
-        return u, v, u * u - p * v * v
-
-    def inverse(self) -> "QiSqrt":
-        if not self:
-            raise ZeroDivisionError
-        # n / (x + y i) = n (x - y i) / (u + v sqrt p), and
-        # 1 / (u + v sqrt p) = (u - v sqrt p) / m, m a nonzero integer
-        p, a, b, c, d, n = self.p, self.a, self.b, self.c, self.d, self.n
-        u, v, m = self._norms()
-        if m < 0:
-            n, m = -n, -m
-        return QiSqrt._of_ints(p, n * (a * u - p * b * v), n * (b * u - a * v),
-                               n * (p * d * v - c * u), n * (c * v - d * u), m)
-
-    def __pow__(self, k: int) -> "QiSqrt":
-        base, out = self if k >= 0 else self.inverse(), QiSqrt._of_ints(self.p, 1, 0, 0, 0, 1)
-        for bit in bin(abs(k))[2:]:  # by squaring, from the highest bit
-            out = out * out * base if bit == "1" else out * out
-        return out
-
-    def to_complex(self) -> complex:
-        n, r = self.n, self.p ** 0.5
-        return complex(self.a / n + self.b / n * r, self.c / n + self.d / n * r)
-
-    __complex__ = to_complex
-
-    def __str__(self):
-        return _coef_text(self.p, self.n, (self.a, self.b, self.c, self.d))
 
 
 def _coef_text(p: int, n: int, parts) -> str:
@@ -205,23 +100,16 @@ def _int_text(k: int) -> str:
     return "-" + text if k < 0 else text
 
 
-def _exact_parts(p: int, v) -> tuple[int, int, int, int]:
-    """(num, den, ipow, e) with v = num / den i^ipow sqrt(p)^e, for an int,
-    Fraction or ExactConst v."""
-    rat, ipow, roots = (v.rat, v.ipow, v.roots) if type(v) is ExactConst else (v, 0, ())
+def _monomial(p: int, v) -> tuple[int, list[list[int]]]:
+    """An int, Fraction or ExactConst v in K as an (n, parts) pair of degree 0
+    in lowest terms: num / den i^ipow sqrt(p)^e, ipow and e in {0, 1}, is num
+    in part 2 ipow + e over n = den."""
+    rat, ipow, roots = (v.rat, v.ipow, v.roots) if type(v) is ExactConst else (Fraction(v), 0, ())
     if any(r != p for r in roots):
         raise ValueError(f"constant {v} does not lie in Q(i, sqrt {p})")
-    return rat.numerator, rat.denominator, ipow, p in roots
-
-
-def _monomial(p: int, num: int, den: int, ipow: int, e: int) -> QiSqrt:
-    """num / den i^ipow sqrt(p)^e, for ipow in {0, 1} and den != 0."""
-    h, odd = divmod(e, 2)  # sqrt(p)^e = p^h sqrt(p)^odd
-    if den < 0:
-        num, den = -num, -den
-    parts = [0, 0, 0, 0]
-    parts[2 * ipow + odd] = num * p ** max(h, 0)
-    return QiSqrt._of_ints(p, *parts, den * p ** max(-h, 0))
+    parts = [[0], [0], [0], [0]]
+    parts[2 * ipow + bool(roots)] = [rat.numerator]
+    return rat.denominator, parts
 
 
 def _spell(coeffs: dict, spell) -> str:
@@ -259,35 +147,21 @@ class ExactPoly:
         g = gcd(n, *parts[0], *parts[1], *parts[2], *parts[3])
         if g != 1:
             parts = [[x // g for x in part] for part in parts]
-        # binomial: (a, c, t, u) when _one_minus built this as 1 - c X^a, N(c) = t / u
+        # binomial: (a, cn, cd, odd) when _one_minus built this as 1 - cn / cd sqrt(p)^odd X^a
         self.p, self.n, self.parts, self.binomial = p, n // g, tuple(map(tuple, parts)), None
 
     @staticmethod
     def of(p: int, coeffs: dict[int, object]) -> "ExactPoly":
-        """From {k: coefficient}, k >= 0, each an int, Fraction, ExactConst or QiSqrt."""
-        cs = {k: QiSqrt.of(p, v) for k, v in coeffs.items()}
-        n = lcm(*(c.n for c in cs.values()))
-        parts = [[0] * (max(cs, default=-1) + 1) for _ in range(4)]
-        for k, c in cs.items():
-            for part, x in zip(parts, (c.a, c.b, c.c, c.d)):
-                part[k] = x * (n // c.n)
-        return ExactPoly(p, n, parts)
+        """From {k: monomial}, k >= 0, each an int, Fraction or ExactConst in K."""
+        return _from_terms(p, {k: _monomial(p, v) for k, v in coeffs.items()})
 
     def _nonzero_parts(self) -> dict[int, tuple]:
         """The (a, b, c, d) of each nonzero coefficient, by exponent."""
         return {k: xs for k, xs in enumerate(zip(*self.parts)) if any(xs)}
 
     @property
-    def coeffs(self) -> dict[int, QiSqrt]:
-        """The nonzero coefficients by exponent."""
-        return {k: QiSqrt._of_ints(self.p, *xs, self.n) for k, xs in self._nonzero_parts().items()}
-
-    @property
     def degree(self) -> int:
         return len(self.parts[0]) - 1
-
-    def __mul__(self, other: "ExactPoly") -> "ExactPoly":
-        return ExactPoly(self.p, *_mul(self.p, (self.n, self.parts), (other.n, other.parts)))
 
     def __eq__(self, other):
         if not isinstance(other, ExactPoly):
@@ -299,6 +173,16 @@ class ExactPoly:
 
     def __str__(self):
         return _spell(self._nonzero_parts(), lambda xs: _coef_text(self.p, self.n, xs))
+
+
+def _from_terms(p: int, terms: dict[int, tuple]) -> ExactPoly:
+    """sum_k t_k X^k from {k: t_k}, k >= 0, each t_k an (n, parts) pair of degree 0."""
+    n = lcm(*(m for m, _ in terms.values()))
+    parts = [[0] * (max(terms, default=-1) + 1) for _ in range(4)]
+    for k, (m, xs) in terms.items():
+        for part, (x,) in zip(parts, xs):
+            part[k] = x * (n // m)
+    return ExactPoly(p, n, parts)
 
 
 def _mul(p: int, f: tuple, g: tuple) -> tuple:
@@ -319,12 +203,38 @@ def _mul(p: int, f: tuple, g: tuple) -> tuple:
     return nf * ng, out
 
 
-def _one_minus(a: int, c: QiSqrt) -> ExactPoly:
-    """1 - c X^a, a > 0 and c != 0, told that it is this binomial; in lowest terms as c is."""
+def _sub(f: tuple, g: tuple) -> tuple:
+    """f - g for two (n, parts) pairs whose parts have one length, not in lowest terms."""
+    (nf, f), (ng, g) = f, g
+    return nf * ng, [[x * ng - y * nf for x, y in zip(a, b, strict=True)] for a, b in zip(f, g)]
+
+
+def _inverse(p: int, x: tuple) -> tuple:
+    """1 / x for a nonzero (n, parts) pair x of degree 0, the value (y + z i) / n
+    with y = a + b sqrt p and z = c + d sqrt p: n / (y + z i) = n (y - z i) /
+    (u + v sqrt p), where u + v sqrt p = y^2 + z^2, and 1 / (u + v sqrt p) =
+    (u - v sqrt p) / m with m = u^2 - p v^2, a nonzero integer."""
+    n, ((a,), (b,), (c,), (d,)) = x
+    u, v = a * a + p * b * b + c * c + p * d * d, 2 * (a * b + c * d)
+    m = u * u - p * v * v
+    if m < 0:
+        n, m = -n, -m
+    return m, [[n * (a * u - p * b * v)], [n * (b * u - a * v)], [n * (p * d * v - c * u)],
+               [n * (c * v - d * u)]]
+
+
+def _one_minus(p: int, a: int, cn: int, cd: int, odd: int) -> ExactPoly:
+    """1 - cn / cd sqrt(p)^odd X^a, a > 0, cn != 0, cd > 0 and gcd(cn, cd) = 1,
+    told that it is this binomial."""
     f, pad = object.__new__(ExactPoly), (0,) * (a - 1)
-    f.p, f.n, f.binomial = c.p, c.n, (a, c, c._norms()[2], c.n ** 4)
-    f.parts = ((c.n, *pad, -c.a),) + tuple((0, *pad, -x) for x in (c.b, c.c, c.d))
+    f.p, f.n, f.binomial, zero = p, cd, (a, cn, cd, odd), (0, *pad, 0)
+    f.parts = (cd, *pad, 0 if odd else -cn), (0, *pad, -cn if odd else 0), zero, zero
     return f
+
+
+def _const(p: int, n: int, d: int, odd: int) -> ExactConst:
+    """n / d sqrt(p)^odd."""
+    return ExactConst(Fraction(n, d), 0, frozenset((p,)) if odd else frozenset())
 
 
 class Poly:
@@ -355,33 +265,28 @@ class Poly:
         return _spell(self.coeffs, repr)
 
 
-def _poly_divmod(a: ExactPoly, b: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
-    """Division with remainder, on QiSqrt coefficients."""
-    rem, bc = a.coeffs, b.coeffs
-    db = b.degree
-    lead_inv = bc[db].inverse()
-    quo: dict[int, QiSqrt] = {}
-    while rem:
-        da = max(rem)
-        if da < db:
-            break
-        factor = rem[da] * lead_inv
-        quo[da - db] = factor
-        for k, v in bc.items():
-            kk = k + da - db
-            new = rem[kk] - factor * v if kk in rem else -(factor * v)
-            if new:
-                rem[kk] = new
-            else:
-                del rem[kk]
-    return ExactPoly.of(a.p, quo), ExactPoly.of(a.p, rem)
+def _coef(f: ExactPoly, k: int) -> tuple:
+    """The coefficient of X^k in f, as an (n, parts) pair of degree 0."""
+    return f.n, [[part[k]] for part in f.parts]
 
 
-def _poly_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
+def _poly_divmod(f: ExactPoly, g: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
+    """Division with remainder, on integer parts."""
+    p, db, rem, quo = f.p, g.degree, f, {}
+    inv = _inverse(p, _coef(g, db))
+    while rem.degree >= db:
+        k = rem.degree - db
+        n, xs = quo[k] = _mul(p, _coef(rem, rem.degree), inv)  # the term of X^k
+        term = _mul(p, (n, [[0] * k + x for x in xs]), (g.n, g.parts))
+        rem = ExactPoly(p, *_sub((rem.n, rem.parts), term))
+    return _from_terms(p, quo), rem
+
+
+def _poly_gcd(f: ExactPoly, g: ExactPoly) -> ExactPoly:
     """gcd of two polynomials with constant term 1, scaled to constant term 1."""
-    while b.degree >= 0:
-        a, b = b, _poly_divmod(a, b)[1]
-    return a * ExactPoly.of(a.p, {0: a.coeffs[0].inverse()})
+    while g.degree >= 0:
+        f, g = g, _poly_divmod(f, g)[1]
+    return ExactPoly(f.p, *_mul(f.p, (f.n, f.parts), _inverse(f.p, _coef(f, 0))))
 
 
 def _split(f: ExactPoly, g: ExactPoly) -> tuple | None:
@@ -391,16 +296,18 @@ def _split(f: ExactPoly, g: ExactPoly) -> tuple | None:
     if f.binomial is None or g.binomial is None:
         h = _poly_gcd(f, g)
         return (h, _poly_divmod(f, h)[0], _poly_divmod(g, h)[0]) if h.degree > 0 else None
-    (a, c, mc, dc), (b, d, md, dd) = f.binomial, g.binomial
+    p, (a, cn, cd, oc), (b, dn, dd, od) = f.p, f.binomial, g.binomial
     h = gcd(a, b)
-    ec, ed = b // h, a // h  # N(c)^ec = N(d)^ed, then c^ec = d^ed
-    if not (mc ** ec * dd ** ed == md ** ed * dc ** ec and c ** ec == d ** ed):
+    ec, ed = b // h, a // h  # c^ec = d^ed: (cn^ec dd^ed) / (dn^ed cd^ec) p^t sqrt(p)^r = 1
+    t, r = divmod(oc * ec - od * ed, 2)
+    if r or cn ** ec * dd ** ed * p ** max(t, 0) != dn ** ed * cd ** ec * p ** max(-t, 0):
         return None
     u = pow(ed, -1, ec)  # u a/h + v b/h = 1
-    w = c ** u * d ** ((1 - u * ed) // ec)
-    quotients = (_one_minus(h, -w) if m == 2 else ExactPoly.of(c.p, {j * h: w ** j for j in range(m)})
-                 for m in (ed, ec))  # sum_{j < m} w^j X^(jh)
-    return _one_minus(h, w), *quotients
+    w = _const(p, cn, cd, oc) ** u * _const(p, dn, dd, od) ** ((1 - u * ed) // ec)
+    wn, wd, wodd = w.rat.numerator, w.rat.denominator, int(bool(w.roots))
+    quotients = (_one_minus(p, h, -wn, wd, wodd) if m == 2 else  # sum_{j < m} w^j X^(jh)
+                 ExactPoly.of(p, {j * h: w ** j for j in range(m)}) for m in (ed, ec))
+    return _one_minus(p, h, wn, wd, wodd), *quotients
 
 
 def _refine(basis: dict[ExactPoly, int], g: ExactPoly, k: int) -> None:
@@ -424,40 +331,38 @@ def _refine(basis: dict[ExactPoly, int], g: ExactPoly, k: int) -> None:
 
 
 class RatFunc:
-    """Exact: unit * X^xpow * prod f^k over the coprime basis {f: k}.
-    Inexact (unit None): the Polys (num, den) as built. See the module docstring."""
+    """Exact: unit * X^xpow * prod f^k over the coprime basis {f: k}, the unit
+    an ExactConst in K. Inexact (unit None): the Polys (num, den) as built,
+    which print and answer is_one but take no arithmetic. See the module
+    docstring."""
 
     __slots__ = ("p", "unit", "xpow", "basis", "_pair")
 
-    def __init__(self, p: int, unit: QiSqrt | None, xpow: int = 0,
+    def __init__(self, p: int, unit: ExactConst | None, xpow: int = 0,
                  basis: dict[ExactPoly, int] | None = None, pair: tuple[Poly, Poly] | None = None):
-        if unit is not None and not unit:
+        if unit is not None and not unit.rat:
             xpow, basis = 0, None
         self.p, self.unit, self.xpow, self.basis, self._pair = p, unit, xpow, basis or {}, pair
 
     def _canonical(self) -> tuple:
         if self._pair is None:
-            p, e, u = self.p, self.xpow, self.unit
-            parts = (u.a, u.b, u.c, u.d) if u.b or u.c or u.d else (u.a,)  # rational: A alone
-            pair = [(u.n, [[0] * max(e, 0) + [x] for x in parts]), (1, [[0] * max(-e, 0) + [1]])]
+            p, e = self.p, self.xpow
+            n, parts = _monomial(p, self.unit)
+            parts = parts if any(parts[1] + parts[2] + parts[3]) else parts[:1]  # rational: A alone
+            pair = [(n, [[0] * max(e, 0) + x for x in parts]), (1, [[0] * max(-e, 0) + [1]])]
             for f, k in self.basis.items():
-                (n, parts), (a, c) = pair[k < 0], f.binomial[:2] if f.binomial else (0, None)
-                if a and len(parts) == 1 and not (c.b or c.c or c.d):  # rational side and c
+                (n, parts), binomial = pair[k < 0], f.binomial
+                if binomial and len(parts) == 1 and not binomial[3]:  # rational side and c
+                    a, cn, cd, _ = binomial
                     part, pad = parts[0], [0] * a
-                    for _ in range(abs(k)):  # times 1 - (c.a / c.n) X^a in one pass
-                        part = [x * c.n - y * c.a for x, y in zip(part + pad, pad + part)]
-                    pair[k < 0] = n * c.n ** abs(k), [part]
+                    for _ in range(abs(k)):  # times 1 - (cn / cd) X^a in one pass
+                        part = [x * cd - y * cn for x, y in zip(part + pad, pad + part)]
+                    pair[k < 0] = n * cd ** abs(k), [part]
                 else:
                     for _ in range(abs(k)):
                         pair[k < 0] = _mul(p, pair[k < 0], (f.n, f.parts))
             self._pair = tuple(ExactPoly(p, *side) for side in pair)  # in lowest terms
         return self._pair
-
-    def _complex_pair(self) -> tuple[Poly, Poly]:
-        """(num, den) with complex coefficients, for arithmetic with an inexact function."""
-        if not self.is_exact:
-            return self._pair
-        return tuple(Poly({k: complex(v) for k, v in f.coeffs.items()}) for f in self._canonical())
 
     @property
     def num(self):
@@ -469,32 +374,21 @@ class RatFunc:
 
     @staticmethod
     def one(p: int) -> "RatFunc":
-        return RatFunc(p, QiSqrt._of_ints(p, 1, 0, 0, 0, 1))
+        return RatFunc(p, ExactConst.one())
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        if not (self.is_exact and other.is_exact):
-            (a, b), (c, d) = self._complex_pair(), other._complex_pair()
-            return RatFunc(self.p, None, pair=(a * c, b * d))
         basis = dict(self.basis)
         for f, k in other.basis.items():
             _refine(basis, f, k)
         return RatFunc(self.p, self.unit * other.unit, self.xpow + other.xpow, basis)
 
     def inv(self) -> "RatFunc":
-        if self.is_exact:
-            return RatFunc(self.p, self.unit.inverse(), -self.xpow,
-                           {f: -k for f, k in self.basis.items()})
-        if not self.num.coeffs:
-            raise ZeroDivisionError
-        return RatFunc(self.p, None, pair=(self.den, self.num))
+        return RatFunc(self.p, self.unit.inverse(), -self.xpow,
+                       {f: -k for f, k in self.basis.items()})
 
     def __pow__(self, k: int) -> "RatFunc":
-        one = Poly({0: 1 + 0j})
-        base = self if k >= 0 else self.inv()
-        out = RatFunc.one(self.p) if self.is_exact else RatFunc(self.p, None, pair=(one, one))
-        for _ in range(abs(k)):
-            out = out * base
-        return out
+        return RatFunc(self.p, self.unit ** k, self.xpow * k,
+                       {f: e * k for f, e in self.basis.items()} if k else None)
 
     @property
     def is_exact(self) -> bool:
@@ -503,18 +397,15 @@ class RatFunc:
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
             return NotImplemented
-        if not (self.is_exact and other.is_exact):
-            (a, b), (c, d) = self._complex_pair(), other._complex_pair()
-            return a * d == c * b
-        if not other.unit:
-            return not self.unit
+        if not other.unit.rat:
+            return not self.unit.rat
         return (self * other.inv()).is_one
 
     @property
     def is_one(self) -> bool:
         if not self.is_exact:
             return self.num == self.den
-        return not self.basis and self.xpow == 0 and self.unit == QiSqrt(self.p, 1)
+        return not self.basis and self.xpow == 0 and self.unit.is_one
 
     def __str__(self):
         ns, ds = str(self.num), str(self.den)
@@ -556,16 +447,22 @@ def as_rational_in_X(expr, q: int) -> RatFunc:
 
     if not (is_exact(scalar) and all(z is None or is_exact(z) and form.bn is not None
                                      and form.bd <= 2 for _, z, form, _ in pieces)):
+        # complex coefficients: num and den multiplied out factor by factor,
+        # each piece's power from 1 up, in the order of the pieces
         one = Poly({0: 1 + 0j})
-        out = RatFunc(p, None, pair=(Poly({0: complex(scalar)}), one))
+        num, den = Poly({0: complex(scalar)}), one
         for a, z, form, k in pieces:
             c = None if z is None else neg(mul(z, rat_power(q, neg(form.beta))))
             poly = Poly({a: 1 + 0j} if c is None else {0: 1 + 0j, a: complex(c)})
-            out = out * RatFunc(p, None, pair=(poly, one)) ** k
-        return out
+            top, bottom = (poly, one) if k >= 0 else (one, poly)
+            pn, pd = one, one
+            for _ in range(abs(k)):
+                pn, pd = pn * top, pd * bottom
+            num, den = num * pn, den * pd
+        return RatFunc(p, None, pair=(num, den))
     # z is a Fraction and beta a half-integer, so c = z q^-beta = cn / cd sqrt(p)^odd;
-    # the unit is un / ud i^ipow sqrt(p)^ue
-    (un, ud, ipow, ue), xpow, binomials = _exact_parts(p, scalar), 0, {}
+    # the unit is scalar un / ud sqrt(p)^ue
+    un, ud, ue, xpow, binomials = 1, 1, 0, 0, {}
     for a, z, form, k in pieces:
         if z is None:
             xpow += a
@@ -580,7 +477,10 @@ def as_rational_in_X(expr, q: int) -> RatFunc:
             key = a, cn // g, cd // g, odd
             binomials[key] = binomials.get(key, 0) + k
     basis: dict[ExactPoly, int] = {}
-    for (a, cn, cd, odd), k in binomials.items():
+    for key, k in binomials.items():
         if k:
-            _refine(basis, _one_minus(a, _monomial(p, cn, cd, 0, odd)), k)
-    return RatFunc(p, _monomial(p, un, ud, ipow, ue), xpow, basis)
+            _refine(basis, _one_minus(p, *key), k)
+    h, odd = divmod(ue, 2)
+    unit = ExactConst.of(scalar) * _const(p, un * p ** max(h, 0), ud * p ** max(-h, 0), odd)
+    _monomial(p, unit)  # ValueError unless the unit lies in K
+    return RatFunc(p, unit, xpow, basis)

@@ -49,6 +49,20 @@ def test_rational_values_equal_their_int_or_fraction():
     assert ExactConst(3) == 3 and ExactConst(3, 0, frozenset([5])) != 3
 
 
+def test_rational_values_hash_as_their_int_or_fraction():
+    """A rational constant is found in a set or dict keyed by its int or
+    Fraction, and the other way round; an irrational one is not."""
+    assert 3 in {ExactConst(3)} and ExactConst(3) in {3} and ExactConst(3) in {Fraction(3)}
+    assert {Fraction(-1, 2): "x"}[ExactConst(Fraction(-1, 2))] == "x"
+    assert {ExactConst(0): "zero"}[0] == "zero" and len({ExactConst(5), 5, Fraction(5)}) == 1
+    assert 3 not in {ExactConst(3, 0, frozenset([5]))} and ExactConst(3, 1) not in {3}
+    for x in _table(random.Random(1797)):
+        if x.is_rational:
+            assert hash(x) == hash(x.rat) and x.rat in {x} and x in {x.rat: 1}
+            if x.rat.denominator == 1:
+                assert x.rat.numerator in {x} and x in {x.rat.numerator}
+
+
 def test_repr_is_pinned():
     assert repr(ExactConst(Fraction(-3, 2), 1, frozenset({2, 5}))) == \
         "ExactConst(rat=Fraction(-3, 2), ipow=1, roots=frozenset({2, 5}))"

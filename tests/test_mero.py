@@ -110,9 +110,13 @@ def test_roundtrip_misc():
 
 
 def _ratfunc_at(rf, x: complex) -> complex:
-    """The rational function rf at X = x."""
-    num, den = (sum(complex(v) * x ** k for k, v in f.coeffs.items()) for f in (rf.num, rf.den))
-    return num / den
+    """The rational function rf at X = x, from its integer coefficient parts."""
+    r = rf.p ** 0.5
+
+    def at(f):
+        return sum(complex(a + b * r, c + d * r) / f.n * x ** k
+                   for k, (a, b, c, d) in enumerate(zip(*f.parts)))
+    return at(rf.num) / at(rf.den)
 
 
 def test_as_rational_examples():

@@ -1,7 +1,8 @@
 """Exact rational functions in X: the canonical form against a sympy oracle
-and against the expand-then-gcd reference, equality and is_one against the
-canonical form, the printed text against a pinned record, and QiSqrt
-arithmetic.
+and against the expand-then-gcd reference, Euclid's algorithm on integer
+parts against sympy, equality and is_one against the canonical form, the
+printed text against pinned records, and Q(i, sqrt p) arithmetic on integer
+parts against a reference on Fractions.
 
 The records of printed text live in tests/data/ratfunc_text.json (exact
 results) and tests/data/ratfunc_inexact_text.json (complex coefficients).
@@ -14,7 +15,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -25,14 +26,109 @@ from lfactors.exactconst import ExactConst
 from lfactors.mero import LinForm, MeroExpr, mero_mul
 from lfactors import ratfunc
 from lfactors.query import run_query
-from lfactors.ratfunc import (_DIRECT_DIGITS, ExactPoly, QiSqrt, RatFunc, _fraction_text,
-                              _int_text, _one_minus, _poly_divmod, _poly_gcd, _split,
-                              as_rational_in_X)
+from lfactors.ratfunc import (_DIRECT_DIGITS, ExactPoly, Poly, RatFunc, _coef, _coef_text,
+                              _fraction_text, _int_text, _inverse, _mul, _one_minus,
+                              _poly_divmod, _poly_gcd, _split, _sub, as_rational_in_X)
 from lfactors.verify import run_verify
 
 P_OF_Q = {3: 3, 5: 5, 7: 7, 9: 3, 25: 5, 27: 3, 49: 7}
 TEXT = Path(__file__).resolve().parent / "data" / "ratfunc_text.json"
 INEXACT_TEXT = TEXT.with_name("ratfunc_inexact_text.json")
+
+
+# -- Q(i, sqrt p) on Fractions, the reference for the integer parts ----------
+
+class _FractionQiSqrt:
+    """a + b sqrt(p) + (c + d sqrt(p)) i on four Fractions, multiplied as
+    pairs x + y i of elements x, y of Q(sqrt p): the reference the integer
+    parts must reproduce."""
+
+    def __init__(self, p, a=0, b=0, c=0, d=0):
+        self.p, self.a, self.b, self.c, self.d = p, *map(Fraction, (a, b, c, d))
+
+    def _xs(self):
+        return self.a, self.b, self.c, self.d
+
+    def __eq__(self, o):
+        return (self.p, self._xs()) == (o.p, o._xs())
+
+    def __bool__(self):
+        return any(self._xs())
+
+    def __add__(self, o):
+        return _FractionQiSqrt(self.p, *(x + y for x, y in zip(self._xs(), o._xs())))
+
+    def __neg__(self):
+        return _FractionQiSqrt(self.p, *(-x for x in self._xs()))
+
+    def __mul__(self, o):
+        def rmul(x1, y1, x2, y2):  # (x1 + y1 sqrt p)(x2 + y2 sqrt p)
+            return (x1 * x2 + self.p * y1 * y2, x1 * y2 + y1 * x2)
+        ra, rb = rmul(self.a, self.b, o.a, o.b)
+        ia, ib = rmul(self.c, self.d, o.c, o.d)
+        ca, cb = rmul(self.a, self.b, o.c, o.d)
+        da, db = rmul(self.c, self.d, o.a, o.b)
+        return _FractionQiSqrt(self.p, ra - ia, rb - ib, ca + da, cb + db)
+
+    def __pow__(self, k: int):
+        out = _FractionQiSqrt(self.p, 1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def pair(self) -> tuple:
+        """As an (n, parts) pair of degree 0."""
+        n = lcm(*(x.denominator for x in self._xs()))
+        return n, [[int(x * n)] for x in self._xs()]
+
+    def __str__(self):
+        if not (self.a or self.b or self.c or self.d):
+            return "0"
+        terms = []
+        for coef, tag in ((self.a, ""), (self.b, f"*sqrt({self.p})"),
+                          (self.c, "*i"), (self.d, f"*i*sqrt({self.p})")):
+            if coef:
+                terms.append(f"{coef}{tag}")
+        return " + ".join(terms).replace("+ -", "- ")
+
+
+def _coeffs(f: ExactPoly) -> dict[int, _FractionQiSqrt]:
+    """The nonzero coefficients of f by exponent."""
+    return {k: _FractionQiSqrt(f.p, *(Fraction(x, f.n) for x in xs))
+            for k, xs in enumerate(zip(*f.parts)) if any(xs)}
+
+
+def _poly(p: int, coeffs: dict[int, _FractionQiSqrt]) -> ExactPoly:
+    """The ExactPoly with the coefficients {k: c}, k >= 0."""
+    n = lcm(*(x.denominator for c in coeffs.values() for x in c._xs()))
+    parts = [[0] * (max(coeffs, default=-1) + 1) for _ in range(4)]
+    for k, c in coeffs.items():
+        for part, x in zip(parts, c._xs()):
+            part[k] = int(x * n)
+    return ExactPoly(p, n, parts)
+
+
+def _times(f: ExactPoly, g) -> ExactPoly:
+    """f times an ExactPoly or an (n, parts) pair g."""
+    g = (g.n, g.parts) if isinstance(g, ExactPoly) else g
+    return ExactPoly(f.p, *_mul(f.p, (f.n, f.parts), g))
+
+
+def _binomial(p: int, a: int, c: ExactConst) -> ExactPoly:
+    """1 - c X^a: built by _one_minus, and so told its key, when c is real,
+    else a plain ExactPoly."""
+    if c.ipow:
+        return ExactPoly.of(p, {0: 1, a: -c})
+    return _one_minus(p, a, c.rat.numerator, c.rat.denominator, int(bool(c.roots)))
+
+
+def _at(f, x: complex) -> complex:
+    """A Poly or an ExactPoly at X = x."""
+    if isinstance(f, Poly):
+        return sum(v * x ** k for k, v in f.coeffs.items())
+    r = f.p ** 0.5
+    return sum(complex(a + b * r, c + d * r) / f.n * x ** k
+               for k, (a, b, c, d) in enumerate(zip(*f.parts)))
 
 
 # -- random products and quotients of L- and Exp-atoms ----------------------
@@ -90,12 +186,10 @@ def test_sympy_oracle_canonical_form():
     X = sympy.Symbol("X")
     rng = random.Random(20240917)
 
-    def qisqrt_sym(v: QiSqrt):
-        s = sqrt(v.p)
-        return (v.a + v.b * s + (v.c + v.d * s) * I) / v.n
-
     def poly_sym(poly):
-        return sum((qisqrt_sym(c) * X ** k for k, c in poly.coeffs.items()), sympy.Integer(0))
+        s = sqrt(poly.p)
+        return sum(((a + b * s + (c + d * s) * I) / poly.n * X ** k
+                    for k, (a, b, c, d) in enumerate(zip(*poly.parts))), sympy.Integer(0))
 
     nontrivial = 0
     for trial in range(12):
@@ -118,9 +212,10 @@ def test_sympy_oracle_canonical_form():
         assert rf.is_exact
         assert sympy.expand(poly_sym(rf.num) * trailing - n) == 0, (q, specs, str(rf))
         assert sympy.expand(poly_sym(rf.den) * trailing - d) == 0, (q, specs, str(rf))
-        assert rf.den.coeffs[min(rf.den.coeffs)] == QiSqrt(p, 1)
-        assert min(min(rf.num.coeffs), min(rf.den.coeffs)) == 0
-        nontrivial += max(rf.den.coeffs) > 0
+        num, den = _coeffs(rf.num), _coeffs(rf.den)
+        assert den[min(den)] == _FractionQiSqrt(p, 1)
+        assert min(min(num), min(den)) == 0
+        nontrivial += rf.den.degree > 0
     assert nontrivial >= 4
 
 
@@ -156,22 +251,21 @@ def test_common_factor_cancels():
     assert str(rf) == "1 + X"
     assert not rf.is_one
     assert as_rational_in_X(mero_mul(e, MeroExpr.l_atom(5, -1, LinForm(1))), 5).is_one
+    with pytest.raises(ValueError, match="does not lie in"):  # sqrt(2) is not in Q(i, sqrt 5)
+        as_rational_in_X(mero_mul(e, MeroExpr.const(ExactConst(1, 0, frozenset([2])))), 5)
 
 
 # -- the expand-then-gcd canonicaliser, kept as the reference ----------------
 
-def _scaled(f: ExactPoly, c: QiSqrt) -> ExactPoly:
-    return f * ExactPoly.of(f.p, {0: c})
-
-
 def _ref_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
-    """Monic gcd by Euclid's algorithm."""
+    """Monic gcd by Euclid's algorithm (_poly_divmod, held to sympy by
+    test_euclid_matches_sympy)."""
     while b.degree >= 0:
         _, r = _poly_divmod(a, b)
         a, b = b, r
     if a.degree < 0:
         return a
-    return _scaled(a, a.coeffs[max(a.coeffs)].inverse())
+    return _times(a, _inverse(a.p, _coef(a, a.degree)))
 
 
 def _ref_canonical(num: ExactPoly, den: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
@@ -179,14 +273,14 @@ def _ref_canonical(num: ExactPoly, den: ExactPoly) -> tuple[ExactPoly, ExactPoly
     denominator's trailing coefficient 1."""
     if num.degree < 0:
         return num, ExactPoly.of(num.p, {0: 1})
-    shift = min(min(num.coeffs), min(den.coeffs))
-    num, den = (ExactPoly.of(f.p, {k - shift: v for k, v in f.coeffs.items()}) for f in (num, den))
+    shift = min(min(_coeffs(num)), min(_coeffs(den)))
+    num, den = (ExactPoly(f.p, f.n, [part[shift:] for part in f.parts]) for f in (num, den))
     g = _ref_gcd(num, den)
-    if max(g.coeffs):  # nontrivial common factor
+    if g.degree:  # nontrivial common factor
         num, _ = _poly_divmod(num, g)
         den, _ = _poly_divmod(den, g)
-    inv = den.coeffs[min(den.coeffs)].inverse()
-    return _scaled(num, inv), _scaled(den, inv)
+    inv = _inverse(den.p, _coef(den, min(_coeffs(den))))
+    return _times(num, inv), _times(den, inv)
 
 
 def _expanded(q: int, pref: ExactConst, specs) -> tuple[ExactPoly, ExactPoly]:
@@ -196,7 +290,7 @@ def _expanded(q: int, pref: ExactConst, specs) -> tuple[ExactPoly, ExactPoly]:
     num, den, xe = ExactPoly.of(p, {0: pref}), ExactPoly.of(p, {0: 1}), 0
     for kind, x, alpha, beta, k in specs:
         if kind == "L":  # (1 - x q^-beta X^alpha)^-k
-            c = QiSqrt.of(p, ExactConst.of(x) * ExactConst.half_power(Fraction(q), -int(2 * beta)))
+            c = ExactConst.of(x) * ExactConst.half_power(Fraction(q), -int(2 * beta))
             k = -k
             if alpha > 0:
                 factor = ExactPoly.of(p, {0: 1, alpha: -c})
@@ -204,14 +298,14 @@ def _expanded(q: int, pref: ExactConst, specs) -> tuple[ExactPoly, ExactPoly]:
                 factor, xe = ExactPoly.of(p, {0: -c, -alpha: 1}), xe + alpha * k
             for _ in range(abs(k)):
                 if k > 0:
-                    num = num * factor
+                    num = _times(num, factor)
                 else:
-                    den = den * factor
+                    den = _times(den, factor)
         else:  # (q^x)^((alpha s + beta) k) = q^(x beta k) X^(-x alpha k)
             scalar = ExactConst.half_power(Fraction(q), int(2 * x * beta * k))
-            num, xe = num * ExactPoly.of(p, {0: scalar}), xe - x * alpha * k
+            num, xe = _times(num, ExactPoly.of(p, {0: scalar})), xe - x * alpha * k
     power = ExactPoly.of(p, {abs(xe): 1})
-    return (num * power, den) if xe >= 0 else (num, den * power)
+    return (_times(num, power), den) if xe >= 0 else (num, _times(den, power))
 
 
 def _hidden_specs(rng: random.Random, q: int) -> list[tuple]:
@@ -236,11 +330,11 @@ def _assert_factored(rf, p: int):
     polynomials with constant term 1 and nonzero exponents."""
     fs = list(rf.basis)
     for f in fs:
-        assert min(f.coeffs) == 0 and f.coeffs[0] == QiSqrt(p, 1) and max(f.coeffs) > 0
+        assert min(_coeffs(f)) == 0 and _coeffs(f)[0] == _FractionQiSqrt(p, 1) and f.degree > 0
         assert rf.basis[f] != 0
     for i, f in enumerate(fs):
         for g in fs[i + 1:]:
-            assert max(_ref_gcd(f, g).coeffs) == 0, (str(f), str(g))
+            assert _ref_gcd(f, g).degree == 0, (str(f), str(g))
 
 
 def test_factored_form_matches_reference_canonicaliser():
@@ -276,11 +370,16 @@ def _text_record() -> list[str]:
     return out
 
 
-def test_text_matches_the_pinned_record():
+def test_text_matches_the_pinned_record(monkeypatch):
     """The printed form byte for byte: the reference tests compare values,
-    so only this pins the spelling of each coefficient."""
+    so only this pins the spelling of each coefficient. The record also
+    reaches Euclid's algorithm (877 _poly_gcd calls when it was pinned), so
+    that path keeps its coverage here."""
+    calls = []
+    monkeypatch.setattr(ratfunc, "_poly_gcd", lambda f, g: calls.append(1) or _poly_gcd(f, g))
     want = json.loads(TEXT.read_text(encoding="utf-8"))
     got = _text_record()
+    assert calls
     assert len(got) == len(want)
     for trial, (g, w) in enumerate(zip(got, want)):
         assert g == w, trial
@@ -339,7 +438,7 @@ def test_hidden_common_factors_of_unequal_degree():
         for specs, terms in ((quad, 2), (cube, 3)):
             rf = as_rational_in_X(_mero(q, one, specs), q)
             assert (rf.num, rf.den) == _ref_canonical(*_expanded(q, one, specs))
-            assert len(rf.num.coeffs) == terms and len(rf.den.coeffs) == 1
+            assert len(_coeffs(rf.num)) == terms and len(_coeffs(rf.den)) == 1
         assert as_rational_in_X(_mero(q, one, quad + [("L", -z, a, 0, 1)]), q).is_one
         assert as_rational_in_X(_mero(q, one, [("L", 0 * z, a, 0, 2)]), q).is_one  # 1 - 0 X^a
     # a zero prefactor is 0/1 whatever the atoms
@@ -369,7 +468,7 @@ def test_exact_equality_on_differently_factored_inputs():
         g = as_rational_in_X(_mero(q, pref, _hidden_specs(rng, q)), q)
         if trial % 2:  # g = f, factored otherwise
             g = f * g * g.inv()
-        cross = f.num * g.den == g.num * f.den
+        cross = _times(f.num, g.den) == _times(g.num, f.den)
         assert (f == g) == (g == f) == cross == (f * g.inv()).is_one
         assert trial % 2 == 0 or cross
         for other in (f * x, f * two, f * x * two.inv()):  # f up to X^e or a unit
@@ -385,12 +484,12 @@ def _assert_refined(rf, p: int, factors):
     basis = list(rf.basis)
     for j, f in enumerate(basis):
         for g in basis[j + 1:]:
-            assert len(_poly_gcd(f, g).coeffs) == 1, (str(f), str(g))
+            assert _poly_gcd(f, g).degree == 0, (str(f), str(g))
     num, den = ExactPoly.of(p, {0: 1}), ExactPoly.of(p, {0: 1})
     for poly, k in factors:
         for _ in range(abs(k)):
-            num, den = (num * poly, den) if k > 0 else (num, den * poly)
-    assert rf.num * den == num * rf.den
+            num, den = (_times(num, poly), den) if k > 0 else (num, _times(den, poly))
+    assert _times(rf.num, den) == _times(num, rf.den)
 
 
 def _binomials(rng: random.Random, w, other, units):
@@ -409,7 +508,7 @@ def _refined(p: int, factors) -> RatFunc:
     """The product of the factors (poly, k) through RatFunc products."""
     rf = RatFunc.one(p)
     for poly, k in factors:
-        rf = rf * RatFunc(p, QiSqrt(p, 1), 0, {poly: k})
+        rf = rf * RatFunc(p, ExactConst.one(), 0, {poly: k})
     return rf
 
 
@@ -429,66 +528,63 @@ def test_root_test_keeps_a_coprime_basis():
                        for _ in range(60)]
     for trial, pair in enumerate(pairs):
         ks = [rng.choice([-2, -1, 1, 2]) if trial >= len(planted) else 1 for _ in pair]
-        factors = [(_one_minus(a, QiSqrt.of(p, x)), k) for (x, a), k in zip(pair, ks)]
+        factors = [(_binomial(p, a, x), k) for (x, a), k in zip(pair, ks)]
         specs = [("L", x, a, 0, -k) for (x, a), k in zip(pair, ks)]  # (1 - x X^a)^k
         rf = as_rational_in_X(_mero(p, one, specs), p)
         if not rf.is_exact:  # MeroExpr.l_atom holds a z with i or sqrt(p) as a complex
             want = _refined(p, factors)
-            assert rf == want and want == rf  # cross-multiplied to a relative 1e-9
+            for x in (0.3 + 0.2j, -0.6 + 0.1j, 0.2 - 0.7j):  # the same function, to 1e-9
+                got, ref = (_at(g.num, x) / _at(g.den, x) for g in (rf, want))
+                assert abs(got - ref) <= 1e-9 * max(abs(ref), 1), (trial, x)
             rf = want
         _assert_refined(rf, p, factors)
-    # coefficients beyond monomials, through RatFunc products
-    qi = [QiSqrt(p, 1), QiSqrt(p, -1), QiSqrt(p, 0, 0, 1), QiSqrt(p, 0, 0, -1)]
+    # coefficients beyond monomials, through RatFunc products and Euclid's algorithm
+    qi = [_FractionQiSqrt(p, 1), _FractionQiSqrt(p, -1), _FractionQiSqrt(p, 0, 0, 1),
+          _FractionQiSqrt(p, 0, 0, -1)]
     for _ in range(60):
-        w, other = (QiSqrt(p, *(Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
-                                for _ in range(4))) for _ in range(2))
+        w, other = (_FractionQiSqrt(p, *(Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+                                         for _ in range(4))) for _ in range(2))
         if not (w and other):
             continue
-        factors = [(_one_minus(a, x), rng.choice([-2, -1, 1, 2]))
+        factors = [(_poly(p, {0: qi[0], a: -x}), rng.choice([-2, -1, 1, 2]))
                    for x, a in _binomials(rng, w, other, qi)]
         _assert_refined(_refined(p, factors), p, factors)
 
 
-def _norm(x: QiSqrt) -> QiSqrt:
-    """The product of the four conjugates of x: i -> +-i, sqrt(p) -> +-sqrt(p)."""
-    out = QiSqrt(x.p, 1)
-    for si in (1, -1):
-        for sp in (1, -1):
-            out = out * QiSqrt._of_ints(x.p, x.a, sp * x.b, si * x.c, si * sp * x.d, x.n)
-    return out
-
-
-def test_norm_check_reaches_the_exact_test():
-    """Binomial pairs whose norms agree, so that only the exact test can tell
-    a common root: c against its conjugates, -c and i c, at one degree and
-    as 1 - c^2 X^2a against 1 - d X^a, and planted common roots."""
+def test_root_test_tells_sign_and_sqrt_parity_apart():
+    """Binomial pairs whose constants agree up to sign, or up to a power of
+    sqrt(p), so that only the sign in the cross-multiplication or only the
+    parity check of the root test tells a common root; each split agrees
+    with Euclid's algorithm, and the refined basis stays coprime."""
     p, rng = 7, random.Random(2009)
-    i = QiSqrt(p, 0, 0, 1)
-    pairs = [((1, QiSqrt(p, 1)), (2, QiSqrt(p, 1))),  # 1 - X against 1 - X^2
-             ((1, QiSqrt(p, 2)), (2, QiSqrt(p, 4)))]  # 1 - 2X against 1 - 4X^2
+    one, root = ExactConst.one(), ExactConst.half_power(p, 1)
+    pairs = [((1, one), (2, one)),  # 1 - X against 1 - X^2
+             ((1, ExactConst.of(2)), (2, ExactConst.of(4)))]  # 1 - 2X against 1 - 4X^2
     for _ in range(12):
-        c = QiSqrt(p, *(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 7]))
-                        for _ in range(4)))
+        c = (ExactConst.of(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 7])))
+             * root ** rng.randint(0, 1))
+        d = ExactConst(c.rat, 0, frozenset([p]) - c.roots)  # c with the other power of sqrt(p)
         a = rng.randint(1, 2)
-        pairs.append(((2 * a, c * c), (a, c)))  # 1 - c^2 X^2a against 1 - c X^a
-        for d in (QiSqrt._of_ints(p, c.a, c.b, -c.c, -c.d, c.n), -c, i * c,
-                  QiSqrt._of_ints(p, c.a, -c.b, c.c, -c.d, c.n)):
-            assert _norm(d) == _norm(c) and _norm(c * c) == _norm(d) * _norm(d)
-            pairs += [((a, c), (a, d)), ((2 * a, c * c), (a, d))]
+        pairs += [((2 * a, c * c), (a, c)), ((2 * a, c * c), (a, -c)),  # a common root
+                  ((a, c), (a, -c)), ((2 * a, -(c * c)), (a, c)),  # apart by the sign alone
+                  ((a, c), (a, d)), ((2 * a, c * c), (a, d))]  # apart by a power of sqrt(p)
     shared = 0
     for (a, c), (b, d) in pairs:
-        factors = [(_one_minus(a, c), rng.choice([-1, 1, 2])), (_one_minus(b, d), rng.choice([-1, 1]))]
-        rf = _refined(p, factors)
-        _assert_refined(rf, p, factors)
-        shared += set(rf.basis) != {f for f, _ in factors}
-    assert shared >= 14  # the planted pairs, 1 - c^2 X^2a against 1 -+ c X^a, and more
+        f, g = _binomial(p, a, c), _binomial(p, b, d)
+        split = _split(f, g)
+        assert _split_mismatches(f, g, split) == [], (a, str(c), b, str(d))
+        shared += split is not None
+        factors = [(f, rng.choice([-1, 1, 2])), (g, rng.choice([-1, 1]))]
+        _assert_refined(_refined(p, factors), p, factors)
+    assert shared == 2 + 2 * 12
 
 
 # -- the closed-form split of two binomials ----------------------------------
 
 def _split_mismatches(f: ExactPoly, g: ExactPoly, split) -> list[str]:
     """How a split (h, f / h, g / h), or None, departs from Euclid's gcd and
-    division; a part built as a binomial must have the coefficients it claims."""
+    division; a part built as a binomial must have the coefficients its key
+    claims."""
     h = _poly_gcd(f, g)
     if h.degree == 0:
         return [] if split is None else ["split of a coprime pair"]
@@ -500,15 +596,16 @@ def _split_mismatches(f: ExactPoly, g: ExactPoly, split) -> list[str]:
            for name, got, want in zip(("gcd", "f / gcd", "g / gcd"), split, (h, qf, qg)) if got != want]
     for part in split:
         if part.binomial:
-            (a, c, norm, den), nc = part.binomial, _norm(part.binomial[1])
-            if part.coeffs != {0: QiSqrt(f.p, 1), a: -c} or Fraction(norm, den) != Fraction(nc.a, nc.n):
+            a, cn, cd, odd = part.binomial
+            c = ExactConst(Fraction(cn, cd), 0, frozenset([f.p]) if odd else frozenset())
+            if part != ExactPoly.of(f.p, {0: 1, a: -c}):
                 out.append(f"{part} is not 1 - ({c}) X^{a}")
     return out
 
 
-def _powers(w: QiSqrt, h: int, m: int) -> ExactPoly:
+def _powers(p: int, w: ExactConst, h: int, m: int) -> ExactPoly:
     """sum_{j < m} w^j X^(jh)."""
-    return ExactPoly.of(w.p, {j * h: w ** j for j in range(m)})
+    return ExactPoly.of(p, {j * h: w ** j for j in range(m)})
 
 
 def test_closed_form_split_matches_euclid():
@@ -519,10 +616,10 @@ def test_closed_form_split_matches_euclid():
     rng, seen = random.Random(1993), {"shared": 0, "coprime": 0, "v<0": 0, "a|b": 0,
                                       "equal slopes": 0, "w planted": 0, "term dropped": 0}
 
-    def monomial(p: int) -> QiSqrt:
+    def monomial(p: int) -> ExactConst:
         num = rng.choice([1, -1]) * p ** rng.randint(0, 2)
-        return QiSqrt._of_ints(p, *((num, 0) if rng.random() < 0.5 else (0, num)), 0, 0,
-                               rng.choice([1, 2, 3, p]))
+        roots = frozenset() if rng.random() < 0.5 else frozenset([p])
+        return ExactConst(Fraction(num, rng.choice([1, 2, 3, p])), 0, roots)
 
     for trial in range(240):
         q = (3, 5, 9, 25)[trial % 4]
@@ -533,8 +630,8 @@ def test_closed_form_split_matches_euclid():
             h, w = rng.randint(1, 4), monomial(p)
             ea, eb = rng.randint(1, 8 // h), rng.randint(1, 8 // h)
             a, b = h * ea, h * eb
-            c, d = (QiSqrt(p, rng.choice([1, -1])) * w ** e for e in (ea, eb))
-        f, g = _one_minus(a, c), _one_minus(b, d)
+            c, d = (ExactConst.of(rng.choice([1, -1])) * w ** e for e in (ea, eb))
+        f, g = _binomial(p, a, c), _binomial(p, b, d)
         split = _split(f, g)
         assert _split_mismatches(f, g, split) == [], (q, a, str(c), b, str(d))
         if split is None:
@@ -548,13 +645,14 @@ def test_closed_form_split_matches_euclid():
         seen["v<0"] += v < 0
         seen["a|b"] += b % a == 0
         w = c ** u * d ** v
-        assert split[0] == _one_minus(k, w)
-        if d != QiSqrt(p, 1):  # w = c^u d^(v+1) breaks the gcd, so the check must fail
+        assert split[0] == _binomial(p, k, w)
+        if d != 1:  # w = c^u d^(v+1) breaks the gcd, so the check must fail
             planted = w * d
-            planted = (_one_minus(k, planted), _powers(planted, k, a // k), _powers(planted, k, b // k))
+            planted = (_binomial(p, k, planted), _powers(p, planted, k, a // k),
+                       _powers(p, planted, k, b // k))
             assert _split_mismatches(f, g, planted)
             seen["w planted"] += 1
-        assert _split_mismatches(f, g, (split[0], _powers(w, k, a // k - 1), split[2]))
+        assert _split_mismatches(f, g, (split[0], _powers(p, w, k, a // k - 1), split[2]))
         seen["term dropped"] += 1
     assert min(seen.values()) >= 10, seen
 
@@ -583,111 +681,134 @@ def test_corpus_and_verify_reach_no_euclid(monkeypatch):
     run_verify("all", 7)
     assert calls["gcd"] == 0
     # the counter sees Euclid: a trinomial against a binomial it divides
-    ratfunc._refine({ExactPoly.of(5, {0: 1, 1: 1, 2: 1}): 1}, _one_minus(3, QiSqrt(5, 1)), 1)
+    ratfunc._refine({ExactPoly.of(5, {0: 1, 1: 1, 2: 1}): 1}, _one_minus(5, 3, 1, 1, 0), 1)
     assert calls["gcd"] > 0
 
 
+# -- Euclid's algorithm on integer parts ---------------------------------------
+
+def test_euclid_matches_sympy():
+    """_poly_divmod and _poly_gcd against sympy's division and gcd in
+    Q(i, sqrt p)[X], on seeded pairs with general coefficients (i and sqrt(p)
+    parts) sharing a planted factor, at p = 3, 5 and 7."""
+    sympy = pytest.importorskip("sympy")
+    X, rng, shared = sympy.Symbol("X"), random.Random(1996), 0
+
+    def poly(p: int, degree: int) -> ExactPoly:  # constant term 1
+        return _poly(p, {0: _FractionQiSqrt(p, 1), **{
+            k: _FractionQiSqrt(p, *(Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+                                    for _ in range(4))) for k in range(1, degree + 1)}})
+
+    for p in (3, 5, 7):
+        field = sympy.QQ.algebraic_field(sympy.I, sympy.sqrt(p))
+        i, root = field.from_sympy(sympy.I), field.from_sympy(sympy.sqrt(p))
+
+        def ext(f: ExactPoly):  # f as a sympy Poly over the field
+            def coef(a, b, c, d):
+                a, b, c, d = (field.convert(sympy.QQ(x, f.n)) for x in (a, b, c, d))
+                return a + b * root + (c + d * root) * i
+            return sympy.Poly.from_list([coef(*xs) for xs in zip(*f.parts)][::-1], X, domain=field)
+
+        for _ in range(8):
+            h = poly(p, rng.randint(0, 2))  # the planted common factor
+            f, g = (_times(h, poly(p, rng.randint(0, 3))) for _ in range(2))
+            # the steps first, since a faulty step keeps the division from ending
+            lead = _coef(g, g.degree)
+            assert ext(_times(ExactPoly(p, *lead), _inverse(p, lead))) == ext(ExactPoly.of(p, {0: 1}))
+            top = _times(h, ExactPoly.of(p, {f.degree - h.degree: 1}))  # of f's length
+            assert ext(ExactPoly(p, *_sub((f.n, f.parts), (top.n, top.parts)))) == ext(f) - ext(top)
+            quo, rem = _poly_divmod(f, g)
+            assert (ext(quo), ext(rem)) == ext(f).div(ext(g)), (p, str(f), str(g))
+            got = _poly_gcd(f, g)  # scaled to constant term 1, where sympy's is monic
+            assert got.parts[0][0] == got.n and not any(part[0] for part in got.parts[1:])
+            assert ext(got).monic() == ext(f).gcd(ext(g)), (p, str(f), str(g))
+            shared += got.degree > 0
+    assert shared >= 12
+
+
 def test_exact_product_matches_qisqrt_schoolbook():
-    """ExactPoly products against the product of {k: QiSqrt} dicts, on
-    coefficients with every part, either sign and up to 60 digits."""
+    """ExactPoly products (_mul) against the schoolbook product of dicts of
+    Q(i, sqrt p) elements on Fractions, on coefficients with every part,
+    either sign and up to 60 digits."""
     rng = random.Random(1982)
     for trial in range(40):
         p = (3, 5, 7, 11)[trial % 4]
 
         def poly():
             big = 10 ** rng.choice([1, 1, 30, 60])
-            return {k: QiSqrt(p, *(Fraction(rng.randint(-big, big), rng.choice([1, 2, 3, p]))
-                                   for _ in range(4)))
+            return {k: _FractionQiSqrt(p, *(Fraction(rng.randint(-big, big), rng.choice([1, 2, 3, p]))
+                                            for _ in range(4)))
                     for k in rng.sample(range(12), rng.randint(0, 6))}
         f, g = poly(), poly()
-        want: dict[int, QiSqrt] = {}
+        want: dict[int, _FractionQiSqrt] = {}
         for k1, x in f.items():
             for k2, y in g.items():
-                want[k1 + k2] = want.get(k1 + k2, QiSqrt(p)) + x * y
-        got = ExactPoly.of(p, f) * ExactPoly.of(p, g)
-        assert got.coeffs == {k: v for k, v in want.items() if v}
-        assert got == ExactPoly.of(p, want) and hash(got) == hash(ExactPoly.of(p, want))
+                want[k1 + k2] = want.get(k1 + k2, _FractionQiSqrt(p)) + x * y
+        got = _times(_poly(p, f), _poly(p, g))
+        assert _coeffs(got) == {k: v for k, v in want.items() if v}
+        assert got == _poly(p, want) and hash(got) == hash(_poly(p, want))
 
 
-# -- QiSqrt -----------------------------------------------------------------
+# -- Q(i, sqrt p) arithmetic on integer parts ----------------------------------
 
 primes = st.sampled_from([3, 5, 7, 11])
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 parts = st.tuples(rationals, rationals, rationals, rationals)
 
 
-class _FractionQiSqrt:
-    """QiSqrt's product, str and to_complex on four Fractions: the reference
-    the integer representation must reproduce."""
-
-    def __init__(self, p, a, b, c, d):
-        self.p, self.a, self.b, self.c, self.d = p, a, b, c, d
-
-    def __mul__(self, o):
-        def rmul(x1, y1, x2, y2):  # (x1 + y1 sqrt p)(x2 + y2 sqrt p)
-            return (x1 * x2 + self.p * y1 * y2, x1 * y2 + y1 * x2)
-        ra, rb = rmul(self.a, self.b, o.a, o.b)
-        ia, ib = rmul(self.c, self.d, o.c, o.d)
-        ca, cb = rmul(self.a, self.b, o.c, o.d)
-        da, db = rmul(self.c, self.d, o.a, o.b)
-        return _FractionQiSqrt(self.p, ra - ia, rb - ib, ca + da, cb + db)
-
-    def to_complex(self) -> complex:
-        r = float(self.a) + float(self.b) * self.p ** 0.5
-        im = float(self.c) + float(self.d) * self.p ** 0.5
-        return complex(r, im)
-
-    def __str__(self):
-        if not (self.a or self.b or self.c or self.d):
-            return "0"
-        terms = []
-        for coef, tag in ((self.a, ""), (self.b, f"*sqrt({self.p})"),
-                          (self.c, "*i"), (self.d, f"*i*sqrt({self.p})")):
-            if coef:
-                terms.append(f"{coef}{tag}")
-        return " + ".join(terms).replace("+ -", "- ")
-
-
 @given(primes, parts, parts, parts)
 @settings(max_examples=60, deadline=None)
 def test_qisqrt_ring_axioms(p, u, v, w):
-    x, y, z = QiSqrt(p, *u), QiSqrt(p, *v), QiSqrt(p, *w)
-    zero, one = QiSqrt(p), QiSqrt(p, 1)
-    assert x + y == y + x and x * y == y * x
-    assert (x + y) + z == x + (y + z)
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
-    assert x + zero == x and x * one == x and x - x == zero
-    assert (x * zero) == zero and not (x * zero)
-    if x:
-        assert x * x.inverse() == one
-        assert (x * y) * x.inverse() == y
-        assert x.inverse().inverse() == x
-        assert x ** 7 == x * x * x * x * x * x * x and x ** -2 == (x * x).inverse()
-        assert x ** 0 == one and x ** 1 == x
+    """_mul, _sub and _inverse on (n, parts) pairs of degree 0, read back in
+    lowest terms by ExactPoly, against the reference on Fractions."""
+    def value(pair):
+        return ExactPoly(p, *pair)
+
+    def add(x, y):
+        return _sub(x, _sub(zero, y))
+
+    def mul(x, y):
+        return _mul(p, x, y)
+    (x, rx), (y, ry), (z, _) = ((ref.pair(), ref) for ref in (_FractionQiSqrt(p, *t) for t in (u, v, w)))
+    zero, one = (1, [[0], [0], [0], [0]]), (1, [[1], [0], [0], [0]])
+    assert value(mul(x, y)) == _poly(p, {0: rx * ry}) and value(_sub(x, y)) == _poly(p, {0: rx + -ry})
+    assert value(add(x, y)) == value(add(y, x)) and value(mul(x, y)) == value(mul(y, x))
+    assert value(add(add(x, y), z)) == value(add(x, add(y, z)))
+    assert value(mul(mul(x, y), z)) == value(mul(x, mul(y, z)))
+    assert value(mul(x, add(y, z))) == value(add(mul(x, y), mul(x, z)))
+    assert value(add(x, zero)) == value(x) and value(mul(x, one)) == value(x)
+    assert value(_sub(x, x)).degree < 0 and value(mul(x, zero)).degree < 0
+    if rx:
+        assert value(mul(x, _inverse(p, x))) == value(one)
+        assert value(mul(mul(x, y), _inverse(p, x))) == value(y)
+        assert value(_inverse(p, _inverse(p, x))) == value(x)
 
 
 @given(primes, parts, parts)
 @settings(max_examples=60, deadline=None)
 def test_qisqrt_equal_values_hash_equal(p, u, v):
-    x, y = QiSqrt(p, *u), QiSqrt(p, *v)
-    others = [(x + y) - y, QiSqrt(p, *(6 * t for t in u)) * QiSqrt(p, Fraction(1, 6)),
-              (x * QiSqrt(p, 3)) * QiSqrt(p, Fraction(1, 3))]
-    if y:
-        others.append((x * y) * y.inverse())
-    for other in others:
-        assert other == x and hash(other) == hash(x)
-        assert (other.a, other.b, other.c, other.d, other.n) == (x.a, x.b, x.c, x.d, x.n)
-    assert x.n > 0
+    """One value reached along several routes, with and without common
+    factors, reads back as one ExactPoly: equal fields and equal hashes."""
+    x, y = _FractionQiSqrt(p, *u).pair(), _FractionQiSqrt(p, *v).pair()
+    zero = (1, [[0], [0], [0], [0]])
+    others = [_sub(_sub(x, y), _sub(zero, y)), (6 * x[0], [[6 * t for t in part] for part in x[1]]),
+              _mul(p, _mul(p, x, (1, [[3], [0], [0], [0]])), (3, [[1], [0], [0], [0]]))]
+    if any(v):
+        others.append(_mul(p, _mul(p, x, y), _inverse(p, y)))
+    want = ExactPoly(p, *x)
+    assert want == _poly(p, {0: _FractionQiSqrt(p, *u)}) and want.n > 0
+    for other in map(lambda pair: ExactPoly(p, *pair), others):
+        assert other == want and hash(other) == hash(want)
+        assert (other.n, other.parts) == (want.n, want.parts)
 
 
 @given(primes, parts, parts)
 @settings(max_examples=60, deadline=None)
-def test_qisqrt_str_and_complex_match_fraction_spelling(p, u, v):
-    x, ref_x = QiSqrt(p, *u), _FractionQiSqrt(p, *u)
-    for value, ref in ((x, ref_x), (x * QiSqrt(p, *v), ref_x * _FractionQiSqrt(p, *v))):
-        assert str(value) == str(ref)
-        assert value.to_complex() == ref.to_complex()
+def test_qisqrt_str_matches_fraction_spelling(p, u, v):
+    """_coef_text, on parts not in lowest terms, spells each part as the Fraction it is."""
+    x, ref_x, ref_y = _FractionQiSqrt(p, *u).pair(), _FractionQiSqrt(p, *u), _FractionQiSqrt(p, *v)
+    for (n, xs), ref in ((x, ref_x), (_mul(p, x, ref_y.pair()), ref_x * ref_y)):
+        assert _coef_text(p, n, [part[0] for part in xs]) == str(ref)
 
 
 # -- spelling big integers ----------------------------------------------------

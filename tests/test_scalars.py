@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from lfactors.exactconst import ExactConst
 from lfactors.mero import LinForm, _beta_norm
-from lfactors.ratfunc import QiSqrt
 import pytest
 
 from lfactors.characters import MultCharacter
@@ -117,8 +116,6 @@ def ratfunc_neg(v):
 
 def ratfunc_to_cx(v):
     if isinstance(v, ExactConst):
-        return v.to_complex()
-    if isinstance(v, QiSqrt):
         return v.to_complex()
     return complex(v)
 
@@ -302,8 +299,6 @@ def test_ratfunc_times_neg_and_complex():
         _same(mul(r, beta), ratfunc_times(r, beta), r, beta)
     for v in _exact_consts() + _complexes():
         _same(neg(v), ratfunc_neg(v), v)
-        _same(complex(v), ratfunc_to_cx(v), v)
-    for v in (QiSqrt(3, 1, 2, -1, Fraction(1, 2)), QiSqrt(5, Fraction(-2, 3)), QiSqrt(7)):
         _same(complex(v), ratfunc_to_cx(v), v)
 
 
