@@ -502,8 +502,6 @@ def twist_nonarch(x: MeroExpr, q: int, z, t) -> MeroExpr:
     constants, arguments shift by alpha * t.  Exact for exact z.
     """
     z = _beta_norm(z)
-    if z == 1:
-        return x.subst(1, t)
     pref = x.prefactor
     out: list[tuple[Atom, int]] = []
     for atom, k in x.atoms:

@@ -4,43 +4,43 @@ Nonarchimedean local factors are rational in q^{-s}; the coefficients the
 formulas generate live in the biquadratic field K = Q(i, sqrt p) (half-integer
 argument shifts contribute sqrt q, Gauss sums contribute i and sqrt p).
 K has one representation here: integer parts over one positive denominator,
-(A + B sqrt(p) + (C + D sqrt(p)) i) / n in lowest terms, so equal values have
-equal fields and equal hashes. An exact polynomial (ExactPoly) holds four
-integer lists of such parts, and an (n, parts) pair of degree 0 is a single
-coefficient. A monomial r i^j sqrt(p)^e (a unit, or the w of a split) is an
-ExactConst.
+(A + B sqrt(p) + (C + D sqrt(p)) i) / n in lowest terms. An exact polynomial
+(ExactPoly) holds four integer lists of such parts, and an (n, parts) pair of
+degree 0 is a single coefficient. A monomial r i^j sqrt(p)^e (a unit, or the
+generator w of a class) is an ExactConst.
 
-An exact RatFunc is kept factored, unit * X^e * prod f^k, over a pairwise
-coprime basis of polynomials f with constant term 1 and nonzero integers k.
-`as_rational_in_X` builds it from the Tate factors (1 - c X^a)^-k on plain
-ints: an L-atom's slope a and half-integer shift beta are its LinForm's
-integers, and c = z q^-beta is held as (cn, cd, odd), c = cn / cd sqrt(p)^odd
-in lowest terms. A negative slope is turned round, 1 - c X^a = -c X^a
-(1 - c^-1 X^-a), its -c X^a folding into an integer unit and the power of X
-(1 / sqrt p = sqrt p / p). Equal binomials merge on their int keys (a, cn, cd,
-odd), and one ExactPoly per distinct binomial is built and told that key (no
-ExactPoly guesses it). Factor refinement (Bach, Driscoll and Shallit,
-J. Algorithms 15, 1993) splits a pair of factors with a nontrivial gcd into the
-gcd and the two quotients. Binomials 1 - c X^a and 1 - d X^b share a root
-exactly when c^(b/h) = d^(a/h), h = gcd(a, b), for a common root x has x^(ab/h)
-equal to c^(-b/h) and to d^(-a/h). On the keys this root test is one parity
-check of the powers of sqrt p and one cross-multiplication of integers. A pair
-that passes splits in closed form: u = (a/h)^-1 mod b/h and v = (1 - u a/h) /
-(b/h) make w = c^u d^v satisfy w^(a/h) = c and w^(b/h) = d, so the gcd is 1 -
-w X^h and the quotients are the sums of w^j X^(jh) over j < a/h and j < b/h (1
-+ w X^h for a bound 2). Only a pair with a non-binomial side takes Euclid's
-algorithm, on the integer parts. Products and inverses merge bases and negate
-exponents. The canonical form then needs no gcd: the numerator is unit *
-X^max(e,0) times the factors with k > 0, the denominator X^max(-e,0) times
-those with k < 0; they are coprime, the lower of their two lowest exponents is
+An exact RatFunc is unit * X^e * prod (1 - c X^a)^k, the binomials held as
+{(a, cn, cd, odd): k}. `as_rational_in_X` builds it from the Tate factors on
+plain ints: an L-atom's slope a and half-integer shift beta are its LinForm's
+integers, and c = z q^-beta is c = cn / cd sqrt(p)^odd in lowest terms, cd > 0.
+A negative slope is turned round, 1 - c X^a = -c X^a (1 - c^-1 X^-a), its
+-c X^a folding into an integer unit and the power of X (1 / sqrt p = sqrt p /
+p). Products, inverses and powers add, negate and scale the exponents.
+
+The canonical form groups the binomials by the modulus |c|^(-1/a) of their
+roots, for binomials of different root moduli share no root. 1 - c X^a and
+1 - d X^b have one root modulus exactly when |c|^(b/h) = |d|^(a/h), h =
+gcd(a, b): on the keys, one parity check of the powers of sqrt p and one
+cross-multiplication of integers. A class starts from its first member, w = |c|
+and h = a, and folds in each further member in closed form: with g = gcd(h, a)
+and u h/g + v a/g = 1, w' = w^u |c|^v has w'^(h/g) = w and w'^(a/g) = |c| (when
+h divides a, w^(a/h) = |c| already). So w > 0, h is the gcd of the class's
+slopes, and each member is 1 -+ y^m for y = w X^h and m = a / h. Now 1 - y^m =
+prod_{d | m} Psi_d(y) and 1 + y^m = prod_{d | 2m, d does not divide m}
+Psi_d(y), Psi_d the d-th cyclotomic polynomial scaled to constant term 1 (Lang,
+Algebra, VI.3). Summing the exponents gives prod Psi_d(w X^h)^E, E != 0, over
+factors that are pairwise coprime: the roots of two of them differ in modulus,
+or w x^h is a root of unity of another order. The numerator is unit *
+X^max(e,0) times the factors with E > 0, the denominator X^max(-e,0) times
+those with E < 0; they are coprime, the lower of their two lowest exponents is
 0 and the denominator's trailing coefficient is 1 (zero is 0/1). They are
 expanded on first access to `num`, `den` or `str`, one factor after another on
 the integer lists (each step is linear in the partial product, which beat a
 product tree and Kronecker substitution), with one content gcd at the end;
-while a side is rational it is one list, and a binomial with a rational c goes
-into it in one pass. Each coefficient part is spelled over n after one gcd.
-`f == g` refines f / g, which is 1 exactly when unit 1, e = 0 and an empty
-basis are left.
+while a side is rational it is one list, and a Psi_1 or Psi_2 with a rational
+w, 1 -+ w X^h, goes into it in one pass. Each coefficient part is spelled over
+n after one gcd. `f == g` asks whether f / g is 1: unit 1, e = 0 and no factor
+left.
 
 Inexact inputs (irrational twists) degrade the whole function to complex
 coefficients (Poly): the numerator and denominator multiplied out piece by
@@ -51,7 +51,8 @@ relative 1e-9) but takes no arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cache
+from math import gcd
 
 from .exactconst import ExactConst, factorization
 from .mero import ExpAtom, GammaCAtom, GammaRAtom, LAtom, UnsupportedExpressionError, _log_base
@@ -135,7 +136,7 @@ class ExactPoly:
     C, D), tuples of ints of length deg + 1 whose top entries are not all 0;
     n > 0 and the gcd of n and every part is 1."""
 
-    __slots__ = ("p", "n", "parts", "binomial")
+    __slots__ = ("p", "n", "parts")
 
     def __init__(self, p: int, n: int, parts):
         """From integer parts over n > 0, not necessarily in lowest terms; parts
@@ -147,42 +148,11 @@ class ExactPoly:
         g = gcd(n, *parts[0], *parts[1], *parts[2], *parts[3])
         if g != 1:
             parts = [[x // g for x in part] for part in parts]
-        # binomial: (a, cn, cd, odd) when _one_minus built this as 1 - cn / cd sqrt(p)^odd X^a
-        self.p, self.n, self.parts, self.binomial = p, n // g, tuple(map(tuple, parts)), None
-
-    @staticmethod
-    def of(p: int, coeffs: dict[int, object]) -> "ExactPoly":
-        """From {k: monomial}, k >= 0, each an int, Fraction or ExactConst in K."""
-        return _from_terms(p, {k: _monomial(p, v) for k, v in coeffs.items()})
-
-    def _nonzero_parts(self) -> dict[int, tuple]:
-        """The (a, b, c, d) of each nonzero coefficient, by exponent."""
-        return {k: xs for k, xs in enumerate(zip(*self.parts)) if any(xs)}
-
-    @property
-    def degree(self) -> int:
-        return len(self.parts[0]) - 1
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactPoly):
-            return NotImplemented
-        return (self.p, self.n, self.parts) == (other.p, other.n, other.parts)
-
-    def __hash__(self):
-        return hash((self.p, self.n, self.parts))
+        self.p, self.n, self.parts = p, n // g, tuple(map(tuple, parts))
 
     def __str__(self):
-        return _spell(self._nonzero_parts(), lambda xs: _coef_text(self.p, self.n, xs))
-
-
-def _from_terms(p: int, terms: dict[int, tuple]) -> ExactPoly:
-    """sum_k t_k X^k from {k: t_k}, k >= 0, each t_k an (n, parts) pair of degree 0."""
-    n = lcm(*(m for m, _ in terms.values()))
-    parts = [[0] * (max(terms, default=-1) + 1) for _ in range(4)]
-    for k, (m, xs) in terms.items():
-        for part, (x,) in zip(parts, xs):
-            part[k] = x * (n // m)
-    return ExactPoly(p, n, parts)
+        return _spell({k: xs for k, xs in enumerate(zip(*self.parts)) if any(xs)},
+                      lambda xs: _coef_text(self.p, self.n, xs))
 
 
 def _mul(p: int, f: tuple, g: tuple) -> tuple:
@@ -201,35 +171,6 @@ def _mul(p: int, f: tuple, g: tuple) -> tuple:
                 for i, x in a:
                     part[i + k] += x * y
     return nf * ng, out
-
-
-def _sub(f: tuple, g: tuple) -> tuple:
-    """f - g for two (n, parts) pairs whose parts have one length, not in lowest terms."""
-    (nf, f), (ng, g) = f, g
-    return nf * ng, [[x * ng - y * nf for x, y in zip(a, b, strict=True)] for a, b in zip(f, g)]
-
-
-def _inverse(p: int, x: tuple) -> tuple:
-    """1 / x for a nonzero (n, parts) pair x of degree 0, the value (y + z i) / n
-    with y = a + b sqrt p and z = c + d sqrt p: n / (y + z i) = n (y - z i) /
-    (u + v sqrt p), where u + v sqrt p = y^2 + z^2, and 1 / (u + v sqrt p) =
-    (u - v sqrt p) / m with m = u^2 - p v^2, a nonzero integer."""
-    n, ((a,), (b,), (c,), (d,)) = x
-    u, v = a * a + p * b * b + c * c + p * d * d, 2 * (a * b + c * d)
-    m = u * u - p * v * v
-    if m < 0:
-        n, m = -n, -m
-    return m, [[n * (a * u - p * b * v)], [n * (b * u - a * v)], [n * (p * d * v - c * u)],
-               [n * (c * v - d * u)]]
-
-
-def _one_minus(p: int, a: int, cn: int, cd: int, odd: int) -> ExactPoly:
-    """1 - cn / cd sqrt(p)^odd X^a, a > 0, cn != 0, cd > 0 and gcd(cn, cd) = 1,
-    told that it is this binomial."""
-    f, pad = object.__new__(ExactPoly), (0,) * (a - 1)
-    f.p, f.n, f.binomial, zero = p, cd, (a, cn, cd, odd), (0, *pad, 0)
-    f.parts = (cd, *pad, 0 if odd else -cn), (0, *pad, -cn if odd else 0), zero, zero
-    return f
 
 
 def _const(p: int, n: int, d: int, odd: int) -> ExactConst:
@@ -265,84 +206,83 @@ class Poly:
         return _spell(self.coeffs, repr)
 
 
-def _coef(f: ExactPoly, k: int) -> tuple:
-    """The coefficient of X^k in f, as an (n, parts) pair of degree 0."""
-    return f.n, [[part[k]] for part in f.parts]
+@cache
+def _psi(d: int) -> tuple[int, ...]:
+    """The coefficients of Psi_d, the d-th cyclotomic polynomial scaled to
+    constant term 1: (1 - y^d) / prod_{e | d, e < d} Psi_e, each division
+    carried out from the constant term up."""
+    f = [1] + [0] * (d - 1) + [-1]
+    for e in range(1, d):
+        if d % e == 0:
+            g, quo = _psi(e), []
+            for i in range(len(f) - len(g) + 1):
+                quo.append(x := f[i])
+                for j, y in enumerate(g):
+                    f[i + j] -= x * y
+            f = quo
+    return tuple(f)
 
 
-def _poly_divmod(f: ExactPoly, g: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
-    """Division with remainder, on integer parts."""
-    p, db, rem, quo = f.p, g.degree, f, {}
-    inv = _inverse(p, _coef(g, db))
-    while rem.degree >= db:
-        k = rem.degree - db
-        n, xs = quo[k] = _mul(p, _coef(rem, rem.degree), inv)  # the term of X^k
-        term = _mul(p, (n, [[0] * k + x for x in xs]), (g.n, g.parts))
-        rem = ExactPoly(p, *_sub((rem.n, rem.parts), term))
-    return _from_terms(p, quo), rem
-
-
-def _poly_gcd(f: ExactPoly, g: ExactPoly) -> ExactPoly:
-    """gcd of two polynomials with constant term 1, scaled to constant term 1."""
-    while g.degree >= 0:
-        f, g = g, _poly_divmod(f, g)[1]
-    return ExactPoly(f.p, *_mul(f.p, (f.n, f.parts), _inverse(f.p, _coef(f, 0))))
-
-
-def _split(f: ExactPoly, g: ExactPoly) -> tuple | None:
-    """(h, f / h, g / h) for h = gcd(f, g) when it has positive degree, else
-    None. Two binomials take the root test and, past it, the closed form of
-    the module docstring; any other pair takes Euclid's algorithm."""
-    if f.binomial is None or g.binomial is None:
-        h = _poly_gcd(f, g)
-        return (h, _poly_divmod(f, h)[0], _poly_divmod(g, h)[0]) if h.degree > 0 else None
-    p, (a, cn, cd, oc), (b, dn, dd, od) = f.p, f.binomial, g.binomial
+def _same_modulus(p: int, f: tuple, g: tuple) -> bool:
+    """Whether the binomials with the keys f = (a, cn, cd, oc) and g = (b, dn,
+    dd, od) have roots of one modulus: |c|^(b/h) = |d|^(a/h), h = gcd(a, b)."""
+    (a, cn, cd, oc), (b, dn, dd, od) = f, g
     h = gcd(a, b)
-    ec, ed = b // h, a // h  # c^ec = d^ed: (cn^ec dd^ed) / (dn^ed cd^ec) p^t sqrt(p)^r = 1
-    t, r = divmod(oc * ec - od * ed, 2)
-    if r or cn ** ec * dd ** ed * p ** max(t, 0) != dn ** ed * cd ** ec * p ** max(-t, 0):
-        return None
-    u = pow(ed, -1, ec)  # u a/h + v b/h = 1
-    w = _const(p, cn, cd, oc) ** u * _const(p, dn, dd, od) ** ((1 - u * ed) // ec)
-    wn, wd, wodd = w.rat.numerator, w.rat.denominator, int(bool(w.roots))
-    quotients = (_one_minus(p, h, -wn, wd, wodd) if m == 2 else  # sum_{j < m} w^j X^(jh)
-                 ExactPoly.of(p, {j * h: w ** j for j in range(m)}) for m in (ed, ec))
-    return _one_minus(p, h, wn, wd, wodd), *quotients
+    ec, ed = b // h, a // h
+    t, r = divmod(oc * ec - od * ed, 2)  # sqrt(p)^(oc ec - od ed) = p^t sqrt(p)^r
+    return not r and (abs(cn) ** ec * dd ** ed * p ** max(t, 0)
+                      == abs(dn) ** ed * cd ** ec * p ** max(-t, 0))
 
 
-def _refine(basis: dict[ExactPoly, int], g: ExactPoly, k: int) -> None:
-    """Multiply the pairwise coprime basis {f: k} by g^k in place, g with
-    constant term 1, keeping it pairwise coprime without zero exponents."""
-    if g.degree == 0:  # g = 1
-        return
-    if g in basis:
-        if k := k + basis.pop(g):
-            basis[g] = k
-        return
-    for f in basis:
-        if split := _split(f, g):
-            break
-    else:
-        basis[g] = k
-        return
-    (h, qf, qg), kf = split, basis.pop(f)
-    for part, m in ((qf, kf), (h, kf), (qg, k), (h, k)):
-        _refine(basis, part, m)
+def _factors(p: int, binomials: dict[tuple, int]) -> dict[tuple, int]:
+    """prod (1 - c X^a)^k over {(a, cn, cd, odd): k} as prod Psi_d(w X^h)^E, as
+    {(h, wn, wd, wodd, d): E} with E != 0 and w = wn / wd sqrt(p)^wodd > 0; see
+    the module docstring."""
+    classes: list[list] = []  # the members (key, k) of each root modulus
+    for key, k in binomials.items():
+        if k:
+            for members in classes:
+                if _same_modulus(p, members[0][0], key):
+                    members.append((key, k))
+                    break
+            else:
+                classes.append([(key, k)])
+    out: dict[tuple, int] = {}
+    for members in classes:
+        (h, wn, wd, wodd), _ = members[0]
+        generator = h, abs(wn), wd, wodd
+        for (a, cn, cd, odd), _ in members[1:]:
+            if a % h:  # else w^(a/h) = |c| already
+                g = gcd(h, a)
+                u = pow(h // g, -1, a // g)  # u h/g + v a/g = 1
+                w = (_const(p, *generator[1:]) ** u
+                     * _const(p, abs(cn), cd, odd) ** ((1 - u * (h // g)) // (a // g)))
+                h = g
+                generator = h, w.rat.numerator, w.rat.denominator, int(bool(w.roots))
+        for (a, cn, _, _), k in members:
+            m = a // h
+            n = m if cn > 0 else 2 * m  # 1 + y^m = (1 - y^2m) / (1 - y^m)
+            for d in range(1, n + 1):
+                if n % d == 0 and (cn > 0 or m % d):
+                    key = *generator, d
+                    out[key] = out.get(key, 0) + k
+    return {key: e for key, e in out.items() if e}
 
 
 class RatFunc:
-    """Exact: unit * X^xpow * prod f^k over the coprime basis {f: k}, the unit
-    an ExactConst in K. Inexact (unit None): the Polys (num, den) as built,
-    which print and answer is_one but take no arithmetic. See the module
-    docstring."""
+    """Exact: unit * X^xpow * prod (1 - c X^a)^k over the binomials {(a, cn,
+    cd, odd): k}, the unit an ExactConst in K. Inexact (unit None): the Polys
+    (num, den) as built, which print and answer is_one but take no
+    arithmetic. See the module docstring."""
 
-    __slots__ = ("p", "unit", "xpow", "basis", "_pair")
+    __slots__ = ("p", "unit", "xpow", "binomials", "_pair")
 
     def __init__(self, p: int, unit: ExactConst | None, xpow: int = 0,
-                 basis: dict[ExactPoly, int] | None = None, pair: tuple[Poly, Poly] | None = None):
+                 binomials: dict[tuple, int] | None = None, pair: tuple[Poly, Poly] | None = None):
         if unit is not None and not unit.rat:
-            xpow, basis = 0, None
-        self.p, self.unit, self.xpow, self.basis, self._pair = p, unit, xpow, basis or {}, pair
+            xpow, binomials = 0, None
+        self.p, self.unit, self.xpow, self._pair = p, unit, xpow, pair
+        self.binomials = binomials or {}
 
     def _canonical(self) -> tuple:
         if self._pair is None:
@@ -350,17 +290,20 @@ class RatFunc:
             n, parts = _monomial(p, self.unit)
             parts = parts if any(parts[1] + parts[2] + parts[3]) else parts[:1]  # rational: A alone
             pair = [(n, [[0] * max(e, 0) + x for x in parts]), (1, [[0] * max(-e, 0) + [1]])]
-            for f, k in self.basis.items():
-                (n, parts), binomial = pair[k < 0], f.binomial
-                if binomial and len(parts) == 1 and not binomial[3]:  # rational side and c
-                    a, cn, cd, _ = binomial
-                    part, pad = parts[0], [0] * a
-                    for _ in range(abs(k)):  # times 1 - (cn / cd) X^a in one pass
-                        part = [x * cd - y * cn for x, y in zip(part + pad, pad + part)]
-                    pair[k < 0] = n * cd ** abs(k), [part]
-                else:
+            for (h, wn, wd, wodd, d), k in _factors(p, self.binomials).items():
+                (n, parts), psi = pair[k < 0], _psi(d)
+                if len(parts) == 1 and len(psi) == 2 and not wodd:  # rational side and w
+                    cn, part, pad = -psi[1] * wn, parts[0], [0] * h
+                    for _ in range(abs(k)):  # times 1 - (cn / wd) X^h in one pass
+                        part = [x * wd - y * cn for x, y in zip(part + pad, pad + part)]
+                    pair[k < 0] = n * wd ** abs(k), [part]
+                else:  # Psi_d(w X^h), the term psi_j w^j X^(jh) over wd^top
+                    top = len(psi) - 1
+                    f = [[0] * (top * h + 1) for _ in range(2)]  # rational and sqrt(p) parts
+                    for j, x in enumerate(psi):
+                        f[wodd & j][j * h] = x * wn ** j * wd ** (top - j) * p ** (wodd * j // 2)
                     for _ in range(abs(k)):
-                        pair[k < 0] = _mul(p, pair[k < 0], (f.n, f.parts))
+                        pair[k < 0] = _mul(p, pair[k < 0], (wd ** top, f))
             self._pair = tuple(ExactPoly(p, *side) for side in pair)  # in lowest terms
         return self._pair
 
@@ -377,18 +320,18 @@ class RatFunc:
         return RatFunc(p, ExactConst.one())
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        basis = dict(self.basis)
-        for f, k in other.basis.items():
-            _refine(basis, f, k)
-        return RatFunc(self.p, self.unit * other.unit, self.xpow + other.xpow, basis)
+        binomials = dict(self.binomials)
+        for key, k in other.binomials.items():
+            binomials[key] = binomials.get(key, 0) + k
+        return RatFunc(self.p, self.unit * other.unit, self.xpow + other.xpow, binomials)
 
     def inv(self) -> "RatFunc":
         return RatFunc(self.p, self.unit.inverse(), -self.xpow,
-                       {f: -k for f, k in self.basis.items()})
+                       {key: -k for key, k in self.binomials.items()})
 
     def __pow__(self, k: int) -> "RatFunc":
         return RatFunc(self.p, self.unit ** k, self.xpow * k,
-                       {f: e * k for f, e in self.basis.items()} if k else None)
+                       {key: e * k for key, e in self.binomials.items()})
 
     @property
     def is_exact(self) -> bool:
@@ -405,7 +348,7 @@ class RatFunc:
     def is_one(self) -> bool:
         if not self.is_exact:
             return self.num == self.den
-        return not self.basis and self.xpow == 0 and self.unit.is_one
+        return self.xpow == 0 and self.unit.is_one and not _factors(self.p, self.binomials)
 
     def __str__(self):
         ns, ds = str(self.num), str(self.den)
@@ -476,11 +419,7 @@ def as_rational_in_X(expr, q: int) -> RatFunc:
             g = gcd(cn, cd) if cd > 0 else -gcd(cn, cd)  # in lowest terms with cd > 0
             key = a, cn // g, cd // g, odd
             binomials[key] = binomials.get(key, 0) + k
-    basis: dict[ExactPoly, int] = {}
-    for key, k in binomials.items():
-        if k:
-            _refine(basis, _one_minus(p, *key), k)
     h, odd = divmod(ue, 2)
     unit = ExactConst.of(scalar) * _const(p, un * p ** max(h, 0), ud * p ** max(-h, 0), odd)
     _monomial(p, unit)  # ValueError unless the unit lies in K
-    return RatFunc(p, unit, xpow, basis)
+    return RatFunc(p, unit, xpow, binomials)
