@@ -43,7 +43,8 @@ kern = TrivialRep(HermitianSpace.diagonal(D, "skew", [D.element(0, 1)]))
 rep = Induced((GLChar(1, MultCharacter.norm_power(Q5, Fraction(0))),
                GLChar(1, MultCharacter.norm_power(Q5, 0.7))), kern)
 gm = gamma_factor(rep, triv, psi)
-from lfactors.mero import equals_numeric, MeroExpr
+from lfactors.mero import MeroExpr
+from lfactors.numeric import equals_numeric
 print("spherical formula == block-by-block gamma:",
       equals_numeric(mero_mul(gs, gm.inv()), MeroExpr.one()))
 

@@ -16,13 +16,19 @@ from .fields import (LocalField, SquareClass, UnsupportedFieldError,
 from .hermitian import (BilinearSpace, HermitianSpace, MoritaError,
                         discriminant, kottwitz_sign, morita_natural)
 from .mero import (LinForm, MeroExpr, PoleProximityError,
-                   UnsupportedExpressionError, equals_numeric, format_expr,
-                   from_json, mero_mul, parse_expr, to_json)
+                   UnsupportedExpressionError, format_expr, from_json, mero_mul,
+                   parse_expr, to_json)
 from .quaternion import (QuatMatrix, Quaternion, QuaternionAlgebra,
                          matrix_reduced_norm, split_embedding)
 from .ratfunc import RatFunc, as_rational_in_X
 from .spherical import SphericalData, SphericalZeta, gamma_spherical, spherical_zeta
 from .tate import gauss_sum, tate_L, tate_eps, tate_gamma
-from .verify import Report, run_verify
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):  # numpy's users, imported on first use
+    if name in ("run_verify", "Report", "equals_numeric"):
+        from . import numeric, verify
+        return getattr(numeric if name == "equals_numeric" else verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

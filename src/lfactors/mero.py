@@ -8,13 +8,10 @@ A MeroExpr is an exact constant prefactor times a signed multiset of atoms:
     Lnf(q; z; a s + c)   (1 - z q^{-(a s + c)})^{-1}
 
 Negative multiplicities are denominator atoms.  Expressions multiply,
-invert, substitute s -> a's + b', evaluate numerically through one
-vectorised kernel (eval_log_batch: numpy over a grid of distinct atoms x
-points, with its own log-Gamma), which also serves the seeded sampling
-comparisons, and round-trip exactly through text and JSON.  The log-Gamma is
-Stirling's series after reflection and a shift to Re >= 10 (Hare, J.
-Algorithms 25 (1997), without the branch bookkeeping: the kernel needs log
-Gamma only up to a multiple of 2 pi i).
+invert, substitute s -> a's + b', evaluate numerically and round-trip
+exactly through text and JSON.  A Gamma-free expression (every p-adic one)
+is evaluated here, in cmath; one with a Gamma atom goes to the numpy kernel
+of numeric.py, which is imported only then.
 The core is on Python ints: a LinForm holds alpha = an/ad and an exact beta
 = bn/bd in lowest terms (normal forms over Z, Geddes-Czapor-Labahn ch. 2),
 or an inexact beta rounded to a 2^-40 grid, and both as floats for the
@@ -33,25 +30,16 @@ from __future__ import annotations
 
 import cmath
 import math
-import random
 import re
 from math import gcd
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .exactconst import ExactConst, factorization
 from .scalars import exact_or_complex, inv, is_exact, mul, power, rat_power
 
-_LN_2 = math.log(2)
-_LN_PI = math.log(math.pi)
-_LN_2PI = math.log(2 * math.pi)
 _POLE_TOL = 1e-8
-_SHIFT_TO = 10  # Stirling's series runs at Re >= _SHIFT_TO
-# B_2k / (2k (2k - 1)), k = 1..8: the Stirling terms in powers of 1/y^2
-_STIRLING = tuple(float(Fraction(b) / (2 * k * (2 * k - 1))) for k, b in enumerate(
-    ("1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730", "7/6", "-3617/510"), 1))
+_NAN = complex("nan")
 
 
 class PoleProximityError(ArithmeticError):
@@ -405,7 +393,11 @@ class MeroExpr:
     # -- numerics ------------------------------------------------------
     def eval_log(self, s: complex) -> complex:
         """log of the value (any branch) at one point; raises near atom poles/zeros."""
-        out = complex(eval_log_batch([self], [s])[0, 0])
+        if not _has_gamma((self,)):
+            out = _log_rule(self, s)
+        else:
+            from .numeric import eval_log_batch
+            out = complex(eval_log_batch([self], [s])[0, 0])
         if cmath.isnan(out):
             if self.prefactor == 0:
                 raise ZeroDivisionError("zero prefactor")
@@ -534,143 +526,68 @@ def _log_base(b: Fraction, q: int) -> Fraction:
 
 
 # -- numeric evaluation ----------------------------------------------------
+# A Gamma-free expression (every p-adic one) is evaluated here, in cmath, by
+# log v(s) = c + m s - sum k log(1 - z q^{-(a s + b)}); one with a Gamma atom
+# by the numpy kernel of numeric.py, imported on first use.
 
-def _log(z: np.ndarray) -> np.ndarray:
-    """The principal log from real parts: numpy's complex log is a scalar loop."""
-    return np.log(np.abs(z)) + 1j * np.arctan2(z.imag, z.real)
-
-
-def _log_gamma(z: np.ndarray) -> np.ndarray:
-    """log Gamma(z) up to a multiple of 2 pi i, elementwise: the reflection
-    Gamma(z) Gamma(1 - z) = pi / sin(pi z) for Re z < 1/2, with sin taken at
-    z - round(Re z) so that the log stays accurate near the poles; a shift of
-    each element to Re >= _SHIFT_TO, Gamma(y) = Gamma(y + n) / (y ... (y+n-1)),
-    the product taken over y + n so that it cannot overflow; then Stirling's
-    series with the _STIRLING terms."""
-    refl = z.real < 0.5
-    y = np.where(refl, 1 - z, z)
-    n = np.maximum(np.ceil(_SHIFT_TO - y.real), 0)
-    y_inv = 1 / (y + n)
-    prod = np.ones_like(y)  # prod_{k < n} (y + k) / (y + n)
-    for k in range(_SHIFT_TO):
-        np.multiply(prod, (y + k) * y_inv, out=prod, where=k < n)
-    y = y + n
-    r, series = y_inv * y_inv, np.zeros_like(y)
-    for c in reversed(_STIRLING):
-        series = series * r + c
-    out = (y - n - 0.5) * _log(y) - y + _LN_2PI / 2 + series * y_inv - _log(prod)
-    x = z[refl]
-    m = np.rint(x.real)
-    u, v = np.pi * (x.real - m), np.pi * x.imag  # sin(pi x) = (-1)^m sin(u + i v)
-    vc = np.clip(v, -60, 60)  # past |v| = 60, sinh v = sign(v) cosh v = e^|v| / 2 to 1e-52
-    log_sin = (np.log(np.sin(u) ** 2 + np.sinh(vc) ** 2) / 2 + np.abs(v) - np.abs(vc)
-               + 1j * (np.arctan2(np.cos(u) * np.sinh(vc), np.sin(u) * np.cosh(vc)) + np.pi * m))
-    out[refl] = _LN_PI - log_sin - out[refl]
-    return out
+def _has_gamma(exprs: Sequence[MeroExpr]) -> bool:
+    return any(isinstance(atom, _GammaAtom) for x in exprs for atom, _ in x.atoms)
 
 
-def eval_log_batch(exprs: Sequence[MeroExpr], points) -> np.ndarray:
-    """log (any branch) of each expression at each of a 1-D sequence of points,
-    shape (len(exprs), len(points)); NaN at a zero prefactor, within _POLE_TOL
-    of a Gamma pole or a zero of 1 - z q^{-(a s + c)}, and where a term
-    overflows.  A fixed number of numpy calls: exponential atoms and the
-    elementary parts of the Gamma atoms fold into one affine c + m s per
-    expression; each distinct Gamma argument a s + b is evaluated once, by one
-    _log_gamma call over all of them, and each distinct L-atom (a, b, q, z)
-    once, by one exp and one log; np.add.at scatters both, times their
-    multiplicities, into the rows of the expressions that hold them."""
-    s = np.asarray(points, dtype=complex)
-    affine = []  # (c, m) per expression
-    gargs: dict = {}  # (a, b) -> row of Gamma(a s + b)
-    largs: dict = {}  # (a, b, z) -> row of log(1 - z exp(a s + b))
-    gamma = []   # (expression, k, row): Gamma(a s + b)^k
-    lnf = []     # (expression, k, row): (1 - z exp(a s + b))^-k
-    for i, x in enumerate(exprs):
-        pref = x.prefactor
-        c, m = (cmath.nan if pref == 0 else pref.log() if x.is_exact else cmath.log(pref)), 0j
-        for atom, k in x.atoms:
-            a, b, kind = atom.form.af, atom.form.bf, type(atom)
-            if kind is ExpAtom:
-                lnb = math.log(atom.base)
-                m, c = m + k * a * lnb, c + k * b * lnb
-            elif kind is GammaRAtom:  # pi^{-z/2} Gamma(z/2)
-                m, c = m - k * a / 2 * _LN_PI, c - k * b / 2 * _LN_PI
-                gamma.append((i, k, gargs.setdefault((a / 2, b / 2), len(gargs))))
-            elif kind is GammaCAtom:  # 2 (2 pi)^{-z} Gamma(z)
-                m, c = m - k * a * _LN_2PI, c + k * (_LN_2 - b * _LN_2PI)
-                gamma.append((i, k, gargs.setdefault((a, b), len(gargs))))
-            else:
-                lq = math.log(atom.q)
-                lnf.append((i, k, largs.setdefault((-a * lq, -b * lq, atom.zf), len(largs))))
-        affine.append((c, m))
-    with np.errstate(all="ignore"):
-        cm = np.array(affine, dtype=complex)
-        out = cm[:, :1] + cm[:, 1:] * s
-        if gamma:
-            g = np.array(list(gargs), dtype=complex)
-            z = g[:, :1] * s + g[:, 1:]
-            lg = _log_gamma(z)
-            lg[np.abs(z - np.rint(np.minimum(z.real, 0))) < _POLE_TOL] = np.nan
-            i, k, row = np.array(gamma).T
-            np.add.at(out, i, k[:, None] * lg[row])
-        if lnf:
-            f = np.array(list(largs), dtype=complex)
-            w = 1 - f[:, 2:] * np.exp(f[:, :1] * s + f[:, 1:2])
-            lw = np.log(w)
-            lw[np.abs(w) < _POLE_TOL] = np.nan
-            i, k, row = np.array(lnf).T
-            np.add.at(out, i, -k[:, None] * lw[row])
-    out[~np.isfinite(out)] = np.nan
-    return out
+def _affine(x: MeroExpr) -> tuple[complex, complex]:
+    """(c, m) with e^{c + m s} = the prefactor times the exponential atoms."""
+    pref = x.prefactor
+    c, m = (cmath.nan if pref == 0 else pref.log() if x.is_exact else cmath.log(pref)), 0j
+    for atom, k in x.atoms:
+        if type(atom) is ExpAtom:
+            lnb = math.log(atom.base)
+            m, c = m + k * atom.form.af * lnb, c + k * atom.form.bf * lnb
+    return c, m
 
 
-def eval_batch(exprs: Sequence[MeroExpr], points) -> np.ndarray:
-    """Values of each expression at each point; NaN where eval_log_batch is
-    NaN or the value overflows."""
-    with np.errstate(over="ignore"):
-        out = np.exp(eval_log_batch(exprs, points))
-    out[~np.isfinite(out)] = np.nan
-    return out
+def _lnf_log(atom: LAtom, s: complex) -> complex:
+    """log(1 - z q^{-(a s + b)}), NaN within _POLE_TOL of a zero and past the float range."""
+    lq = math.log(atom.q)
+    try:
+        w = 1 - atom.zf * cmath.exp(-atom.form.af * lq * s - atom.form.bf * lq)
+    except OverflowError:
+        return _NAN
+    return cmath.log(w) if abs(w) >= _POLE_TOL else _NAN
+
+
+def _log_rule(x: MeroExpr, s: complex) -> complex:
+    """log v(s) of a Gamma-free x; NaN where numeric.eval_log_batch is."""
+    c, m = _affine(x)
+    out = c + m * s - sum(k * _lnf_log(atom, s) for atom, k in x.atoms if type(atom) is LAtom)
+    return out if cmath.isfinite(out) else _NAN
+
+
+def _value_json(x: MeroExpr, s: complex) -> list | None:
+    try:
+        v = cmath.exp(_log_rule(x, s))
+    except OverflowError:
+        return None
+    return None if cmath.isnan(v) else [v.real, v.imag]
 
 
 def values_json(exprs: Sequence[MeroExpr], points) -> list[list]:
-    """eval_batch's values as JSON rows: [re, im] at each point, None at NaN."""
+    """numeric.eval_batch's values as JSON rows: [re, im] at each point, None
+    at NaN; by _log_rule, without numpy, when no expression has a Gamma atom."""
+    if not _has_gamma(exprs):
+        return [[_value_json(x, s) for s in points] for x in exprs]
+    from .numeric import eval_batch
     values = eval_batch(exprs, points)
     rows = values.view(float).reshape(*values.shape, 2).tolist()
-    for i, j in zip(*np.nonzero(np.isnan(values))):
+    for i, j in zip(*(values != values).nonzero()):  # the NaNs
         rows[i][j] = None
     return rows
 
 
-# -- numeric comparison --------------------------------------------------
-
-def _pole_free_samples(x: MeroExpr, y: MeroExpr, samples: int, seed: int):
-    """The first `samples` seeded candidates s in -3 <= Re s <= 3, 1 <= Im s <= 4
-    at which x and y are both pole-free, and |x/y - 1| there.  Raises
-    ArithmeticError once 100 + samples candidates have not sufficed."""
-    rng = random.Random(seed)
-    pts = logs = np.empty(0, dtype=complex)
-    drawn = 0
-    while len(pts) < samples:
-        n = min(samples - len(pts), 100 + samples - drawn)
-        if n == 0:
-            raise ArithmeticError("could not find pole-free sample points")
-        s = np.array([complex(rng.uniform(-3, 3), rng.uniform(1, 4)) for _ in range(n)])
-        drawn += n
-        d = np.subtract(*eval_log_batch([x, y], s))
-        ok = ~np.isnan(d)
-        pts, logs = np.concatenate((pts, s[ok])), np.concatenate((logs, d[ok]))
-    with np.errstate(over="ignore"):
-        return pts, np.abs(np.exp(logs) - 1)
-
-
-def equals_numeric(x: MeroExpr, y: MeroExpr, samples: int = 24, tol: float = 1e-9,
-                   seed: int = 20240801) -> bool:
-    return bool(np.all(_pole_free_samples(x, y, samples, seed)[1] < tol))
-
-
-def max_rel_error(x: MeroExpr, y: MeroExpr, samples: int = 24, seed: int = 20240801) -> float:
-    return float(np.max(_pole_free_samples(x, y, samples, seed)[1], initial=0.0))
+def __getattr__(name: str):  # the samplers of numeric.py, which the benchmark's tracer reads here
+    if name not in ("equals_numeric", "max_rel_error"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import numeric
+    return getattr(numeric, name)
 
 
 # -- canonical text form --------------------------------------------------

@@ -34,8 +34,8 @@ from .gj import gj_gamma_norm
 from .hermitian import (LINEAR, SKEW, HermitianSpace, discriminant, kottwitz_sign,
                         morita_natural)
 from .memo import per_call, scope
-from .mero import (LinForm, MeroExpr, format_expr, from_json, max_rel_error,
-                   mero_mul, parse_expr, to_json)
+from .mero import LinForm, MeroExpr, format_expr, from_json, mero_mul, parse_expr, to_json
+from .numeric import max_rel_error
 from .quaternion import (QuatMatrix, QuaternionAlgebra, matrix_reduced_norm,
                          regular_representation_det)
 from .ratfunc import as_rational_in_X

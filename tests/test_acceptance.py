@@ -18,7 +18,8 @@ from lfactors.fields import (LocalField, SquareClass, hilbert_symbol,
                              nonsquare_unit)
 from lfactors.hermitian import (HermitianSpace, discriminant, kottwitz_sign,
                                 morita_natural)
-from lfactors.mero import MeroExpr, max_rel_error, mero_mul
+from lfactors.mero import MeroExpr, mero_mul
+from lfactors.numeric import max_rel_error
 from lfactors.quaternion import (QuatMatrix, QuaternionAlgebra,
                                  matrix_reduced_norm,
                                  regular_representation_det)

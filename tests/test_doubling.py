@@ -13,8 +13,8 @@ from lfactors.doubling import (GLChar, Induced, RegularNilpotentData,
 from lfactors.exactconst import ExactConst
 from lfactors.fields import LocalField, SquareClass, nonsquare_unit
 from lfactors.hermitian import HermitianSpace, discriminant
-from lfactors.mero import (LinForm, MeroExpr, format_expr, max_rel_error,
-                           mero_mul)
+from lfactors.mero import LinForm, MeroExpr, format_expr, mero_mul
+from lfactors.numeric import max_rel_error
 from lfactors.quaternion import QuaternionAlgebra
 from lfactors.ratfunc import as_rational_in_X
 from lfactors.tate import tate_gamma

@@ -20,12 +20,12 @@ from lfactors.doubling import (GLChar, Induced, RegularNilpotentData, SkewHermCh
                                normalization_c)
 from lfactors.exactconst import ExactConst
 from lfactors.fields import LocalField
-from lfactors import scalars
+from lfactors import mero, scalars
 from lfactors.mero import (ExpAtom, GammaCAtom, GammaRAtom, LAtom, LinForm, MeroExpr,
-                           PoleProximityError, UnsupportedExpressionError,
-                           _log_gamma, _pole_free_samples, equals_numeric, eval_batch,
-                           eval_log_batch, format_expr, from_json, max_rel_error,
-                           mero_mul, parse_expr, to_json)
+                           PoleProximityError, UnsupportedExpressionError, format_expr,
+                           from_json, mero_mul, parse_expr, to_json)
+from lfactors.numeric import (_log_gamma, _pole_free_samples, equals_numeric, eval_batch,
+                              eval_log_batch, max_rel_error)
 from lfactors.ratfunc import as_rational_in_X
 
 
@@ -369,12 +369,175 @@ def test_log_gamma_kernel_against_mpmath():
             assert abs(d) < 1e-13 * abs(want), z
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    """The numeric kernel is numpy alone: importing the CLI loads no scipy."""
+def _vectorised_log_batch(exprs, points):
+    """Reference: eval_log_batch on Gamma-free expressions as it was when the
+    kernel took its L-atom logs vectorised, one exp and one log over the
+    distinct (a, b, z) x points; logs and values, NaN where null."""
+    s = np.asarray(points, dtype=complex)
+    affine, largs, lnf = [], {}, []
+    for i, x in enumerate(exprs):
+        pref = x.prefactor
+        c, m = (cmath.nan if pref == 0 else pref.log() if x.is_exact else cmath.log(pref)), 0j
+        for atom, k in x.atoms:
+            a, b = atom.form.af, atom.form.bf
+            if isinstance(atom, ExpAtom):
+                lnb = math.log(atom.base)
+                m, c = m + k * a * lnb, c + k * b * lnb
+            else:
+                lq = math.log(atom.q)
+                lnf.append((i, k, largs.setdefault((-a * lq, -b * lq, atom.zf), len(largs))))
+        affine.append((c, m))
+    with np.errstate(all="ignore"):
+        cm = np.array(affine, dtype=complex)
+        out = cm[:, :1] + cm[:, 1:] * s
+        if lnf:
+            f = np.array(list(largs), dtype=complex)
+            w = 1 - f[:, 2:] * np.exp(f[:, :1] * s + f[:, 1:2])
+            lw = np.log(w)
+            lw[np.abs(w) < 1e-8] = np.nan
+            i, k, row = np.array(lnf).T
+            np.add.at(out, i, -k[:, None] * lw[row])
+        out[~np.isfinite(out)] = np.nan
+        values = np.exp(out)
+    values[~np.isfinite(values)] = np.nan
+    return out, values
+
+
+def _random_gamma_free_expr(rng: random.Random) -> MeroExpr:
+    """1-4 L-atoms and exponential atoms at powers +-1..3: z exact (+-1, a
+    fraction, 3^12) or complex, beta exact or complex, the prefactor exact,
+    complex or, now and then, zero."""
+    r = rng.random()
+    pref = 0 if r < 0.05 else complex(rng.uniform(0.5, 2), rng.uniform(-1, 1)) if r < 0.5 else \
+        ExactConst(Fraction(rng.randint(1, 9), rng.randint(1, 9)), rng.randint(0, 3),
+                   frozenset(rng.sample([2, 3, 5], rng.randint(0, 2))))
+    parts = [MeroExpr.const(pref)]
+    for _ in range(rng.randint(1, 4)):
+        beta = complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) if rng.random() < 0.5 else \
+            Fraction(rng.randint(-4, 4), 2)
+        form = LinForm(rng.choice([-2, -1, 1, 2]), beta)
+        if rng.random() < 0.25:
+            part = MeroExpr.exp(rng.randint(2, 5), form)
+        else:
+            z = rng.choice([1, -1, Fraction(16, 625), 3 ** 12,
+                            complex(rng.uniform(-2, 2), rng.uniform(-2, 2))])
+            part = MeroExpr.l_atom(rng.choice([3, 5, 7, 9, 25]), z, form)
+        parts.append(part ** rng.choice([-3, -2, -1, 1, 2, 3]))
+    return mero_mul(*parts)
+
+
+def _probe_points(x: MeroExpr, rng: random.Random) -> tuple[list, list]:
+    """Points that test the rule's nulls -- on every L-atom zero, 1e-9 and
+    1e-7 off it, where z q^{-(a s + b)} nears and passes the float range, and
+    where an exponential atom's value passes it -- and generic points, where
+    the value is also held to mpmath."""
+    special = []
+    for atom, _ in x.atoms:
+        a, b = complex(atom.form.af), complex(atom.form.bf)
+        if isinstance(atom, LAtom):
+            for p in _poles_and_zeros(atom):
+                special += [p, p + 1e-9, p - 1e-9j, p + 1e-7, p - 1e-7j]
+            special += [(-t / math.log(atom.q) - b) / a for t in (690, 700, 720)]
+        else:
+            special += [t / (a * math.log(atom.base)) for t in (700, 720)]
+    return special, [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(6)]
+
+
+def _condition(x: MeroExpr, s: complex) -> float:
+    """max(1, |k| |y| / |1 - y|) over the L-atoms (1 - y)^-k of x, y = z q^{-(a s + b)}:
+    how much a relative error of an ulp in y grows in the value.  numpy's exp
+    and cmath's may differ by an ulp, and 1e-7 off a zero of 1 - y this is 1e7."""
+    out = 1.0
+    for atom, k in x.atoms:
+        if isinstance(atom, LAtom):
+            arg = complex(atom.form.alpha) * s + complex(atom.form.beta)
+            y = complex(atom.z) * cmath.exp(-arg * math.log(atom.q))
+            out = max(out, abs(k * y / (1 - y)))
+    return out
+
+
+def test_gamma_free_rule_matches_the_vectorised_kernel():
+    """A Gamma-free expression is evaluated by mero's cmath rule: its nulls
+    fall where the vectorised reference has NaN, and its logs and values
+    agree with the reference to a relative 1e-13 (times _condition, and the
+    size of the log for the log), and with mpmath to 1e-12 at generic points."""
+    rng = random.Random(31)
+    nulls = values = 0
+    with mpmath.workdps(30):
+        for _ in range(80):
+            x = _random_gamma_free_expr(rng)
+            special, generic = _probe_points(x, rng)
+            pts = special + generic
+            ref_logs, ref_values = (row[0] for row in _vectorised_log_batch([x], pts))
+            for s, ref_log, ref, got in zip(pts, ref_logs, ref_values, mero.values_json([x], pts)[0]):
+                log = mero._log_rule(x, s)
+                assert cmath.isnan(log) == np.isnan(ref_log), (format_expr(x), s)
+                assert (got is None) == np.isnan(ref), (format_expr(x), s)
+                if cmath.isnan(log):
+                    with pytest.raises(ArithmeticError):
+                        x.eval_log(s)
+                    nulls += 1
+                    continue
+                tol = 1e-13 * _condition(x, s)
+                d = log - ref_log
+                d = complex(d.real, math.remainder(d.imag, 2 * math.pi))
+                assert abs(d) <= tol + 1e-13 * abs(ref_log), (format_expr(x), s)
+                if got is None:
+                    nulls += 1
+                    continue
+                got = complex(*got)
+                assert abs(got - ref) <= tol * abs(ref), (format_expr(x), s)
+                if s in generic:
+                    want = _mp_value(x, s)
+                    assert abs(got - want) <= 1e-12 * abs(want), (format_expr(x), s)
+                values += 1
+    assert nulls > 1000 and values > 1000, (nulls, values)
+
+
+def _python(code: str, *args: str, block_numpy: bool = False) -> subprocess.CompletedProcess:
+    """code run in a fresh interpreter on this source tree; with block_numpy,
+    every import of numpy raises ImportError."""
     src = str(Path(lfactors.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = "import sys, lfactors.cli; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    if block_numpy:
+        code = "import sys; sys.modules['numpy'] = None\n" + code
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """The numeric kernel is numpy alone, imported on first use: importing
+    the CLI loads neither scipy nor numpy, and succeeds with numpy blocked."""
+    code = "import sys, lfactors.cli; sys.exit('scipy' in sys.modules or 'numpy' in sys.modules)"
+    assert _python(code).returncode == 0
+    assert _python("import lfactors, lfactors.cli", block_numpy=True).returncode == 0
+
+
+def test_padic_queries_run_without_numpy(tmp_path):
+    """Every p-adic payload is Gamma-free, so with numpy blocked every
+    document of the padic-exact corpus runs with its values at four points,
+    and `lc gamma --eval` on one of them exits 0."""
+    corpus = Path(lfactors.__file__).resolve().parents[2] / "perfbench" / "corpus" / "padic-exact.json"
+    docs = [entry["doc"] for entry in json.loads(corpus.read_text(encoding="utf-8"))]
+    (tmp_path / "docs.json").write_text(json.dumps(docs))
+    (tmp_path / "doc.json").write_text(json.dumps(docs[0]))
+    code = """
+import json, sys
+from lfactors.query import run_query
+def rows(payload):
+    if isinstance(payload, dict):
+        return [payload["values"]] if "values" in payload else [r for v in payload.values() for r in rows(v)]
+    return []
+for doc in json.load(open(sys.argv[1])):
+    found = rows(run_query(dict(doc, eval_points=[[0.5, 1.0], [1.0, 0.0], [-2.5, 3.0], [0.0, 2.0]])))
+    assert found and all(len(row) == 4 for row in found), doc
+    assert any(v is not None for row in found for v in row), doc
+"""
+    run = _python(code, str(tmp_path / "docs.json"), block_numpy=True)
+    assert run.returncode == 0, run.stderr
+    cli = "import sys; from lfactors.cli import main; sys.exit(main())"
+    run = _python(cli, "gamma", "-f", str(tmp_path / "doc.json"), "--eval", "0.5+1i", block_numpy=True)
+    assert run.returncode == 0, run.stderr
+    assert '"values"' in run.stdout
 
 
 def test_eval_zero_prefactor_and_overflow():

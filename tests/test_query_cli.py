@@ -119,6 +119,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_verify_refuses_an_unknown_suite(capsys):
+    """The CLI imports verify only to run it, so run_verify's ValueError
+    decides a suite name: exit 2, the suites named on stderr, stdout empty."""
+    from lfactors.verify import SUITES
+    assert main(["verify", "--suite", "bogus"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "'bogus'" in err and all(repr(name) in err for name in ["all", *SUITES])
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--help"])
+    assert exit_.value.code == 0
+    assert "--suite" in capsys.readouterr().out
+
+
 _INF = float("inf")
 _P5_HERM = {"field": {"kind": "nonarch", "p": "5"},
             "rep": {"kind": "trivial", "space": {"type": "hermitian", "diag": ["1"]}}}

@@ -6,7 +6,8 @@ from lfactors.characters import AddCharacter, MultCharacter
 from lfactors.doubling import GLChar, Induced, TrivialRep, gamma_factor
 from lfactors.fields import LocalField, SquareClass, nonsquare_unit
 from lfactors.hermitian import HermitianSpace, discriminant
-from lfactors.mero import MeroExpr, equals_numeric, format_expr, mero_mul
+from lfactors.mero import MeroExpr, format_expr, mero_mul
+from lfactors.numeric import equals_numeric
 from lfactors.quaternion import QuaternionAlgebra
 from lfactors.ratfunc import as_rational_in_X
 from lfactors.spherical import (SphericalData, gamma_spherical, spherical_zeta,

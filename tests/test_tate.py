@@ -7,7 +7,8 @@ from lfactors.characters import (AddCharacter, MultCharacter, char_eval, char_in
                                  unramified_twist)
 from lfactors.exactconst import ExactConst
 from lfactors.fields import LocalField, SquareClass, UnsupportedFieldError
-from lfactors.mero import MeroExpr, format_expr, max_rel_error, mero_mul
+from lfactors.mero import MeroExpr, format_expr, mero_mul
+from lfactors.numeric import max_rel_error
 from lfactors.ratfunc import as_rational_in_X
 from lfactors.tate import (eps_at_half, gauss_sum, tate_L, tate_eps,
                            tate_gamma)

@@ -7,7 +7,8 @@ from lfactors.doubling import (SkewHermCharR, SpHighestWeight, derive_gj_from_no
 from lfactors.exactconst import ExactConst
 from lfactors.fields import LocalField, SquareClass
 from lfactors.gj import _prefactor, _shifted, gj_L, gj_gamma_norm
-from lfactors.mero import LinForm, MeroExpr, equals_numeric, mero_mul
+from lfactors.mero import LinForm, MeroExpr, mero_mul
+from lfactors.numeric import equals_numeric
 from lfactors.ratfunc import as_rational_in_X
 from lfactors.tate import discrete_L, discrete_gamma, tate_eps, tate_gamma
 
