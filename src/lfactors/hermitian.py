@@ -160,56 +160,20 @@ def _isotropic_vector(alg: QuaternionAlgebra) -> Quaternion:
 
 @per_call
 def _split_iso(alg: QuaternionAlgebra):
-    """An explicit algebra isomorphism D -> M_2(F): returns (phi, e, m) where
-    phi maps quaternions to 2x2 rational matrices, e = phi^{-1}(E11) and
-    m = phi^{-1}(E21)."""
+    """(e, m, row21) for D = M_2(F) in closed form: e an idempotent of rank
+    one, m a generator of the line (1 - e) D e, and row21[c] the coefficient
+    of m in (1 - e) u e for u the c-th of 1, i, j, k, so that row21 reads a
+    quaternion's E21 entry off its coordinates.  A y of reduced norm 0
+    has y^2 = tr(y) y, so e = y / tr(y) for the first y = u x with tr(y) != 0,
+    which exists because the trace form is nondegenerate."""
     x = _isotropic_vector(alg)
     units = [alg.one(), *alg.gens()]
-    # pick two F-independent vectors spanning the left ideal Dx
-    ideal: list[Quaternion] = []
-    for u in units:
-        if _solve([w.coords() for w in ideal], (v := u * x).coords()) is None:
-            ideal.append(v)
-        if len(ideal) == 2:
-            break
-    if len(ideal) != 2:
-        raise MoritaError("norm-zero element did not generate a 2-dimensional ideal")
-    basis = [w.coords() for w in ideal]
-    images = []  # phi(u), row by row, for u = 1, i, j, k: the columns of phi on F^4
-    for u in units:
-        # the columns of phi(u) are the coordinates of u w1 and u w2 in the ideal
-        (a, c), (b, d) = (_solve(basis, (u * w).coords()) for w in ideal)
-        images.append([a, b, c, d])
-
-    def phi(qt: Quaternion):  # F-linear, so a combination of the four images
-        a, b, c, d = (sum(map(operator.mul, qt.coords(), col)) for col in zip(*images))
-        return [[a, b], [c, d]]
-
-    def preimage(flat) -> Quaternion:
-        return sum((u * c for u, c in zip(units, _solve(images, flat))), alg.element(0))
-
-    return phi, preimage([1, 0, 0, 0]), preimage([0, 0, 1, 0])
-
-
-def _solve(cols, target) -> list[Fraction] | None:
-    """The unique x with sum_j x_j cols[j] = target, by exact Gauss-Jordan
-    elimination; None when there is no such x or more than one."""
-    k = len(cols)
-    m = [[*(Fraction(c[i]) for c in cols), Fraction(t)] for i, t in enumerate(target)]
-    for col in range(k):
-        piv = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        lead = m[col][col]
-        m[col] = [v / lead for v in m[col]]
-        for r in range(len(m)):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    if any(row[k] != 0 for row in m[k:]):
-        return None
-    return [row[k] for row in m[:k]]
+    y = next(v for u in units if (v := u * x).x0 != 0)
+    e = y * (1 / (2 * y.x0))
+    f = alg.one() - e
+    m = next(v for u in units[1:] if not (v := f * u * e).is_zero)
+    c = next(c for c, w in enumerate(m.coords()) if w != 0)
+    return e, m, [(f * u * e).coords()[c] / m.coords()[c] for u in units]
 
 
 def morita_natural(space: HermitianSpace) -> BilinearSpace:
@@ -221,25 +185,14 @@ def morita_natural(space: HermitianSpace) -> BilinearSpace:
     if space.form_type == LINEAR:
         _split_iso(alg)  # raises when not rationally split
         return BilinearSpace(space.field, "zero", 2 * space.n, None)
-    phi, e, m = _split_iso(alg)
-    estar = e.conj()
-    mstar = m.conj()
-    n = space.n
-    gens = [(idx, g) for idx in range(n) for g in (e, m)]
-    gram = []
-    for i, gi in gens:
-        row = []
-        gi_star = estar if gi is e else mstar
-        for j, gj in gens:
-            hij = space.gram[i, j]
-            val = phi(gi_star * hij * gj)
-            # h(x e, y e) sits in (1-e) D e, i.e. the (2,1) matrix slot
-            row.append(val[1][0])
-        gram.append(tuple(row))
+    e, m, row21 = _split_iso(alg)
+    gens = [(idx, g, g.conj()) for idx in range(space.n) for g in (e, m)]
+    # h(v_i g, v_j g') = g^* h_ij g' lies in (1 - e) D e = F m; row21 reads its coefficient
+    gram = tuple(tuple(sum(map(operator.mul, (gi_star * space.gram[i, j] * gj).coords(), row21))
+                       for j, gj, _ in gens) for i, _, gi_star in gens)
     form_type = "symplectic" if space.eps == 1 else "symmetric"
-    gram_t = tuple(gram)
-    _check_transfer_symmetry(gram_t, form_type)
-    return BilinearSpace(space.field, form_type, 2 * n, gram_t)
+    _check_transfer_symmetry(gram, form_type)
+    return BilinearSpace(space.field, form_type, 2 * space.n, gram)
 
 
 def _check_transfer_symmetry(gram, form_type):

@@ -64,8 +64,9 @@ def _beta_norm(b) -> BetaLike:
     if type(b) is Fraction:
         return b
     # quantize inexact parameters so that float-sum associativity cannot
-    # split canonically equal atoms (grid ~ 9e-13)
-    return complex(round(b.real * _QUANT) / _QUANT, round(b.imag * _QUANT) / _QUANT)
+    # split canonically equal atoms (grid ~ 9e-13); exact when on an integer
+    return exact_or_complex(complex(round(b.real * _QUANT) / _QUANT,
+                                    round(b.imag * _QUANT) / _QUANT))
 
 
 def _beta_key(b: BetaLike):
@@ -142,7 +143,7 @@ class LinForm:
 
     def times(self, k: int) -> "LinForm":
         beta = (_reduce(self.bn * k, self.bd) if self.bn is not None
-                else _beta_norm(_beta_norm(complex(k) * self.bf)))
+                else _beta_norm(complex(k) * self.bf))
         return _form(*_reduce(self.an * k, self.ad), beta)
 
     def _scaled(self, b):
@@ -161,7 +162,7 @@ class LinForm:
         if self.bn is not None and type(y) is tuple:
             return _reduce(self.bn * y[1] + y[0] * self.bd, self.bd * y[1])
         y = complex(y[0] / y[1] if type(y) is tuple else y)
-        return _beta_norm(_beta_norm(complex(self.bf) + y))
+        return _beta_norm(complex(self.bf) + y)
 
     def __str__(self):
         beta = _beta_str(self.bf) if self.bn is None else _qstr(self.bn, self.bd)
@@ -516,13 +517,14 @@ def twist_nonarch(x: MeroExpr, q: int, z, t) -> MeroExpr:
 
 
 def _log_base(b: Fraction, q: int) -> Fraction:
-    """r with b = q^r, as a rational integer; errors if b is not a q-power."""
-    for r in range(0, 64):
-        if Fraction(q) ** r == b:
-            return Fraction(r)
-        if Fraction(q) ** -r == b:
-            return Fraction(-r)
-    raise UnsupportedExpressionError(f"base {b} is not an integral power of {q}")
+    """r with b = q^r, as a rational integer; errors if b is not a q-power.
+    r is the rounded log of b's non-unit side, then checked exactly."""
+    n, d = b.numerator, b.denominator
+    big, sign = (n, 1) if n >= d else (d, -1)
+    r = round(math.log(big, q))
+    if n * d != big or q ** r != big:
+        raise UnsupportedExpressionError(f"base {b} is not an integral power of {q}")
+    return Fraction(sign * r)
 
 
 # -- numeric evaluation ----------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +49,18 @@ MAX_WITT_RANK = 100  # spherical.r
 
 class QueryValidationError(ValueError):
     """Malformed or inconsistent query document."""
+
+
+@contextmanager
+def _reading(what: str, errors):
+    """Report the given errors as a QueryValidationError under `what`; one
+    raised inside passes through as it is."""
+    try:
+        yield
+    except QueryValidationError:
+        raise
+    except errors as exc:
+        raise QueryValidationError(f"{what}: {exc}") from exc
 
 
 def _rational(v, what: str) -> Fraction:
@@ -113,7 +126,7 @@ def _list(v, what: str, most: int | None = None) -> list:
 def parse_field(doc, what: str = "field") -> LocalField:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise QueryValidationError(f"{what}: expected an object with 'kind'")
-    try:
+    with _reading(what, (UnsupportedFieldError, KeyError, ValueError)):
         if doc["kind"] == "real":
             return LocalField.real()
         if doc["kind"] == "nonarch":
@@ -124,27 +137,17 @@ def parse_field(doc, what: str = "field") -> LocalField:
                 raise QueryValidationError(f"{what}.f: q = p^f must be below 10^1000, "
                                            f"got {p}^{f}")
             return LocalField.padic(p, f)
-    except QueryValidationError:
-        raise
-    except (UnsupportedFieldError, KeyError, ValueError) as exc:
-        raise QueryValidationError(f"{what}: {exc}") from exc
     raise QueryValidationError(f"{what}: unknown kind {doc['kind']!r}")
 
 
 def parse_character(doc, field: LocalField, what: str = "character") -> MultCharacter:
     if not isinstance(doc, dict):
         raise QueryValidationError(f"{what}: expected an object")
-    quad = doc.get("quad", "1")
-    try:
-        sq = SquareClass(field, str(quad))
-    except ValueError as exc:
-        raise QueryValidationError(f"{what}: {exc}") from exc
-    z = _complex(doc.get("z", "1"), f"{what}.z")
-    t = _exponent(doc.get("t", "0"), f"{what}.t")
-    try:
+    with _reading(what, ValueError):  # a bad quad is reported before a bad z or t
+        sq = SquareClass(field, str(doc.get("quad", "1")))
+        z = _complex(doc.get("z", "1"), f"{what}.z")
+        t = _exponent(doc.get("t", "0"), f"{what}.t")
         return MultCharacter(field, sq, z if not field.is_real else 1, t)
-    except ValueError as exc:
-        raise QueryValidationError(f"{what}: {exc}") from exc
 
 
 def parse_algebra(doc, field: LocalField) -> QuaternionAlgebra:
@@ -176,7 +179,7 @@ def parse_space(doc, alg: QuaternionAlgebra) -> HermitianSpace:
             raise QueryValidationError("space: eps must be +1 or -1")
     else:
         raise QueryValidationError("space: expected 'type' or 'eps'")
-    try:
+    with _reading("space", (ValueError, KeyError)):
         if ftype == "linear":
             return HermitianSpace.linear(alg, _int(doc["m"], "space.m"))
         if ftype in ("hermitian", "skew"):
@@ -193,10 +196,6 @@ def parse_space(doc, alg: QuaternionAlgebra) -> HermitianSpace:
             if _int(doc.get("n", -1), "space.n") == 0:
                 return HermitianSpace(alg, ftype, 0)
             raise QueryValidationError("space: need 'diag', 'gram', or n = 0")
-    except QueryValidationError:
-        raise
-    except (ValueError, KeyError) as exc:
-        raise QueryValidationError(f"space: {exc}") from exc
     raise QueryValidationError(f"space: unknown type {ftype!r}")
 
 
@@ -204,7 +203,7 @@ def parse_rep(doc, field: LocalField, alg: QuaternionAlgebra):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise QueryValidationError("rep: expected an object with 'kind'")
     kind = doc["kind"]
-    try:
+    with _reading("rep", (ValueError, KeyError, TypeError)):
         if kind == "trivial":
             space = parse_space(doc["space"], alg) if "space" in doc else None
             if space is None:
@@ -224,15 +223,11 @@ def parse_rep(doc, field: LocalField, alg: QuaternionAlgebra):
                                   parse_character(b["chi"], field, "rep.blocks.chi"))
                            for b in doc["blocks"])
             return Induced(blocks, parse_rep(doc["kernel"], field, alg))
-    except QueryValidationError:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:
-        raise QueryValidationError(f"rep: {exc}") from exc
     raise QueryValidationError(f"rep: unknown kind {kind!r}")
 
 
 def parse_spherical(doc, field: LocalField) -> SphericalData:
-    try:
+    with _reading("spherical", (ValueError, KeyError, TypeError)):
         disc0 = SquareClass(field, str(doc["disc0"])) if "disc0" in doc else None
         return SphericalData(field, doc["form_type"],
                              _int(doc["r"], "spherical.r", most=MAX_WITT_RANK),
@@ -240,10 +235,6 @@ def parse_spherical(doc, field: LocalField) -> SphericalData:
                              tuple(_exponent(t, "spherical.exponents")
                                    for t in _list(doc.get("exponents", []), "spherical.exponents")),
                              disc0)
-    except QueryValidationError:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:
-        raise QueryValidationError(f"spherical: {exc}") from exc
 
 
 @dataclass

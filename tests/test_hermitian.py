@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from lfactors import hermitian
-from lfactors.fields import LocalField, UnsupportedOperationError, square_class
+from lfactors.fields import LocalField, UnsupportedOperationError, hilbert_symbol, square_class
 from lfactors.hermitian import (HermitianSpace, MoritaError, discriminant,
                                 kottwitz_sign, morita_natural)
-from lfactors.quaternion import QuatMatrix, QuaternionAlgebra, matrix_reduced_norm
+from lfactors.memo import scope
+from lfactors.quaternion import QuatMatrix, QuaternionAlgebra, matrix_reduced_norm, rational_det
 
 Q5 = LocalField.padic(5)
 R = LocalField.real()
@@ -161,34 +162,53 @@ def test_gram_matrices_compare_by_their_integer_coordinates():
     assert moved != ints and moved.memo_key != ints.memo_key
 
 
-def _solved_phi(alg):
-    """phi as two Gauss-Jordan solves give it: the columns of phi(q) are the
-    coordinates of q w1 and q w2 in the left ideal D x, x of norm zero."""
-    x, ideal = hermitian._isotropic_vector(alg), []
-    for u in (alg.one(), *alg.gens()):
-        if len(ideal) < 2 and hermitian._solve([w.coords() for w in ideal], (u * x).coords()) is None:
-            ideal.append(u * x)
-    basis = [w.coords() for w in ideal]
-
-    def phi(q):
-        (a, c), (b, d) = (hermitian._solve(basis, (q * w).coords()) for w in ideal)
-        return [[a, b], [c, d]]
-    return phi
+def _split_over_Q():
+    """Every (a, b) with 1 <= |a|, |b| <= 12 that splits over Q: its Hilbert
+    symbols at R and at the odd primes are 1, so by reciprocity the one at 2
+    is too.  No prime of a or b is 13, so (a, b) splits over Q_13."""
+    vals = [v for v in range(-12, 13) if v]
+    return [(a, b) for a in vals for b in vals
+            if all(hilbert_symbol(F, Fraction(a), Fraction(b)) == 1
+                   for F in (R, *(LocalField.padic(p) for p in (3, 5, 7, 11) if a * b % p == 0)))]
 
 
-@pytest.mark.parametrize("ab", [(4, 3), (2, -1)])  # verify's algebra, and another split over Q
-def test_linear_phi_is_the_solved_phi_and_multiplicative(ab):
-    alg = QuaternionAlgebra(Q5, *map(Fraction, ab))
-    phi, e, m = hermitian._split_iso(alg)
-    solved, rng = _solved_phi(alg), random.Random(sum(ab))
+def _draw(rng, alg, pure=False):
+    return alg.element(0 if pure else Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                       *(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)))
 
-    def draw():
-        return alg.element(*(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)))
 
-    for _ in range(200):
-        x, y = draw(), draw()
-        assert phi(x) == solved(x)
-        px, py = phi(x), phi(y)
-        assert phi(x * y) == [[sum(px[i][k] * py[k][j] for k in range(2)) for j in range(2)]
-                              for i in range(2)]
-    assert phi(e) == [[1, 0], [0, 0]] and phi(m) == [[0, 0], [1, 0]]
+def test_closed_form_transfer_over_every_small_algebra_split_over_Q():
+    """For every algebra split over Q with |a|, |b| <= 12: e is an idempotent
+    other than 0 and 1, m spans (1 - e) D e, and row21 gives the coefficient
+    of m in (1 - e) d e for any d.  Seeded skew spaces keep their
+    discriminant through the transfer, and hermitian spaces become
+    nondegenerate symplectic forms."""
+    pairs, rng = _split_over_Q(), random.Random(32)
+    assert len(pairs) > 200
+    with scope():  # one closed form per algebra
+        for a, b in pairs:
+            alg = QuaternionAlgebra(LocalField.padic(13), Fraction(a), Fraction(b))
+            e, m, row21 = hermitian._split_iso(alg)
+            f = alg.one() - e
+            assert e * e == e and not e.is_zero and not f.is_zero
+            assert not m.is_zero and m * e == m and (e * m).is_zero
+            for _ in range(50):
+                d = _draw(rng, alg)
+                assert f * d * e == m * sum(c * r for c, r in zip(d.coords(), row21))
+            for form_type in ("skew", "hermitian", "skew"):
+                n = rng.randint(1, 3)
+                while True:
+                    diag = [_draw(rng, alg, pure=True) if form_type == "skew"
+                            else alg.element(rng.choice([1, 2, -3, 5, Fraction(1, 2)])) for _ in range(n)]
+                    P = QuatMatrix.from_rows(alg, [[_draw(rng, alg) for _ in range(n)] for _ in range(n)])
+                    if all(x.reduced_norm() != 0 for x in diag) and matrix_reduced_norm(P) != 0:
+                        break
+                D = HermitianSpace.diagonal(alg, form_type, diag)
+                V = HermitianSpace(alg, form_type, n, P.conj_transpose() * D.gram * P)
+                out = morita_natural(V)
+                assert out.dim == 2 * n and rational_det(out.gram) != 0
+                if form_type == "skew":
+                    assert out.form_type == "symmetric" and out.discriminant() == discriminant(V)
+                else:
+                    assert out.form_type == "symplectic"
+                    assert all(out.gram[i][j] == -out.gram[j][i] for i in range(2 * n) for j in range(2 * n))

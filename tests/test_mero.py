@@ -688,16 +688,12 @@ _QUANT = float(2 ** 40)
 
 
 def _ref_norm(b):
-    if isinstance(b, Fraction):
-        return b
-    if isinstance(b, int):
+    """One rule for every inexact beta, given or computed: round to the grid,
+    then a value on an integer is exact."""
+    if isinstance(b, (int, Fraction)):
         return Fraction(b)
-    if isinstance(b, float) and float(b).is_integer():
-        return Fraction(int(b))
-    b = complex(b)
-    if b.imag == 0 and b.real.is_integer():
-        return Fraction(int(b.real))
-    return complex(round(b.real * _QUANT) / _QUANT, round(b.imag * _QUANT) / _QUANT)
+    b = complex(round(complex(b).real * _QUANT) / _QUANT, round(complex(b).imag * _QUANT) / _QUANT)
+    return Fraction(int(b.real)) if b.imag == 0 and b.real.is_integer() else b
 
 
 def _ref_add(x, y):
@@ -861,13 +857,15 @@ def test_complex_betas_round_in_two_steps():
     assert tiny.beta != one_step
     assert LinForm(Fraction(1, 2), Fraction(1, 3)).compose(1, 3).beta == Fraction(11, 6)  # an int b is exact
     assert str(MeroExpr.gamma_r(LinForm(Fraction(1, 2), Fraction(1, 3))).subst(1, 3)) == "GammaR(1/2s+11/6)"
-    # a result that the grid rounds onto an integer is exact, but a given
-    # beta keeps its type: the constructor rounds only once
+    # a beta that the grid rounds onto an integer is exact, whether it is a
+    # result or given to the constructor: both spell it alike
     assert LinForm(Fraction(2, 3), Fraction(-5, 3)).compose(Fraction(1, 2), 0.9999999999999).beta == -1
     assert type(LinForm(Fraction(2, 3), Fraction(-5, 3)).compose(1, 0.9999999999999).beta) is Fraction
     assert type(LinForm(1, Fraction(1, 2)).shift(0.5 + 1e-13).beta) is Fraction
     assert type(LinForm(1, 1 + 1e-13j).plus(LinForm(1, -1e-13j)).beta) is Fraction
-    assert type(LinForm(1, 0.9999999999999).beta) is complex
+    assert str(LinForm(1, 0.9999999999999)) == str(LinForm(1, Fraction(1, 2)).shift(0.5 + 1e-13)) == "s+1"
+    assert LinForm(1, 0.9999999999999).key == LinForm(1, 1).key
+    assert type(LinForm(1, 1.5 + 1e-13).beta) is complex  # off an integer the grid value stays complex
     rng = random.Random(5)
     for _ in range(300):
         f, ref = _random_pair(rng)

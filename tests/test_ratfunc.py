@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfactors.exactconst import ExactConst
-from lfactors.mero import LinForm, MeroExpr, mero_mul
+from lfactors.mero import LinForm, MeroExpr, UnsupportedExpressionError, mero_mul
 from lfactors import ratfunc
 from lfactors.ratfunc import (_DIRECT_DIGITS, ExactPoly, RatFunc, _coef_text, _factors,
                               _fraction_text, _int_text, _monomial, _mul, _psi, _same_modulus,
@@ -571,6 +571,24 @@ def test_exact_equality_on_differently_factored_inputs():
         assert trial % 2 == 0 or cross
         for other in (f * x, f * two, f * x * two.inv()):  # f up to X^e or a unit
             assert not f == other and not (f * other.inv()).is_one
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_exponential_base_is_read_as_any_integral_power_of_q(q):
+    """b^s is X^-r for b = q^r, however large |r|; a base that is no integral
+    power of q is refused, also one next to a large power or a root of q."""
+    for r in (0, 1, -1, 64, -64, 300, -300):
+        got = as_rational_in_X(MeroExpr.exp(Fraction(q) ** r, LinForm(1)), q)
+        power = "X" if abs(r) == 1 else f"X^{abs(r)}"
+        assert str(got) == ("1" if r == 0 else f"(1) / ({power})" if r > 0 else power)
+    big = Fraction(q) ** 300
+    bases = [big + 1, big - 1, 1 / (big + 1), Fraction(2), Fraction(q, 2), Fraction(1, 2 * q),
+             Fraction(q * q + 1, q), Fraction(q) ** 64 * 2]
+    if q == 9:  # odd powers of 3 are half-integral powers of 9
+        bases += [Fraction(3), Fraction(1, 3) ** 301]
+    for base in bases:
+        with pytest.raises(UnsupportedExpressionError, match="not an integral power"):
+            as_rational_in_X(MeroExpr.exp(base, LinForm(1)), q)
 
 
 def test_one_modulus_family_matches_the_expanded_product():
