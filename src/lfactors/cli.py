@@ -1,7 +1,7 @@
 """Command line interface: `lc gamma`, `lc verify`, `lc print`.
 
-Exit codes: 0 success, 2 validation error, 3 unsupported (rep, omega)
-pair or a value past the float range, 4 verification failure.
+Exit codes: 0 success, 2 validation error, 3 unsupported (rep, omega) pair, a value
+past the float range or an integer too large to factor, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import json
 import sys
 
 from .doubling import UnsupportedPairError
+from .exactconst import UnfactorableError
 from .fields import UnsupportedFieldError, UnsupportedOperationError
 from .mero import format_expr, from_json, parse_expr, to_json
 from .query import QueryValidationError, run_query
@@ -50,7 +51,7 @@ def _cmd_gamma(args) -> int:
     except QueryValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (UnsupportedPairError, UnsupportedFieldError, UnsupportedOperationError) as exc:
+    except (UnsupportedPairError, UnsupportedFieldError, UnsupportedOperationError, UnfactorableError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except OverflowError as exc:  # an inexact value, such as a complex z to a large power

@@ -4,14 +4,57 @@ Every constant the local-factor formulas produce (Kottwitz signs, central
 signs, epsilon constants, Gauss sums) lies in this multiplicative subring.
 It is closed under multiplication and inversion; anything else degrades to
 a plain complex number, flagged by losing the ExactConst type.
+
+The module owns the package's big integers: _int_text and _fraction_text spell
+them under any int-to-str digit limit, and factor_int factors up to FACTOR_LIMIT.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
+
+FACTOR_LIMIT = 10 ** 12  # factor_int trial-divides up to its square root, 10^6
+
+
+class UnfactorableError(ValueError):
+    """An integer that factor_int refuses: see FACTOR_LIMIT."""
+
+
+_DIRECT_DIGITS = sys.int_info.str_digits_check_threshold  # 640: no digit limit refuses str() below
+_BIG = 10 ** _DIRECT_DIGITS
+
+
+def _int_text(k: int) -> str:
+    """str(k), also past the int-to-str digit limit and in subquadratic time:
+    CPython 3.11's str() of an int is quadratic, so a big k is split at
+    2^1024, 2^2048, 2^4096, ... and its pieces are joined in decimal, whose
+    products are subquadratic and whose str() is linear and unlimited."""
+    if -_BIG < k < _BIG:
+        return str(k)
+    from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
+    with localcontext(Context(MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])):  # exact
+        powers = [Decimal(2) ** 1024]  # powers[i] = 2^(1024 * 2^i)
+        while 1024 << len(powers) < k.bit_length():
+            powers.append(powers[-1] * powers[-1])
+
+        def join(k, i):  # Decimal(k) for 0 <= k < 2^(2048 * 2^i)
+            if i < 0:
+                return Decimal(k)
+            hi = k >> (1024 << i)
+            return join(hi, i - 1) * powers[i] + join(k - (hi << (1024 << i)), i - 1)
+        text = str(join(abs(k), len(powers) - 1))
+    return "-" + text if k < 0 else text
+
+
+def _fraction_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for coprime num and den > 0, spelled by _int_text."""
+    if -_BIG < num < _BIG and den < _BIG:  # the common case, in one str() or f-string
+        return str(num) if den == 1 else f"{num}/{den}"
+    return _int_text(num) if den == 1 else f"{_int_text(num)}/{_int_text(den)}"
 
 
 def _iroot(n: int, k: int) -> int:
@@ -26,13 +69,17 @@ def _iroot(n: int, k: int) -> int:
 
 def factor_int(n: int) -> dict[int, int]:
     """Prime factorisation; a perfect power r^k (k prime) is found by an integer
-    root, so q = p^f costs a trial division up to sqrt(p), not up to p."""
+    root, so q = p^f costs a trial division up to sqrt(p), not up to p.  Trial division
+    stops at sqrt(FACTOR_LIMIT): a cofactor still above FACTOR_LIMIT raises UnfactorableError."""
     for k in range(2, n.bit_length()):
         if all(k % d for d in range(2, math.isqrt(k) + 1)) and (r := _iroot(n, k)) ** k == n:
             return {d: e * k for d, e in factor_int(r).items()}
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
+        if d * d > FACTOR_LIMIT:
+            raise UnfactorableError(f"too large to factor: trial division up to {math.isqrt(FACTOR_LIMIT):,} "
+                                    f"leaves a cofactor of {n.bit_length()} bits, above {FACTOR_LIMIT:,}")
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
@@ -79,19 +126,18 @@ class ExactConst:
 
     @staticmethod
     def half_power(base: Fraction, k: int) -> "ExactConst":
-        """base^{k/2} for a positive rational base."""
+        """base^{k/2} for a positive rational base n/d: for an even k a whole
+        power, for an odd k base^((k-1)/2) sqrt(n d) / d, which factors n and d."""
         base = Fraction(base)
         if base <= 0:
             raise ValueError("positive base required")
-        num_den = [1, 1]
-        roots: set[int] = set()
-        for part, sign in ((base.numerator, 1), (base.denominator, -1)):
-            for p, e in factorization(part):
-                n = sign * e * k  # total exponent of p is n/2
-                num_den[n < 0] *= p ** abs(n // 2)
-                if n % 2:
-                    roots.add(p)  # leftover sqrt(p); n//2 floored, so this adds +1/2
-        return ExactConst(Fraction(*num_den), 0, frozenset(roots))
+        if k % 2 == 0:
+            return ExactConst(base ** (k // 2))
+        n, d, m = base.numerator, base.denominator, k // 2
+        pairs = factorization(n) + factorization(d)
+        r = math.prod(p ** (e // 2) for p, e in pairs)  # n d = r^2 prod roots
+        num, den = (n ** m * r, d ** (m + 1)) if m >= 0 else (d ** -m * r, n ** -m * d)
+        return ExactConst(Fraction(num, den), 0, frozenset(p for p, e in pairs if e % 2))
 
     def __mul__(self, other) -> "ExactConst":
         o = other if type(other) is ExactConst else ExactConst.of(other)
@@ -109,21 +155,16 @@ class ExactConst:
     def inverse(self) -> "ExactConst":
         if self.rat == 0:
             raise ZeroDivisionError("inverse of zero constant")
-        rat = 1 / self.rat
-        for p in self.roots:  # 1/sqrt(p) = sqrt(p)/p
-            rat /= p
-        return ExactConst(rat, -self.ipow, self.roots)
+        # 1/sqrt(p) = sqrt(p)/p
+        return ExactConst(Fraction(self.rat.denominator, self.rat.numerator * math.prod(self.roots)),
+                          -self.ipow, self.roots)
 
     def __pow__(self, k: int) -> "ExactConst":
         if k < 0:
             return self.inverse() ** (-k)
-        out, b = ExactConst.one(), self
-        while k:
-            if k & 1:
-                out = out * b
-            b = b * b
-            k >>= 1
-        return out
+        # sqrt(p)^k = p^(k//2) sqrt(p)^(k%2)
+        rat = Fraction(self.rat.numerator ** k * math.prod(self.roots) ** (k // 2), self.rat.denominator ** k)
+        return ExactConst(rat, self.ipow * k, self.roots if k % 2 else frozenset())
 
     def __neg__(self) -> "ExactConst":
         return ExactConst(-self.rat, self.ipow, self.roots)
@@ -164,15 +205,9 @@ class ExactConst:
         return hash(self.rat) if self.is_rational else hash((self.rat, self.ipow, self.roots))
 
     def __str__(self):
-        if self.rat == 0:
-            return "0"
-        rat = self.rat
+        rat = _fraction_text(self.rat.numerator, self.rat.denominator)
         parts = (["i"] if self.ipow == 1 else []) + [f"sqrt({p})" for p in sorted(self.roots)]
-        if not parts:
-            return str(rat)
+        if not parts:  # a rational, zero included
+            return rat
         body = " * ".join(parts)
-        if rat == 1:
-            return body
-        if rat == -1:
-            return "-" + body
-        return f"{rat} * {body}"
+        return body if rat == "1" else "-" + body if rat == "-1" else f"{rat} * {body}"

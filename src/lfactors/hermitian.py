@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactconst import factorization
+from .exactconst import FACTOR_LIMIT, factorization
 from .fields import (LocalField, SquareClass, UnsupportedOperationError,
                      hilbert_symbol, square_class)
 from .memo import MemoKey, per_call
@@ -137,12 +137,12 @@ def _isotropic_vector(alg: QuaternionAlgebra) -> Quaternion:
     (a, b) splits over Q when its symbols at R and at the odd primes of a and
     b are all 1, as the symbol at 2 is their product and the rest are 1.
     Finding those primes takes trial division, so the odd primes are tested
-    only when every numerator and denominator is below 10^12 (under a
-    second); above that, the real symbol and the search decide."""
+    only when every numerator and denominator is below FACTOR_LIMIT, where it
+    always succeeds; above that, the real symbol and the search decide."""
     if not alg.is_split:
         raise MoritaError("algebra is not split over its base field")
     ints = [abs(n) for x in (alg.a, alg.b) for n in (x.numerator, x.denominator)]
-    odd = {p for n in ints for p, _ in factorization(n) if p != 2} if max(ints) < 10 ** 12 else ()
+    odd = {p for n in ints for p, _ in factorization(n) if p != 2} if max(ints) < FACTOR_LIMIT else ()
     places = [LocalField.real(), *(LocalField.padic(p) for p in sorted(odd))]
     if any(hilbert_symbol(F, alg.a, alg.b) == -1 for F in places):
         raise MoritaError(

@@ -35,7 +35,7 @@ from math import gcd
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactconst import ExactConst, factorization
+from .exactconst import FACTOR_LIMIT, ExactConst, _fraction_text, factorization
 from .scalars import exact_or_complex, inv, is_exact, mul, power, rat_power
 
 _POLE_TOL = 1e-8
@@ -77,7 +77,7 @@ def _beta_key(b: BetaLike):
 
 def _beta_str(b: BetaLike) -> str:
     if isinstance(b, Fraction):
-        return str(b)
+        return _fraction_text(b.numerator, b.denominator)
     return f"[{b.real!r}{'+' if b.imag >= 0 else '-'}{abs(b.imag)!r}i]"
 
 
@@ -88,10 +88,6 @@ def _beta_eq(b: BetaLike) -> tuple:
     if type(b) is complex and b.imag == 0:
         return ("Q",) + b.real.as_integer_ratio()
     return _beta_key(b)
-
-
-def _qstr(n: int, d: int) -> str:
-    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _reduce(n: int, d: int) -> tuple[int, int]:
@@ -165,10 +161,10 @@ class LinForm:
         return _beta_norm(complex(self.bf) + y)
 
     def __str__(self):
-        beta = _beta_str(self.bf) if self.bn is None else _qstr(self.bn, self.bd)
+        beta = _beta_str(self.bf) if self.bn is None else _fraction_text(self.bn, self.bd)
         if self.an == 0:
             return beta
-        a = _qstr(self.an, self.ad)
+        a = _fraction_text(self.an, self.ad)
         head = "s" if a == "1" else "-s" if a == "-1" else f"{a}s"
         if self.bn == 0 or self.bn is None and self.bf == 0:
             return head
@@ -234,10 +230,10 @@ class ExpAtom(_Atom):
         return ExpAtom(self.base, form)
 
     def __str__(self):
-        return f"{self.base}^({self.form})"
+        return f"{_beta_str(self.base)}^({self.form})"
 
     def to_json(self) -> dict:
-        return {"type": "exp", "base": str(self.base), "arg": _form_json(self.form)}
+        return {"type": "exp", "base": _beta_str(self.base), "arg": _form_json(self.form)}
 
 
 class _GammaAtom(_Atom):
@@ -523,7 +519,7 @@ def _log_base(b: Fraction, q: int) -> Fraction:
     big, sign = (n, 1) if n >= d else (d, -1)
     r = round(math.log(big, q))
     if n * d != big or q ** r != big:
-        raise UnsupportedExpressionError(f"base {b} is not an integral power of {q}")
+        raise UnsupportedExpressionError(f"base {_beta_str(b)} is not an integral power of {q}")
     return Fraction(sign * r)
 
 
@@ -617,16 +613,16 @@ SCHEMA_VERSION = 1
 
 
 def _beta_json(b: BetaLike):
-    return str(b) if type(b) is Fraction else [b.real, b.imag]
+    return _beta_str(b) if type(b) is Fraction else [b.real, b.imag]
 
 
 def _form_json(f: LinForm):
-    return {"alpha": _qstr(f.an, f.ad), "beta": _beta_json(f.beta)}
+    return {"alpha": _fraction_text(f.an, f.ad), "beta": _beta_json(f.beta)}
 
 
 def to_json(x: MeroExpr) -> dict:
     if is_exact(x.prefactor):
-        pref = {"kind": "exact", "rat": str(x.prefactor.rat), "ipow": x.prefactor.ipow,
+        pref = {"kind": "exact", "rat": _beta_str(x.prefactor.rat), "ipow": x.prefactor.ipow,
                 "roots": sorted(x.prefactor.roots)}
     else:
         pref = {"kind": "complex", "re": x.prefactor.real, "im": x.prefactor.imag}
@@ -671,11 +667,11 @@ def _power(k) -> int:
 
 
 def _exact(rat: Fraction, ipow, roots) -> ExactConst:
-    """rat i^ipow prod sqrt(p) over distinct primes p below 10^12, a bound
-    under which trial division decides primality at once."""
+    """rat i^ipow prod sqrt(p) over distinct primes p below FACTOR_LIMIT, a
+    bound under which trial division decides primality at once."""
     if type(ipow) is not int or len(set(roots)) < len(roots) or not all(
-            type(p) is int and 1 < p < 10 ** 12 and factorization(p) == ((p, 1),) for p in roots):
-        raise ValueError(f"i^{ipow!r} * sqrt{roots!r} is not over distinct primes below 10^12")
+            type(p) is int and 1 < p < FACTOR_LIMIT and factorization(p) == ((p, 1),) for p in roots):
+        raise ValueError(f"i^{ipow!r} * sqrt{roots!r} is not over distinct primes below {FACTOR_LIMIT:,}")
     return ExactConst(rat, ipow, frozenset(roots))
 
 

@@ -13,7 +13,6 @@ Numbers in documents: rationals are strings ("3/4"), complex numbers are
 from __future__ import annotations
 
 import cmath
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,9 +37,9 @@ SCHEMA_VERSION = 1
 KNOWN_OUTPUTS = ("gamma", "L", "epsilon", "root_number", "R", "c", "T", "spherical")
 _NUMBER = (int, float)  # the types json gives a number; a bool is not one
 # Bounds on integer inputs: beyond them a query runs for seconds to minutes or
-# fails deep inside (primality by trial division, q^m past Python's int-to-str limit).
+# fails deep inside (primality by trial division, ever longer exact coefficients).
 MAX_P = 10 ** 6 - 1
-MAX_Q = 10 ** 1000  # q = p^f must be below this
+MAX_Q = 10 ** 1000  # q = p^f must be below this, which bounds the exact powers of q a query spells
 MAX_BLOCK = 32  # the GL block size m of a gl_char or of an induced block
 MAX_DIM = 32  # rows of a diag or gram and the n of a highest weight
 MAX_WEIGHT = 1000  # |l| of a skew_char and each lambda_j, as for an exponent t
@@ -312,14 +311,10 @@ def _expr_payload(expr: MeroExpr, q: QueryDocument, pending: list) -> dict:
         "s_convention": "Gamma-side (s + 1/2)" if q.shifted else "gamma-side",
     }
     if not q.field.is_real:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)  # an exact coefficient may pass the default 4300 digits
         try:
             payload["rational_in_X"] = str(as_rational_in_X(shown, q.field.q))
         except (UnsupportedExpressionError, OverflowError):
             payload["rational_in_X"] = None
-        finally:
-            sys.set_int_max_str_digits(limit)
     pending.append((payload, shown))
     return payload
 

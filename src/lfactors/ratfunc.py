@@ -39,8 +39,9 @@ the integer lists (each step is linear in the partial product, which beat a
 product tree and Kronecker substitution), with one content gcd at the end;
 while a side is rational it is one list, and a Psi_1 or Psi_2 with a rational
 w, 1 -+ w X^h, goes into it in one pass. Each coefficient part is spelled over
-n after one gcd. `f == g` asks whether f / g is 1: unit 1, e = 0 and no factor
-left.
+n after one gcd, by exactconst's speller, so a coefficient of any length
+prints under the interpreter's int-to-str digit limit. `f == g` asks whether
+f / g is 1: unit 1, e = 0 and no factor left.
 
 Inexact inputs (irrational twists) degrade the whole function to complex
 coefficients (Poly): the numerator and denominator multiplied out piece by
@@ -54,7 +55,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from .exactconst import ExactConst, factorization
+from .exactconst import ExactConst, _fraction_text, factorization
 from .mero import ExpAtom, GammaCAtom, GammaRAtom, LAtom, UnsupportedExpressionError, _log_base
 from .scalars import is_exact, mul, neg, power, rat_power
 
@@ -69,36 +70,6 @@ def _coef_text(p: int, n: int, parts) -> str:
             g = gcd(x, n)
             terms.append(_fraction_text(x // g, n // g) + tag)
     return " + ".join(terms).replace("+ -", "- ") if terms else "0"
-
-
-def _fraction_text(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for coprime num and den > 0, spelled by _int_text."""
-    return _int_text(num) if den == 1 else f"{_int_text(num)}/{_int_text(den)}"
-
-
-_DIRECT_DIGITS = 8000  # below this many digits str() is the faster
-_BIG = 10 ** _DIRECT_DIGITS
-
-
-def _int_text(k: int) -> str:
-    """str(k) in subquadratic time: CPython 3.11's str() of an int is quadratic,
-    so a big k is split at 2^1024, 2^2048, 2^4096, ... and its pieces are
-    joined in decimal, whose products are subquadratic and whose str() is linear."""
-    if -_BIG < k < _BIG:
-        return str(k)
-    from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
-    with localcontext(Context(MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])):  # exact
-        powers = [Decimal(2) ** 1024]  # powers[i] = 2^(1024 * 2^i)
-        while 1024 << len(powers) < k.bit_length():
-            powers.append(powers[-1] * powers[-1])
-
-        def join(k, i):  # Decimal(k) for 0 <= k < 2^(2048 * 2^i)
-            if i < 0:
-                return Decimal(k)
-            hi = k >> (1024 << i)
-            return join(hi, i - 1) * powers[i] + join(k - (hi << (1024 << i)), i - 1)
-        text = str(join(abs(k), len(powers) - 1))
-    return "-" + text if k < 0 else text
 
 
 def _monomial(p: int, v) -> tuple[int, list[list[int]]]:

@@ -4,7 +4,7 @@ table built through every constructor and operation."""
 import random
 from fractions import Fraction
 
-from lfactors import memo
+from lfactors import exactconst, memo
 from lfactors.exactconst import ExactConst
 
 
@@ -71,3 +71,16 @@ def test_repr_is_pinned():
     assert repr(ExactConst()) == "ExactConst(rat=Fraction(1, 1), ipow=0, roots=frozenset())"
     assert repr(ExactConst(0, 1, frozenset({3}))) == \
         "ExactConst(rat=Fraction(0, 1), ipow=0, roots=frozenset())"
+
+
+def test_even_half_powers_take_no_factoring(monkeypatch):
+    """base^(k/2) for an even k is a whole power of base: no factorisation."""
+    def refuse(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(exactconst, "factorization", refuse)
+    monkeypatch.setattr(exactconst, "factor_int", refuse)
+    n = 10 ** 30 + 57
+    assert ExactConst.half_power(n, 2) == ExactConst(n)
+    assert ExactConst.half_power(Fraction(n, 3), -4) == ExactConst(Fraction(9, n * n))
+    assert ExactConst.half_power(Fraction(n, 7), 0).is_one

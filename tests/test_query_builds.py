@@ -12,9 +12,14 @@ from pathlib import Path
 
 import pytest
 
+from fractions import Fraction
+
 from lfactors import doubling, exactconst, memo, quaternion
 from lfactors.doubling import UnsupportedPairError
+from lfactors.fields import LocalField
 from lfactors.query import QueryValidationError, run_query
+from lfactors.ratfunc import as_rational_in_X
+from lfactors.spherical import SphericalData, spherical_zeta
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 _P5 = {"kind": "nonarch", "p": "5"}
@@ -160,11 +165,21 @@ def test_factor_int_finds_prime_powers_by_integer_roots():
             n *= prime ** e
         assert exactconst.factor_int(n) == _trial_division(n) == powers
     assert exactconst.factor_int(999983 ** 166) == {999983: 166}
+    assert exactconst.factor_int(999983 * 999979) == {999979: 1, 999983: 1}  # below FACTOR_LIMIT
+    assert exactconst.factor_int(2 ** 5 * (10 ** 12 + 39)) == {2: 5, 10 ** 12 + 39: 1}
     rng = random.Random(166)  # the k-th root the perfect-power test relies on
     for _ in range(300):
         n, k = rng.randrange(1, 10 ** rng.randint(1, 400)), rng.randint(2, 60)
         r = exactconst._iroot(n, k)
         assert r ** k <= n < (r + 1) ** k, (n, k)
+
+
+@pytest.mark.parametrize("n", [10 ** 30 + 57, 3 * (10 ** 30 + 57), (10 ** 6 + 3) * (10 ** 6 + 33)])
+def test_factor_int_refuses_past_its_bound(n):
+    """Trial division stops at 10^6: a cofactor above FACTOR_LIMIT left there
+    is refused, with a message that names the bound."""
+    with pytest.raises(exactconst.UnfactorableError, match="1,000,000,000,000"):
+        exactconst.factor_int(n)
 
 
 def _spherical_doc(r: int) -> dict:
@@ -183,14 +198,31 @@ def test_large_spherical_result_is_pinned():
         "7cae8740bb5bf7dd34e0e7ddc8706f3ac3a2d6f24aefdb997a1b507d394ba64a")
 
 
-def test_large_exact_result_is_printed_not_null():
-    """Expanding d_V at r = 25 yields integers longer than 640 digits."""
-    doc = _spherical_doc(25)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
+def test_large_exact_result_is_printed_not_null(monkeypatch):
+    """Expanding d_V at r = 25 yields integers longer than 640 digits, printed
+    under the lowest digit limit the interpreter takes, which no path lifts."""
+    set_limit, limit = sys.set_int_max_str_digits, sys.get_int_max_str_digits()
+
+    def refuse(n):
+        raise AssertionError(f"the int-to-str digit limit was set to {n}")
+
+    set_limit(640)
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
     try:
-        d_v = run_query(doc)["results"]["spherical"]["d_v"]["rational_in_X"]
-        assert max(len(digits) for digits in re.findall(r"\d+", d_v)) > 640
-        assert sys.get_int_max_str_digits() == 640
+        d_v = run_query(_spherical_doc(25))["results"]["spherical"]["d_v"]["rational_in_X"]
     finally:
-        sys.set_int_max_str_digits(limit)
+        set_limit(limit)
+    assert max(len(digits) for digits in re.findall(r"\d+", d_v)) > 640
+
+
+def test_library_spells_a_result_past_the_default_digit_limit():
+    """str() of a RatFunc spells its coefficients whatever their length: at
+    p = 999983 and r = 30 they pass the default 4300 digits, and the text is
+    the one run_query prints."""
+    assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+    field = LocalField.padic(999983)
+    d_v = spherical_zeta(SphericalData(field, "hermitian", 30, 1, (Fraction(0),) * 30)).d_v
+    text = str(as_rational_in_X(d_v, field.q))
+    doc = dict(_spherical_doc(30), field={"kind": "nonarch", "p": "999983"})
+    assert len(text) == 676598 and max(len(digits) for digits in re.findall(r"\d+", text)) > 4300
+    assert text == run_query(doc)["results"]["spherical"]["d_v"]["rational_in_X"]

@@ -1,8 +1,15 @@
 import copy
+import decimal
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lfactors
+from lfactors import exactconst
 from lfactors.cli import main
 from lfactors.query import QueryValidationError, run_query
 from lfactors.doubling import UnsupportedPairError
@@ -357,6 +364,60 @@ def test_cli_values_past_the_float_range(tmp_path, capsys, doc, status):
         assert captured.err == "unsupported: a value left the float range (complex exponentiation)\n"
     else:
         assert json.loads(captured.out[captured.out.index("\n{") + 1:])["results"]
+
+
+def test_cli_spells_a_constant_past_the_digit_limit(tmp_path, capsys):
+    """omega(N(A))^-2 = (2/3)^10000: the text and the tree spell 3^10000, 4,772
+    digits, past the 4300 digits str() takes under the default limit."""
+    doc = {"field": {"kind": "nonarch", "p": "5"}, "omega": {"z": "3/2"}, "norm_value": str(5 ** 5000),
+           "rep": {"kind": "gl_char", "m": 1, "chi": {}}, "outputs": ["R"]}
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(doc))
+    assert main(["gamma", "-f", str(path)]) == 0
+    out = capsys.readouterr().out
+    r = json.loads(out[out.index("\n{") + 1:])["results"]["R"]
+    with decimal.localcontext(decimal.Context(prec=5000)):
+        rat = f"{decimal.Decimal(2) ** 10000}/{decimal.Decimal(3) ** 10000}"
+    assert len(rat.partition("/")[2]) == 4772
+    assert r["text"] == f"{rat} * 5^(10000s)" and r["tree"]["prefactor"]["rat"] == rat
+    assert r["rational_in_X"] == f"({rat}) / (X^10000)"
+
+
+_PRIME = 10 ** 30 + 57  # no prime factor up to 10^6: factor_int refuses it
+
+
+@pytest.mark.parametrize("doc", [
+    {"psi_scale": str(_PRIME), "outputs": ["gamma"]},
+    {"t_scale": str(_PRIME), "outputs": ["T"]},
+    {"norm_value": str(_PRIME), "shifted": True, "outputs": ["R"]},
+], ids=["psi-scale", "t-scale", "shifted-norm-value"])
+def test_cli_refuses_a_square_root_it_cannot_factor(tmp_path, doc):
+    """Each needs sqrt(10^30 + 57) exactly. Trial division stops at 10^6, so
+    the query exits 3 at once, not after hours; run in a fresh interpreter so
+    that a hang fails on the timeout."""
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(dict(doc, field={"kind": "real"},
+                                    rep={"kind": "sp_highest_weight", "lambda": [0]})))
+    src = str(Path(lfactors.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-m", "lfactors.cli", "gamma", "-f", str(path)],
+                         env=env, capture_output=True, text=True, timeout=10)
+    assert (run.returncode, run.stdout) == (3, "")
+    assert run.stderr == ("unsupported: too large to factor: trial division up to 1,000,000 leaves "
+                          "a cofactor of 100 bits, above 1,000,000,000,000\n")
+
+
+def test_even_powers_of_a_large_prime_need_no_factoring(monkeypatch):
+    """gamma of D_1 at psi_a scales by |a|^(2s - 1): whole powers of a, which
+    take no factoring, so the query answers exactly."""
+    def refuse(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(exactconst, "factor_int", refuse)
+    doc = {"field": {"kind": "real"}, "rep": {"kind": "skew_char", "l": 1}, "psi_scale": str(_PRIME),
+           "outputs": ["gamma"]}
+    assert run_query(doc)["results"]["gamma"]["text"] == (
+        f"-1/{_PRIME} * i * {_PRIME}^(2s) * GammaC(-s+2) / GammaC(s+1)")
 
 
 def test_cli_rejects_an_integer_json_cannot_read(tmp_path, capsys):

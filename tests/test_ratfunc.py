@@ -23,12 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfactors.exactconst import ExactConst
+from lfactors.exactconst import _DIRECT_DIGITS, ExactConst, _fraction_text, _int_text
 from lfactors.mero import LinForm, MeroExpr, UnsupportedExpressionError, mero_mul
 from lfactors import ratfunc
-from lfactors.ratfunc import (_DIRECT_DIGITS, ExactPoly, RatFunc, _coef_text, _factors,
-                              _fraction_text, _int_text, _monomial, _mul, _psi, _same_modulus,
-                              as_rational_in_X)
+from lfactors.ratfunc import (ExactPoly, RatFunc, _coef_text, _factors, _monomial, _mul, _psi,
+                              _same_modulus, as_rational_in_X)
 
 P_OF_Q = {3: 3, 5: 5, 7: 7, 9: 3, 25: 5, 27: 3, 49: 7}
 TEXT = Path(__file__).resolve().parent / "data" / "ratfunc_text.json"
@@ -904,10 +903,12 @@ def test_qisqrt_str_matches_fraction_spelling(p, u, v):
 
 
 # -- spelling big integers ----------------------------------------------------
-# _int_text splits an integer past _DIRECT_DIGITS digits at 2^(1024 * 2^i), so
-# powers of 2 at those widths, and of 10 at the threshold, sit on its edges.
-EDGES = [(b, e, d) for b, e in [(10, _DIRECT_DIGITS - 1), (10, _DIRECT_DIGITS),
-                                (2, 1024 << 5), (2, 1024 << 6), (2, 1024 << 7)]
+# _int_text (exactconst) splits an integer past _DIRECT_DIGITS = 640 digits at
+# 2^(1024 * 2^i), so powers of 2 at those widths, and of 10 at the threshold,
+# sit on its edges; 10^8000 lies between two widths.
+EDGES = [(b, e, d) for b, e in [(10, _DIRECT_DIGITS - 1), (10, _DIRECT_DIGITS), (10, 7999), (10, 8000),
+                                (2, 1024 << 1), (2, 1024 << 2), (2, 1024 << 5), (2, 1024 << 6),
+                                (2, 1024 << 7)]
          for d in (-1, 0, 1)] + [(10, 200_000, -1)]  # 200,000 nines
 
 
